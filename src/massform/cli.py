@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import click
 
-from .algebra import RationalFunctionQ, rational_to_str
+from .algebra import RationalFunctionQ, ratfun_eval, rational_to_str
 from .csa import (
     RamificationData,
     parse_shorthand,
@@ -29,6 +29,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidRamificationError,
     MassformError,
+    PoleError,
 )
 from .funcfield import (
     FunctionFieldData,
@@ -44,11 +45,7 @@ from .localmodels import (
     run_model_checks,
 )
 from .massengine import drinfeld_mass, mass, mass_report_to_json_dict
-from .orderzeta import (
-    order_zeta_at_zero,
-    order_zeta_closed_form,
-    order_zeta_series,
-)
+from .orderzeta import order_zeta_closed_form, order_zeta_series
 from . import verify as verify_mod
 
 
@@ -259,13 +256,17 @@ def _do_order_zeta(spec: JobSpec) -> None:
     data = spec.ramification
     order = spec.option("series_order")
     closed = order_zeta_closed_form(data)
+    try:
+        value_at_zero = ratfun_eval(closed.ratfun, 1)
+    except PoleError as exc:
+        raise InternalConsistencyError(str(exc)) from None
     series = order_zeta_series(data, order)
     out = {
         **_field_header(spec.field),
         "rank": data.rank,
         "ramification": shorthand(data),
         "closed_form": _ratfun_json(closed.ratfun),
-        "value_at_zero": rational_to_str(order_zeta_at_zero(data)),
+        "value_at_zero": rational_to_str(value_at_zero),
         "series_order": order,
         "series": [rational_to_str(c) for c in series.coeffs],
     }

@@ -100,7 +100,7 @@ def validate(data: RamificationData, *, check_availability: bool = True) -> Vali
                 f"infinity entry has degree {p.degree}, field says {data.field.deg_inf}"
             )
 
-    total = sum(Fraction(p.inv_num, p.inv_den) for p in data.places)
+    total = sum(Fraction(p.inv_num, p.inv_den) for p in data.places if p.inv_den)
     if total.denominator != 1:
         failures.append(f"invariants sum to {total}, not an integer")
 

@@ -52,6 +52,10 @@ class BruteForceTooLargeError(InputDataError):
     """Requested exhaustive enumeration exceeds the configured bound."""
 
 
+class EmptySelectionError(InputDataError):
+    """A filter or count selects nothing to check."""
+
+
 class PoleError(MassformError):
     """Rational function evaluated at a pole."""
 
@@ -70,6 +74,10 @@ class NotAUnitError(MassformError):
 
 class PrecisionExhaustedError(MassformError):
     """Operation needs more pi-adic digits than the carrier holds."""
+
+
+class PrecisionTooLowError(InputDataError, PrecisionExhaustedError):
+    """Requested pi-adic precision cannot hold the model at all."""
 
 
 class InternalConsistencyError(MassformError):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Callable, Iterable, Iterator
 
 from .errors import NotAUnitError, OrderMismatchError
@@ -35,22 +36,20 @@ def _is_prime(n: int) -> bool:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """q = p**e with p prime, or ValueError."""
+    """q = p**e with p prime, or ValueError.
+
+    The least divisor of q above 1 is prime, so the search for p stops
+    at the square root of q."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not _is_prime(p):
-                raise ValueError(f"{q} is not a prime power")
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 def _prime_divisors(n: int) -> list[int]:

@@ -23,9 +23,13 @@ from math import gcd
 
 from .errors import (
     BruteForceTooLargeError,
+    EmptySelectionError,
     InternalConsistencyError,
+    InvalidFieldError,
+    InvalidRamificationError,
     NotDivisibleError,
     PrecisionExhaustedError,
+    PrecisionTooLowError,
 )
 from .finitefield import (
     FqField,
@@ -38,6 +42,13 @@ from .finitefield import (
 )
 
 Mat = tuple[tuple[TruncatedSeriesFq, ...], ...]
+
+
+def _check_residue_size(q_v: int) -> None:
+    try:
+        factor_prime_power(q_v)
+    except ValueError as exc:
+        raise InvalidFieldError(f"residue size q_v: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -54,13 +65,13 @@ class LocalModel:
 
     @staticmethod
     def create(q_v: int, d: int, b: int, precision: int = 6) -> "LocalModel":
-        factor_prime_power(q_v)
+        _check_residue_size(q_v)
         if d < 1:
             raise ValueError("index d must be >= 1")
         if gcd(b, d) != 1:
             raise ValueError(f"invariant numerator {b} not coprime to {d}")
         if precision < 2:
-            raise PrecisionExhaustedError(
+            raise PrecisionTooLowError(
                 "precision below 2 cannot even hold the uniformizer relation"
             )
         m = 1 if d == 1 else pow(b, -1, d)
@@ -259,6 +270,7 @@ def iwahori_index(q_v: int, d: int, brute_force: bool = False) -> int:
     With brute_force set, the strictly-upper residue patterns over the
     residue field of L are enumerated and deduplicated as coset labels,
     and the count is asserted equal to the formula."""
+    _check_residue_size(q_v)
     if d < 1:
         raise ValueError("d must be >= 1")
     formula = q_v ** (d * d * (d - 1) // 2)
@@ -321,6 +333,9 @@ class LocalVolumeReport:
 
 
 def local_volume_report(q_v: int, r: int, d: int) -> LocalVolumeReport:
+    _check_residue_size(q_v)
+    if r < 1 or d < 1:
+        raise InvalidRamificationError(f"local rank {r} and index {d} must be >= 1")
     if r % d != 0:
         raise NotDivisibleError(f"index {d} does not divide rank {r}")
     vg = vol_G(q_v, r)
@@ -498,6 +513,8 @@ def run_model_checks(
     image of every sampled integral element lies in the hereditary
     order; elements with a negative-valuation coefficient land outside.
     """
+    if pairs < 1:
+        raise EmptySelectionError(f"pairs {pairs} must be >= 1")
     model = LocalModel.create(q_v, d, b, precision)
     rng = random.Random(seed)
 

@@ -6,8 +6,9 @@ Two independent realizations of the same object live here:
   base-field zeta, its multiplicative shifts, and per-place correction
   polynomials at the ramified places;
 * a truncated Dirichlet series built from an Euler product over the
-  finite places, whose local coefficient counts come from an explicit
-  composition sum (local_ideal_count).
+  finite places, expanded in integers by the binomial series of each
+  factor (1 - a u^n)^{-m}, and rebuilt place by place from an explicit
+  composition sum (local_ideal_count) by the multiplicativity check.
 
 Their coefficientwise agreement, and the equality of the value at u = 1
 with minus the factored mass, are the package's central cross-checks.
@@ -19,8 +20,10 @@ the data is definite.  No step here reuses the mass engine.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .algebra import (
     PolyQ,
@@ -30,9 +33,6 @@ from .algebra import (
     ratfun_eval,
     ratfun_from_poly,
     series_from_ratfun,
-    series_mul,
-    series_one,
-    series_pow,
 )
 from .csa import RamificationData, ensure_valid, is_definite
 from .errors import (
@@ -146,26 +146,29 @@ def local_ideal_count(q_v: int, m_v: int, d_v: int, ell: int) -> int:
     return total
 
 
-def _local_factor_series(
-    q: int, degree: int, m_v: int, d_v: int, order: int
-) -> TruncatedSeriesQ:
-    """Euler factor of one finite place as a series in u to the given
-    order: prod_{i=1..m_v} (1 - q^{degree*(i-1)*d_v} u^{degree})^{-1}."""
-    den = PolyQ.one()
-    for i in range(1, m_v + 1):
-        den = den * PolyQ.one_minus(q ** (degree * (i - 1) * d_v), degree)
-    return series_from_ratfun(ratfun(PolyQ.one(), den), order)
+def _apply_binomial(coeffs: list[int], a: int, m: int) -> None:
+    """Multiply the truncated series coeffs in place by (1 - a v)^{-m},
+    whose coefficient at v^k is binom(m+k-1, k) * a^k."""
+    c = [1]
+    for k in range(1, len(coeffs)):
+        value, rem = divmod(c[-1] * (m + k - 1) * a, k)
+        if rem:
+            raise InternalConsistencyError(f"(1 - {a}v)^-{m}: v^{k} not integral")
+        c.append(value)
+    for j in range(len(coeffs) - 1, 0, -1):
+        coeffs[j] = sum(map(mul, c, coeffs[j::-1]))
 
 
 def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
     """Dirichlet series of the order zeta to the given order in u.
 
-    Euler product over finite places only, multiplied degree by degree:
-    for each degree n <= order, the unramified factor is raised to the
-    number of unramified finite places of degree n, then the ramified
-    factors of that degree are applied.  The infinity place is skipped;
-    the closed form's bookkeeping must compensate, and the acceptance
-    tests compare the two expansions coefficient by coefficient.
+    Euler product over finite places only, in integers.  Per degree n,
+    the factors are gathered as prod (1 - a v)^{-m} in v = u^n: the
+    unramified places add their number to m at a = q^{n i}, i < r, and
+    each ramified place adds 1 at a = q^{n i d_v}, i < r/d_v.  Each
+    (a, m) is a binomial series; their product enters by one stride-n
+    convolution.  Infinity is skipped; the closed form compensates, and
+    the tests compare the two expansions coefficient by coefficient.
     """
     ensure_valid(data)
     if not is_definite(data):
@@ -173,13 +176,10 @@ def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
     if order < 0:
         raise ValueError("series order must be >= 0")
     field = data.field
-    r = data.rank
-    out = series_one(order)
-    for degree in range(1, order + 1):
-        available = places_of_degree(field, degree)
-        ramified_here = [
-            p for p in data.finite_places() if p.degree == degree
-        ]
+    q, r = field.q, data.rank
+    coeffs = [1] + [0] * order
+    for degree, available in enumerate(field._place_counts(order), start=1):
+        ramified_here = [p for p in data.finite_places() if p.degree == degree]
         multiplicity = available - len(ramified_here)
         if degree == field.deg_inf:
             multiplicity -= 1
@@ -188,16 +188,16 @@ def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
                 f"{len(ramified_here)} ramified places of degree {degree} "
                 f"but the field only has {available}"
             )
-        if multiplicity > 0:
-            unram = _local_factor_series(field.q, degree, r, 1, order)
-            out = series_mul(out, series_pow(unram, multiplicity))
+        exponents = Counter({q ** (degree * i): multiplicity for i in range(r)})
         for place in ramified_here:
-            m_v = r // place.inv_den
-            factor = _local_factor_series(
-                field.q, degree, m_v, place.inv_den, order
-            )
-            out = series_mul(out, factor)
-    return out
+            d_v = place.inv_den
+            exponents.update(q ** (degree * i * d_v) for i in range(r // d_v))
+        factor = [1] + [0] * (order // degree)      # in v = u^degree
+        for a, m in (+exponents).items():     # unary + drops m == 0
+            _apply_binomial(factor, a, m)
+        for j in range(order, degree - 1, -1):
+            coeffs[j] = sum(map(mul, factor, coeffs[j::-degree]))
+    return TruncatedSeriesQ(order, tuple(map(Fraction, coeffs)))
 
 
 def coefficient_multiplicativity_check(data: RamificationData, order: int) -> bool:

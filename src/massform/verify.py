@@ -24,7 +24,7 @@ from .csa import (
     shorthand,
     validate,
 )
-from .errors import InternalConsistencyError, InvalidFieldError
+from .errors import EmptySelectionError, InternalConsistencyError, InvalidFieldError
 from .funcfield import (
     FunctionFieldData,
     class_number_A,
@@ -272,6 +272,10 @@ def suite_zeta_at_zero(
     t0 = time.time()
     failures = []
     battery = full_battery(ranks=ranks, max_degree=max_degree)
+    if not battery:
+        raise EmptySelectionError(
+            f"ranks {ranks} and max degree {max_degree} select no configuration"
+        )
     for data in battery:
         lhs = order_zeta_at_zero(data)
         rhs = -mass(data).mass
@@ -460,6 +464,8 @@ def suite_random_properties(
 ) -> SuiteReport:
     """Parity, positivity, and coefficient integrality over a seeded
     stream of random valid definite data."""
+    if count < 1:
+        raise EmptySelectionError(f"count {count} must be >= 1")
     t0 = time.time()
     rng = random.Random(seed)
     failures = []
@@ -490,6 +496,8 @@ def suite_class_number_products(
 ) -> SuiteReport:
     """Full zeta at u=1 against -h/(q-1) for fields whose L-polynomial
     is a product of degree-2 symmetric factors."""
+    if count < 1:
+        raise EmptySelectionError(f"count {count} must be >= 1")
     t0 = time.time()
     rng = random.Random(seed)
     failures = []

@@ -244,6 +244,35 @@ def test_local_subcommands(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, error_type",
+    [
+        (("local", "volumes", "--qv", "2", "--r", "2", "--d", "0"), "InvalidRamificationError"),
+        (("local", "lambda", "--qv", "2", "--r", "2", "--d", "0"), "InvalidRamificationError"),
+        (("table", "--qs", "2", "--ranks", "0"), "InvalidRamificationError"),
+        (("local", "volumes", "--qv", "6", "--r", "2", "--d", "2"), "InvalidFieldError"),
+        (("local", "iw-index", "--qv", "6", "--d", "2"), "InvalidFieldError"),
+        (("local", "model-check", "--qv", "2", "--d", "2", "--prec", "1"),
+         "PrecisionTooLowError"),
+        (("verify", "--suite", "zeta-at-zero", "--max-rank", "1"), "EmptySelectionError"),
+        (("verify", "--suite", "random-properties", "--count", "0"), "EmptySelectionError"),
+        (("local", "model-check", "--qv", "2", "--d", "2", "--pairs", "-3"),
+         "EmptySelectionError"),
+        (("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/0"), "InvalidRamificationError"),
+    ],
+    ids=[
+        "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
+        "model-check-prec1", "verify-empty-ranks", "verify-count0",
+        "model-check-pairs-negative", "mass-invariant-den0",
+    ],
+)
+def test_bad_input_regressions_are_exit_2(capsys, argv, error_type):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == error_type
+    assert "Traceback" not in err
+
+
 def test_verify_command_single_suite(capsys):
     code, out, _ = invoke(capsys, "verify", "--suite", "drinfeld")
     assert code == 0

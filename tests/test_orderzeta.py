@@ -12,14 +12,17 @@ from massform.algebra import (
 )
 from massform.csa import RamificationData, RamifiedPlace, parse_shorthand
 from massform.errors import (
+    InternalConsistencyError,
     InvalidPartialDataError,
     NegativeMultiplicityError,
     NotDefiniteError,
 )
 from massform.funcfield import FunctionFieldData
 from massform.massengine import mass
+from massform.verify import full_battery
 from massform.orderzeta import (
     PartialZetaData,
+    _apply_binomial,
     coefficient_multiplicativity_check,
     local_ideal_count,
     order_zeta_at_zero,
@@ -148,6 +151,7 @@ def test_series_matches_closed_form_expansion():
         (parse_shorthand("inf:1/4,2:1/4,1:1/2", K2, rank=4), 8),
         (parse_shorthand("inf:1/2,2:1/2", FunctionFieldData.rational(3), rank=2), 8),
         (RamificationData(field=K2_G1, rank=1, places=()), 10),
+        (parse_shorthand("inf:1/2,2:1/2", K2, rank=2), 200),
     ]
     for data, order in configs:
         closed = order_zeta_closed_form(data)
@@ -155,6 +159,32 @@ def test_series_matches_closed_form_expansion():
             order_zeta_series(data, order).coeffs
             == series_from_ratfun(closed.ratfun, order).coeffs
         ), (data.rank, order)
+
+
+def test_series_matches_closed_form_on_every_battery_cell():
+    cells = {}
+    for data in full_battery():
+        cells.setdefault((data.field, data.rank), data)
+    assert len(cells) == 20
+    for data in cells.values():
+        closed = order_zeta_closed_form(data)
+        assert order_zeta_series(data, 40) == series_from_ratfun(closed.ratfun, 40), (
+            data.field.q, data.field.genus, data.rank,
+        )
+
+
+def test_binomial_factor_matches_repeated_geometric_factors():
+    for a, m in [(1, 3), (4, 5), (2, 1), (9, 2)]:
+        got = [1, 2, 0, 5, 0, 0, 7, 0, 0, 1]
+        want = list(got)
+        _apply_binomial(got, a, m)
+        for _ in range(m):      # times 1/(1 - a v): w[j] += a * w[j - 1]
+            for j in range(1, 10):
+                want[j] += a * want[j - 1]
+        assert got == want, (a, m)
+    # (1 - v)^(-1/2) = 1 + v/2 + ...: the exact division check must fire
+    with pytest.raises(InternalConsistencyError):
+        _apply_binomial([1, 0, 0], 1, Fraction(1, 2))
 
 
 def test_series_coefficients_count_ideals():
@@ -187,7 +217,7 @@ def test_multiplicativity_check_frozen_examples():
         RamificationData(field=K2, rank=1, places=()), 8
     )
     assert coefficient_multiplicativity_check(DRINFELD_R3, 6)
-    assert coefficient_multiplicativity_check(GENUS1_R2, 6)
+    assert coefficient_multiplicativity_check(GENUS1_R2, 12)
 
 
 # -- partial zeta ---------------------------------------------------------------

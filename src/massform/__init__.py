@@ -6,7 +6,7 @@ from .funcfield import FunctionFieldData, class_number_A, zeta_K, zeta_special_v
 from .massengine import drinfeld_mass, mass
 from .orderzeta import order_zeta_at_zero, order_zeta_closed_form, order_zeta_series
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "FunctionFieldData",

@@ -25,6 +25,7 @@ from .csa import (
     validate,
 )
 from .errors import (
+    EmptySelectionError,
     InputDataError,
     InternalConsistencyError,
     InvalidRamificationError,
@@ -239,6 +240,8 @@ def _do_class_number(spec: JobSpec) -> None:
 def _do_zeta(spec: JobSpec) -> None:
     field = spec.field
     values = spec.option("values", 3)
+    if values < 1:
+        raise EmptySelectionError(f"values {values} must be >= 1")
     out = {
         **_field_header(field),
         "l_poly": [rational_to_str(c) for c in field.l_poly.coeffs],

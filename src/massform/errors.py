@@ -68,10 +68,6 @@ class OrderMismatchError(MassformError):
     """Binary operation on truncated series of different order/precision."""
 
 
-class NotAUnitError(MassformError):
-    """Inversion of a non-unit truncated series."""
-
-
 class PrecisionExhaustedError(MassformError):
     """Operation needs more pi-adic digits than the carrier holds."""
 

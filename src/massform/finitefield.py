@@ -4,12 +4,15 @@ irreducible polynomials over F_q, and truncated power series over F_q.
 Elements are integer-encoded: the residue polynomial
 c_0 + c_1 t + ... + c_{e-1} t^{e-1} over F_p becomes the integer
 c_0 + c_1 p + ... + c_{e-1} p^{e-1}.  Each field precomputes log/exp
-tables for a fixed multiplicative generator, so products and inverses
-are table lookups.  Fields are capped at 2**12 elements; everything
+tables for a fixed multiplicative generator g, so products and inverses
+are table lookups, and a Zech-logarithm table zech[n] = log(1 + g^n),
+so that sums are table lookups too: a + b = a * (1 + b/a).  Every table
+has O(q) entries, and fields are capped at 2**12 elements; everything
 this package needs lives far below that.
 
 Truncated series model the complete local rings at a place: a series of
-precision N is a residue mod pi^N with N stored coefficients.
+precision N is a residue mod pi^N with N stored coefficients.  Their
+product runs in the log domain, with -1 standing for the log of 0.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Callable, Iterable, Iterator
 
-from .errors import NotAUnitError, OrderMismatchError
+from .errors import InternalConsistencyError, OrderMismatchError
 
 _FIELD_SIZE_CAP = 2 ** 12
 
@@ -142,7 +145,7 @@ class FqField:
         for cand in _fp_monic_polys(e, p):
             if _fp_is_irreducible(cand, p):
                 return tuple(cand)
-        raise AssertionError("no irreducible polynomial found")  # unreachable
+        raise InternalConsistencyError(f"no irreducible of degree {e} over F_{p}")
 
     # -- raw code arithmetic --------------------------------------------
 
@@ -159,16 +162,27 @@ class FqField:
             code = code * self.p + d
         return code
 
-    def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
+    def _add_digits(self, a: int, b: int) -> int:
+        # digit-wise sum; only used while bootstrapping the Zech table
         da, db = self._code_to_digits(a), self._code_to_digits(b)
         return self._digits_to_code((x + y) % self.p for x, y in zip(da, db))
 
+    def add(self, a: int, b: int) -> int:
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log = self._log
+        la = log[a]
+        z = self._zech[(log[b] - la) % self._order]
+        if z < 0:
+            return 0
+        return self._exp[(la + z) % self._order]
+
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return self._digits_to_code((-x) % self.p for x in self._code_to_digits(a))
+        if a == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log_minus_one) % self._order]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -200,17 +214,23 @@ class FqField:
             if ok:
                 gen = cand
                 break
-        assert gen is not None
+        if gen is None:
+            raise InternalConsistencyError(f"no generator of GF({q})^x found")
         exp = [1] * group_order
-        log = [0] * q
+        log = [-1] * q          # log[0] = -1 stands for the log of 0
         acc = 1
         for k in range(group_order):
             exp[k] = acc
             log[acc] = k
             acc = self._mul_raw(acc, gen)
         self.generator = gen
+        self._order = group_order
         self._exp = exp
         self._log = log
+        # zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0
+        self._zech = [log[self._add_digits(1, x)] for x in exp]
+        # -1 = g^((q-1)/2) in odd characteristic, and -1 = 1 when p = 2
+        self._log_minus_one = 0 if self.p == 2 else group_order // 2
 
     def _pow_raw(self, a: int, n: int) -> int:
         result = 1
@@ -224,12 +244,12 @@ class FqField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[(self._log[a] + self._log[b]) % self._order]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._exp[(-self._log[a]) % self._order]
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
@@ -238,7 +258,7 @@ class FqField:
             if n < 0:
                 raise ZeroDivisionError("negative power of 0")
             return 0
-        return self._exp[(self._log[a] * n) % (self.q - 1)]
+        return self._exp[(self._log[a] * n) % self._order]
 
     # -- element / iteration API ------------------------------------------
 
@@ -256,34 +276,6 @@ class FqField:
     def elements(self) -> Iterator["FqElem"]:
         for code in range(self.q):
             yield FqElem(self, code)
-
-    def embedding_into(self, big: "FqField") -> Callable[[int], int]:
-        """Field homomorphism F_{p^e} -> F_{p^E} as a code-level map.
-
-        Found by scanning the target field for a root of this field's
-        modulus (the root with the least code is chosen, which pins the
-        embedding deterministically).
-        """
-        if big.p != self.p or big.e % self.e != 0:
-            raise ValueError(
-                f"no embedding of GF({self.q}) into GF({big.q})"
-            )
-        root = None
-        for cand in range(big.q):
-            acc = 0
-            for coeff in reversed(self.modulus):
-                acc = big.add(big.mul(acc, cand), coeff % big.p)
-            if acc == 0:
-                root = cand
-                break
-        assert root is not None
-        table = []
-        for code in range(self.q):
-            acc = 0
-            for digit in reversed(self._code_to_digits(code)):
-                acc = big.add(big.mul(acc, root), digit)
-            table.append(acc)
-        return lambda code: table[code]
 
     def __repr__(self) -> str:
         return f"FqField(q={self.q})"
@@ -450,23 +442,37 @@ class TruncatedSeriesFq:
     def __mul__(self, other: "TruncatedSeriesFq") -> "TruncatedSeriesFq":
         self._check(other)
         f = self.field
-        n = self.precision
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return TruncatedSeriesFq(f, n, tuple(out))
+        log, zech, order = f._log, f._zech, f._order
+        # logs of the nonzero coefficients, with their positions
+        xs = [(i, log[c]) for i, c in enumerate(self.coeffs) if c]
+        ys = [log[c] for c in other.coeffs]
+        out = []
+        for k in range(self.precision):
+            acc = -1                    # log of the partial sum; -1 is 0
+            for i, lx in xs:
+                if i > k:
+                    break
+                ly = ys[k - i]
+                if ly < 0:
+                    continue
+                if acc < 0:
+                    acc = (lx + ly) % order
+                else:
+                    # acc + g^t = g^acc * (1 + g^(t - acc))
+                    z = zech[(lx + ly - acc) % order]
+                    acc = -1 if z < 0 else (acc + z) % order
+            out.append(acc)
+        exp = f._exp
+        return TruncatedSeriesFq(
+            f, self.precision, tuple(0 if e < 0 else exp[e] for e in out)
+        )
 
     def __neg__(self) -> "TruncatedSeriesFq":
         f = self.field
         return TruncatedSeriesFq(f, self.precision, tuple(f.neg(a) for a in self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient; None when the series
@@ -510,22 +516,3 @@ def fq_series_one(field: FqField, precision: int) -> TruncatedSeriesFq:
 def fq_series_pi(field: FqField, precision: int) -> TruncatedSeriesFq:
     """The uniformizer pi as a series."""
     return fq_series(field, (0, 1), precision)
-
-
-def series_invert(a: TruncatedSeriesFq) -> TruncatedSeriesFq:
-    """Multiplicative inverse mod pi**precision.
-
-    Solves the triangular system b_0 = a_0^{-1},
-    b_k = -a_0^{-1} * sum_{j=1..k} a_j b_{k-j}.
-    """
-    if a.coeffs[0] == 0:
-        raise NotAUnitError("constant term is zero")
-    f = a.field
-    inv0 = f.inv(a.coeffs[0])
-    out = [inv0]
-    for k in range(1, a.precision):
-        acc = 0
-        for j in range(1, k + 1):
-            acc = f.add(acc, f.mul(a.coeffs[j], out[k - j]))
-        out.append(f.neg(f.mul(inv0, acc)))
-    return TruncatedSeriesFq(f, a.precision, tuple(out))

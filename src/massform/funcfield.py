@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import PolyQ, RationalFunctionQ, ratfun
-from .errors import InvalidFieldError
+from .errors import InternalConsistencyError, InvalidFieldError
 from .finitefield import factor_prime_power
 
 
@@ -177,7 +177,8 @@ def zeta_A(data: FunctionFieldData) -> RationalFunctionQ:
     num = PolyQ.one_minus(1, data.deg_inf) * data.l_poly
     den = PolyQ.one_minus(1, 1) * PolyQ.one_minus(data.q, 1)
     out = ratfun(num, den)
-    assert out.is_regular_at(1)
+    if not out.is_regular_at(1):
+        raise InternalConsistencyError(f"zeta_A has a pole at u = 1: {out}")
     return out
 
 

@@ -76,7 +76,10 @@ class LocalModel:
             )
         m = 1 if d == 1 else pow(b, -1, d)
         mprime = (1 - b * m) // d
-        assert b * m + d * mprime == 1 and 1 <= m <= d
+        if b * m + d * mprime != 1 or not 1 <= m <= d:
+            raise InternalConsistencyError(
+                f"Bezout pair ({m}, {mprime}) fails for b={b}, d={d}"
+            )
         return LocalModel(
             q_v=q_v,
             d=d,
@@ -145,7 +148,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     # so skipping zero factors is a large win
     a_zero = [[e.is_zero() for e in row] for row in a]
     b_zero = [[e.is_zero() for e in row] for row in b]
-    zero = a[0][0] + (-a[0][0])
+    zero = fq_series_zero(a[0][0].field, a[0][0].precision)
     rows = []
     for i in range(d):
         row = []
@@ -161,12 +164,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return _mat_from_rows(rows)
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return _mat_from_rows(
-        [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    )
-
-
 def mat_pow(a: Mat, n: int, model: LocalModel) -> Mat:
     result = mat_identity(model)
     while n:
@@ -175,19 +172,6 @@ def mat_pow(a: Mat, n: int, model: LocalModel) -> Mat:
         a = mat_mul(a, a)
         n >>= 1
     return result
-
-
-def phi_of_scalar(model: LocalModel, a0: TruncatedSeriesFq) -> Mat:
-    """diag(a0, tau(a0), ..., tau^{d-1}(a0))."""
-    return _mat_from_rows(
-        [
-            [
-                model.tau_power(a0, i) if i == j else model.zero()
-                for j in range(model.d)
-            ]
-            for i in range(model.d)
-        ]
-    )
 
 
 def phi_of_pi(model: LocalModel) -> Mat:
@@ -206,18 +190,25 @@ def phi_of_pi(model: LocalModel) -> Mat:
 
 
 def phi_of_element(model: LocalModel, coeffs) -> Mat:
-    """Matrix of x = sum_i P^i a_i: sum of phi_of_pi^i * phi_of_scalar(a_i)."""
+    """Matrix of x = sum_i P^i a_i, i.e. sum_i phi_of_pi^i * diag(tau^c(a_i)).
+
+    Built entry by entry: entry (r, c) is tau^c(a_{(r-c) mod d}), times
+    pi when c > r, where the power of P has wrapped past P^d = pi."""
     coeffs = list(coeffs)
-    if len(coeffs) != model.d:
-        raise ValueError(f"need exactly {model.d} coefficients")
-    pi_mat = phi_of_pi(model)
-    power = mat_identity(model)
-    total = None
-    for a in coeffs:
-        term = mat_mul(power, phi_of_scalar(model, a))
-        total = term if total is None else mat_add(total, term)
-        power = mat_mul(power, pi_mat)
-    return total
+    d = model.d
+    if len(coeffs) != d:
+        raise ValueError(f"need exactly {d} coefficients")
+    tau_power = model.tau_power
+    return _mat_from_rows(
+        [
+            [
+                tau_power(coeffs[(r - c) % d], c).shift(1) if c > r
+                else tau_power(coeffs[r - c], c)
+                for c in range(d)
+            ]
+            for r in range(d)
+        ]
+    )
 
 
 def delta_mul(model: LocalModel, xs, ys) -> tuple[TruncatedSeriesFq, ...]:

@@ -24,7 +24,12 @@ from .csa import (
     is_drinfeld_type,
     lambda_v,
 )
-from .errors import DefiniteError, NoSuchPlaceError, NotDefiniteError
+from .errors import (
+    DefiniteError,
+    InternalConsistencyError,
+    NoSuchPlaceError,
+    NotDefiniteError,
+)
 from .funcfield import (
     FunctionFieldData,
     class_number_A,
@@ -74,7 +79,8 @@ def mass(data: RamificationData) -> MassReport:
         total *= z
     for _, lam in lambdas:
         total *= lam
-    assert total > 0
+    if total <= 0:
+        raise InternalConsistencyError(f"mass {total} is not positive")
     return MassReport(
         mass=total,
         class_number_factor=h_factor,

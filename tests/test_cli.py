@@ -259,11 +259,14 @@ def test_local_subcommands(capsys):
         (("local", "model-check", "--qv", "2", "--d", "2", "--pairs", "-3"),
          "EmptySelectionError"),
         (("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/0"), "InvalidRamificationError"),
+        (("zeta", "--q", "2", "--values", "-1"), "EmptySelectionError"),
+        (("zeta", "--q", "2", "--values", "0"), "EmptySelectionError"),
     ],
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
         "model-check-prec1", "verify-empty-ranks", "verify-count0",
         "model-check-pairs-negative", "mass-invariant-den0",
+        "zeta-values-negative", "zeta-values0",
     ],
 )
 def test_bad_input_regressions_are_exit_2(capsys, argv, error_type):

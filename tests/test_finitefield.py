@@ -1,16 +1,17 @@
 """Finite field arithmetic, irreducible enumeration, series over F_q."""
 
+import random
+
 import pytest
 
-from massform.errors import NotAUnitError, OrderMismatchError
+from massform.errors import OrderMismatchError
 from massform.finitefield import (
     FqField,
     enumerate_monic_irreducibles,
+    factor_prime_power,
     fq_series,
     fq_series_one,
-    fq_series_pi,
     frobenius,
-    series_invert,
 )
 
 
@@ -84,6 +85,107 @@ def test_distributivity_small_fields():
                     assert lhs == rhs
 
 
+# -- addition against a digit-wise reference ---------------------------------
+#
+# The field adds through a Zech-logarithm table.  The reference here works
+# on the base-p digits of the codes, the coefficients of the residue
+# polynomials, which is what addition in F_p[t]/(modulus) means.
+
+def _digits(code: int, p: int, e: int) -> list[int]:
+    out = []
+    for _ in range(e):
+        out.append(code % p)
+        code //= p
+    return out
+
+
+def _code(digits: list[int], p: int) -> int:
+    code = 0
+    for x in reversed(digits):
+        code = code * p + x
+    return code
+
+
+def _digit_add(f: FqField, a: int, b: int) -> int:
+    da, db = _digits(a, f.p, f.e), _digits(b, f.p, f.e)
+    return _code([(x + y) % f.p for x, y in zip(da, db)], f.p)
+
+
+def _digit_neg(f: FqField, a: int) -> int:
+    return _code([(-x) % f.p for x in _digits(a, f.p, f.e)], f.p)
+
+
+def _digit_sub(f: FqField, a: int, b: int) -> int:
+    da, db = _digits(a, f.p, f.e), _digits(b, f.p, f.e)
+    return _code([(x - y) % f.p for x, y in zip(da, db)], f.p)
+
+
+def _poly_mul(f: FqField, a: int, b: int) -> int:
+    """Product of residue polynomials reduced mod the field's modulus."""
+    p, e = f.p, f.e
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_digits(a, p, e)):
+        for j, y in enumerate(_digits(b, p, e)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(len(prod) - 1, e - 1, -1):
+        c = prod[k]
+        if c:
+            for j, m in enumerate(f.modulus):
+                prod[k - e + j] = (prod[k - e + j] - c * m) % p
+    return _code(prod[:e], p)
+
+
+def _fields_up_to(bound: int) -> list[int]:
+    out = []
+    for q in range(2, bound + 1):
+        try:
+            factor_prime_power(q)
+        except ValueError:
+            continue
+        out.append(q)
+    return out
+
+
+def test_add_neg_sub_match_digit_reference_every_pair_up_to_256():
+    qs = _fields_up_to(256)
+    assert len(qs) == 70 and qs[-1] == 256
+    for q in qs:
+        f = FqField.of_order(q)
+        p, codes = f.p, range(q)
+        digits = [_digits(a, p, f.e) for a in codes]
+        weights = [p ** i for i in range(f.e)]
+        neg = [_digit_neg(f, a) for a in codes]
+        assert [f.neg(a) for a in codes] == neg, q
+        for a in codes:
+            da = digits[a]
+            want = [
+                sum((x + y) % p * w for x, y, w in zip(da, digits[b], weights))
+                for b in codes
+            ]
+            assert [f.add(a, b) for b in codes] == want, (q, a)
+            # a - b = a + (-b) digit by digit
+            assert [f.sub(a, b) for b in codes] == [want[nb] for nb in neg], (q, a)
+
+
+def test_add_neg_sub_match_digit_reference_at_4096():
+    f = FqField.of_order(4096)
+    rng = random.Random(4096)
+    for _ in range(10 ** 4):
+        a, b = rng.randrange(4096), rng.randrange(4096)
+        assert f.add(a, b) == _digit_add(f, a, b), (a, b)
+        assert f.sub(a, b) == _digit_sub(f, a, b), (a, b)
+        assert f.neg(a) == _digit_neg(f, a), a
+
+
+def test_poly_reference_mul_agrees_with_field_mul():
+    # the series test below leans on _poly_mul; pin it to the field first
+    for q in (4, 9, 16):
+        f = FqField.of_order(q)
+        for a in range(q):
+            for b in range(q):
+                assert _poly_mul(f, a, b) == f.mul(a, b)
+
+
 # -- frobenius -------------------------------------------------------------
 
 def test_frobenius_frozen_examples():
@@ -116,21 +218,6 @@ def test_frobenius_order_equals_extension_degree(q, base_q, ext_degree):
         1 for x in f.elements() if frobenius(x, base_q).code == x.code
     )
     assert fixed_by_one_step == base_q
-
-
-def test_embedding_is_a_homomorphism():
-    small = FqField.of_order(4)
-    big = FqField.of_order(16)
-    emb = small.embedding_into(big)
-    assert emb(0) == 0 and emb(1) == 1
-    images = {emb(c) for c in range(4)}
-    assert len(images) == 4
-    for a in range(4):
-        for b in range(4):
-            assert emb(small.add(a, b)) == big.add(emb(a), emb(b))
-            assert emb(small.mul(a, b)) == big.mul(emb(a), emb(b))
-    with pytest.raises(ValueError):
-        FqField.of_order(4).embedding_into(FqField.of_order(8))
 
 
 # -- irreducible enumeration -------------------------------------------------
@@ -177,24 +264,6 @@ def test_enumerate_irreducibles_sorted_and_monic():
 
 # -- truncated series --------------------------------------------------------
 
-def test_series_invert_frozen_examples():
-    f2 = FqField.of_order(2)
-    one = fq_series_one(f2, 3)
-    assert series_invert(one).coeffs == (1, 0, 0)
-    a = fq_series(f2, (1, 1), 3)              # 1 + pi
-    assert series_invert(a).coeffs == (1, 1, 1)
-    with pytest.raises(NotAUnitError):
-        series_invert(fq_series_pi(f2, 3))
-
-
-def test_series_invert_is_two_sided():
-    f9 = FqField.of_order(9)
-    a = fq_series(f9, (2, 5, 7, 1, 8), 5)
-    b = series_invert(a)
-    assert (a * b).coeffs == (1, 0, 0, 0, 0)
-    assert (b * a).coeffs == (1, 0, 0, 0, 0)
-
-
 def test_series_shift_and_valuation():
     f3 = FqField.of_order(3)
     a = fq_series(f3, (1, 2), 4)
@@ -218,3 +287,36 @@ def test_series_mul_truncates_consistently():
     full = a * b
     low = fq_series(f4, a.coeffs[:4], 4) * fq_series(f4, b.coeffs[:4], 4)
     assert full.coeffs[:4] == low.coeffs
+
+
+def _schoolbook(f: FqField, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(a)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] = _digit_add(f, out[i + j], _poly_mul(f, a[i], b[j]))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 81])
+def test_series_mul_matches_schoolbook_convolution(q):
+    f = FqField.of_order(q)
+    rng = random.Random(q)
+    for trial in range(60):
+        n = 1 + trial % 8
+        # every third operand is sparse, so zero coefficients and
+        # cancelling partial sums both occur
+        sparse = trial % 3 == 0
+        a, b = (
+            tuple(
+                0 if sparse and rng.random() < 0.5 else rng.randrange(q)
+                for _ in range(n)
+            )
+            for _ in range(2)
+        )
+        got = (fq_series(f, a, n) * fq_series(f, b, n)).coeffs
+        assert got == _schoolbook(f, a, b), (a, b)
+    # x * (-x) = -(x * x); in characteristic 2 the cross terms a_i a_j of
+    # x * x come in equal pairs, so those partial sums cancel to 0
+    x = fq_series(f, [rng.randrange(1, q) for _ in range(5)], 5)
+    assert (x * -x).coeffs == tuple(f.neg(c) for c in (x * x).coeffs)

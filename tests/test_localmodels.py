@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,13 +23,44 @@ from massform.localmodels import (
     mat_scalar,
     phi_of_element,
     phi_of_pi,
-    phi_of_scalar,
     run_model_checks,
     sublattice_count_bruteforce,
     vol_G,
     vol_Gprime,
 )
 from massform.orderzeta import local_ideal_count
+
+
+def _phi_of_scalar(model, a0):
+    """diag(a0, tau(a0), ..., tau^{d-1}(a0))."""
+    return tuple(
+        tuple(model.tau_power(a0, i) if i == j else model.zero() for j in range(model.d))
+        for i in range(model.d)
+    )
+
+
+def _mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _phi_reference(model, coeffs):
+    """The literal definition: sum_i phi_of_pi^i * diag(tau^c(a_i))."""
+    pi_mat = phi_of_pi(model)
+    total = mat_scalar(model, model.zero())
+    for i, a in enumerate(coeffs):
+        total = _mat_add(total, mat_mul(mat_pow(pi_mat, i, model), _phi_of_scalar(model, a)))
+    return total
+
+
+def _models(ds=range(1, 5)):
+    """Every (q_v, d, b) with q_v in {2, 3}, 1 <= b <= d and b prime to d."""
+    return [
+        LocalModel.create(q_v, d, b)
+        for q_v in (2, 3)
+        for d in ds
+        for b in range(1, d + 1)
+        if gcd(b, d) == 1
+    ]
 
 
 def test_vol_G_frozen():
@@ -135,8 +167,6 @@ def test_sublattice_count_matches_ideal_count():
 def test_bezout_normalization():
     for d in (1, 2, 3, 4, 5, 6):
         for b in range(-d, d + 1):
-            from math import gcd
-
             if gcd(b, d) != 1:
                 continue
             model = LocalModel.create(2, d, b)
@@ -204,7 +234,34 @@ def test_phi_scalar_of_base_field_is_central():
     assert len(fixed) == 3
     for code in fixed:
         a = model.series([code])
-        assert phi_of_scalar(model, a) == mat_scalar(model, a)
+        assert _phi_of_scalar(model, a) == mat_scalar(model, a)
+
+
+def test_phi_of_element_matches_literal_definition():
+    models = _models()
+    assert len(models) == 12
+    rng = random.Random(5)
+    for model in models:
+        for _ in range(5):
+            coeffs = [model.random_integral(rng) for _ in range(model.d)]
+            assert phi_of_element(model, coeffs) == _phi_reference(model, coeffs), (
+                model.q_v, model.d, model.b,
+            )
+
+
+def test_multiplicativity_check_can_fail():
+    # the algebra is not commutative for d >= 2, so phi(x) phi(y) equals
+    # phi(x y) and, on a random pair, differs from phi(y x)
+    rng = random.Random(9)
+    for model in _models(ds=range(2, 5)):
+        differs = 0
+        for _ in range(5):
+            xs = [model.random_integral(rng) for _ in range(model.d)]
+            ys = [model.random_integral(rng) for _ in range(model.d)]
+            lhs = mat_mul(phi_of_element(model, xs), phi_of_element(model, ys))
+            assert lhs == phi_of_element(model, delta_mul(model, xs, ys))
+            differs += lhs != phi_of_element(model, delta_mul(model, ys, xs))
+        assert differs > 0, (model.q_v, model.d, model.b)
 
 
 def test_phi_multiplicative_random_pairs():

@@ -1,9 +1,10 @@
 """Exact arithmetic substrate: rationals, dense polynomials over Q,
 normalized rational functions, and truncated power series.
 
-All zeta functions in this package live in the variable u = q**(-s) and
-are carried by :class:`RationalFunctionQ`; Dirichlet expansions are
-carried by :class:`TruncatedSeriesQ`.  Exact rationals are plain
+All zeta functions in this package live in the variable u = q**(-s);
+their normalized num/den is carried by :class:`RationalFunctionQ` (the
+order zeta is kept factored in orderzeta and expanded to one only for
+output), and Dirichlet expansions by :class:`TruncatedSeriesQ`.  Exact rationals are plain
 :class:`fractions.Fraction` values (already reduced, positive
 denominator), serialized as ``"num/den"`` (``"num"`` when den = 1).
 
@@ -33,11 +34,6 @@ def rational_to_str(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def rational_from_str(text: str) -> Fraction:
-    """Parse the "num/den" (or "num") form produced by rational_to_str."""
-    return Fraction(text.strip())
 
 
 # ----------------------------------------------------------------------
@@ -289,19 +285,7 @@ class RationalFunctionQ:
     den: PolyQ
 
     def __mul__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
-        # cross-cancel before multiplying to keep degrees low
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1.degree < 1 else self.num.divmod(g1)[0]
-        d2 = other.den if g1.degree < 1 else other.den.divmod(g1)[0]
-        n2 = other.num if g2.degree < 1 else other.num.divmod(g2)[0]
-        d1 = self.den if g2.degree < 1 else self.den.divmod(g2)[0]
-        return ratfun(n1 * n2, d1 * d2)
-
-    def inverse(self) -> "RationalFunctionQ":
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverse of the zero rational function")
-        return ratfun(self.den, self.num)
+        return ratfun(self.num * other.num, self.den * other.den)
 
     def is_regular_at(self, x: Rational) -> bool:
         return self.den.eval(x) != 0
@@ -322,14 +306,6 @@ def ratfun(num: PolyQ, den: PolyQ) -> RationalFunctionQ:
         den = den.scale(1 / lead)
         num = num.scale(1 / lead)
     return RationalFunctionQ(num, den)
-
-
-def ratfun_one() -> RationalFunctionQ:
-    return RationalFunctionQ(PolyQ.one(), PolyQ.one())
-
-
-def ratfun_from_poly(p: PolyQ) -> RationalFunctionQ:
-    return RationalFunctionQ(p, PolyQ.one())
 
 
 def ratfun_eval(f: RationalFunctionQ, x: Rational) -> Fraction:

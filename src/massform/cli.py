@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import click
 
-from .algebra import RationalFunctionQ, ratfun_eval, rational_to_str
+from .algebra import RationalFunctionQ, rational_to_str
 from .csa import (
     RamificationData,
     parse_shorthand,
@@ -30,7 +30,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidRamificationError,
     MassformError,
-    PoleError,
 )
 from .funcfield import (
     FunctionFieldData,
@@ -46,7 +45,7 @@ from .localmodels import (
     run_model_checks,
 )
 from .massengine import drinfeld_mass, mass, mass_report_to_json_dict
-from .orderzeta import order_zeta_closed_form, order_zeta_series
+from .orderzeta import MAX_SERIES_ORDER, order_zeta_closed_form, order_zeta_series
 from . import verify as verify_mod
 
 
@@ -259,17 +258,13 @@ def _do_order_zeta(spec: JobSpec) -> None:
     data = spec.ramification
     order = spec.option("series_order")
     closed = order_zeta_closed_form(data)
-    try:
-        value_at_zero = ratfun_eval(closed.ratfun, 1)
-    except PoleError as exc:
-        raise InternalConsistencyError(str(exc)) from None
     series = order_zeta_series(data, order)
     out = {
         **_field_header(spec.field),
         "rank": data.rank,
         "ramification": shorthand(data),
         "closed_form": _ratfun_json(closed.ratfun),
-        "value_at_zero": rational_to_str(value_at_zero),
+        "value_at_zero": rational_to_str(closed.value_at_one),
         "series_order": order,
         "series": [rational_to_str(c) for c in series.coeffs],
     }
@@ -467,7 +462,10 @@ def cmd_zeta(q, genus, l_poly, deg_inf, field_file, values, fmt):
 @_field_options
 @click.option("--rank", type=int, required=True)
 @click.option("--ram", default="")
-@click.option("--series-order", "series_order", type=int, default=None)
+@click.option(
+    "--series-order", "series_order", type=int, default=None,
+    help=f"0 to {MAX_SERIES_ORDER}; default MASSFORM_SERIES_ORDER, else 10",
+)
 @_format_option
 def cmd_order_zeta(q, genus, l_poly, deg_inf, field_file, rank, ram, series_order, fmt):
     """Zeta function of a maximal order: closed form, value at zero, series."""

@@ -52,6 +52,10 @@ class BruteForceTooLargeError(InputDataError):
     """Requested exhaustive enumeration exceeds the configured bound."""
 
 
+class InvalidSeriesOrderError(InputDataError):
+    """Series order is negative or above the cap MAX_SERIES_ORDER."""
+
+
 class EmptySelectionError(InputDataError):
     """A filter or count selects nothing to check."""
 

@@ -52,6 +52,8 @@ class FunctionFieldData:
     l_poly: PolyQ
     deg_inf: int
     sanity_bound: int = field(default=8, compare=False)
+    # b_1, b_2, ... as far as computed; grown by _place_counts
+    _counts: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         problems = []
@@ -120,8 +122,14 @@ class FunctionFieldData:
             s.append(-acc)
         return [self.q ** m + 1 - s[m] for m in range(1, upto + 1)]
 
-    def _place_counts(self, upto: int) -> list[int]:
-        """b_1 .. b_upto with validation (non-negative integers)."""
+    def _place_counts(self, upto: int) -> tuple[int, ...]:
+        """b_1 .. b_upto with validation (non-negative integers), computed
+        once per field and extended when a higher degree is asked for."""
+        if len(self._counts) < upto:
+            object.__setattr__(self, "_counts", self._compute_place_counts(upto))
+        return self._counts[:upto]
+
+    def _compute_place_counts(self, upto: int) -> tuple[int, ...]:
         n_counts = self.point_counts(upto)
         out = []
         for n in range(1, upto + 1):
@@ -138,7 +146,7 @@ class FunctionFieldData:
             if b < 0:
                 raise InvalidFieldError(f"degree-{n} place count is negative")
             out.append(b)
-        return out
+        return tuple(out)
 
 
 def zeta_K(data: FunctionFieldData) -> RationalFunctionQ:

@@ -10,7 +10,6 @@ here weakens a comparison to make it pass.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -53,7 +52,6 @@ class SuiteReport:
     suite: str
     checked: int
     failures: tuple[str, ...]
-    elapsed_seconds: float
     notes: str = ""
 
     @property
@@ -269,7 +267,6 @@ def suite_zeta_at_zero(
 ) -> SuiteReport:
     """Capstone: the order zeta value at zero against the factored mass,
     computed along disjoint code paths, over the whole battery."""
-    t0 = time.time()
     failures = []
     battery = full_battery(ranks=ranks, max_degree=max_degree)
     if not battery:
@@ -287,7 +284,6 @@ def suite_zeta_at_zero(
         suite="zeta-at-zero",
         checked=len(battery),
         failures=tuple(failures),
-        elapsed_seconds=time.time() - t0,
         notes=f"{len(battery)} definite configurations",
     )
 
@@ -309,28 +305,29 @@ def _series_sample(per_rank: int = 2) -> list[RamificationData]:
 def suite_series_closed_form(series_order: int = 12, **_: object) -> SuiteReport:
     """Dirichlet series built place by place against the closed-form
     rational function expanded by long division."""
-    t0 = time.time()
     failures = []
     sample = _series_sample()
     for data in sample:
-        direct = order_zeta_series(data, series_order)
+        direct = order_zeta_series(data, series_order).coeffs
         closed = series_from_ratfun(
             order_zeta_closed_form(data).ratfun, series_order
-        )
-        if direct != closed:
-            failures.append(f"{_config_label(data)}: series mismatch")
+        ).coeffs
+        k = next((k for k, (a, b) in enumerate(zip(direct, closed)) if a != b), None)
+        if k is not None:
+            failures.append(
+                f"{_config_label(data)}: u^{k} coefficient {direct[k]} in the "
+                f"Euler product, {closed[k]} in the closed form"
+            )
     return SuiteReport(
         suite="series-closed-form",
         checked=len(sample),
         failures=tuple(failures),
-        elapsed_seconds=time.time() - t0,
         notes=f"order {series_order}",
     )
 
 
 def suite_drinfeld(**_: object) -> SuiteReport:
     """Specialized Drinfeld-type mass against the general engine."""
-    t0 = time.time()
     failures = []
     checked = 0
     spot = {(2, 2, 1): Fraction(1, 3), (2, 2, 2): Fraction(1), (2, 2, 3): Fraction(7, 3)}
@@ -362,13 +359,11 @@ def suite_drinfeld(**_: object) -> SuiteReport:
         suite="drinfeld",
         checked=checked,
         failures=tuple(failures),
-        elapsed_seconds=time.time() - t0,
     )
 
 
 def suite_lambda_volumes(max_rank: int = 8, **_: object) -> SuiteReport:
     """Local factor closed form against the volume-ratio pipeline."""
-    t0 = time.time()
     failures = []
     checked = 0
     for q_v in (2, 3, 4, 5, 8, 9):
@@ -387,13 +382,11 @@ def suite_lambda_volumes(max_rank: int = 8, **_: object) -> SuiteReport:
         suite="lambda-volumes",
         checked=checked,
         failures=tuple(failures),
-        elapsed_seconds=time.time() - t0,
     )
 
 
 def suite_brute_oracles(**_: object) -> SuiteReport:
     """Brute-force counts against the closed formulas they oracle."""
-    t0 = time.time()
     failures = []
     checked = 0
     for q, r in ((2, 2), (3, 2), (2, 3)):
@@ -424,13 +417,11 @@ def suite_brute_oracles(**_: object) -> SuiteReport:
         suite="brute-force-oracles",
         checked=checked,
         failures=tuple(failures),
-        elapsed_seconds=time.time() - t0,
     )
 
 
 def suite_local_models(pairs: int = 100, seed: int = 0, **_: object) -> SuiteReport:
     """Defining relations of every small local model at precision 6."""
-    t0 = time.time()
     failures = []
     checked = 0
     for q_v in (2, 3):
@@ -454,7 +445,6 @@ def suite_local_models(pairs: int = 100, seed: int = 0, **_: object) -> SuiteRep
         suite="local-models",
         checked=checked,
         failures=tuple(failures),
-        elapsed_seconds=time.time() - t0,
         notes=f"{pairs} random pairs per model",
     )
 
@@ -466,7 +456,6 @@ def suite_random_properties(
     stream of random valid definite data."""
     if count < 1:
         raise EmptySelectionError(f"count {count} must be >= 1")
-    t0 = time.time()
     rng = random.Random(seed)
     failures = []
     for _ in range(count):
@@ -486,7 +475,6 @@ def suite_random_properties(
         suite="random-properties",
         checked=count,
         failures=tuple(failures),
-        elapsed_seconds=time.time() - t0,
         notes=f"seed {seed}, series order {series_order}",
     )
 
@@ -498,7 +486,6 @@ def suite_class_number_products(
     is a product of degree-2 symmetric factors."""
     if count < 1:
         raise EmptySelectionError(f"count {count} must be >= 1")
-    t0 = time.time()
     rng = random.Random(seed)
     failures = []
     seen: set[tuple] = set()
@@ -521,7 +508,6 @@ def suite_class_number_products(
         suite="zeta-class-number",
         checked=len(fields),
         failures=tuple(failures),
-        elapsed_seconds=time.time() - t0,
         notes=f"seed {seed}",
     )
 
@@ -562,6 +548,5 @@ def suite_report_to_json_dict(report: SuiteReport) -> dict:
         "checked": report.checked,
         "ok": report.ok,
         "failures": list(report.failures),
-        "elapsed_seconds": round(report.elapsed_seconds, 3),
         "notes": report.notes,
     }

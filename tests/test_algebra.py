@@ -13,8 +13,6 @@ from massform.algebra import (
     poly_gcd,
     ratfun,
     ratfun_eval,
-    ratfun_from_poly,
-    rational_from_str,
     rational_to_str,
     series,
     series_from_ratfun,
@@ -27,13 +25,11 @@ from massform.errors import NotExpandableError, OrderMismatchError, PoleError
 
 # -- rationals ----------------------------------------------------------
 
-def test_rational_str_roundtrip():
+def test_rational_to_str_frozen_examples():
     assert rational_to_str(Fraction(1, 3)) == "1/3"
     assert rational_to_str(Fraction(-44, 3)) == "-44/3"
     assert rational_to_str(Fraction(7)) == "7"
     assert rational_to_str(5) == "5"
-    for text in ["1/3", "-44/3", "7", "0"]:
-        assert rational_to_str(rational_from_str(text)) == text
 
 
 # -- polynomials --------------------------------------------------------
@@ -144,20 +140,6 @@ def test_ratfun_regularity_probe():
     assert not f.is_regular_at(Fraction(1, 4))
 
 
-@settings(max_examples=40, deadline=None)
-@given(poly_coeff_lists, poly_coeff_lists)
-def test_ratfun_field_inverse(a_cs, b_cs):
-    a, b = PolyQ(a_cs), PolyQ(b_cs)
-    if a.is_zero() or b.is_zero():
-        return
-    f = ratfun(a, b)
-    if f.num.is_zero():
-        return
-    prod = f * f.inverse()
-    assert prod.num.coeffs == (1,)
-    assert prod.den.coeffs == (1,)
-
-
 # -- truncated series ----------------------------------------------------
 
 def test_series_from_ratfun_frozen_examples():
@@ -167,7 +149,7 @@ def test_series_from_ratfun_frozen_examples():
     f = ratfun(PolyQ.one(), PolyQ((1, -1)) * PolyQ((1, -2)))
     assert series_from_ratfun(f, 2).coeffs == (1, 3, 7)
     # a polynomial expands to itself padded with zeros
-    p = series_from_ratfun(ratfun_from_poly(PolyQ((1, -1))), 3)
+    p = series_from_ratfun(ratfun(PolyQ((1, -1)), PolyQ.one()), 3)
     assert p.coeffs == (1, -1, 0, 0)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 import massform.cli as cli
 from massform.errors import InternalConsistencyError
+from massform.orderzeta import MAX_SERIES_ORDER
 
 
 def invoke(capsys, *argv):
@@ -188,6 +189,13 @@ def test_series_order_env_var(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["series"]) == 4
 
+    monkeypatch.setenv("MASSFORM_SERIES_ORDER", str(MAX_SERIES_ORDER + 1))
+    code, out, _ = invoke(
+        capsys, "order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvalidSeriesOrderError"
+
     monkeypatch.setenv("MASSFORM_SERIES_ORDER", "junk")
     code, _, _ = invoke(
         capsys, "order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
@@ -261,12 +269,19 @@ def test_local_subcommands(capsys):
         (("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/0"), "InvalidRamificationError"),
         (("zeta", "--q", "2", "--values", "-1"), "EmptySelectionError"),
         (("zeta", "--q", "2", "--values", "0"), "EmptySelectionError"),
+        (("order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
+          "--series-order", "301"), "InvalidSeriesOrderError"),
+        (("order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
+          "--series-order", "-1"), "InvalidSeriesOrderError"),
+        (("verify", "--suite", "series-closed-form", "--series-order", "301"),
+         "InvalidSeriesOrderError"),
     ],
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
         "model-check-prec1", "verify-empty-ranks", "verify-count0",
         "model-check-pairs-negative", "mass-invariant-den0",
-        "zeta-values-negative", "zeta-values0",
+        "zeta-values-negative", "zeta-values0", "order-zeta-series-order-above-cap",
+        "order-zeta-series-order-negative", "verify-series-order-above-cap",
     ],
 )
 def test_bad_input_regressions_are_exit_2(capsys, argv, error_type):
@@ -283,6 +298,12 @@ def test_verify_command_single_suite(capsys):
     assert obj["ok"] is True
     assert obj["reports"][0]["suite"] == "drinfeld"
     assert obj["reports"][0]["checked"] == 27
+
+
+def test_verify_output_is_byte_identical(capsys):
+    _, first, _ = invoke(capsys, "verify", "--suite", "drinfeld")
+    _, second, _ = invoke(capsys, "verify", "--suite", "drinfeld")
+    assert first == second
 
 
 def test_verify_respects_max_rank(capsys):

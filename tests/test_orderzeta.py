@@ -1,9 +1,12 @@
 """Maximal-order zeta: closed form, Euler-product series, partial zetas."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from massform import orderzeta
 from massform.algebra import (
     PolyQ,
     ratfun,
@@ -14,15 +17,27 @@ from massform.csa import RamificationData, RamifiedPlace, parse_shorthand
 from massform.errors import (
     InternalConsistencyError,
     InvalidPartialDataError,
+    InvalidSeriesOrderError,
     NegativeMultiplicityError,
     NotDefiniteError,
 )
 from massform.funcfield import FunctionFieldData
 from massform.massengine import mass
-from massform.verify import full_battery
+from massform.verify import (
+    definite_battery,
+    full_battery,
+    random_definite_data,
+    random_product_field,
+)
 from massform.orderzeta import (
+    MAX_SERIES_ORDER,
     PartialZetaData,
     _apply_binomial,
+    _at_one,
+    _cyclotomic,
+    _cyclotomic_at_one,
+    _cyclotomic_value,
+    _expand,
     coefficient_multiplicativity_check,
     local_ideal_count,
     order_zeta_at_zero,
@@ -39,8 +54,140 @@ STANDARD_R2 = parse_shorthand("inf:1/2,1:1/2", K2, rank=2)
 DRINFELD_R3 = parse_shorthand("inf:-1/3,1:1/3", K2, rank=3)
 GENUS1_R2 = parse_shorthand("inf:1/2,1:1/2", K2_G1, rank=2)
 
+# infinity of degree 2 or 3: the only source of Phi*_m(u) with m > 1
+DEG_INF_FIELDS = (
+    FunctionFieldData.rational(2, deg_inf=2),
+    FunctionFieldData.rational(3, deg_inf=2),
+    FunctionFieldData.rational(2, deg_inf=3),
+    FunctionFieldData(q=2, genus=1, l_poly=PolyQ((1, 1, 2)), deg_inf=2),
+)
+DEG_INF2_R4 = parse_shorthand("inf:1/4,1:1/4,1:1/2", DEG_INF_FIELDS[0], rank=4)
+
+# P = (1 - u)(1 - 2u)(1 + 2u + 2u^2) breaks Weil's bound: P(1) = P(1/2) = 0.
+# Its place counts fail from degree 2 on, so only b_1 is certified.  The
+# second field squares the zeros at u = 1 and u = 1/2.
+NON_WEIL = FunctionFieldData(
+    q=2, genus=2, l_poly=PolyQ((1, -1, -2, -2, 4)), deg_inf=1, sanity_bound=1
+)
+NON_WEIL_SQUARED = FunctionFieldData(
+    q=2, genus=3, l_poly=PolyQ((1, -2, -9, 28, -18, -8, 8)), deg_inf=1,
+    sanity_bound=1,
+)
+
+
+def reference_closed_form(data):
+    """The closed form built literally: each factor through ratfun, then
+    multiplied with gcd normalization."""
+    field, q = data.field, data.field.q
+    product = ratfun(
+        PolyQ.one_minus(1, field.deg_inf) * field.l_poly,
+        PolyQ.one_minus(1, 1) * PolyQ.one_minus(q, 1),
+    )
+    for i in range(1, data.rank):
+        product = product * ratfun(
+            field.l_poly.scale_argument(q ** i),
+            PolyQ.one_minus(q ** i, 1) * PolyQ.one_minus(q ** (i + 1), 1),
+        )
+    for place in data.places:
+        poly = PolyQ.one()
+        for i in range(1, data.rank):
+            if i % place.inv_den != 0:
+                poly = poly * PolyQ.one_minus(q ** (i * place.degree), place.degree)
+        product = product * ratfun(poly, PolyQ.one())
+    return product
+
+
+def _reference_stream():
+    yield from full_battery()
+    rng = random.Random(20260813)       # criterion 7's stream
+    for _ in range(1000):
+        yield random_definite_data(rng)
+    rng = random.Random(7)              # criterion 8's fields, genus 1 to 3
+    fields = tuple(random_product_field(rng) for _ in range(12))
+    for _ in range(200):
+        yield random_definite_data(rng, fields=fields)
+    for field in DEG_INF_FIELDS:
+        yield from definite_battery(field, ranks=(2, 4, 6))
+
 
 # -- closed form ------------------------------------------------------------
+
+def test_closed_form_matches_literal_reference():
+    genera, deg_infs, count = set(), set(), 0
+    for data in _reference_stream():
+        want = reference_closed_form(data)
+        form = order_zeta_closed_form(data)
+        assert form.ratfun == want, (data.field, data.rank, data.places)
+        assert order_zeta_at_zero(data) == ratfun_eval(want, 1)
+        genera.add(data.field.genus)
+        deg_infs.add(data.field.deg_inf)
+        count += 1
+    assert count == 1772
+    assert genera == {0, 1, 2, 3}
+    assert deg_infs == {1, 2, 3}
+
+
+def test_mutated_exponent_maps_fail_the_reference():
+    for data in [STANDARD_R2, DRINFELD_R3, GENUS1_R2, DEG_INF2_R4]:
+        form = order_zeta_closed_form(data)
+        want = reference_closed_form(data)
+        _, correction = form.factors[-1]
+        dropped = form.exponents.copy()
+        dropped.subtract(correction)
+        assert _expand(data.field, dropped) != want
+        assert _at_one(data.field, dropped) != (0, ratfun_eval(want, 1))
+
+
+def test_cyclotomic_value_at_one_is_p_for_prime_powers(monkeypatch):
+    want = ratfun_eval(reference_closed_form(DEG_INF2_R4), 1)
+    assert order_zeta_at_zero(DEG_INF2_R4) == want == -mass(DEG_INF2_R4).mass
+    monkeypatch.setattr(orderzeta, "_cyclotomic_at_one", lambda m: 1)
+    assert order_zeta_at_zero(DEG_INF2_R4) != want
+
+
+def test_cyclotomic_factors():
+    assert _cyclotomic(1) == PolyQ((1, -1))
+    assert _cyclotomic(6) == PolyQ((1, -1, 1))
+    assert _cyclotomic(12) == PolyQ((1, 0, -1, 0, 1))
+    for k in range(1, 31):
+        product = PolyQ.one()
+        for m in range(1, k + 1):
+            if k % m == 0:
+                product = product * _cyclotomic(m)
+        assert product == PolyQ.one_minus(1, k), k
+        if k > 1:
+            assert _cyclotomic_at_one(k) == _cyclotomic(k).eval(1), k
+        for x in (2, 3, 4, 9):
+            assert _cyclotomic_value(k, x) == _cyclotomic(k).eval(x), (k, x)
+
+
+def _reference_order(f, x):
+    """Order of the cancelled rational function f at u = x."""
+    def multiplicity(poly):
+        k = 0
+        while poly.eval(x) == 0:
+            poly = poly.divmod(PolyQ((-x, 1)))[0]
+            k += 1
+        return k
+    return multiplicity(f.num) - multiplicity(f.den)
+
+
+@pytest.mark.parametrize("field", [NON_WEIL, NON_WEIL_SQUARED], ids=["simple", "double"])
+def test_p_shift_zeros_count_with_multiplicity(field):
+    for rank, ram in [(2, "inf:1/2,1:1/2"), (3, "inf:1/3,1:-1/3")]:
+        data = parse_shorthand(ram, field, rank=rank)
+        want = reference_closed_form(data)
+        exponents = orderzeta._net(orderzeta._labelled_factors(data))
+        assert _at_one(field, exponents)[0] == _reference_order(want, 1) > 0
+        pole = Fraction(1, 2 ** rank)
+        assert orderzeta._order_at(field, exponents, rank) == _reference_order(want, pole) >= 0
+        # P(2^(r-1) u) vanishes at u = 2^-r, so the reference lacks the pole
+        with pytest.raises(InternalConsistencyError, match="lacks the expected pole"):
+            order_zeta_closed_form(data)
+    # P(u) shares 1 - 2u with zeta_A's denominator; the expansion's gcd sees it
+    with pytest.raises(InternalConsistencyError, match="share a factor"):
+        _expand(field, Counter({(0, 0): 1, (1, 1): -1}))
+
 
 def test_closed_form_rank_two_is_geometric():
     form = order_zeta_closed_form(STANDARD_R2)
@@ -133,6 +280,14 @@ def test_series_low_coefficients_standard_example():
     s = order_zeta_series(STANDARD_R2, 3)
     # closed form is 1/(1-4u): coefficients are powers of 4
     assert s.coeffs == (1, 4, 16, 64)
+
+
+def test_series_order_cap():
+    s = order_zeta_series(STANDARD_R2, MAX_SERIES_ORDER)
+    assert s.coeffs[-1] == 4 ** MAX_SERIES_ORDER
+    for order in (-1, MAX_SERIES_ORDER + 1):
+        with pytest.raises(InvalidSeriesOrderError):
+            order_zeta_series(STANDARD_R2, order)
 
 
 def test_series_coefficient_of_u_one_decomposes():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from massform.algebra import PolyQ
+from massform import verify
+from massform.algebra import PolyQ, TruncatedSeriesQ
 from massform.csa import is_definite, validate
 from massform.errors import InvalidFieldError
 from massform.funcfield import FunctionFieldData
@@ -92,7 +93,7 @@ def test_run_suite_rejects_unknown_name():
 
 def test_suite_report_json_shape():
     report = SuiteReport(
-        suite="demo", checked=3, failures=("x",), elapsed_seconds=0.5, notes="n"
+        suite="demo", checked=3, failures=("x",), notes="n"
     )
     obj = suite_report_to_json_dict(report)
     assert obj == {
@@ -100,7 +101,26 @@ def test_suite_report_json_shape():
         "checked": 3,
         "ok": False,
         "failures": ["x"],
-        "elapsed_seconds": 0.5,
         "notes": "n",
     }
     assert not report.ok
+
+
+def test_series_closed_form_failure_names_first_differing_coefficient(monkeypatch):
+    real = verify.order_zeta_series
+
+    def perturbed(data, order):
+        coeffs = list(real(data, order).coeffs)
+        coeffs[5] += 1
+        return TruncatedSeriesQ(order, tuple(coeffs))
+
+    monkeypatch.setattr(verify, "order_zeta_series", perturbed)
+    report = run_suite("series-closed-form", series_order=8)
+    assert not report.ok
+    assert len(report.failures) == report.checked
+    first = _series_sample()[0]
+    want = real(first, 8).coefficient(5)
+    assert report.failures[0].endswith(
+        f": u^5 coefficient {want + 1} in the Euler product, "
+        f"{want} in the closed form"
+    )

@@ -11,8 +11,14 @@ has O(q) entries, and fields are capped at 2**12 elements; everything
 this package needs lives far below that.
 
 Truncated series model the complete local rings at a place: a series of
-precision N is a residue mod pi^N with N stored coefficients.  Their
-product runs in the log domain, with -1 standing for the log of 0.
+precision N is a residue mod pi^N with N stored coefficients.  Every
+sum of products of series, sum_t pi^(s_t) x_t y_t, is built by one
+kernel, `log_dot`: the operands enter as (position, log) lists of their
+nonzero coefficients, each product is Zech-added straight into one
+log-domain accumulator per output coefficient (-1 standing for the log
+of 0), and each accumulator is mapped back through the exp table once.
+The series product is its one-term case; the matrix products and
+division-algebra products of `localmodels` are its many-term cases.
 """
 
 from __future__ import annotations
@@ -20,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import InternalConsistencyError, OrderMismatchError
 
-_FIELD_SIZE_CAP = 2 ** 12
+FIELD_SIZE_CAP = 2 ** 12
 
 
 def _is_prime(n: int) -> bool:
@@ -126,13 +132,14 @@ class FqField:
         if e < 1:
             raise ValueError("extension degree must be positive")
         q = p ** e
-        if q > _FIELD_SIZE_CAP:
-            raise ValueError(f"field of order {q} exceeds the {_FIELD_SIZE_CAP} cap")
+        if q > FIELD_SIZE_CAP:
+            raise ValueError(f"field of order {q} exceeds the {FIELD_SIZE_CAP} cap")
         self.p = p
         self.e = e
         self.q = q
         self.modulus = self._least_irreducible(p, e)
         self._build_tables()
+        self._power_tables: dict[int, tuple[int, ...]] = {}
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -259,6 +266,15 @@ class FqField:
                 raise ZeroDivisionError("negative power of 0")
             return 0
         return self._exp[(self._log[a] * n) % self._order]
+
+    def power_table(self, n: int) -> tuple[int, ...]:
+        """The map code -> code**n as a table indexed by code, built on
+        first use and kept; for n a power of p it is a Frobenius power,
+        a permutation of the field."""
+        table = self._power_tables.get(n)
+        if table is None:
+            table = self._power_tables[n] = tuple(self.pow(c, n) for c in range(self.q))
+        return table
 
     # -- element / iteration API ------------------------------------------
 
@@ -402,6 +418,41 @@ def _enumerate_irreducibles_cached(q: int, degree: int) -> tuple[tuple[int, ...]
 # Truncated power series over F_q  (local rings at finite precision)
 # ----------------------------------------------------------------------
 
+LogTerms = list[tuple[int, int]]
+
+
+def log_dot(
+    field: FqField, terms: Iterable[tuple[LogTerms, LogTerms, int]], precision: int
+) -> tuple[int, ...]:
+    """Coefficients of sum pi**s * x * y over the terms (x, y, s), mod
+    pi**precision, with x and y given as `TruncatedSeriesFq.log_terms`.
+
+    One pass in the log domain: every product of a nonzero coefficient
+    pair is added with a Zech lookup straight into the accumulator of
+    its output position, i + j + s, and each accumulator is mapped back
+    through the exp table once at the end."""
+    zech, order = field._zech, field._order
+    acc = [-1] * precision          # log of each partial sum; -1 is 0
+    for xs, ys, s in terms:
+        for i, lx in xs:
+            base = i + s
+            if base >= precision:
+                break
+            for j, ly in ys:
+                k = base + j
+                if k >= precision:
+                    break
+                a = acc[k]
+                if a < 0:
+                    acc[k] = (lx + ly) % order
+                else:
+                    # g^a + g^t = g^a * (1 + g^(t - a))
+                    z = zech[(lx + ly - a) % order]
+                    acc[k] = -1 if z < 0 else (a + z) % order
+    exp = field._exp
+    return tuple(0 if a < 0 else exp[a] for a in acc)
+
+
 @dataclass(frozen=True)
 class TruncatedSeriesFq:
     """Residue mod pi**precision: exactly `precision` stored coefficients,
@@ -423,56 +474,18 @@ class TruncatedSeriesFq:
                 f"series precisions differ: {self.precision} != {other.precision}"
             )
 
-    def __add__(self, other: "TruncatedSeriesFq") -> "TruncatedSeriesFq":
-        self._check(other)
-        f = self.field
-        return TruncatedSeriesFq(
-            f, self.precision,
-            tuple(f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other: "TruncatedSeriesFq") -> "TruncatedSeriesFq":
-        self._check(other)
-        f = self.field
-        return TruncatedSeriesFq(
-            f, self.precision,
-            tuple(f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
     def __mul__(self, other: "TruncatedSeriesFq") -> "TruncatedSeriesFq":
         self._check(other)
-        f = self.field
-        log, zech, order = f._log, f._zech, f._order
-        # logs of the nonzero coefficients, with their positions
-        xs = [(i, log[c]) for i, c in enumerate(self.coeffs) if c]
-        ys = [log[c] for c in other.coeffs]
-        out = []
-        for k in range(self.precision):
-            acc = -1                    # log of the partial sum; -1 is 0
-            for i, lx in xs:
-                if i > k:
-                    break
-                ly = ys[k - i]
-                if ly < 0:
-                    continue
-                if acc < 0:
-                    acc = (lx + ly) % order
-                else:
-                    # acc + g^t = g^acc * (1 + g^(t - acc))
-                    z = zech[(lx + ly - acc) % order]
-                    acc = -1 if z < 0 else (acc + z) % order
-            out.append(acc)
-        exp = f._exp
+        f, n = self.field, self.precision
         return TruncatedSeriesFq(
-            f, self.precision, tuple(0 if e < 0 else exp[e] for e in out)
+            f, n, log_dot(f, [(self.log_terms(), other.log_terms(), 0)], n)
         )
 
-    def __neg__(self) -> "TruncatedSeriesFq":
-        f = self.field
-        return TruncatedSeriesFq(f, self.precision, tuple(f.neg(a) for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+    def log_terms(self) -> LogTerms:
+        """(position, log) of each nonzero coefficient, ascending; the
+        operand form of `log_dot`, empty for the zero series."""
+        log = self.field._log
+        return [(i, log[c]) for i, c in enumerate(self.coeffs) if c]
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient; None when the series
@@ -489,12 +502,6 @@ class TruncatedSeriesFq:
         n = self.precision
         return TruncatedSeriesFq(
             self.field, n, (0,) * min(k, n) + self.coeffs[: max(n - k, 0)]
-        )
-
-    def map_coeffs(self, func: Callable[[int], int]) -> "TruncatedSeriesFq":
-        """Apply a code-level map (e.g. a Frobenius power) coefficientwise."""
-        return TruncatedSeriesFq(
-            self.field, self.precision, tuple(func(c) for c in self.coeffs)
         )
 
 

@@ -10,8 +10,12 @@ embeds it into d x d matrices over L; the embedding lands inside the
 hereditary order of upper-triangular-mod-pi matrices, and all of that
 is checked by explicit computation here rather than assumed.
 
-Everything in this module is desk-scale: fields stay tiny, matrices at
-most 8 x 8, and the brute-force counters enforce hard input bounds.
+Everything in this module is desk-scale: the residue field of L has
+q_v^d <= 4096 elements (the cap on every finite field here), so the
+matrices are d x d with d at most 12, and the brute-force counters
+enforce hard input bounds.  Matrix entries and division-algebra
+coefficients are sums of products, each built in one pass by the
+log-domain dot kernel `finitefield.log_dot`.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import (
     PrecisionTooLowError,
 )
 from .finitefield import (
+    FIELD_SIZE_CAP,
     FqField,
     TruncatedSeriesFq,
     factor_prime_power,
@@ -39,6 +44,7 @@ from .finitefield import (
     fq_series_one,
     fq_series_pi,
     fq_series_zero,
+    log_dot,
 )
 
 Mat = tuple[tuple[TruncatedSeriesFq, ...], ...]
@@ -67,12 +73,18 @@ class LocalModel:
     def create(q_v: int, d: int, b: int, precision: int = 6) -> "LocalModel":
         _check_residue_size(q_v)
         if d < 1:
-            raise ValueError("index d must be >= 1")
+            raise InvalidRamificationError(f"index d = {d} must be >= 1")
         if gcd(b, d) != 1:
-            raise ValueError(f"invariant numerator {b} not coprime to {d}")
+            raise InvalidRamificationError(f"invariant numerator {b} not coprime to {d}")
         if precision < 2:
             raise PrecisionTooLowError(
                 "precision below 2 cannot even hold the uniformizer relation"
+            )
+        # q_v >= 2, so an index past the cap's bit length is over the cap
+        # without computing q_v**d
+        if d >= FIELD_SIZE_CAP.bit_length() or q_v ** d > FIELD_SIZE_CAP:
+            raise InvalidFieldError(
+                f"residue field of order {q_v}^{d} exceeds the {FIELD_SIZE_CAP} cap"
             )
         m = 1 if d == 1 else pow(b, -1, d)
         mprime = (1 - b * m) // d
@@ -109,11 +121,16 @@ class LocalModel:
         return self.tau_power(a, 1)
 
     def tau_power(self, a: TruncatedSeriesFq, j: int) -> TruncatedSeriesFq:
-        f = self.residue_field
         e = (self.m_bez * j) % self.d
         if e == 0:
             return a
-        return a.map_coeffs(lambda c: f.pow(c, self.q_v ** e))
+        table = self.frobenius_table(e)
+        return TruncatedSeriesFq(a.field, a.precision, tuple(table[c] for c in a.coeffs))
+
+    def frobenius_table(self, e: int) -> tuple[int, ...]:
+        """code -> code**(q_v**e) on the residue field of L, the e-th
+        power of the residue Frobenius; built on first use."""
+        return self.residue_field.power_table(self.q_v ** e)
 
     def random_integral(self, rng: random.Random) -> TruncatedSeriesFq:
         f = self.residue_field
@@ -143,25 +160,21 @@ def mat_scalar(model: LocalModel, a: TruncatedSeriesFq) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    d = len(a)
-    # the companion-matrix powers that dominate this module are sparse,
-    # so skipping zero factors is a large win
-    a_zero = [[e.is_zero() for e in row] for row in a]
-    b_zero = [[e.is_zero() for e in row] for row in b]
-    zero = fq_series_zero(a[0][0].field, a[0][0].precision)
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = None
-            for k in range(d):
-                if a_zero[i][k] or b_zero[k][j]:
-                    continue
-                term = a[i][k] * b[k][j]
-                acc = term if acc is None else acc + term
-            row.append(zero if acc is None else acc)
-        rows.append(row)
-    return _mat_from_rows(rows)
+    """Entry (i, j) is sum_k a_ik b_kj, one `log_dot` per entry."""
+    field, n = a[0][0].field, a[0][0].precision
+    # each entry in log form once per matrix; an empty list is a zero
+    # entry, and the sparse companion-matrix powers have many to skip
+    a_logs = [[e.log_terms() for e in row] for row in a]
+    b_cols = list(zip(*([e.log_terms() for e in row] for row in b)))
+    return _mat_from_rows(
+        [
+            TruncatedSeriesFq(
+                field, n, log_dot(field, [(x, y, 0) for x, y in zip(row, col) if x and y], n)
+            )
+            for col in b_cols
+        ]
+        for row in a_logs
+    )
 
 
 def mat_pow(a: Mat, n: int, model: LocalModel) -> Mat:
@@ -217,16 +230,17 @@ def delta_mul(model: LocalModel, xs, ys) -> tuple[TruncatedSeriesFq, ...]:
     (sum P^i x_i)(sum P^j y_j) = sum P^{i+j} tau^j(x_i) y_j, then
     P^{i+j} folds to pi^{(i+j) div d} P^{(i+j) mod d}.
     """
-    xs, ys = list(xs), list(ys)
-    d = model.d
-    out = [model.zero() for _ in range(d)]
+    d, n, field = model.d, model.precision, model.residue_field
+    y_logs = [y.log_terms() for y in ys]
+    # the terms of each output coefficient P^k, the pi power as shift
+    terms = [[] for _ in range(d)]
     for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            term = model.tau_power(x, j) * y
-            term = term.shift(((i + j) // d))
-            k = (i + j) % d
-            out[k] = out[k] + term
-    return tuple(out)
+        for j, y in enumerate(y_logs):
+            if y:
+                terms[(i + j) % d].append(
+                    (model.tau_power(x, j).log_terms(), y, (i + j) // d)
+                )
+    return tuple(TruncatedSeriesFq(field, n, log_dot(field, t, n)) for t in terms)
 
 
 def in_iwahori(mat: Mat, denominator_exponent: int = 0) -> bool:
@@ -263,7 +277,7 @@ def iwahori_index(q_v: int, d: int, brute_force: bool = False) -> int:
     and the count is asserted equal to the formula."""
     _check_residue_size(q_v)
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise InvalidRamificationError(f"index d = {d} must be >= 1")
     formula = q_v ** (d * d * (d - 1) // 2)
     if brute_force:
         slots = d * (d - 1) // 2
@@ -514,13 +528,12 @@ def run_model_checks(
     for _ in range(pairs):
         xs = [model.random_integral(rng) for _ in range(d)]
         ys = [model.random_integral(rng) for _ in range(d)]
-        lhs = mat_mul(phi_of_element(model, xs), phi_of_element(model, ys))
-        rhs = phi_of_element(model, delta_mul(model, xs, ys))
-        if lhs != rhs:
+        phi_x, phi_y = phi_of_element(model, xs), phi_of_element(model, ys)
+        if mat_mul(phi_x, phi_y) != phi_of_element(model, delta_mul(model, xs, ys)):
             mult_ok = False
-        if not in_iwahori(phi_of_element(model, xs)):
+        if not in_iwahori(phi_x):
             embed_ok = False
-        if not in_iwahori(phi_of_element(model, ys)):
+        if not in_iwahori(phi_y):
             embed_ok = False
 
     pi_ok = mat_pow(phi_of_pi(model), d, model) == mat_scalar(model, model.pi())

@@ -275,6 +275,11 @@ def test_local_subcommands(capsys):
           "--series-order", "-1"), "InvalidSeriesOrderError"),
         (("verify", "--suite", "series-closed-form", "--series-order", "301"),
          "InvalidSeriesOrderError"),
+        (("local", "model-check", "--qv", "2", "--d", "0"), "InvalidRamificationError"),
+        (("local", "model-check", "--qv", "2", "--d", "2", "--b", "2"),
+         "InvalidRamificationError"),
+        (("local", "model-check", "--qv", "3", "--d", "8"), "InvalidFieldError"),
+        (("local", "iw-index", "--qv", "2", "--d", "0"), "InvalidRamificationError"),
     ],
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
@@ -282,6 +287,8 @@ def test_local_subcommands(capsys):
         "model-check-pairs-negative", "mass-invariant-den0",
         "zeta-values-negative", "zeta-values0", "order-zeta-series-order-above-cap",
         "order-zeta-series-order-negative", "verify-series-order-above-cap",
+        "model-check-d0", "model-check-b-not-coprime", "model-check-field-above-cap",
+        "iw-index-d0",
     ],
 )
 def test_bad_input_regressions_are_exit_2(capsys, argv, error_type):

@@ -270,7 +270,7 @@ def test_series_shift_and_valuation():
     assert a.valuation() == 0
     assert a.shift(2).coeffs == (0, 0, 1, 2)
     assert a.shift(2).valuation() == 2
-    assert a.shift(5).is_zero()
+    assert a.shift(5).coeffs == (0,) * 4
     assert a.shift(5).valuation() is None
 
 
@@ -319,4 +319,5 @@ def test_series_mul_matches_schoolbook_convolution(q):
     # x * (-x) = -(x * x); in characteristic 2 the cross terms a_i a_j of
     # x * x come in equal pairs, so those partial sums cancel to 0
     x = fq_series(f, [rng.randrange(1, q) for _ in range(5)], 5)
-    assert (x * -x).coeffs == tuple(f.neg(c) for c in (x * x).coeffs)
+    minus_x = fq_series(f, [f.neg(c) for c in x.coeffs], 5)
+    assert (x * minus_x).coeffs == tuple(f.neg(c) for c in (x * x).coeffs)

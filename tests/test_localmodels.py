@@ -7,9 +7,12 @@ import pytest
 from massform.csa import lambda_value
 from massform.errors import (
     BruteForceTooLargeError,
+    InvalidFieldError,
+    InvalidRamificationError,
     NotDivisibleError,
     PrecisionExhaustedError,
 )
+from massform.finitefield import TruncatedSeriesFq
 from massform.localmodels import (
     LocalModel,
     delta_mul,
@@ -39,8 +42,52 @@ def _phi_of_scalar(model, a0):
     )
 
 
+def _series_add(x, y):
+    f = x.field
+    return TruncatedSeriesFq(
+        f, x.precision, tuple(f.add(a, b) for a, b in zip(x.coeffs, y.coeffs))
+    )
+
+
 def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(_series_add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _literal_sum(model, terms):
+    """sum of the series in terms, one coefficient-wise add at a time."""
+    total = model.zero()
+    for term in terms:
+        total = _series_add(total, term)
+    return total
+
+
+def _literal_mat_mul(model, a, b):
+    """Entry (i, j) = sum_k a_ik * b_kj, each product a separate series."""
+    d = model.d
+    return tuple(
+        tuple(
+            _literal_sum(model, (a[i][k] * b[k][j] for k in range(d)))
+            for j in range(d)
+        )
+        for i in range(d)
+    )
+
+
+def _literal_delta_mul(model, xs, ys):
+    """Coefficient k = sum over i + j = k mod d of pi^((i+j) div d) tau^j(x_i) y_j."""
+    d = model.d
+    return tuple(
+        _literal_sum(
+            model,
+            (
+                (model.tau_power(x, j) * y).shift((i + j) // d)
+                for i, x in enumerate(xs)
+                for j, y in enumerate(ys)
+                if (i + j) % d == k
+            ),
+        )
+        for k in range(d)
+    )
 
 
 def _phi_reference(model, coeffs):
@@ -52,15 +99,24 @@ def _phi_reference(model, coeffs):
     return total
 
 
-def _models(ds=range(1, 5)):
-    """Every (q_v, d, b) with q_v in {2, 3}, 1 <= b <= d and b prime to d."""
+def _models(ds=range(1, 5), q_vs=(2, 3)):
+    """Every (q_v, d, b) with q_v in q_vs, 1 <= b <= d and b prime to d."""
     return [
         LocalModel.create(q_v, d, b)
-        for q_v in (2, 3)
+        for q_v in q_vs
         for d in ds
         for b in range(1, d + 1)
         if gcd(b, d) == 1
     ]
+
+
+def _sparse_integral(model, rng):
+    """A random integral element with about half its coefficients 0, so
+    zero entries and cancelling sums both occur."""
+    q = model.residue_field.q
+    return model.series(
+        [0 if rng.random() < 0.5 else rng.randrange(q) for _ in range(model.precision)]
+    )
 
 
 def test_vol_G_frozen():
@@ -175,8 +231,15 @@ def test_bezout_normalization():
 
 
 def test_model_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRamificationError):
         LocalModel.create(2, 4, 2)
+    with pytest.raises(InvalidRamificationError):
+        LocalModel.create(2, 0, 1)
+    with pytest.raises(InvalidFieldError):
+        LocalModel.create(3, 8, 1)
+    with pytest.raises(InvalidFieldError):
+        LocalModel.create(2, 10 ** 6, 1)
+    assert LocalModel.create(2, 12, 1).residue_field.q == 4096
     with pytest.raises(PrecisionExhaustedError):
         LocalModel.create(2, 2, 1, precision=1)
 
@@ -204,7 +267,7 @@ def test_phi_of_pi_power_is_uniformizer():
 def test_phi_of_pi_shape_d2():
     model = LocalModel.create(2, 2, 1)
     mat = phi_of_pi(model)
-    assert mat[0][0].is_zero() and mat[1][1].is_zero()
+    assert mat[0][0] == mat[1][1] == model.zero()
     assert mat[1][0] == model.one()
     assert mat[0][1] == model.pi()
 
@@ -235,6 +298,73 @@ def test_phi_scalar_of_base_field_is_central():
     for code in fixed:
         a = model.series([code])
         assert _phi_of_scalar(model, a) == mat_scalar(model, a)
+
+
+def test_mat_mul_matches_literal_sum():
+    models = _models() + _models(q_vs=(4,))
+    assert len(models) == 18
+    rng = random.Random(17)
+    for model in models:
+        d = model.d
+        draws = (lambda: model.random_integral(rng), lambda: _sparse_integral(model, rng))
+        for trial in range(6):
+            draw = draws[trial % 2]
+            a, b = (tuple(tuple(draw() for _ in range(d)) for _ in range(d)) for _ in range(2))
+            assert mat_mul(a, b) == _literal_mat_mul(model, a, b), (model, trial)
+        phi_x = phi_of_element(model, [model.random_integral(rng) for _ in range(d)])
+        phi_y = phi_of_element(model, [_sparse_integral(model, rng) for _ in range(d)])
+        assert mat_mul(phi_x, phi_y) == _literal_mat_mul(model, phi_x, phi_y)
+        pi_mat = phi_of_pi(model)
+        assert mat_mul(pi_mat, phi_x) == _literal_mat_mul(model, pi_mat, phi_x)
+
+
+def test_delta_mul_matches_literal_sum():
+    rng = random.Random(19)
+    for model in _models() + _models(q_vs=(4,)):
+        draws = (lambda: model.random_integral(rng), lambda: _sparse_integral(model, rng))
+        for trial in range(8):
+            draw = draws[trial % 2]
+            xs = [draw() for _ in range(model.d)]
+            ys = [draw() for _ in range(model.d)]
+            assert delta_mul(model, xs, ys) == _literal_delta_mul(model, xs, ys), (
+                model, trial,
+            )
+
+
+def test_fused_sums_restart_after_cancellation():
+    # a partial sum that cancels to 0 must restart from the next term;
+    # the expected values come from single field elements, not series
+    for q_v in (2, 3, 4):
+        model = LocalModel.create(q_v, 3, 1)
+        f = model.residue_field
+        one, zero = model.one(), model.zero()
+        # row 0 of a is pi^s (u, -u, w) and column 0 of b is (1, 1, 1),
+        # so entry (0, 0) is pi^s (u - u + w)
+        u, w = 1, f.q - 1
+        for s in (0, 2):
+            row = tuple(model.series([0] * s + [c]) for c in (u, f.neg(u), w))
+            a = (row, (zero,) * 3, (zero,) * 3)
+            b = ((one, zero, zero),) * 3
+            assert mat_mul(a, b)[0][0] == model.series([0] * s + [w]), (q_v, s)
+        # coefficient P^0 of x y: pi*a*1 + pi*tau^2(-a)*1 + pi*tau(c)*1,
+        # with a and c in the base field F_{q_v}, which tau fixes
+        a_code = 1
+        c_code = max(c for c in range(f.q) if f.pow(c, q_v) == c)
+        xs = [model.series([0, a_code]), model.series([f.neg(a_code)]),
+              model.series([c_code])]
+        ys = [model.one()] * 3
+        assert delta_mul(model, xs, ys)[0] == model.series([0, c_code])
+
+
+def test_frobenius_table_is_the_power_map():
+    for model in _models() + _models(q_vs=(4,)):
+        f = model.residue_field
+        for e in range(model.d):
+            table = model.frobenius_table(e)
+            assert table == tuple(f.pow(c, model.q_v ** e) for c in range(f.q)), (
+                model, e,
+            )
+            assert sorted(table) == list(range(f.q))
 
 
 def test_phi_of_element_matches_literal_definition():

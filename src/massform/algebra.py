@@ -66,11 +66,6 @@ class PolyQ:
         return PolyQ((1,))
 
     @staticmethod
-    def monomial(coeff: Rational, power: int) -> "PolyQ":
-        """coeff * u**power"""
-        return PolyQ((0,) * power + (coeff,))
-
-    @staticmethod
     def one_minus(coeff: Rational, power: int) -> "PolyQ":
         """1 - coeff * u**power, the ubiquitous Euler-factor building block."""
         if power == 0:

@@ -5,12 +5,15 @@ A place in the ramification set carries its degree, its invariant b/d
 needs it), and an infinity flag.  validate() is report-style: it lists
 every broken constraint instead of stopping at the first, so the CLI
 can show users the whole story at once.  Mass and zeta engines call
-ensure_valid() and refuse broken data outright.
+ensure_valid() and refuse broken data outright.  ensure_valid() records
+a success on the datum, so the structural checks run once per
+RamificationData however many engines read it; a failure is never
+recorded and raises on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -43,6 +46,8 @@ class RamificationData:
     field: FunctionFieldData
     rank: int
     places: tuple[RamifiedPlace, ...]
+    # set by ensure_valid once the structural checks pass; never set on failure
+    _valid: bool = dataclass_field(default=False, init=False, repr=False, compare=False)
 
     def infinite_place(self) -> RamifiedPlace | None:
         for p in self.places:
@@ -77,19 +82,20 @@ def validate(data: RamificationData, *, check_availability: bool = True) -> Vali
         failures.append(f"rank {r} must be >= 1")
 
     for idx, p in enumerate(data.places):
-        tag = f"place[{idx}] {p.shorthand_token()}"
+        problems = []
         if p.degree < 1:
-            failures.append(f"{tag}: degree must be >= 1")
+            problems.append("degree must be >= 1")
         if p.inv_den < 2:
-            failures.append(f"{tag}: invariant denominator must be >= 2")
+            problems.append("invariant denominator must be >= 2")
         elif not 0 < abs(p.inv_num) < p.inv_den:
-            failures.append(
-                f"{tag}: invariant numerator must lie in (-d, d) and be nonzero"
-            )
+            problems.append("invariant numerator must lie in (-d, d) and be nonzero")
         elif gcd(p.inv_num, p.inv_den) != 1:
-            failures.append(f"{tag}: invariant must be in lowest terms")
+            problems.append("invariant must be in lowest terms")
         if r >= 1 and p.inv_den >= 2 and r % p.inv_den != 0:
-            failures.append(f"{tag}: denominator {p.inv_den} does not divide rank {r}")
+            problems.append(f"denominator {p.inv_den} does not divide rank {r}")
+        if problems:
+            tag = f"place[{idx}] {p.shorthand_token()}"
+            failures.extend(f"{tag}: {problem}" for problem in problems)
 
     infinity_entries = [p for p in data.places if p.is_infinity]
     if len(infinity_entries) > 1:
@@ -100,9 +106,13 @@ def validate(data: RamificationData, *, check_availability: bool = True) -> Vali
                 f"infinity entry has degree {p.degree}, field says {data.field.deg_inf}"
             )
 
-    total = sum(Fraction(p.inv_num, p.inv_den) for p in data.places if p.inv_den)
-    if total.denominator != 1:
-        failures.append(f"invariants sum to {total}, not an integer")
+    # the sum of the invariants over their common denominator
+    common = lcm(*(p.inv_den for p in data.places if p.inv_den))
+    numerator = sum(p.inv_num * (common // p.inv_den) for p in data.places if p.inv_den)
+    if numerator % common:
+        failures.append(
+            f"invariants sum to {Fraction(numerator, common)}, not an integer"
+        )
 
     dens = [p.inv_den for p in data.places]
     combined = lcm(*dens) if dens else 1
@@ -134,11 +144,19 @@ def validate(data: RamificationData, *, check_availability: bool = True) -> Vali
     )
 
 
-def ensure_valid(data: RamificationData, *, check_availability: bool = False) -> None:
-    """Raise on broken data; engines use the structural-only default."""
-    report = validate(data, check_availability=check_availability)
+def ensure_valid(data: RamificationData) -> None:
+    """Raise on structurally broken data.
+
+    A success is recorded on the data, so the engines that each call
+    this pay for the structural checks once per datum; a failure is not
+    recorded and raises again on every call.
+    """
+    if data._valid:
+        return
+    report = validate(data, check_availability=False)
     if not report.ok:
         raise InvalidRamificationError("; ".join(report.failures))
+    object.__setattr__(data, "_valid", True)
 
 
 def is_definite(data: RamificationData) -> bool:

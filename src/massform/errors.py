@@ -28,20 +28,12 @@ class NotDefiniteError(InputDataError):
     """Operation requires definite ramification data."""
 
 
-class DefiniteError(InputDataError):
-    """Operation requires indefinite ramification data."""
-
-
 class NoSuchPlaceError(InputDataError):
     """The field has no place of the requested degree."""
 
 
 class NegativeMultiplicityError(InputDataError):
     """More ramified places of some degree than the field possesses."""
-
-
-class InvalidPartialDataError(InputDataError):
-    """Partial zeta head data violates its defining constraints."""
 
 
 class NotDivisibleError(InputDataError):

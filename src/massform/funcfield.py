@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import PolyQ, RationalFunctionQ, ratfun
 from .errors import InternalConsistencyError, InvalidFieldError
@@ -104,6 +105,11 @@ class FunctionFieldData:
         """The rational function field over F_q (genus 0, P = 1)."""
         return FunctionFieldData(q=q, genus=0, l_poly=PolyQ.one(), deg_inf=deg_inf)
 
+    @cached_property
+    def l_ints(self) -> tuple[int, ...]:
+        """P's coefficients as ints, lowest degree first."""
+        return tuple(c.numerator for c in self.l_poly.coeffs)
+
     # -- counting -----------------------------------------------------------
 
     def point_counts(self, upto: int) -> list[int]:
@@ -112,7 +118,7 @@ class FunctionFieldData:
         Newton's recursion on P's coefficients gives the power sums s_m
         of the inverse roots; N_m = q^m + 1 - s_m.
         """
-        a = [int(self.l_poly.coefficient(k)) for k in range(2 * self.genus + 1)]
+        a = self.l_ints
         deg = 2 * self.genus
         s: list[int] = [0]  # s[0] unused
         for m in range(1, upto + 1):
@@ -156,20 +162,25 @@ def zeta_K(data: FunctionFieldData) -> RationalFunctionQ:
 
 
 def zeta_special_value(data: FunctionFieldData, i: int) -> Fraction:
-    """zeta_K at s = -i, i.e. at u = q**i: P(q^i)/((1-q^i)(1-q^{i+1}))."""
+    """zeta_K at s = -i, i.e. at u = q**i: P(q^i)/((1-q^i)(1-q^{i+1})).
+
+    P(q^i) by Horner's rule in integers; one Fraction at the end."""
     if i < 1:
         raise ValueError("special values are taken at i >= 1")
-    qi = Fraction(data.q) ** i
-    return data.l_poly.eval(qi) / ((1 - qi) * (1 - qi * data.q))
+    qi = data.q ** i
+    value = 0
+    for c in reversed(data.l_ints):
+        value = value * qi + c
+    return Fraction(value, (1 - qi) * (1 - qi * data.q))
 
 
 def class_number_A(data: FunctionFieldData) -> int:
     """Class number of the ring of functions regular away from infinity:
     deg_inf * P(1)."""
-    p1 = data.l_poly.eval(1)
-    if p1 <= 0 or p1.denominator != 1:
+    p1 = sum(data.l_ints)
+    if p1 <= 0:
         raise InvalidFieldError(f"P(1) = {p1} is not a positive integer")
-    return data.deg_inf * int(p1)
+    return data.deg_inf * p1
 
 
 def places_of_degree(data: FunctionFieldData, n: int) -> int:

@@ -49,6 +49,14 @@ from .finitefield import (
 
 Mat = tuple[tuple[TruncatedSeriesFq, ...], ...]
 
+# Caps on the local index d and the local rank r of the index, volume and
+# lambda commands.  A local model needs q_v^d <= FIELD_SIZE_CAP = 2^12, so
+# no model has d above 12.  At r = 48 and q_v = FIELD_SIZE_CAP the volumes
+# print in about 4250 digits, just under Python's 4300-digit limit on
+# int-to-string conversion.
+MAX_LOCAL_INDEX = 12
+MAX_LOCAL_RANK = 48
+
 
 def _check_residue_size(q_v: int) -> None:
     try:
@@ -276,8 +284,8 @@ def iwahori_index(q_v: int, d: int, brute_force: bool = False) -> int:
     residue field of L are enumerated and deduplicated as coset labels,
     and the count is asserted equal to the formula."""
     _check_residue_size(q_v)
-    if d < 1:
-        raise InvalidRamificationError(f"index d = {d} must be >= 1")
+    if not 1 <= d <= MAX_LOCAL_INDEX:
+        raise InvalidRamificationError(f"index d = {d} is outside 1..{MAX_LOCAL_INDEX}")
     formula = q_v ** (d * d * (d - 1) // 2)
     if brute_force:
         slots = d * (d - 1) // 2
@@ -339,8 +347,10 @@ class LocalVolumeReport:
 
 def local_volume_report(q_v: int, r: int, d: int) -> LocalVolumeReport:
     _check_residue_size(q_v)
-    if r < 1 or d < 1:
-        raise InvalidRamificationError(f"local rank {r} and index {d} must be >= 1")
+    if not 1 <= r <= MAX_LOCAL_RANK:
+        raise InvalidRamificationError(f"local rank {r} is outside 1..{MAX_LOCAL_RANK}")
+    if not 1 <= d <= MAX_LOCAL_INDEX:
+        raise InvalidRamificationError(f"index d = {d} is outside 1..{MAX_LOCAL_INDEX}")
     if r % d != 0:
         raise NotDivisibleError(f"index {d} does not divide rank {r}")
     vg = vol_G(q_v, r)

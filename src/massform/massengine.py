@@ -5,10 +5,13 @@ base field is
 
     (h(A)/(q-1)) * prod_{i=1..r-1} zeta_K(-i) * prod_{v in S} lambda_v,
 
-with lambda_v the local correction at each ramified place.  This module
-never touches the maximal-order zeta function: the order-zeta module
-recomputes the same number along a completely different path and the
-test suite pins the two against each other.
+with lambda_v the local correction at each ramified place.  Every
+factor is a ratio of integers, so the product runs in plain ints: one
+numerator and one denominator collect h(A), q - 1, each zeta_K(-i) and
+each lambda_v, and the mass is the one Fraction made from them.  This
+module never touches the maximal-order zeta function: the order-zeta
+module recomputes the same number along a completely different path and
+the test suite pins the two against each other.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .csa import (
     lambda_v,
 )
 from .errors import (
-    DefiniteError,
     InternalConsistencyError,
     NoSuchPlaceError,
     NotDefiniteError,
@@ -59,31 +61,35 @@ class MassReport:
 
 
 def mass(data: RamificationData) -> MassReport:
-    """Exact mass of valid definite ramification data."""
+    """Exact mass of valid definite ramification data.
+
+    One integer numerator and one integer denominator collect h(A),
+    q - 1, each zeta_K(-i) and each lambda_v; the mass is the one
+    Fraction made from them.
+    """
     ensure_valid(data)
     if not is_definite(data):
         raise NotDefiniteError(
             "mass is defined only for definite data (division algebra at infinity)"
         )
-    field = data.field
-    h_factor = Fraction(class_number_A(field), field.q - 1)
-    zetas = tuple(
-        zeta_special_value(field, i) for i in range(1, data.rank)
-    )
+    field, r = data.field, data.rank
+    h = class_number_A(field)
+    zetas = tuple(zeta_special_value(field, i) for i in range(1, r))
     lambdas = tuple(
-        (p.shorthand_token(), lambda_v(p, data.rank, field.q))
-        for p in data.places
+        (p.shorthand_token(), lambda_v(p, r, field.q)) for p in data.places
     )
-    total = h_factor
+    num, den = h, field.q - 1
     for z in zetas:
-        total *= z
+        num *= z.numerator
+        den *= z.denominator
     for _, lam in lambdas:
-        total *= lam
+        num *= lam
+    total = Fraction(num, den)
     if total <= 0:
         raise InternalConsistencyError(f"mass {total} is not positive")
     return MassReport(
         mass=total,
-        class_number_factor=h_factor,
+        class_number_factor=Fraction(h, field.q - 1),
         zeta_factors=zetas,
         lambda_factors=lambdas,
         definite=True,
@@ -108,22 +114,12 @@ def drinfeld_mass(field: FunctionFieldData, r: int, p_degree: int) -> Fraction:
         )
     n_inf = field.q ** field.deg_inf
     n_p = field.q ** p_degree
-    total = Fraction(class_number_A(field), field.q - 1)
+    num, den = class_number_A(field), field.q - 1
     for i in range(1, r):
-        total *= zeta_special_value(field, i)
-        total *= (1 - n_inf ** i) * (1 - n_p ** i)
-    return total
-
-
-def indefinite_class_number(data: RamificationData) -> int:
-    """Class number when the algebra is indefinite: equals h(A)."""
-    ensure_valid(data)
-    if is_definite(data):
-        raise DefiniteError(
-            "definite data: the class number needs ideal enumeration, "
-            "which is out of scope; only the mass is computed"
-        )
-    return class_number_A(data.field)
+        z = zeta_special_value(field, i)
+        num *= z.numerator * (1 - n_inf ** i) * (1 - n_p ** i)
+        den *= z.denominator
+    return Fraction(num, den)
 
 
 def mass_report_to_json_dict(report: MassReport) -> dict:

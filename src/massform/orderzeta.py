@@ -8,10 +8,10 @@ Two independent realizations of the same object live here:
   1 - (q^j u)^k or a shift P(q^i u) of the L-polynomial, so the product
   is kept as a map from irreducible factors (the reciprocal cyclotomic
   polynomials Phi*_m(q^j u), m | k, and the P-shifts) to exponents.
-  Cancellation is adding exponents; the pole checks at u = 1 and
-  u = q^-r and the value at u = 1 are read off the map, and the
-  normalized num/den is expanded only when something prints or expands
-  it;
+  The net map is built in one pass over a plain dict, and cancellation
+  is adding exponents.  The pole checks at u = 1 and u = q^-r and the
+  value at u = 1 are read off the map in integers.  The labelled factors
+  and the normalized num/den are audit output, built only when read;
 * a truncated Dirichlet series built from an Euler product over the
   finite places, expanded in integers by the binomial series of each
   factor (1 - a u^n)^{-m}, and rebuilt place by place from an explicit
@@ -22,7 +22,8 @@ with minus the factored mass, are the package's central cross-checks.
 The infinity place contributes nothing to the Euler product; the closed
 form instead carries a (1 - u^{deg_inf}) prefactor and correction
 factors whose product deletes every infinity Euler factor exactly when
-the data is definite.  No step here reuses the mass engine.
+the data is definite.  No step here reuses the mass engine,
+zeta_special_value or lambda_v.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import mul
 
 from .algebra import (
@@ -38,13 +39,10 @@ from .algebra import (
     RationalFunctionQ,
     TruncatedSeriesQ,
     poly_gcd,
-    ratfun,
-    series_from_ratfun,
 )
 from .csa import RamificationData, ensure_valid, is_definite
 from .errors import (
     InternalConsistencyError,
-    InvalidPartialDataError,
     InvalidSeriesOrderError,
     NegativeMultiplicityError,
     NotDefiniteError,
@@ -63,11 +61,12 @@ from .funcfield import FunctionFieldData, _mobius, places_of_degree
 # whose roots are the primitive m-th roots of unity times q^-j, so these
 # factors are irreducible over Q and distinct for distinct (j, m).  A key
 # with m = 0 stands for the P-shift P(q^j u).
-ExponentMap = Counter
+ExponentMap = dict[tuple[int, int], int]
 
 
-def _divisors(k: int) -> list[int]:
-    return [m for m in range(1, k + 1) if k % m == 0]
+@cache
+def _divisors(k: int) -> tuple[int, ...]:
+    return tuple(m for m in range(1, k + 1) if k % m == 0)
 
 
 def _binomial(j: int, k: int) -> list[tuple[int, int]]:
@@ -87,6 +86,7 @@ def _cyclotomic(m: int) -> PolyQ:
     return num.divmod(den)[0]
 
 
+@cache
 def _cyclotomic_value(m: int, x: int) -> int:
     """Phi*_m(x) at an integer x != 1."""
     num = den = 1
@@ -107,11 +107,11 @@ def _cyclotomic_at_one(m: int) -> int:
         return 1
 
 
-def _p_value(l_poly: PolyQ, a: int, b: int) -> int:
+def _p_value(field: FunctionFieldData, a: int, b: int) -> int:
     """b^deg P * P(a/b), by Horner's rule in integers."""
     acc, b_power = 0, 1
-    for c in reversed(l_poly.coeffs):
-        acc = acc * a + c.numerator * b_power
+    for c in reversed(field.l_ints):
+        acc = acc * a + c * b_power
         b_power *= b
     return acc
 
@@ -142,7 +142,7 @@ def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> tuple[int, Frac
     order, num, den = 0, 1, 1
     for (j, m), e in exponents.items():
         if m == 0:
-            value = _p_value(field.l_poly, field.q ** j, 1)
+            value = _p_value(field, field.q ** j, 1)
             if value == 0:
                 k, value = _p_root(field.l_poly, Fraction(field.q ** j))
                 order += k * e
@@ -157,7 +157,7 @@ def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> tuple[int, Frac
             num *= value ** e
         else:
             den *= value ** -e
-    return order, (Fraction(num) / den if order == 0 else Fraction(0))
+    return order, (Fraction(num, den) if order == 0 else Fraction(0))
 
 
 def _order_at(field: FunctionFieldData, exponents: ExponentMap, s: int) -> int:
@@ -166,7 +166,7 @@ def _order_at(field: FunctionFieldData, exponents: ExponentMap, s: int) -> int:
     q = field.q
     order = exponents.get((s, 1), 0)
     for (i, m), e in exponents.items():
-        if m == 0 and _p_value(field.l_poly, q ** max(i - s, 0), q ** max(s - i, 0)) == 0:
+        if m == 0 and _p_value(field, q ** max(i - s, 0), q ** max(s - i, 0)) == 0:
             order += e * _p_root(field.l_poly, Fraction(q) ** (i - s))[0]
     return order
 
@@ -214,16 +214,24 @@ def _expand(field: FunctionFieldData, exponents: ExponentMap) -> RationalFunctio
 class OrderZetaClosedForm:
     """The closed form as an exponent map over irreducible factors.
 
-    exponents is the net map and factors the labelled maps it is the
-    sum of, kept for audit output.  value_at_one is the value at u = 1
-    (s = 0), read off the map.  ratfun and assembled_from expand the maps
-    to normalized rational functions only when read.
+    exponents is the net map and value_at_one the value at u = 1
+    (s = 0), read off it.  Everything else is audit output, built only
+    when read: factors, the labelled maps whose sum is the net map, and
+    ratfun and assembled_from, the maps expanded to normalized rational
+    functions.
     """
 
-    field: FunctionFieldData
+    data: RamificationData
     exponents: ExponentMap
-    factors: tuple[tuple[str, ExponentMap], ...]
     value_at_one: Fraction
+
+    @property
+    def field(self) -> FunctionFieldData:
+        return self.data.field
+
+    @cached_property
+    def factors(self) -> tuple[tuple[str, ExponentMap], ...]:
+        return tuple(_labelled_factors(self.data))
 
     @cached_property
     def ratfun(self) -> RationalFunctionQ:
@@ -255,11 +263,28 @@ def _labelled_factors(data: RamificationData) -> list[tuple[str, ExponentMap]]:
     return factors
 
 
-def _net(factors: list[tuple[str, ExponentMap]]) -> ExponentMap:
-    total = Counter()
-    for _, f in factors:
-        total.update(f)
-    return Counter({key: e for key, e in total.items() if e})
+def _exponents(data: RamificationData) -> ExponentMap:
+    """The net exponent map of the closed form, in one pass: the sum of
+    the labelled factors without building them."""
+    r = data.rank
+    # zeta_A: (1 - u^deg_inf) P(u) / ((1 - u)(1 - qu))
+    net = {(0, 0): 1, (1, 1): -1}
+    for m in _divisors(data.field.deg_inf):
+        net[0, m] = net.get((0, m), 0) + 1
+    net[0, 1] -= 1
+    # the shifts P(q^i u) / ((1 - q^i u)(1 - q^(i+1) u))
+    for i in range(1, r):
+        net[i, 0] = 1
+        net[i, 1] = net.get((i, 1), 0) - 1
+        net[i + 1, 1] = net.get((i + 1, 1), 0) - 1
+    # the corrections 1 - (q^i u)^deg v, d_v not dividing i
+    for place in data.places:
+        divisors = _divisors(place.degree)
+        for i in range(1, r):
+            if i % place.inv_den:
+                for m in divisors:
+                    net[i, m] = net.get((i, m), 0) + 1
+    return {key: e for key, e in net.items() if e}
 
 
 def order_zeta_closed_form(data: RamificationData) -> OrderZetaClosedForm:
@@ -271,8 +296,7 @@ def order_zeta_closed_form(data: RamificationData) -> OrderZetaClosedForm:
     ensure_valid(data)
     if not is_definite(data):
         raise NotDefiniteError("order zeta closed form needs definite data")
-    factors = _labelled_factors(data)
-    exponents = _net(factors)
+    exponents = _exponents(data)
     order, value = _at_one(data.field, exponents)
     if order < 0:
         raise InternalConsistencyError("closed form has a pole at u = 1")
@@ -280,7 +304,7 @@ def order_zeta_closed_form(data: RamificationData) -> OrderZetaClosedForm:
         raise InternalConsistencyError(
             "closed form lacks the expected pole at u = q^-r"
         )
-    return OrderZetaClosedForm(data.field, exponents, tuple(factors), value)
+    return OrderZetaClosedForm(data, exponents, value)
 
 
 def order_zeta_at_zero(data: RamificationData) -> Fraction:
@@ -423,102 +447,3 @@ def coefficient_multiplicativity_check(data: RamificationData, order: int) -> bo
             convolve_place(degree, r // place.inv_den, place.inv_den)
 
     return tuple(coeffs) == fast.coeffs
-
-
-# ----------------------------------------------------------------------
-# Partial zeta continuation (local unit bookkeeping at s = 0)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PartialZetaData:
-    """Head data of one partial zeta: finitely many Dirichlet
-    coefficients a(ell) up to a cutoff ell_i, the unit order of the
-    class it came from, and the cumulative count C = 1 + sum a(ell)."""
-
-    r: int
-    deg_inf: int
-    unit_order: int
-    head: tuple[tuple[int, int], ...]      # sparse (ell, a(ell)) pairs
-    C: int
-    ell_i: int
-
-    def head_sum(self) -> int:
-        return sum(a for _, a in self.head)
-
-
-def _check_partial(data: PartialZetaData) -> None:
-    if data.unit_order < 1 or data.r < 1 or data.deg_inf < 1:
-        raise InvalidPartialDataError("r, deg_inf and unit_order must be positive")
-    for ell, a in data.head:
-        if ell < 0 or ell > data.ell_i:
-            raise InvalidPartialDataError(
-                f"head entry at {ell} outside [0, {data.ell_i}]"
-            )
-        if a != 0 and (ell - data.ell_i) % data.deg_inf != 0:
-            raise InvalidPartialDataError(
-                f"nonzero coefficient at {ell} violates the congruence "
-                f"mod {data.deg_inf}"
-            )
-    if data.C != 1 + data.head_sum():
-        raise InvalidPartialDataError(
-            f"C = {data.C} but 1 + head sum = {1 + data.head_sum()}"
-        )
-
-
-def _continuation_at_zero(data: PartialZetaData, n_inf: int) -> Fraction:
-    # unit_order * zeta(0) = sum a(ell) + C*(n^r-1)/n^r * n^r/(1-n^r)
-    n_r = n_inf ** data.r
-    tail = Fraction(data.C) * Fraction(n_r - 1, n_r) * Fraction(n_r, 1 - n_r)
-    return (data.head_sum() + tail) / data.unit_order
-
-
-def partial_zeta_value(data: PartialZetaData, at_zero: bool = True) -> Fraction:
-    """Value of the continued partial zeta at s = 0.
-
-    The continuation formula needs the residue size at infinity, which
-    cancels identically at s = 0; the evaluator substitutes two
-    different sizes and insists the results agree rather than trusting
-    the cancellation blindly.
-    """
-    if not at_zero:
-        raise ValueError("only the value at s = 0 is exposed")
-    _check_partial(data)
-    first = _continuation_at_zero(data, 2 ** data.deg_inf)
-    second = _continuation_at_zero(data, 3 ** data.deg_inf)
-    if first != second:
-        raise InternalConsistencyError(
-            "continuation value depends on the infinity residue size"
-        )
-    return first
-
-
-def partial_zeta_tail_consistent(data: PartialZetaData, steps: int = 3) -> bool:
-    """Check the induced tail coefficients for a few steps.
-
-    The continuation's tail term is the rational function
-    C * u^{ell_i} * ((n^r - 1)/n^r) * (n^r u^{deg_inf})/(1 - n^r u^{deg_inf})
-    in u = q^{-s}.  Expanding it through the generic series machinery
-    must reproduce the coefficient pattern C*(n^r - 1)*n^{r(mu-1)} at
-    u^{ell_i + mu*deg_inf}, zeros elsewhere, and cumulative counts
-    multiplying by n^r per step.  Verified for two residue sizes.
-    """
-    _check_partial(data)
-    d = data.deg_inf
-    for n_inf in (2 ** d, 3 ** d):
-        n_r = n_inf ** data.r
-        num = PolyQ.monomial(Fraction(data.C * (n_r - 1), n_r) * n_r, data.ell_i + d)
-        den = PolyQ.one_minus(n_r, d)
-        expansion = series_from_ratfun(ratfun(num, den), data.ell_i + steps * d)
-        cumulative = data.C
-        for mu in range(1, steps + 1):
-            lo = data.ell_i + (mu - 1) * d
-            hi = data.ell_i + mu * d
-            if any(expansion.coefficient(k) != 0 for k in range(lo + 1, hi)):
-                return False
-            got = expansion.coefficient(hi)
-            if got != data.C * (n_r - 1) * n_r ** (mu - 1):
-                return False
-            cumulative += got
-            if cumulative != data.C * n_r ** mu:
-                return False
-    return True

@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 import massform.cli as cli
 from massform.errors import InternalConsistencyError
+from massform.finitefield import FIELD_SIZE_CAP
+from massform.localmodels import MAX_LOCAL_INDEX, MAX_LOCAL_RANK
 from massform.orderzeta import MAX_SERIES_ORDER
 
 
@@ -280,6 +283,9 @@ def test_local_subcommands(capsys):
          "InvalidRamificationError"),
         (("local", "model-check", "--qv", "3", "--d", "8"), "InvalidFieldError"),
         (("local", "iw-index", "--qv", "2", "--d", "0"), "InvalidRamificationError"),
+        (("local", "iw-index", "--qv", "2", "--d", "40"), "InvalidRamificationError"),
+        (("local", "volumes", "--qv", "2", "--r", "200", "--d", "1"),
+         "InvalidRamificationError"),
     ],
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
@@ -288,7 +294,7 @@ def test_local_subcommands(capsys):
         "zeta-values-negative", "zeta-values0", "order-zeta-series-order-above-cap",
         "order-zeta-series-order-negative", "verify-series-order-above-cap",
         "model-check-d0", "model-check-b-not-coprime", "model-check-field-above-cap",
-        "iw-index-d0",
+        "iw-index-d0", "iw-index-d-above-cap", "volumes-rank-above-cap",
     ],
 )
 def test_bad_input_regressions_are_exit_2(capsys, argv, error_type):
@@ -322,3 +328,75 @@ def test_verify_respects_max_rank(capsys):
     assert obj["ok"] is True
     # rank 2 only: far fewer configurations than the full battery
     assert 0 < obj["reports"][0]["checked"] < 30
+
+
+# Frozen sha256 digests of stdout, so work on the exact core cannot change
+# output bytes silently.  Digests were taken before the mass and closed
+# form moved to integer arithmetic; every case exits 0.
+G1 = ("--q", "2", "--genus", "1", "--l-poly", "1,1,2", "--deg-inf", "1")
+GOLDEN_STDOUT = [
+    (("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2"),
+     "caa71fb96283e0f400df9b42f379ca4ce5f44c8cbe0be8760d470c9baee31ac8"),
+    (("mass", "--q", "3", "--rank", "4", "--ram", "inf:1/4,2:1/4,1:1/2", "--format", "csv"),
+     "d2bcaeb1aacd455e36046f8c382444cd018ce6e7103db222cf0d24ae095f51fc"),
+    (("mass", *G1, "--rank", "6", "--ram", "inf:1/6,1:1/3,2:1/2"),
+     "79e70004f7731543cb718ce522087b0356a2b091f722dbb9b0bc3f6cb0dd0962"),
+    (("mass", *G1, "--rank", "1"),
+     "f9ac7c991072b18e819f2af3e61ceeec4050acdadb81c8171d5d2fd23b2256c4"),
+    (("mass", "--q", "2", "--deg-inf", "2", "--rank", "4", "--ram", "inf:1/4,1:1/4,1:1/2"),
+     "4db4520472445a8ce9034de2d5f9ca99a338aa2a3b86cefc9b660fd7087167f1"),
+    (("drinfeld-mass", "--q", "5", "--rank", "3", "--p-degree", "2"),
+     "5f551c791a10f798893fdcdf7493a3942d81c66b4572f4494a7fec2d83652c71"),
+    (("drinfeld-mass", *G1, "--rank", "4", "--p-degree", "2", "--format", "csv"),
+     "f319adbb16f7a6b17e171508a3d2f402af0d4bd1275e6f0489fe14a7ce287940"),
+    (("table", "--qs", "2,3,5", "--ranks", "1,2,3,6"),
+     "a6c77d042d8bacf3986065f0f8ddbf9b42c34d43f13def66fdcdb6b48ccd7f54"),
+    (("table", "--qs", "2,4", "--ranks", "2,4", "--p-degrees", "1,2", "--format", "csv"),
+     "eca1aebe37779b84962672a130730ccb8c9d9ef5847740e65589152da3ef4868"),
+    (("zeta", "--q", "3", "--values", "5"),
+     "92ca69a3af46e04e23d358ea73ca06c631b7ad36dc9c7fa560078e083138c2f1"),
+    (("zeta", *G1, "--values", "4", "--format", "csv"),
+     "4f0924848702baefe4666f7c24f5623b9bf1285d60e14cd8d56e7cfb28d877a8"),
+    (("order-zeta", "--q", "2", "--rank", "3", "--ram", "inf:-1/3,1:1/3",
+      "--series-order", "12"),
+     "ccf5a3f8e4221745f55ea41a4b5012b22a9fe9161c740c8bbf4a1c544e4bdb74"),
+    (("order-zeta", *G1, "--rank", "4", "--ram", "inf:1/4,1:1/4,1:1/2",
+      "--series-order", "8", "--format", "csv"),
+     "49f7e4c830357f3f55d612964e674b68b0a98267b776ceb7ffaa08387b7da229"),
+    (("order-zeta", "--q", "3", "--deg-inf", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
+      "--series-order", "10"),
+     "4e0cc7ba1565a3b2e056d5661d8c46e25008dd3c1452bea7a24e673da32ddac1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_STDOUT, ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT]
+)
+def test_golden_stdout_digests(capsys, argv, digest):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_local_sizes_at_the_caps_print(capsys):
+    # the largest residue size of a local model, at the largest rank and
+    # index: every answer stays under the 4300-digit conversion limit
+    cap = str(FIELD_SIZE_CAP)
+    for d in (1, MAX_LOCAL_INDEX):
+        code, out, _ = invoke(
+            capsys, "local", "volumes", "--qv", cap,
+            "--r", str(MAX_LOCAL_RANK), "--d", str(d),
+        )
+        assert code == 0
+        assert len(json.loads(out)["vol_G"]) > 4000
+    code, out, _ = invoke(capsys, "local", "iw-index", "--qv", cap, "--d", str(MAX_LOCAL_INDEX))
+    assert code == 0
+    assert json.loads(out)["index"] == FIELD_SIZE_CAP ** (12 * 12 * 11 // 2)
+    for argv in (
+        ("local", "volumes", "--qv", "2", "--r", str(MAX_LOCAL_RANK + 1), "--d", "1"),
+        ("local", "lambda", "--qv", "2", "--r", "26", "--d", "13"),
+        ("local", "iw-index", "--qv", "2", "--d", str(MAX_LOCAL_INDEX + 1)),
+    ):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidRamificationError"

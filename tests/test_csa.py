@@ -2,6 +2,7 @@
 
 import pytest
 
+from massform import csa
 from massform.csa import (
     RamificationData,
     RamifiedPlace,
@@ -113,6 +114,35 @@ def test_ensure_valid_raises_with_all_failures():
     with pytest.raises(InvalidRamificationError):
         ensure_valid(bad)
     ensure_valid(STANDARD_R2)
+
+
+def test_ensure_valid_checks_each_datum_once(monkeypatch):
+    calls = []
+    real_validate = csa.validate
+
+    def counting(datum, **kwargs):
+        calls.append(datum)
+        return real_validate(datum, **kwargs)
+
+    monkeypatch.setattr(csa, "validate", counting)
+    good = data(2, [inf_place(1, 2), RamifiedPlace(1, 1, 2)])
+    for _ in range(3):
+        ensure_valid(good)
+    assert len(calls) == 1
+    # an equal but distinct datum carries its own record
+    ensure_valid(data(2, [inf_place(1, 2), RamifiedPlace(1, 1, 2)]))
+    assert len(calls) == 2
+
+
+def test_invalid_datum_raises_on_every_call():
+    bad = data(4, [inf_place(1, 4), RamifiedPlace(1, 1, 3)])
+    for _ in range(2):
+        with pytest.raises(InvalidRamificationError, match="does not divide rank"):
+            ensure_valid(bad)
+    # the record never enters equality or the hash
+    ensure_valid(STANDARD_R2)
+    fresh = data(2, list(STANDARD_R2.places))
+    assert fresh == STANDARD_R2 and hash(fresh) == hash(STANDARD_R2)
 
 
 # -- definiteness / Drinfeld type ------------------------------------------

@@ -4,24 +4,92 @@ from fractions import Fraction
 
 import pytest
 
-from massform.csa import RamificationData, RamifiedPlace, parse_shorthand
+from massform import massengine
+from massform.csa import (
+    RamificationData,
+    RamifiedPlace,
+    is_drinfeld_type,
+    lambda_v,
+    parse_shorthand,
+)
 from massform.errors import (
-    DefiniteError,
     InvalidRamificationError,
     NoSuchPlaceError,
     NotDefiniteError,
 )
-from massform.funcfield import FunctionFieldData
+from massform.funcfield import FunctionFieldData, zeta_special_value
 from massform.massengine import (
+    MassReport,
     drinfeld_mass,
-    indefinite_class_number,
     mass,
     mass_report_to_json_dict,
 )
+from massform.orderzeta import order_zeta_at_zero
 from massform.algebra import PolyQ
+from test_orderzeta import reference_stream
 
 K2 = FunctionFieldData.rational(2)
 K2_G1 = FunctionFieldData(q=2, genus=1, l_poly=PolyQ((1, 1, 2)), deg_inf=1)
+
+
+def reference_zeta_value(field, i):
+    """zeta_K(-i) by Fraction Horner."""
+    qi = Fraction(field.q) ** i
+    return field.l_poly.eval(qi) / ((1 - qi) * (1 - qi * field.q))
+
+
+def reference_mass(data):
+    """The mass report built in Fractions: Fraction Horner per zeta_K(-i),
+    then a Fraction product of every factor."""
+    field = data.field
+    h_factor = Fraction(field.deg_inf * field.l_poly.eval(1), field.q - 1)
+    zetas = tuple(reference_zeta_value(field, i) for i in range(1, data.rank))
+    lambdas = tuple(
+        (p.shorthand_token(), lambda_v(p, data.rank, field.q)) for p in data.places
+    )
+    total = h_factor
+    for z in zetas:
+        total *= z
+    for _, lam in lambdas:
+        total *= lam
+    return MassReport(
+        mass=total,
+        class_number_factor=h_factor,
+        zeta_factors=zetas,
+        lambda_factors=lambdas,
+        definite=True,
+        drinfeld_type=is_drinfeld_type(data),
+    )
+
+
+def test_mass_matches_fraction_reference():
+    fields, count = set(), 0
+    for data in reference_stream():
+        want = reference_mass(data)
+        assert mass(data) == want, (data.field, data.rank, data.places)
+        assert order_zeta_at_zero(data) == -want.mass
+        fields.add(data.field)
+        count += 1
+    assert count == 1772
+    for field in fields:
+        for i in range(1, 9):
+            assert zeta_special_value(field, i) == reference_zeta_value(field, i), (field, i)
+
+
+def test_dropped_zeta_denominator_factor_fails_the_reference(monkeypatch):
+    # zeta_K(-i) with |1 - q^(i+1)| dropped from its denominator; the sign
+    # is kept, or the positivity check would fire first
+    def dropped(field, i):
+        return reference_zeta_value(field, i) * (field.q ** (i + 1) - 1)
+
+    monkeypatch.setattr(massengine, "zeta_special_value", dropped)
+    for data in [
+        parse_shorthand("inf:1/2,1:1/2", K2, rank=2),
+        parse_shorthand("inf:-1/3,1:1/3", K2, rank=3),
+        parse_shorthand("inf:1/2,1:1/2", K2_G1, rank=2),
+    ]:
+        assert mass(data) != reference_mass(data)
+        assert mass(data).mass != -order_zeta_at_zero(data)
 
 
 def test_mass_frozen_rank_two():
@@ -102,20 +170,6 @@ def test_drinfeld_mass_missing_place():
         drinfeld_mass(K2_G1, 2, 3)        # genus-1 field: no degree-3 places
     with pytest.raises(ValueError):
         drinfeld_mass(K2, 1, 1)
-
-
-def test_indefinite_class_number():
-    indefinite = parse_shorthand("1:1/2,1:-1/2", K2, rank=2)
-    assert indefinite_class_number(indefinite) == 1
-    genus1 = parse_shorthand("1:1/2,1:-1/2", K2_G1, rank=2)
-    assert indefinite_class_number(genus1) == 4
-    with pytest.raises(DefiniteError):
-        indefinite_class_number(parse_shorthand("inf:1/2,1:1/2", K2, rank=2))
-
-
-def test_indefinite_class_number_with_split_infinity_rank_four():
-    data = parse_shorthand("inf:1/2,1:1/4,1:1/4", K2, rank=4)
-    assert indefinite_class_number(data) == 1
 
 
 def test_mass_report_json_shape():

@@ -1,6 +1,7 @@
-"""Maximal-order zeta: closed form, Euler-product series, partial zetas."""
+"""Maximal-order zeta: closed form and Euler-product series."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from massform.algebra import (
 from massform.csa import RamificationData, RamifiedPlace, parse_shorthand
 from massform.errors import (
     InternalConsistencyError,
-    InvalidPartialDataError,
     InvalidSeriesOrderError,
     NegativeMultiplicityError,
     NotDefiniteError,
@@ -31,7 +31,6 @@ from massform.verify import (
 )
 from massform.orderzeta import (
     MAX_SERIES_ORDER,
-    PartialZetaData,
     _apply_binomial,
     _at_one,
     _cyclotomic,
@@ -43,8 +42,6 @@ from massform.orderzeta import (
     order_zeta_at_zero,
     order_zeta_closed_form,
     order_zeta_series,
-    partial_zeta_tail_consistent,
-    partial_zeta_value,
 )
 
 K2 = FunctionFieldData.rational(2)
@@ -97,7 +94,7 @@ def reference_closed_form(data):
     return product
 
 
-def _reference_stream():
+def reference_stream():
     yield from full_battery()
     rng = random.Random(20260813)       # criterion 7's stream
     for _ in range(1000):
@@ -114,7 +111,7 @@ def _reference_stream():
 
 def test_closed_form_matches_literal_reference():
     genera, deg_infs, count = set(), set(), 0
-    for data in _reference_stream():
+    for data in reference_stream():
         want = reference_closed_form(data)
         form = order_zeta_closed_form(data)
         assert form.ratfun == want, (data.field, data.rank, data.places)
@@ -127,12 +124,40 @@ def test_closed_form_matches_literal_reference():
     assert deg_infs == {1, 2, 3}
 
 
+def test_net_map_is_the_sum_of_the_labelled_factors():
+    for data in reference_stream():
+        form = order_zeta_closed_form(data)
+        total = Counter()
+        for _, factor in form.factors:
+            total.update(factor)
+        want = {key: e for key, e in total.items() if e}
+        assert form.exponents == want, (data.field, data.rank, data.places)
+
+
+def test_closed_form_never_calls_the_mass_side(monkeypatch):
+    def boom(*_):
+        raise AssertionError("the closed form reached the mass side")
+
+    forbidden = ("mass", "drinfeld_mass", "zeta_special_value", "lambda_v", "lambda_value")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("massform"):
+            for attr in forbidden:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, boom)
+    for data in [STANDARD_R2, DRINFELD_R3, GENUS1_R2, DEG_INF2_R4]:
+        form = order_zeta_closed_form(data)
+        want = reference_closed_form(data)
+        assert form.value_at_one == ratfun_eval(want, 1)
+        assert form.ratfun == want
+        assert [label for label, _ in form.assembled_from][0] == "zeta_A"
+
+
 def test_mutated_exponent_maps_fail_the_reference():
     for data in [STANDARD_R2, DRINFELD_R3, GENUS1_R2, DEG_INF2_R4]:
         form = order_zeta_closed_form(data)
         want = reference_closed_form(data)
         _, correction = form.factors[-1]
-        dropped = form.exponents.copy()
+        dropped = Counter(form.exponents)
         dropped.subtract(correction)
         assert _expand(data.field, dropped) != want
         assert _at_one(data.field, dropped) != (0, ratfun_eval(want, 1))
@@ -177,7 +202,7 @@ def test_p_shift_zeros_count_with_multiplicity(field):
     for rank, ram in [(2, "inf:1/2,1:1/2"), (3, "inf:1/3,1:-1/3")]:
         data = parse_shorthand(ram, field, rank=rank)
         want = reference_closed_form(data)
-        exponents = orderzeta._net(orderzeta._labelled_factors(data))
+        exponents = orderzeta._exponents(data)
         assert _at_one(field, exponents)[0] == _reference_order(want, 1) > 0
         pole = Fraction(1, 2 ** rank)
         assert orderzeta._order_at(field, exponents, rank) == _reference_order(want, pole) >= 0
@@ -373,60 +398,3 @@ def test_multiplicativity_check_frozen_examples():
     )
     assert coefficient_multiplicativity_check(DRINFELD_R3, 6)
     assert coefficient_multiplicativity_check(GENUS1_R2, 12)
-
-
-# -- partial zeta ---------------------------------------------------------------
-
-def test_partial_zeta_value_frozen_examples():
-    for a in [0, 5, 23]:
-        data = PartialZetaData(
-            r=2, deg_inf=1, unit_order=24,
-            head=((0, a),), C=1 + a, ell_i=0,
-        )
-        assert partial_zeta_value(data) == Fraction(-1, 24)
-    trivial = PartialZetaData(
-        r=3, deg_inf=2, unit_order=1, head=(), C=1, ell_i=0
-    )
-    assert partial_zeta_value(trivial) == -1
-
-
-def test_partial_zeta_value_is_minus_reciprocal_unit_order():
-    data = PartialZetaData(
-        r=2, deg_inf=2, unit_order=48,
-        head=((1, 3), (3, 9), (5, 12)), C=25, ell_i=5,
-    )
-    assert partial_zeta_value(data) == Fraction(-1, 48)
-
-
-def test_partial_zeta_rejects_bad_data():
-    with pytest.raises(InvalidPartialDataError):
-        partial_zeta_value(
-            PartialZetaData(r=2, deg_inf=1, unit_order=24,
-                            head=((0, 5),), C=7, ell_i=0)
-        )
-    with pytest.raises(InvalidPartialDataError):
-        # nonzero coefficient breaking the congruence mod deg_inf
-        partial_zeta_value(
-            PartialZetaData(r=2, deg_inf=2, unit_order=4,
-                            head=((1, 2), (4, 3)), C=6, ell_i=4)
-        )
-    with pytest.raises(InvalidPartialDataError):
-        partial_zeta_value(
-            PartialZetaData(r=2, deg_inf=1, unit_order=4,
-                            head=((7, 2),), C=3, ell_i=4)
-        )
-    with pytest.raises(ValueError):
-        partial_zeta_value(
-            PartialZetaData(r=2, deg_inf=1, unit_order=4,
-                            head=(), C=1, ell_i=0),
-            at_zero=False,
-        )
-
-
-def test_partial_zeta_tail_recursion():
-    for data in [
-        PartialZetaData(r=2, deg_inf=1, unit_order=24, head=((0, 5),), C=6, ell_i=0),
-        PartialZetaData(r=3, deg_inf=2, unit_order=2, head=((2, 4),), C=5, ell_i=2),
-        PartialZetaData(r=1, deg_inf=1, unit_order=1, head=(), C=1, ell_i=0),
-    ]:
-        assert partial_zeta_tail_consistent(data, steps=3)

@@ -1,12 +1,20 @@
-"""Exact arithmetic substrate: rationals, dense polynomials over Q,
-normalized rational functions, and truncated power series.
+"""Exact arithmetic substrate: dense integer polynomials, normalized
+rational functions, and truncated power series.
+
+Every polynomial the package builds has integer coefficients: the
+L-polynomial, the factors of the order zeta and its Euler product.  So
+`int` is the one coefficient type here, and construction rejects
+anything else.  Rationals appear only as values: evaluating at a
+rational point gives a :class:`fractions.Fraction` (already reduced,
+positive denominator), serialized as ``"num/den"`` (``"num"`` when
+den = 1).
 
 All zeta functions in this package live in the variable u = q**(-s);
-their normalized num/den is carried by :class:`RationalFunctionQ` (the
-order zeta is kept factored in orderzeta and expanded to one only for
-output), and Dirichlet expansions by :class:`TruncatedSeriesQ`.  Exact rationals are plain
-:class:`fractions.Fraction` values (already reduced, positive
-denominator), serialized as ``"num/den"`` (``"num"`` when den = 1).
+their num/den is carried by :class:`RationalFunctionQ`, coprime and
+content-free with a positive leading denominator coefficient (the order
+zeta is kept factored in orderzeta and expanded to one only for
+output), and Dirichlet expansions by :class:`TruncatedSeriesQ`.  The
+printer divides by den's leading coefficient to show the monic form.
 
 Everything here is immutable; operations are pure functions and safe to
 share between threads.
@@ -17,15 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from operator import index
+from typing import Iterable
 
 from .errors import (
+    InternalConsistencyError,
     NotExpandableError,
     OrderMismatchError,
     PoleError,
 )
-
-Rational = Union[int, Fraction]
 
 
 def rational_to_str(x: Fraction | int) -> str:
@@ -37,11 +45,11 @@ def rational_to_str(x: Fraction | int) -> str:
 
 
 # ----------------------------------------------------------------------
-# Dense univariate polynomials over Q
+# Dense univariate polynomials over Z
 # ----------------------------------------------------------------------
 
 class PolyQ:
-    """Dense polynomial over Q, coefficients lowest degree first.
+    """Dense polynomial with integer coefficients, lowest degree first.
 
     The zero polynomial has an empty coefficient tuple; otherwise the
     trailing (highest-degree) coefficient is nonzero.
@@ -49,8 +57,8 @@ class PolyQ:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [Fraction(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = [index(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -66,11 +74,11 @@ class PolyQ:
         return PolyQ((1,))
 
     @staticmethod
-    def one_minus(coeff: Rational, power: int) -> "PolyQ":
+    def one_minus(coeff: int, power: int) -> "PolyQ":
         """1 - coeff * u**power, the ubiquitous Euler-factor building block."""
         if power == 0:
-            return PolyQ((1 - Fraction(coeff),))
-        return PolyQ((1,) + (0,) * (power - 1) + (-Fraction(coeff),))
+            return PolyQ((1 - coeff,))
+        return PolyQ((1,) + (0,) * (power - 1) + (-coeff,))
 
     # -- structure ------------------------------------------------------
 
@@ -82,36 +90,21 @@ class PolyQ:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
+    def leading(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+    def coefficient(self, k: int) -> int:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other: "PolyQ") -> "PolyQ":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyQ(out)
-
-    def __neg__(self) -> "PolyQ":
-        return PolyQ(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
-        return self + (-other)
 
     def __mul__(self, other: "PolyQ") -> "PolyQ":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return PolyQ()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
@@ -119,61 +112,30 @@ class PolyQ:
                 out[i + j] += ai * bj
         return PolyQ(out)
 
-    def scale(self, c: Rational) -> "PolyQ":
-        c = Fraction(c)
-        return PolyQ(tuple(c * a for a in self.coeffs))
-
-    def scale_argument(self, c: Rational) -> "PolyQ":
-        """P(c*u): multiply the k-th coefficient by c**k."""
-        c = Fraction(c)
-        out, ck = [], Fraction(1)
-        for a in self.coeffs:
-            out.append(a * ck)
-            ck *= c
-        return PolyQ(out)
-
-    def pow(self, n: int) -> "PolyQ":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result, base = PolyQ.one(), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def divmod(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
-        """Exact Euclidean division over Q."""
+    def exact_div(self, other: "PolyQ") -> "PolyQ":
+        """The quotient self / other in Z[u]; InternalConsistencyError
+        unless other divides self there."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return PolyQ(), self
-        quo = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / div[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + len(div) - 1] * inv_lead
+        top = len(div) - 1
+        quo = [0] * max(len(rem) - top, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            c, r = divmod(rem[k + top], div[-1])
+            if r:
+                break
             quo[k] = c
             if c:
                 for j, dj in enumerate(div):
                     rem[k + j] -= c * dj
-        return PolyQ(quo), PolyQ(rem[: len(div) - 1])
+        if any(rem):
+            raise InternalConsistencyError(f"{other!r} does not divide {self!r} in Z[u]")
+        return PolyQ(quo)
 
-    def __mod__(self, other: "PolyQ") -> "PolyQ":
-        return self.divmod(other)[1]
-
-    def monic(self) -> "PolyQ":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
-
-    def eval(self, x: Rational) -> Fraction:
-        """Horner evaluation."""
-        x = Fraction(x)
-        acc = Fraction(0)
+    def eval(self, x: int | Fraction) -> int | Fraction:
+        """Horner evaluation: an int at an int, a Fraction at a Fraction."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -194,26 +156,22 @@ class PolyQ:
             if c == 0:
                 continue
             if k == 0:
-                terms.append(rational_to_str(c))
+                terms.append(str(c))
             else:
                 mono = "u" if k == 1 else f"u^{k}"
-                terms.append(mono if c == 1 else f"{rational_to_str(c)}*{mono}")
+                terms.append(mono if c == 1 else f"{c}*{mono}")
         return "PolyQ(" + " + ".join(terms) + ")"
 
-    def _integer_primitive(self) -> tuple[int, ...]:
-        """Scale to an integer polynomial with content 1 (sign of leading
-        coefficient preserved); used by the gcd's primitive remainder
-        sequence to keep coefficients small."""
-        if self.is_zero():
-            return ()
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        content = 0
-        for v in ints:
-            content = gcd(content, v)
-        return tuple(v // content for v in ints)
+
+def _primitive(cs: Iterable[int]) -> list[int]:
+    """cs divided by its content, signed so the leading entry is positive."""
+    cs = list(cs)
+    if not cs:
+        return cs
+    content = gcd(*cs)
+    if cs[-1] < 0:
+        content = -content
+    return [c // content for c in cs]
 
 
 def _int_poly_prem(a: list[int], b: list[int]) -> list[int]:
@@ -238,30 +196,18 @@ def _int_poly_prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic greatest common divisor; gcd(0, 0) = 0.
+    """Primitive greatest common divisor with a positive leading
+    coefficient; gcd(0, 0) = 0.
 
-    Runs a primitive pseudo-remainder sequence on integer scalings of
-    the inputs, so intermediate coefficients stay bounded.
+    Runs a primitive pseudo-remainder sequence, so intermediate
+    coefficients stay bounded.
     """
-    if a.is_zero() and b.is_zero():
-        return PolyQ.zero()
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    pa = list(a._integer_primitive())
-    pb = list(b._integer_primitive())
+    pa, pb = _primitive(a.coeffs), _primitive(b.coeffs)
     if len(pa) < len(pb):
         pa, pb = pb, pa
     while pb:
-        rem = _int_poly_prem(pa, pb)
-        if rem:
-            content = 0
-            for v in rem:
-                content = gcd(content, v)
-            rem = [v // content for v in rem]
-        pa, pb = pb, rem
-    return PolyQ(pa).monic()
+        pa, pb = pb, _primitive(_int_poly_prem(pa, pb))
+    return PolyQ(pa)
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +216,8 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
 
 @dataclass(frozen=True)
 class RationalFunctionQ:
-    """num/den with den monic and gcd(num, den) = 1.
+    """num/den in Z[u], coprime, with no common integer content and a
+    positive leading coefficient in den; that representative is unique.
 
     Construct through :func:`ratfun`, which cancels eagerly; exact
     pole-order bookkeeping at u = 1 depends on full cancellation.
@@ -282,65 +229,59 @@ class RationalFunctionQ:
     def __mul__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
         return ratfun(self.num * other.num, self.den * other.den)
 
-    def is_regular_at(self, x: Rational) -> bool:
+    def is_regular_at(self, x: int | Fraction) -> bool:
         return self.den.eval(x) != 0
 
 
 def ratfun(num: PolyQ, den: PolyQ) -> RationalFunctionQ:
-    """Build a fully cancelled rational function with monic denominator."""
+    """Build the fully cancelled representative of num/den."""
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
         return RationalFunctionQ(PolyQ.zero(), PolyQ.one())
     g = poly_gcd(num, den)
     if g.degree >= 1:
-        num = num.divmod(g)[0]
-        den = den.divmod(g)[0]
-    lead = den.leading()
-    if lead != 1:
-        den = den.scale(1 / lead)
-        num = num.scale(1 / lead)
+        num = num.exact_div(g)
+        den = den.exact_div(g)
+    content = gcd(*num.coeffs, *den.coeffs)
+    if den.leading() < 0:
+        content = -content
+    if content != 1:
+        num = PolyQ(c // content for c in num.coeffs)
+        den = PolyQ(c // content for c in den.coeffs)
     return RationalFunctionQ(num, den)
 
 
-def ratfun_eval(f: RationalFunctionQ, x: Rational) -> Fraction:
+def ratfun_eval(f: RationalFunctionQ, x: int | Fraction) -> Fraction:
     """Exact value num(x)/den(x); PoleError on a genuine pole."""
     d = f.den.eval(x)
     if d == 0:
-        raise PoleError(f"pole at u = {rational_to_str(Fraction(x))}")
-    return f.num.eval(x) / d
+        raise PoleError(f"pole at u = {rational_to_str(x)}")
+    return Fraction(f.num.eval(x), d)
 
 
 # ----------------------------------------------------------------------
-# Truncated power series over Q
+# Truncated power series over Z
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TruncatedSeriesQ:
-    """Power series in u truncated at a fixed order D: D+1 coefficients."""
+    """Power series in u truncated at a fixed order D: D+1 integer
+    coefficients."""
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.coeffs) != self.order + 1:
             raise ValueError("coefficient count must equal order + 1")
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> int:
         return self.coeffs[k]
 
 
-def series(coeffs: Sequence[Rational], order: int | None = None) -> TruncatedSeriesQ:
-    cs = tuple(Fraction(c) for c in coeffs)
-    if order is None:
-        order = len(cs) - 1
-    if len(cs) < order + 1:
-        cs = cs + (Fraction(0),) * (order + 1 - len(cs))
-    return TruncatedSeriesQ(order, cs[: order + 1])
-
-
 def series_one(order: int) -> TruncatedSeriesQ:
-    return series((1,), order)
+    return TruncatedSeriesQ(order, (1,) + (0,) * order)
 
 
 def series_mul(a: TruncatedSeriesQ, b: TruncatedSeriesQ) -> TruncatedSeriesQ:
@@ -348,7 +289,7 @@ def series_mul(a: TruncatedSeriesQ, b: TruncatedSeriesQ) -> TruncatedSeriesQ:
     if a.order != b.order:
         raise OrderMismatchError(f"series orders differ: {a.order} != {b.order}")
     n = a.order + 1
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, ai in enumerate(a.coeffs):
         if ai == 0:
             continue
@@ -375,16 +316,20 @@ def series_pow(a: TruncatedSeriesQ, n: int) -> TruncatedSeriesQ:
 
 def series_from_ratfun(f: RationalFunctionQ, order: int) -> TruncatedSeriesQ:
     """Taylor coefficients of f at u = 0 through the given order, by
-    exact long division; requires den(0) != 0."""
+    long division in integers; requires den(0) = +-1, which holds for
+    every denominator the package builds (each is a product of factors
+    with constant term 1)."""
     if order < 0:
         raise ValueError("negative series order")
     b0 = f.den.coefficient(0)
-    if b0 == 0:
-        raise NotExpandableError("denominator vanishes at u = 0")
-    out: list[Fraction] = []
+    if b0 not in (1, -1):
+        raise NotExpandableError(
+            f"denominator takes the value {b0} at u = 0, not a unit"
+        )
+    out: list[int] = []
     for k in range(order + 1):
         acc = f.num.coefficient(k)
         for j in range(1, min(k, f.den.degree) + 1):
             acc -= f.den.coefficient(j) * out[k - j]
-        out.append(acc / b0)
+        out.append(acc * b0)
     return TruncatedSeriesQ(order, tuple(out))

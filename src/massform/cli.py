@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 
 import click
 
@@ -28,6 +29,7 @@ from .errors import (
     EmptySelectionError,
     InputDataError,
     InternalConsistencyError,
+    InvalidFieldError,
     InvalidRamificationError,
     MassformError,
 )
@@ -103,6 +105,8 @@ def _resolve_field(q, genus, l_poly, deg_inf, field_file) -> FunctionFieldData:
             raise click.UsageError(f"cannot read field file: {exc}")
         except json.JSONDecodeError as exc:
             raise click.UsageError(f"field file is not valid JSON: {exc}")
+        if not isinstance(base, dict):
+            raise InvalidFieldError(f"field file holds {base!r}, not a JSON object")
     inline: dict = {}
     if q is not None:
         inline["q"] = q
@@ -192,9 +196,12 @@ def _emit_rows(header: list[str], rows: list[dict], fmt: str) -> None:
 
 
 def _ratfun_json(f: RationalFunctionQ) -> dict:
+    """num/den printed with den monic: every coefficient over den's
+    leading coefficient."""
+    lead = f.den.leading()
     return {
-        "num": [rational_to_str(c) for c in f.num.coeffs],
-        "den": [rational_to_str(c) for c in f.den.coeffs],
+        "num": [rational_to_str(Fraction(c, lead)) for c in f.num.coeffs],
+        "den": [rational_to_str(Fraction(c, lead)) for c in f.den.coeffs],
     }
 
 
@@ -243,7 +250,7 @@ def _do_zeta(spec: JobSpec) -> None:
         raise EmptySelectionError(f"values {values} must be >= 1")
     out = {
         **_field_header(field),
-        "l_poly": [rational_to_str(c) for c in field.l_poly.coeffs],
+        "l_poly": [str(c) for c in field.l_poly.coeffs],
         "zeta_K": _ratfun_json(zeta_K(field)),
         "zeta_A": _ratfun_json(zeta_A(field)),
         "special_values": {
@@ -266,7 +273,7 @@ def _do_order_zeta(spec: JobSpec) -> None:
         "closed_form": _ratfun_json(closed.ratfun),
         "value_at_zero": rational_to_str(closed.value_at_one),
         "series_order": order,
-        "series": [rational_to_str(c) for c in series.coeffs],
+        "series": [str(c) for c in series.coeffs],
     }
     _emit(out, spec.option("format", "json"))
 

@@ -20,6 +20,13 @@ from math import gcd, lcm
 from .errors import InvalidRamificationError
 from .funcfield import FunctionFieldData, places_of_degree
 
+# The largest global rank accepted.  The order-zeta series costs most,
+# and the cap keeps its worst case at the one the series-order cap
+# documents: at q = 5, series order 300 and this rank, `massform
+# order-zeta` takes about 1.2-1.4 s (2-CPU machine, Python 3.11).  Rank 8
+# takes 2.1-2.5 s; rank 48 runs for minutes.
+MAX_RANK = 6
+
 
 @dataclass(frozen=True)
 class RamifiedPlace:
@@ -80,6 +87,8 @@ def validate(data: RamificationData, *, check_availability: bool = True) -> Vali
     r = data.rank
     if r < 1:
         failures.append(f"rank {r} must be >= 1")
+    elif r > MAX_RANK:
+        failures.append(f"rank {r} is above the cap {MAX_RANK}")
 
     for idx, p in enumerate(data.places):
         problems = []

@@ -276,74 +276,8 @@ class FqField:
             table = self._power_tables[n] = tuple(self.pow(c, n) for c in range(self.q))
         return table
 
-    # -- element / iteration API ------------------------------------------
-
-    def element(self, code: int) -> "FqElem":
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} outside [0, {self.q})")
-        return FqElem(self, code)
-
-    def zero(self) -> "FqElem":
-        return FqElem(self, 0)
-
-    def one(self) -> "FqElem":
-        return FqElem(self, 1)
-
-    def elements(self) -> Iterator["FqElem"]:
-        for code in range(self.q):
-            yield FqElem(self, code)
-
     def __repr__(self) -> str:
         return f"FqField(q={self.q})"
-
-
-@dataclass(frozen=True)
-class FqElem:
-    """One element of an FqField; repr is the reduced residue polynomial,
-    carried as its integer code."""
-
-    field: FqField
-    code: int
-
-    def poly_coeffs(self) -> tuple[int, ...]:
-        """Coefficients of the residue polynomial, integers in [0, p)."""
-        return tuple(self.field._code_to_digits(self.code))
-
-    def _check(self, other: "FqElem") -> None:
-        if other.field is not self.field:
-            raise ValueError("elements of different fields")
-
-    def __add__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        return FqElem(self.field, self.field.add(self.code, other.code))
-
-    def __sub__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        return FqElem(self.field, self.field.sub(self.code, other.code))
-
-    def __mul__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        return FqElem(self.field, self.field.mul(self.code, other.code))
-
-    def __truediv__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        return FqElem(self.field, self.field.mul(self.code, self.field.inv(other.code)))
-
-    def __pow__(self, n: int) -> "FqElem":
-        return FqElem(self.field, self.field.pow(self.code, n))
-
-    def __neg__(self) -> "FqElem":
-        return FqElem(self.field, self.field.neg(self.code))
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-
-def frobenius(x: FqElem, base_q: int) -> FqElem:
-    """x -> x**base_q, the power map generating Gal(F_q / F_{base_q})."""
-    if x.field.q % base_q != 0 and base_q % x.field.p != 0:
-        raise ValueError(f"{base_q} is not a power of the characteristic {x.field.p}")
-    return FqElem(x.field, x.field.pow(x.code, base_q))
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .algebra import PolyQ, RationalFunctionQ, ratfun
 from .errors import InternalConsistencyError, InvalidFieldError
@@ -66,8 +65,6 @@ class FunctionFieldData:
             problems.append("genus must be >= 0")
         if self.deg_inf < 1:
             problems.append("deg_inf must be >= 1")
-        if any(c.denominator != 1 for c in self.l_poly.coeffs):
-            problems.append("count polynomial must have integer coefficients")
         if problems:
             raise InvalidFieldError("; ".join(problems))
 
@@ -80,9 +77,8 @@ class FunctionFieldData:
         if p.coefficient(0) != 1:
             problems.append("count polynomial must have constant term 1")
         if not problems:
-            qf = Fraction(self.q)
-            for i in range(2 * g + 1):
-                if p.coefficient(2 * g - i) != qf ** (g - i) * p.coefficient(i):
+            for i in range(g + 1):
+                if p.coefficient(2 * g - i) != self.q ** (g - i) * p.coefficient(i):
                     problems.append(
                         f"coefficient symmetry fails at index {i}"
                     )
@@ -105,11 +101,6 @@ class FunctionFieldData:
         """The rational function field over F_q (genus 0, P = 1)."""
         return FunctionFieldData(q=q, genus=0, l_poly=PolyQ.one(), deg_inf=deg_inf)
 
-    @cached_property
-    def l_ints(self) -> tuple[int, ...]:
-        """P's coefficients as ints, lowest degree first."""
-        return tuple(c.numerator for c in self.l_poly.coeffs)
-
     # -- counting -----------------------------------------------------------
 
     def point_counts(self, upto: int) -> list[int]:
@@ -118,7 +109,7 @@ class FunctionFieldData:
         Newton's recursion on P's coefficients gives the power sums s_m
         of the inverse roots; N_m = q^m + 1 - s_m.
         """
-        a = self.l_ints
+        a = self.l_poly.coeffs
         deg = 2 * self.genus
         s: list[int] = [0]  # s[0] unused
         for m in range(1, upto + 1):
@@ -168,16 +159,13 @@ def zeta_special_value(data: FunctionFieldData, i: int) -> Fraction:
     if i < 1:
         raise ValueError("special values are taken at i >= 1")
     qi = data.q ** i
-    value = 0
-    for c in reversed(data.l_ints):
-        value = value * qi + c
-    return Fraction(value, (1 - qi) * (1 - qi * data.q))
+    return Fraction(data.l_poly.eval(qi), (1 - qi) * (1 - qi * data.q))
 
 
 def class_number_A(data: FunctionFieldData) -> int:
     """Class number of the ring of functions regular away from infinity:
     deg_inf * P(1)."""
-    p1 = sum(data.l_ints)
+    p1 = data.l_poly.eval(1)
     if p1 <= 0:
         raise InvalidFieldError(f"P(1) = {p1} is not a positive integer")
     return data.deg_inf * p1
@@ -207,19 +195,29 @@ def field_to_json_dict(data: FunctionFieldData) -> dict:
     return {
         "q": data.q,
         "genus": data.genus,
-        "l_poly": [int(c) for c in data.l_poly.coeffs],
+        "l_poly": list(data.l_poly.coeffs),
         "deg_inf": data.deg_inf,
     }
 
 
+def _json_int(value: object, name: str) -> int:
+    # JSON integers only: a float, a string or a boolean is an error, not
+    # something to truncate
+    if type(value) is not int:
+        raise InvalidFieldError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def field_from_json_dict(obj: dict) -> FunctionFieldData:
     try:
-        q = int(obj["q"])
-        genus = int(obj["genus"])
-        l_poly = [int(c) for c in obj["l_poly"]]
-        deg_inf = int(obj["deg_inf"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidFieldError(f"malformed field object: {exc}") from None
+        q, genus, l_poly, deg_inf = (obj[k] for k in ("q", "genus", "l_poly", "deg_inf"))
+    except KeyError as exc:
+        raise InvalidFieldError(f"malformed field object: missing {exc}") from None
+    if not isinstance(l_poly, list):
+        raise InvalidFieldError(f"l_poly must be a JSON list, got {l_poly!r}")
     return FunctionFieldData(
-        q=q, genus=genus, l_poly=PolyQ(l_poly), deg_inf=deg_inf
+        q=_json_int(q, "q"),
+        genus=_json_int(genus, "genus"),
+        l_poly=PolyQ(_json_int(c, "l_poly entry") for c in l_poly),
+        deg_inf=_json_int(deg_inf, "deg_inf"),
     )

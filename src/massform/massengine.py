@@ -51,14 +51,6 @@ class MassReport:
     definite: bool
     drinfeld_type: bool
 
-    def recomposed(self) -> Fraction:
-        out = self.class_number_factor
-        for z in self.zeta_factors:
-            out *= z
-        for _, lam in self.lambda_factors:
-            out *= lam
-        return out
-
 
 def mass(data: RamificationData) -> MassReport:
     """Exact mass of valid definite ramification data.

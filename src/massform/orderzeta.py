@@ -34,12 +34,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
 
-from .algebra import (
-    PolyQ,
-    RationalFunctionQ,
-    TruncatedSeriesQ,
-    poly_gcd,
-)
+from .algebra import PolyQ, RationalFunctionQ, TruncatedSeriesQ, ratfun
 from .csa import RamificationData, ensure_valid, is_definite
 from .errors import (
     InternalConsistencyError,
@@ -83,7 +78,7 @@ def _cyclotomic(m: int) -> PolyQ:
             num = num * PolyQ.one_minus(1, d)
         elif mu < 0:
             den = den * PolyQ.one_minus(1, d)
-    return num.divmod(den)[0]
+    return num.exact_div(den)
 
 
 @cache
@@ -110,22 +105,26 @@ def _cyclotomic_at_one(m: int) -> int:
 def _p_value(field: FunctionFieldData, a: int, b: int) -> int:
     """b^deg P * P(a/b), by Horner's rule in integers."""
     acc, b_power = 0, 1
-    for c in reversed(field.l_ints):
+    for c in reversed(field.l_poly.coeffs):
         acc = acc * a + c * b_power
         b_power *= b
     return acc
 
 
-def _p_root(l_poly: PolyQ, y: Fraction) -> tuple[int, Fraction]:
-    """(k, h(y)) with P(t) = (1 - t/y)^k h(t) and h(y) != 0.
+def _p_root(l_poly: PolyQ, b: int) -> tuple[int, Fraction]:
+    """(k, h(1/b)) with P(t) = (1 - bt)^k h(t) and h(1/b) != 0.
 
-    For the P-shift P(q^i u) at u = y/q^i, k is its order there and h(y)
-    the value of its quotient by (1 - u q^i/y)^k.  Weil's bound gives
-    k = 0, but FunctionFieldData does not certify that bound.
+    For the P-shift P(q^i u) at u = 1/(b q^i), k is its order there and
+    h(1/b) the value of its quotient by (1 - b q^i u)^k.  Weil's bound
+    gives k = 0, but FunctionFieldData does not certify that bound.  As
+    P(0) = 1, a rational root of P has numerator +-1 (rational root
+    theorem), and each division by 1 - bt is exact in integers (Gauss's
+    lemma).
     """
+    y = Fraction(1, b)
     k, value = 0, l_poly.eval(y)
     while value == 0:
-        l_poly = l_poly.divmod(PolyQ.one_minus(1 / y, 1))[0]
+        l_poly = l_poly.exact_div(PolyQ((1, -b)))
         k += 1
         value = l_poly.eval(y)
     return k, value
@@ -143,8 +142,8 @@ def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> tuple[int, Frac
     for (j, m), e in exponents.items():
         if m == 0:
             value = _p_value(field, field.q ** j, 1)
-            if value == 0:
-                k, value = _p_root(field.l_poly, Fraction(field.q ** j))
+            if value == 0:      # so q^j is a root of P: j = 0
+                k, value = _p_root(field.l_poly, 1)
                 order += k * e
         elif j == 0 and m == 1:
             order += e
@@ -167,47 +166,36 @@ def _order_at(field: FunctionFieldData, exponents: ExponentMap, s: int) -> int:
     order = exponents.get((s, 1), 0)
     for (i, m), e in exponents.items():
         if m == 0 and _p_value(field, q ** max(i - s, 0), q ** max(s - i, 0)) == 0:
-            order += e * _p_root(field.l_poly, Fraction(q) ** (i - s))[0]
+            # q^(i-s) is a root of P, so i <= s
+            order += e * _p_root(field.l_poly, q ** (s - i))[0]
     return order
 
 
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _expand(field: FunctionFieldData, exponents: ExponentMap) -> RationalFunctionQ:
-    """The normalized num/den (den monic) of an exponent map.
+    """The normalized num/den of an exponent map.
 
-    The products run in integers, as every factor has integer
-    coefficients.  The cyclotomic keys are distinct irreducibles and
-    cancel by their exponents alone.  A P-shift could share a root with
-    a denominator factor only if P broke Weil's bound, which
-    FunctionFieldData does not certify, so one gcd confirms that num and
-    den are coprime.
+    The cyclotomic keys are distinct irreducibles and cancel by their
+    exponents alone.  A P-shift could share a root with a denominator
+    factor only if P broke Weil's bound, which FunctionFieldData does
+    not certify, so ratfun's gcd must leave the denominator whole.
     """
-    num, den = [1], [1]
+    num = den = PolyQ.one()
     for (j, m), e in exponents.items():
         base = field.l_poly if m == 0 else _cyclotomic(m)
         scale = field.q ** j
-        factor = [c.numerator * scale ** n for n, c in enumerate(base.coeffs)]
+        factor = PolyQ(c * scale ** n for n, c in enumerate(base.coeffs))
         for _ in range(abs(e)):
             if e > 0:
-                num = _int_poly_mul(num, factor)
+                num = num * factor
             else:
-                den = _int_poly_mul(den, factor)
-    num_poly, den_poly = PolyQ(num), PolyQ(den)
-    if poly_gcd(num_poly, den_poly).degree >= 1:
+                den = den * factor
+    out = ratfun(num, den)
+    if out.den.degree < den.degree:
         raise InternalConsistencyError(
             "closed form numerator and denominator share a factor: "
             "the L-polynomial breaks Weil's bound"
         )
-    lead = den_poly.leading()
-    return RationalFunctionQ(num_poly.scale(1 / lead), den_poly.scale(1 / lead))
+    return out
 
 
 @dataclass(frozen=True)
@@ -401,7 +389,7 @@ def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
             _apply_binomial(factor, a, m)
         for j in range(order, degree - 1, -1):
             coeffs[j] = sum(map(mul, factor, coeffs[j::-degree]))
-    return TruncatedSeriesQ(order, tuple(map(Fraction, coeffs)))
+    return TruncatedSeriesQ(order, tuple(coeffs))
 
 
 def coefficient_multiplicativity_check(data: RamificationData, order: int) -> bool:
@@ -415,15 +403,15 @@ def coefficient_multiplicativity_check(data: RamificationData, order: int) -> bo
     orders, so agreement is a real multiplicativity statement.
     """
     fast = order_zeta_series(data, order)
-    coeffs = [Fraction(1)] + [Fraction(0)] * order
+    coeffs = [1] + [0] * order
 
     def convolve_place(degree: int, m_v: int, d_v: int) -> None:
         nonlocal coeffs
         stream = [
-            Fraction(local_ideal_count(data.field.q ** degree, m_v, d_v, ell))
+            local_ideal_count(data.field.q ** degree, m_v, d_v, ell)
             for ell in range(order // degree + 1)
         ]
-        nxt = [Fraction(0)] * (order + 1)
+        nxt = [0] * (order + 1)
         for k, c in enumerate(coeffs):
             if c == 0:
                 continue

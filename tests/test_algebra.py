@@ -1,6 +1,7 @@
 """Exact-arithmetic substrate: polynomials, rational functions, series."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,21 @@ from massform.algebra import (
     ratfun,
     ratfun_eval,
     rational_to_str,
-    series,
     series_from_ratfun,
     series_mul,
     series_one,
     series_pow,
 )
-from massform.errors import NotExpandableError, OrderMismatchError, PoleError
+from massform.errors import (
+    InternalConsistencyError,
+    NotExpandableError,
+    OrderMismatchError,
+    PoleError,
+)
+
+
+def series(coeffs):
+    return TruncatedSeriesQ(len(coeffs) - 1, tuple(coeffs))
 
 
 # -- rationals ----------------------------------------------------------
@@ -40,13 +49,21 @@ def test_poly_normalization_drops_trailing_zeros():
     assert PolyQ.zero().degree == -1
 
 
+def test_poly_rejects_fraction_and_float():
+    for bad in (Fraction(1, 2), Fraction(2), 0.5, 2.0, "1"):
+        with pytest.raises(TypeError):
+            PolyQ((1, bad))
+    assert all(type(c) is int for c in PolyQ((True, 2)).coeffs)
+
+
 def test_poly_arithmetic_basics():
     p = PolyQ((1, 1))       # 1 + u
     q = PolyQ((-1, 1))      # -1 + u
     assert (p * q).coeffs == (-1, 0, 1)
-    assert (p + q).coeffs == (0, 2)
-    assert (p - p).is_zero()
-    assert p.pow(3).coeffs == (1, 3, 3, 1)
+    assert (p * PolyQ.zero()).is_zero()
+    assert (p * p * p).coeffs == (1, 3, 3, 1)
+    assert p.eval(2) == 3 and type(p.eval(2)) is int
+    assert p.eval(Fraction(1, 2)) == Fraction(3, 2)
 
 
 def test_poly_one_minus_builder():
@@ -55,42 +72,42 @@ def test_poly_one_minus_builder():
     assert PolyQ.one_minus(1, 0).is_zero()
 
 
-def test_poly_scale_argument():
-    p = PolyQ((1, 1, 2))    # numerator of a genus-1 count generator
-    assert p.scale_argument(2).coeffs == (1, 2, 8)
-
-
-def test_poly_divmod_exact():
+def test_poly_exact_div():
     num = PolyQ((-1, 0, 1))             # u^2 - 1
     den = PolyQ((-1, 1))                # u - 1
-    q, r = num.divmod(den)
-    assert q.coeffs == (1, 1)
-    assert r.is_zero()
-    q2, r2 = PolyQ((1, 0, 1)).divmod(PolyQ((1, 1)))
-    assert q2 * PolyQ((1, 1)) + r2 == PolyQ((1, 0, 1))
+    assert num.exact_div(den).coeffs == (1, 1)
+    assert PolyQ.zero().exact_div(den).is_zero()
+    # 1 + u^2 = (1 + u)(u - 1) + 2: a remainder is an error, not a result
+    with pytest.raises(InternalConsistencyError):
+        PolyQ((1, 0, 1)).exact_div(PolyQ((1, 1)))
+    # 1 + u = 2 * (1 + u)/2 divides over Q but not over Z
+    with pytest.raises(InternalConsistencyError):
+        PolyQ((1, 1)).exact_div(PolyQ((2, 2)))
+    with pytest.raises(InternalConsistencyError):
+        PolyQ((1,)).exact_div(den)
+    with pytest.raises(ZeroDivisionError):
+        num.exact_div(PolyQ.zero())
 
 
 def test_poly_gcd_frozen_examples():
-    # gcd(u^2 - 1, u - 1) = u - 1, returned monic
-    g = poly_gcd(PolyQ((-1, 0, 1)), PolyQ((-1, 1)))
+    # gcd(u^2 - 1, u - 1) = u - 1, primitive with positive leading coefficient
+    g = poly_gcd(PolyQ((-1, 0, 1)), PolyQ((1, -1)))
     assert g.coeffs == (-1, 1)
     # coprime inputs give 1
     assert poly_gcd(PolyQ((1, 1)), PolyQ((1, 0, 1))).coeffs == (1,)
     # gcd(0, 0) = 0 by convention
     assert poly_gcd(PolyQ.zero(), PolyQ.zero()).is_zero()
-    assert poly_gcd(PolyQ.zero(), PolyQ((2, 2))).coeffs == (1, 1)
+    assert poly_gcd(PolyQ.zero(), PolyQ((-2, -2))).coeffs == (1, 1)
+    # the content of the inputs does not enter
+    assert poly_gcd(PolyQ((6, 6)), PolyQ((4, 4))).coeffs == (1, 1)
 
 
-def test_poly_gcd_with_fractional_coefficients():
-    a = PolyQ((Fraction(1, 2), Fraction(1, 2)))      # (1/2)(1 + u)
-    b = PolyQ((Fraction(1, 3), Fraction(1, 3)))      # (1/3)(1 + u)
-    assert poly_gcd(a, b).coeffs == (1, 1)
+def _content(p):
+    return gcd(*p.coeffs)
 
 
-small_rationals = st.fractions(
-    min_value=-4, max_value=4, max_denominator=6
-)
-poly_coeff_lists = st.lists(small_rationals, min_size=0, max_size=5)
+small_ints = st.integers(min_value=-6, max_value=6)
+poly_coeff_lists = st.lists(small_ints, min_size=0, max_size=5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,11 +116,14 @@ def test_poly_gcd_divides_and_scales(a_cs, b_cs, c_cs):
     a, b, c = PolyQ(a_cs), PolyQ(b_cs), PolyQ(c_cs)
     g = poly_gcd(a, b)
     if not g.is_zero():
-        assert (a % g).is_zero()
-        assert (b % g).is_zero()
+        assert _content(g) == 1 and g.leading() > 0
+        assert g * a.exact_div(g) == a
+        assert g * b.exact_div(g) == b
     if not (a.is_zero() and b.is_zero()) and not c.is_zero():
         lifted = poly_gcd(a * c, b * c)
-        assert lifted == (g * c).monic()
+        primitive_c = PolyQ(x // (_content(c) * (1 if c.leading() > 0 else -1))
+                            for x in c.coeffs)
+        assert lifted == g * primitive_c
 
 
 # -- rational functions --------------------------------------------------
@@ -112,9 +132,12 @@ def test_ratfun_cancels_and_normalizes():
     f = ratfun(PolyQ((-1, 0, 1)), PolyQ((-1, 1)))    # (u^2-1)/(u-1)
     assert f.num.coeffs == (1, 1)
     assert f.den.coeffs == (1,)
-    g = ratfun(PolyQ((2, 2)), PolyQ((4,)))           # denominator made monic
-    assert g.den.coeffs == (1,)
-    assert g.num.coeffs == (Fraction(1, 2), Fraction(1, 2))
+    g = ratfun(PolyQ((2, 2)), PolyQ((4,)))           # common content divided out
+    assert g.num.coeffs == (1, 1)
+    assert g.den.coeffs == (2,)
+    h = ratfun(PolyQ((3,)), PolyQ((6, -9)))          # den's lead made positive
+    assert h.num.coeffs == (-1,)
+    assert h.den.coeffs == (-2, 3)
 
 
 def test_ratfun_eval_frozen_examples():
@@ -157,18 +180,25 @@ def test_series_from_ratfun_rejects_pole_at_origin():
     f = RationalFunctionQ(PolyQ.one(), PolyQ((0, 1)))
     with pytest.raises(NotExpandableError):
         series_from_ratfun(f, 4)
+    # 1/(2 - u) = 1/2 + u/4 + ...: den(0) = 2 has no integral expansion
+    with pytest.raises(NotExpandableError):
+        series_from_ratfun(ratfun(PolyQ.one(), PolyQ((2, -1))), 4)
+    # den(0) = -1 expands: 1/(-1 + u) = -(1 + u + u^2 + ...)
+    assert series_from_ratfun(ratfun(PolyQ.one(), PolyQ((-1, 1))), 3).coeffs == (
+        -1, -1, -1, -1,
+    )
 
 
 def test_series_mul_examples():
-    a = series((1, 1, 1), 2)
-    b = series((1, -1, 0), 2)
+    a = series((1, 1, 1))
+    b = series((1, -1, 0))
     assert series_mul(a, b).coeffs == (1, 0, 0)
     with pytest.raises(OrderMismatchError):
-        series_mul(series((1,), 1), series((1,), 2))
+        series_mul(series((1, 0)), series((1, 0, 0)))
 
 
 def test_series_pow_matches_repeated_mul():
-    a = series((1, 2, 3, 4), 3)
+    a = series((1, 2, 3, 4))
     cube = series_mul(series_mul(a, a), a)
     assert series_pow(a, 3).coeffs == cube.coeffs
     assert series_pow(a, 0).coeffs == series_one(3).coeffs
@@ -203,10 +233,10 @@ def test_series_from_ratfun_interpolation_oracle(num_cs, den_cs):
     polynomial S*den - num has no terms of degree <= D.  Verified by
     sampling S*den - num at fresh points and interpolating, so no long
     division is reused from the implementation."""
-    num, den = PolyQ(num_cs), PolyQ(den_cs)
-    if den.coefficient(0) == 0:
-        return
+    # den(0) = 1, so every cancelled denominator keeps den(0) = +-1
+    num, den = PolyQ(num_cs), PolyQ([1, *den_cs])
     f = ratfun(num, den)
+    assert f.den.coefficient(0) in (1, -1)
     order = 4
     s = series_from_ratfun(f, order)
     s_poly = PolyQ(s.coeffs)
@@ -225,12 +255,12 @@ def test_series_from_ratfun_interpolation_oracle(num_cs, den_cs):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(small_rationals, min_size=4, max_size=4),
-    st.lists(small_rationals, min_size=4, max_size=4),
-    st.lists(small_rationals, min_size=4, max_size=4),
+    st.lists(small_ints, min_size=4, max_size=4),
+    st.lists(small_ints, min_size=4, max_size=4),
+    st.lists(small_ints, min_size=4, max_size=4),
 )
 def test_series_mul_commutes_and_associates(a_cs, b_cs, c_cs):
-    a, b, c = series(a_cs, 3), series(b_cs, 3), series(c_cs, 3)
+    a, b, c = series(a_cs), series(b_cs), series(c_cs)
     assert series_mul(a, b).coeffs == series_mul(b, a).coeffs
     lhs = series_mul(series_mul(a, b), c)
     rhs = series_mul(a, series_mul(b, c))
@@ -239,4 +269,4 @@ def test_series_mul_commutes_and_associates(a_cs, b_cs, c_cs):
 
 def test_series_validates_shape():
     with pytest.raises(ValueError):
-        TruncatedSeriesQ(2, (Fraction(1),))
+        TruncatedSeriesQ(2, (1,))

@@ -1,13 +1,19 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 import massform.cli as cli
+from massform.algebra import rational_to_str
+from massform.csa import MAX_RANK
 from massform.errors import InternalConsistencyError
 from massform.finitefield import FIELD_SIZE_CAP
+from massform.funcfield import zeta_A, zeta_K
 from massform.localmodels import MAX_LOCAL_INDEX, MAX_LOCAL_RANK
-from massform.orderzeta import MAX_SERIES_ORDER
+from massform.orderzeta import MAX_SERIES_ORDER, order_zeta_closed_form
+from test_orderzeta import reference_stream
 
 
 def invoke(capsys, *argv):
@@ -286,6 +292,10 @@ def test_local_subcommands(capsys):
         (("local", "iw-index", "--qv", "2", "--d", "40"), "InvalidRamificationError"),
         (("local", "volumes", "--qv", "2", "--r", "200", "--d", "1"),
          "InvalidRamificationError"),
+        (("mass", "--q", "2", "--rank", "200", "--ram", "inf:1/200,1:-1/200"),
+         "InvalidRamificationError"),
+        (("order-zeta", "--q", "5", "--rank", "48", "--ram", "inf:1/48,1:-1/48",
+          "--series-order", "300"), "InvalidRamificationError"),
     ],
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
@@ -295,6 +305,7 @@ def test_local_subcommands(capsys):
         "order-zeta-series-order-negative", "verify-series-order-above-cap",
         "model-check-d0", "model-check-b-not-coprime", "model-check-field-above-cap",
         "iw-index-d0", "iw-index-d-above-cap", "volumes-rank-above-cap",
+        "mass-rank-above-cap", "order-zeta-rank-above-cap",
     ],
 )
 def test_bad_input_regressions_are_exit_2(capsys, argv, error_type):
@@ -302,6 +313,43 @@ def test_bad_input_regressions_are_exit_2(capsys, argv, error_type):
     assert code == 2
     assert json.loads(out)["error"]["type"] == error_type
     assert "Traceback" not in err
+
+
+# Field files whose values are not JSON integers (or l_poly not a list);
+# each was once truncated or split into something plausible.
+BAD_FIELD_FILES = [
+    {"q": 2, "genus": 1, "l_poly": [1, 1.9, 2], "deg_inf": 1},
+    {"q": 2.5, "genus": 0, "l_poly": [1], "deg_inf": 1.7},
+    {"q": 2, "genus": 0, "l_poly": [True], "deg_inf": 1},
+    {"q": True, "genus": 0, "l_poly": [1], "deg_inf": 1},
+    {"q": 2, "genus": 0, "l_poly": "1", "deg_inf": 1},
+    {"q": 2, "genus": 0, "l_poly": 1, "deg_inf": 1},
+    {"q": "2", "genus": 0, "l_poly": [1], "deg_inf": 1},
+    [2, 0, [1], 1],
+]
+
+
+@pytest.mark.parametrize(
+    "obj", BAD_FIELD_FILES,
+    ids=["float-coefficient", "float-q-and-deg-inf", "bool-coefficient", "bool-q",
+         "string-l-poly", "int-l-poly", "string-q", "list-not-object"],
+)
+def test_field_file_accepts_only_json_integers(capsys, tmp_path, obj):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = invoke(capsys, "class-number", "--field-file", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvalidFieldError"
+    assert "Traceback" not in err
+
+
+def test_rank_cap_from_each_side(capsys):
+    for rank, want in ((MAX_RANK, 0), (MAX_RANK + 1, 2)):
+        ram = f"inf:1/{rank},1:-1/{rank}"
+        for argv in (("mass", "--q", "2"), ("order-zeta", "--q", "5", "--series-order", "4")):
+            code, out, _ = invoke(capsys, *argv, "--rank", str(rank), "--ram", ram)
+            assert code == want, (argv, rank)
+    assert "above the cap" in json.loads(out)["error"]["message"]
 
 
 def test_verify_command_single_suite(capsys):
@@ -400,3 +448,80 @@ def test_local_sizes_at_the_caps_print(capsys):
         code, out, _ = invoke(capsys, *argv)
         assert code == 2
         assert json.loads(out)["error"]["type"] == "InvalidRamificationError"
+
+
+# -- the printer against a Fraction reference ----------------------------------
+# The package stores num/den in integers and normalizes only in the printer.
+# The reference below is the earlier normalization, kept in Fractions: it
+# cancels the literal, uncancelled num/den by Euclid's algorithm over Q and
+# makes den monic, so it shares no code with algebra.ratfun or the printer.
+
+def _fraction_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fraction_divmod(a, b):
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    rem = rem[: len(b) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def reference_monic_json(num, den):
+    g, h = [Fraction(c) for c in num], [Fraction(c) for c in den]
+    while h:
+        g, h = h, _fraction_divmod(g, h)[1]
+    num, den = _fraction_divmod(num, g)[0], _fraction_divmod(den, g)[0]
+    lead = den[-1]
+    return {
+        "num": [rational_to_str(c / lead) for c in num],
+        "den": [rational_to_str(c / lead) for c in den],
+    }
+
+
+def _one_minus(a, k):
+    return [1] + [0] * (k - 1) + [-a]
+
+
+def literal_closed_form(data):
+    """The closed form's num and den as the plain products of its factors."""
+    field, q, r = data.field, data.field.q, data.rank
+    p = list(field.l_poly.coeffs)
+    num = _fraction_mul(_one_minus(1, field.deg_inf), p)
+    den = _fraction_mul(_one_minus(1, 1), _one_minus(q, 1))
+    for i in range(1, r):
+        num = _fraction_mul(num, [c * q ** (i * n) for n, c in enumerate(p)])
+        den = _fraction_mul(den, _fraction_mul(_one_minus(q ** i, 1), _one_minus(q ** (i + 1), 1)))
+    for place in data.places:
+        for i in range(1, r):
+            if i % place.inv_den:
+                num = _fraction_mul(num, _one_minus(q ** (i * place.degree), place.degree))
+    return num, den
+
+
+def test_ratfun_json_matches_the_fraction_reference():
+    stream = list(reference_stream())
+    fields = {data.field: None for data in stream}
+    assert len(fields) >= 17
+    for field in fields:
+        p = list(field.l_poly.coeffs)
+        den = _fraction_mul(_one_minus(1, 1), _one_minus(field.q, 1))
+        assert cli._ratfun_json(zeta_K(field)) == reference_monic_json(p, den)
+        num = _fraction_mul(_one_minus(1, field.deg_inf), p)
+        assert cli._ratfun_json(zeta_A(field)) == reference_monic_json(num, den)
+    for data in random.Random(8).sample(stream, 120):
+        want = reference_monic_json(*literal_closed_form(data))
+        assert cli._ratfun_json(order_zeta_closed_form(data).ratfun) == want, (
+            data.field, data.rank, data.places,
+        )

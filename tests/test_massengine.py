@@ -138,7 +138,12 @@ def test_mass_report_recomposition():
         ("inf:1/2,1:1/2", 2, K2_G1),
     ]:
         report = mass(parse_shorthand(text, field, rank))
-        assert report.recomposed() == report.mass
+        product = report.class_number_factor
+        for z in report.zeta_factors:
+            product *= z
+        for _, lam in report.lambda_factors:
+            product *= lam
+        assert product == report.mass
         assert report.mass > 0
 
 

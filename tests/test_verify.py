@@ -106,6 +106,20 @@ def test_suite_report_json_shape():
     assert not report.ok
 
 
+def test_random_properties_fails_on_a_negative_coefficient(monkeypatch):
+    real = verify.order_zeta_series
+
+    def negated_top(data, order):
+        coeffs = real(data, order).coeffs
+        return TruncatedSeriesQ(order, coeffs[:-1] + (-coeffs[-1],))
+
+    monkeypatch.setattr(verify, "order_zeta_series", negated_top)
+    report = run_suite("random-properties", count=5)
+    assert not report.ok
+    assert len(report.failures) == 5
+    assert ": coefficient 6 is -" in report.failures[0]
+
+
 def test_series_closed_form_failure_names_first_differing_coefficient(monkeypatch):
     real = verify.order_zeta_series
 

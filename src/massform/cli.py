@@ -8,11 +8,11 @@ and emits deterministic JSON (default) or CSV.  Exit codes: 0 success,
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 import click
@@ -20,17 +20,15 @@ import click
 from .algebra import RationalFunctionQ, rational_to_str
 from .csa import (
     RamificationData,
+    ensure_valid,
     parse_shorthand,
-    ramification_to_json_dict,
     shorthand,
-    validate,
 )
 from .errors import (
     EmptySelectionError,
     InputDataError,
     InternalConsistencyError,
     InvalidFieldError,
-    InvalidRamificationError,
     MassformError,
 )
 from .funcfield import (
@@ -49,19 +47,6 @@ from .localmodels import (
 from .massengine import drinfeld_mass, mass, mass_report_to_json_dict
 from .orderzeta import MAX_SERIES_ORDER, order_zeta_closed_form, order_zeta_series
 from . import verify as verify_mod
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One parsed invocation, validated before dispatch."""
-
-    command: str
-    field: FunctionFieldData | None = None
-    ramification: RamificationData | None = None
-    options: dict = dataclass_field(default_factory=dict)
-
-    def option(self, name: str, default=None):
-        return self.options.get(name, default)
 
 
 # ----------------------------------------------------------------------
@@ -143,9 +128,7 @@ def _resolve_ramification(
     field: FunctionFieldData, rank: int, ram: str
 ) -> RamificationData:
     data = parse_shorthand(ram, field, rank)
-    report = validate(data)
-    if not report.ok:
-        raise InvalidRamificationError("; ".join(report.failures))
+    ensure_valid(data)
     return data
 
 
@@ -210,42 +193,70 @@ def _field_header(field: FunctionFieldData) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Handlers, one per command, dispatched on a validated JobSpec
+# Commands: each resolves its inputs, calls its engine and emits
 # ----------------------------------------------------------------------
 
-def _do_mass(spec: JobSpec) -> None:
-    report = mass(spec.ramification)
+@click.group()
+def cli() -> None:
+    """Exact mass formulas, class numbers, and maximal-order zeta
+    functions for division algebras over global function fields."""
+
+
+@cli.command("mass")
+@_field_options
+@click.option("--rank", type=int, required=True)
+@click.option("--ram", default="", help='e.g. "inf:1/2,1:1/2"')
+@_format_option
+def cmd_mass(q, genus, l_poly, deg_inf, field_file, rank, ram, fmt):
+    """Mass of the maximal orders for one ramification datum."""
+    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
+    data = _resolve_ramification(field, rank, ram)
     out = {
-        **_field_header(spec.field),
-        "rank": spec.ramification.rank,
-        "ramification": shorthand(spec.ramification),
-        **mass_report_to_json_dict(report),
+        **_field_header(field),
+        "rank": rank,
+        "ramification": shorthand(data),
+        **mass_report_to_json_dict(mass(data)),
     }
-    _emit(out, spec.option("format", "json"))
+    _emit(out, fmt)
 
 
-def _do_drinfeld_mass(spec: JobSpec) -> None:
-    value = drinfeld_mass(spec.field, spec.option("rank"), spec.option("p_degree"))
+@cli.command("drinfeld-mass")
+@_field_options
+@click.option("--rank", type=int, required=True)
+@click.option("--p-degree", "p_degree", type=int, required=True)
+@_format_option
+def cmd_drinfeld_mass(q, genus, l_poly, deg_inf, field_file, rank, p_degree, fmt):
+    """Mass in the Drinfeld shape: one finite ramified place plus infinity."""
+    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
     out = {
-        **_field_header(spec.field),
-        "rank": spec.option("rank"),
-        "p_degree": spec.option("p_degree"),
-        "mass": rational_to_str(value),
+        **_field_header(field),
+        "rank": rank,
+        "p_degree": p_degree,
+        "mass": rational_to_str(drinfeld_mass(field, rank, p_degree)),
     }
-    _emit(out, spec.option("format", "json"))
+    _emit(out, fmt)
 
 
-def _do_class_number(spec: JobSpec) -> None:
+@cli.command("class-number")
+@_field_options
+@_format_option
+def cmd_class_number(q, genus, l_poly, deg_inf, field_file, fmt):
+    """Class number of the ring of functions regular away from infinity."""
+    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
     out = {
-        **_field_header(spec.field),
-        "h_A": rational_to_str(class_number_A(spec.field)),
+        **_field_header(field),
+        "h_A": rational_to_str(class_number_A(field)),
     }
-    _emit(out, spec.option("format", "json"))
+    _emit(out, fmt)
 
 
-def _do_zeta(spec: JobSpec) -> None:
-    field = spec.field
-    values = spec.option("values", 3)
+@cli.command("zeta")
+@_field_options
+@click.option("--values", type=int, default=3, help="how many special values")
+@_format_option
+def cmd_zeta(q, genus, l_poly, deg_inf, field_file, values, fmt):
+    """Field zeta function, with and without the infinity factor."""
+    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
     if values < 1:
         raise EmptySelectionError(f"values {values} must be >= 1")
     out = {
@@ -258,76 +269,105 @@ def _do_zeta(spec: JobSpec) -> None:
             for i in range(1, values + 1)
         },
     }
-    _emit(out, spec.option("format", "json"))
+    _emit(out, fmt)
 
 
-def _do_order_zeta(spec: JobSpec) -> None:
-    data = spec.ramification
-    order = spec.option("series_order")
+@cli.command("order-zeta")
+@_field_options
+@click.option("--rank", type=int, required=True)
+@click.option("--ram", default="")
+@click.option(
+    "--series-order", "series_order", type=int, default=None,
+    help=f"0 to {MAX_SERIES_ORDER}; default MASSFORM_SERIES_ORDER, else 10",
+)
+@_format_option
+def cmd_order_zeta(q, genus, l_poly, deg_inf, field_file, rank, ram, series_order, fmt):
+    """Zeta function of a maximal order: closed form, value at zero, series."""
+    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
+    data = _resolve_ramification(field, rank, ram)
+    if series_order is None:
+        series_order = _default_series_order()
     closed = order_zeta_closed_form(data)
-    series = order_zeta_series(data, order)
+    series = order_zeta_series(data, series_order)
     out = {
-        **_field_header(spec.field),
-        "rank": data.rank,
+        **_field_header(field),
+        "rank": rank,
         "ramification": shorthand(data),
         "closed_form": _ratfun_json(closed.ratfun),
         "value_at_zero": rational_to_str(closed.value_at_one),
-        "series_order": order,
+        "series_order": series_order,
         "series": [str(c) for c in series.coeffs],
     }
-    _emit(out, spec.option("format", "json"))
+    _emit(out, fmt)
 
 
-def _do_local_volumes(spec: JobSpec) -> None:
-    rep = local_volume_report(
-        spec.option("q_v"), spec.option("r"), spec.option("d")
-    )
-    out = {
-        "q_v": spec.option("q_v"),
-        "r": spec.option("r"),
-        "d": spec.option("d"),
+@cli.group("local")
+def cmd_local() -> None:
+    """Local volume, index, and matrix-model checks."""
+
+
+def _volume_options(fn):
+    fn = _format_option(fn)
+    fn = click.option("--d", type=int, required=True)(fn)
+    fn = click.option("--r", type=int, required=True)(fn)
+    return click.option("--qv", "q_v", type=int, required=True)(fn)
+
+
+def _local_volumes(q_v: int, r: int, d: int) -> dict:
+    rep = local_volume_report(q_v, r, d)
+    return {
+        "q_v": q_v,
+        "r": r,
+        "d": d,
         "vol_G": rational_to_str(rep.vol_G),
         "vol_Gprime": rational_to_str(rep.vol_Gprime),
         "ratio": rational_to_str(rep.ratio),
     }
-    _emit(out, spec.option("format", "json"))
 
 
-def _do_local_lambda(spec: JobSpec) -> None:
-    rep = local_volume_report(
-        spec.option("q_v"), spec.option("r"), spec.option("d")
-    )
+@cmd_local.command("volumes")
+@_volume_options
+def cmd_local_volumes(q_v, r, d, fmt):
+    _emit(_local_volumes(q_v, r, d), fmt)
+
+
+@cmd_local.command("lambda")
+@_volume_options
+def cmd_local_lambda(q_v, r, d, fmt):
     out = {
-        "q_v": spec.option("q_v"),
-        "r": spec.option("r"),
-        "d": spec.option("d"),
-        "lambda": rational_to_str(rep.ratio),
+        "q_v": q_v,
+        "r": r,
+        "d": d,
+        "lambda": _local_volumes(q_v, r, d)["ratio"],
     }
-    _emit(out, spec.option("format", "json"))
+    _emit(out, fmt)
 
 
-def _do_local_iw_index(spec: JobSpec) -> None:
-    value = iwahori_index(
-        spec.option("q_v"), spec.option("d"), brute_force=spec.option("brute", False)
-    )
+@cmd_local.command("iw-index")
+@click.option("--qv", "q_v", type=int, required=True)
+@click.option("--d", type=int, required=True)
+@click.option("--brute", is_flag=True, default=False)
+@_format_option
+def cmd_local_iw_index(q_v, d, brute, fmt):
     out = {
-        "q_v": spec.option("q_v"),
-        "d": spec.option("d"),
-        "brute_force": bool(spec.option("brute", False)),
-        "index": value,
+        "q_v": q_v,
+        "d": d,
+        "brute_force": brute,
+        "index": iwahori_index(q_v, d, brute_force=brute),
     }
-    _emit(out, spec.option("format", "json"))
+    _emit(out, fmt)
 
 
-def _do_local_model_check(spec: JobSpec) -> int:
-    report = run_model_checks(
-        spec.option("q_v"),
-        spec.option("d"),
-        spec.option("b"),
-        precision=spec.option("precision", 6),
-        pairs=spec.option("pairs", 100),
-        seed=spec.option("seed", 0),
-    )
+@cmd_local.command("model-check")
+@click.option("--qv", "q_v", type=int, required=True)
+@click.option("--d", type=int, required=True)
+@click.option("--b", type=int, default=1)
+@click.option("--prec", "precision", type=int, default=6)
+@click.option("--pairs", type=int, default=100)
+@click.option("--seed", type=int, default=0)
+@_format_option
+def cmd_local_model_check(q_v, d, b, precision, pairs, seed, fmt):
+    report = run_model_checks(q_v, d, b, precision=precision, pairs=pairs, seed=seed)
     out = {
         "q_v": report.q_v,
         "d": report.d,
@@ -340,14 +380,21 @@ def _do_local_model_check(spec: JobSpec) -> int:
         "negative_valuation_excluded_ok": report.negative_valuation_excluded_ok,
         "ok": report.ok,
     }
-    _emit(out, spec.option("format", "json"))
+    _emit(out, fmt)
     return 0 if report.ok else 70
 
 
-def _do_table(spec: JobSpec) -> None:
-    qs = spec.option("qs")
-    ranks = spec.option("ranks")
-    p_degrees = spec.option("p_degrees")
+@cli.command("table")
+@click.option("--qs", default="2", help="comma-separated list")
+@click.option("--ranks", default="2", help="comma-separated list")
+@click.option("--p-degrees", "p_degrees", default="1,2,3", help="comma-separated list")
+@_format_option
+def cmd_table(qs, ranks, p_degrees, fmt):
+    """Mass table over a parameter grid of Drinfeld-shape data."""
+    try:
+        qs, ranks, p_degrees = map(_parse_int_list, (qs, ranks, p_degrees))
+    except ValueError as exc:
+        raise click.UsageError(f"bad integer list: {exc}")
     rows = []
     for q in qs:
         field = FunctionFieldData.rational(q)
@@ -377,200 +424,7 @@ def _do_table(spec: JobSpec) -> None:
             }
         )
     header = ["q", "genus", "deg_inf", "r", "ramification", "mass_num", "mass_den"]
-    _emit_rows(header, out_rows, spec.option("format", "json"))
-
-
-def _do_verify(spec: JobSpec) -> int:
-    kwargs: dict = {}
-    if spec.option("max_rank") is not None:
-        kwargs["ranks"] = tuple(
-            r for r in (2, 3, 4, 6) if r <= spec.option("max_rank")
-        )
-    if spec.option("series_order") is not None:
-        kwargs["series_order"] = spec.option("series_order")
-    if spec.option("count") is not None:
-        kwargs["count"] = spec.option("count")
-    if spec.option("seed") is not None:
-        kwargs["seed"] = spec.option("seed")
-    if spec.option("pairs") is not None:
-        kwargs["pairs"] = spec.option("pairs")
-    name = spec.option("suite", "all")
-    if name == "all":
-        reports = verify_mod.run_all(**kwargs)
-    else:
-        reports = [verify_mod.run_suite(name, **kwargs)]
-    out = {
-        "reports": [verify_mod.suite_report_to_json_dict(r) for r in reports],
-        "ok": all(r.ok for r in reports),
-    }
-    _emit(out, spec.option("format", "json"))
-    return 0 if out["ok"] else 70
-
-
-# ----------------------------------------------------------------------
-# Click wiring
-# ----------------------------------------------------------------------
-
-@click.group()
-def cli() -> None:
-    """Exact mass formulas, class numbers, and maximal-order zeta
-    functions for division algebras over global function fields."""
-
-
-@cli.command("mass")
-@_field_options
-@click.option("--rank", type=int, required=True)
-@click.option("--ram", default="", help='e.g. "inf:1/2,1:1/2"')
-@_format_option
-def cmd_mass(q, genus, l_poly, deg_inf, field_file, rank, ram, fmt):
-    """Mass of the maximal orders for one ramification datum."""
-    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
-    data = _resolve_ramification(field, rank, ram)
-    _do_mass(JobSpec("mass", field, data, {"format": fmt}))
-
-
-@cli.command("drinfeld-mass")
-@_field_options
-@click.option("--rank", type=int, required=True)
-@click.option("--p-degree", "p_degree", type=int, required=True)
-@_format_option
-def cmd_drinfeld_mass(q, genus, l_poly, deg_inf, field_file, rank, p_degree, fmt):
-    """Mass in the Drinfeld shape: one finite ramified place plus infinity."""
-    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
-    spec = JobSpec(
-        "drinfeld-mass",
-        field,
-        None,
-        {"rank": rank, "p_degree": p_degree, "format": fmt},
-    )
-    _do_drinfeld_mass(spec)
-
-
-@cli.command("class-number")
-@_field_options
-@_format_option
-def cmd_class_number(q, genus, l_poly, deg_inf, field_file, fmt):
-    """Class number of the ring of functions regular away from infinity."""
-    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
-    _do_class_number(JobSpec("class-number", field, None, {"format": fmt}))
-
-
-@cli.command("zeta")
-@_field_options
-@click.option("--values", type=int, default=3, help="how many special values")
-@_format_option
-def cmd_zeta(q, genus, l_poly, deg_inf, field_file, values, fmt):
-    """Field zeta function, with and without the infinity factor."""
-    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
-    _do_zeta(JobSpec("zeta", field, None, {"values": values, "format": fmt}))
-
-
-@cli.command("order-zeta")
-@_field_options
-@click.option("--rank", type=int, required=True)
-@click.option("--ram", default="")
-@click.option(
-    "--series-order", "series_order", type=int, default=None,
-    help=f"0 to {MAX_SERIES_ORDER}; default MASSFORM_SERIES_ORDER, else 10",
-)
-@_format_option
-def cmd_order_zeta(q, genus, l_poly, deg_inf, field_file, rank, ram, series_order, fmt):
-    """Zeta function of a maximal order: closed form, value at zero, series."""
-    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
-    data = _resolve_ramification(field, rank, ram)
-    if series_order is None:
-        series_order = _default_series_order()
-    spec = JobSpec(
-        "order-zeta", field, data, {"series_order": series_order, "format": fmt}
-    )
-    _do_order_zeta(spec)
-
-
-@cli.group("local")
-def cmd_local() -> None:
-    """Local volume, index, and matrix-model checks."""
-
-
-@cmd_local.command("volumes")
-@click.option("--qv", "q_v", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@_format_option
-def cmd_local_volumes(q_v, r, d, fmt):
-    spec = JobSpec("local", None, None, {"q_v": q_v, "r": r, "d": d, "format": fmt})
-    _do_local_volumes(spec)
-
-
-@cmd_local.command("lambda")
-@click.option("--qv", "q_v", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@_format_option
-def cmd_local_lambda(q_v, r, d, fmt):
-    spec = JobSpec("local", None, None, {"q_v": q_v, "r": r, "d": d, "format": fmt})
-    _do_local_lambda(spec)
-
-
-@cmd_local.command("iw-index")
-@click.option("--qv", "q_v", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--brute", is_flag=True, default=False)
-@_format_option
-def cmd_local_iw_index(q_v, d, brute, fmt):
-    spec = JobSpec(
-        "local", None, None, {"q_v": q_v, "d": d, "brute": brute, "format": fmt}
-    )
-    _do_local_iw_index(spec)
-
-
-@cmd_local.command("model-check")
-@click.option("--qv", "q_v", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--b", type=int, default=1)
-@click.option("--prec", "precision", type=int, default=6)
-@click.option("--pairs", type=int, default=100)
-@click.option("--seed", type=int, default=0)
-@_format_option
-def cmd_local_model_check(q_v, d, b, precision, pairs, seed, fmt):
-    spec = JobSpec(
-        "local",
-        None,
-        None,
-        {
-            "q_v": q_v,
-            "d": d,
-            "b": b,
-            "precision": precision,
-            "pairs": pairs,
-            "seed": seed,
-            "format": fmt,
-        },
-    )
-    return _do_local_model_check(spec)
-
-
-@cli.command("table")
-@click.option("--qs", default="2", help="comma-separated list")
-@click.option("--ranks", default="2", help="comma-separated list")
-@click.option("--p-degrees", "p_degrees", default="1,2,3", help="comma-separated list")
-@_format_option
-def cmd_table(qs, ranks, p_degrees, fmt):
-    """Mass table over a parameter grid of Drinfeld-shape data."""
-    try:
-        spec = JobSpec(
-            "table",
-            None,
-            None,
-            {
-                "qs": _parse_int_list(qs),
-                "ranks": _parse_int_list(ranks),
-                "p_degrees": _parse_int_list(p_degrees),
-                "format": fmt,
-            },
-        )
-    except ValueError as exc:
-        raise click.UsageError(f"bad integer list: {exc}")
-    _do_table(spec)
+    _emit_rows(header, out_rows, fmt)
 
 
 @cli.command("verify")
@@ -585,23 +439,33 @@ def cmd_table(qs, ranks, p_degrees, fmt):
 @click.option("--seed", type=int, default=None)
 @click.option("--pairs", type=int, default=None)
 @_format_option
-def cmd_verify(suite, max_rank, series_order, count, seed, pairs, fmt):
-    """Run the cross-check suites and report exact agreement."""
-    spec = JobSpec(
-        "verify",
-        None,
-        None,
-        {
-            "suite": suite,
-            "max_rank": max_rank,
-            "series_order": series_order,
-            "count": count,
-            "seed": seed,
-            "pairs": pairs,
-            "format": fmt,
-        },
-    )
-    return _do_verify(spec)
+def cmd_verify(suite, fmt, **options):
+    """Run the cross-check suites and report exact agreement.
+
+    Each option given goes to the selected suites that take it; one that
+    no selected suite takes is a usage error.
+    """
+    names = list(verify_mod.SUITES) if suite == "all" else [suite]
+    takes = {
+        name: inspect.signature(verify_mod.SUITES[name]).parameters for name in names
+    }
+    given = {key: value for key, value in options.items() if value is not None}
+    for key in given:
+        if not any(key in params for params in takes.values()):
+            flag = "--" + key.replace("_", "-")
+            raise click.UsageError(f"{flag} is not an option of suite {suite}")
+    reports = [
+        verify_mod.run_suite(
+            name, **{key: value for key, value in given.items() if key in takes[name]}
+        )
+        for name in names
+    ]
+    out = {
+        "reports": [verify_mod.suite_report_to_json_dict(r) for r in reports],
+        "ok": all(r.ok for r in reports),
+    }
+    _emit(out, fmt)
+    return 0 if out["ok"] else 70
 
 
 # ----------------------------------------------------------------------

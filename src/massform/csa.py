@@ -2,13 +2,13 @@
 
 A place in the ramification set carries its degree, its invariant b/d
 (stored exactly as given; reduced mod d only where an equality test
-needs it), and an infinity flag.  validate() is report-style: it lists
-every broken constraint instead of stopping at the first, so the CLI
-can show users the whole story at once.  Mass and zeta engines call
-ensure_valid() and refuse broken data outright.  ensure_valid() records
-a success on the datum, so the structural checks run once per
-RamificationData however many engines read it; a failure is never
-recorded and raises on every call.
+needs it), and an infinity flag.  validate() is the one full validation
+of a datum, place availability included, and is report-style: it lists
+every broken constraint instead of stopping at the first.  The engines
+and the CLI call ensure_valid(), which raises on broken data and records
+a success on the datum, so validate() runs once per RamificationData
+however many engines read it; a failure is never recorded and raises on
+every call.
 """
 
 from __future__ import annotations
@@ -70,18 +70,16 @@ class RamificationData:
 class ValidationReport:
     ok: bool
     failures: tuple[str, ...]
-    degenerate: bool     # rank 1, B = K: allowed but trivial
 
 
-def validate(data: RamificationData, *, check_availability: bool = True) -> ValidationReport:
-    """Check every structural constraint and report all failures.
+def validate(data: RamificationData) -> ValidationReport:
+    """Check every constraint on the datum and report all failures.
 
-    With check_availability (the default, used by the CLI) this also
-    checks that the field actually possesses as many distinct places of
-    each degree as the data uses; entries name places only by degree,
-    and the infinity place occupies one slot of degree deg_inf.  The
-    computation engines skip that part: the series builder detects the
-    same mismatch itself and reports it as NegativeMultiplicityError.
+    Besides the structural checks, this checks that the field possesses
+    as many distinct places of each degree as the data uses; entries
+    name places only by degree, and the infinity place occupies one slot
+    of degree deg_inf.  This is the one full validation of a datum;
+    ensure_valid runs it once per datum.
     """
     failures: list[str] = []
     r = data.rank
@@ -130,39 +128,33 @@ def validate(data: RamificationData, *, check_availability: bool = True) -> Vali
             f"lcm of invariant denominators is {combined}, must equal rank {r}"
         )
 
-    if check_availability:
-        by_degree: dict[int, int] = {}
-        for p in data.places:
-            if not p.is_infinity and p.degree >= 1:
-                by_degree[p.degree] = by_degree.get(p.degree, 0) + 1
-        for degree, used in sorted(by_degree.items()):
-            try:
-                available = places_of_degree(data.field, degree)
-            except Exception:
-                continue    # field-level problems already surfaced elsewhere
-            if degree == data.field.deg_inf:
-                available -= 1
-            if used > available:
-                failures.append(
-                    f"{used} finite ramified places of degree {degree} requested "
-                    f"but only {available} exist"
-                )
+    by_degree: dict[int, int] = {}
+    for p in data.places:
+        if not p.is_infinity and p.degree >= 1:
+            by_degree[p.degree] = by_degree.get(p.degree, 0) + 1
+    for degree, used in sorted(by_degree.items()):
+        available = places_of_degree(data.field, degree)
+        if degree == data.field.deg_inf:
+            available -= 1
+        if used > available:
+            failures.append(
+                f"{used} finite ramified places of degree {degree} requested "
+                f"but only {available} exist"
+            )
 
-    return ValidationReport(
-        ok=not failures, failures=tuple(failures), degenerate=(r == 1)
-    )
+    return ValidationReport(ok=not failures, failures=tuple(failures))
 
 
 def ensure_valid(data: RamificationData) -> None:
-    """Raise on structurally broken data.
+    """Raise InvalidRamificationError unless validate passes the data.
 
     A success is recorded on the data, so the engines that each call
-    this pay for the structural checks once per datum; a failure is not
-    recorded and raises again on every call.
+    this pay for validate once per datum; a failure is not recorded and
+    raises again on every call.
     """
     if data._valid:
         return
-    report = validate(data, check_availability=False)
+    report = validate(data)
     if not report.ok:
         raise InvalidRamificationError("; ".join(report.failures))
     object.__setattr__(data, "_valid", True)
@@ -218,7 +210,7 @@ def parity_check(data: RamificationData) -> bool:
     return total % 2 == 0
 
 
-# -- parsing / serialization ---------------------------------------------------
+# -- parsing -------------------------------------------------------------------
 
 def parse_invariant(text: str) -> tuple[int, int]:
     frac = text.strip().split("/")
@@ -261,34 +253,3 @@ def parse_shorthand(text: str, field: FunctionFieldData, rank: int) -> Ramificat
 def shorthand(data: RamificationData) -> str:
     return ",".join(p.shorthand_token() for p in data.places)
 
-
-def ramification_to_json_dict(data: RamificationData) -> dict:
-    return {
-        "rank": data.rank,
-        "places": [
-            {
-                "deg": p.degree,
-                "inv": f"{p.inv_num}/{p.inv_den}",
-                "inf": p.is_infinity,
-            }
-            for p in data.places
-        ],
-    }
-
-
-def ramification_from_json_dict(obj: dict, field: FunctionFieldData) -> RamificationData:
-    try:
-        rank = int(obj["rank"])
-        raw_places = list(obj["places"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidRamificationError(f"malformed ramification object: {exc}") from None
-    places = []
-    for entry in raw_places:
-        try:
-            num, den = parse_invariant(str(entry["inv"]))
-            degree = int(entry["deg"])
-            is_inf = bool(entry.get("inf", False))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidRamificationError(f"malformed place entry: {exc}") from None
-        places.append(RamifiedPlace(degree, num, den, is_infinity=is_inf))
-    return RamificationData(field=field, rank=rank, places=tuple(places))

@@ -28,14 +28,6 @@ class NotDefiniteError(InputDataError):
     """Operation requires definite ramification data."""
 
 
-class NoSuchPlaceError(InputDataError):
-    """The field has no place of the requested degree."""
-
-
-class NegativeMultiplicityError(InputDataError):
-    """More ramified places of some degree than the field possesses."""
-
-
 class NotDivisibleError(InputDataError):
     """Local index does not divide the rank."""
 

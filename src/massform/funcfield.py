@@ -191,15 +191,6 @@ def zeta_A(data: FunctionFieldData) -> RationalFunctionQ:
 
 # -- JSON shape -------------------------------------------------------------
 
-def field_to_json_dict(data: FunctionFieldData) -> dict:
-    return {
-        "q": data.q,
-        "genus": data.genus,
-        "l_poly": list(data.l_poly.coeffs),
-        "deg_inf": data.deg_inf,
-    }
-
-
 def _json_int(value: object, name: str) -> int:
     # JSON integers only: a float, a string or a boolean is an error, not
     # something to truncate

@@ -22,6 +22,7 @@ from fractions import Fraction
 from .algebra import rational_to_str
 from .csa import (
     RamificationData,
+    RamifiedPlace,
     ensure_valid,
     is_definite,
     is_drinfeld_type,
@@ -29,13 +30,11 @@ from .csa import (
 )
 from .errors import (
     InternalConsistencyError,
-    NoSuchPlaceError,
     NotDefiniteError,
 )
 from .funcfield import (
     FunctionFieldData,
     class_number_A,
-    places_of_degree,
     zeta_special_value,
 )
 
@@ -96,14 +95,19 @@ def drinfeld_mass(field: FunctionFieldData, r: int, p_degree: int) -> Fraction:
     Computed as (h(A)/(q-1)) * prod_{i=1..r-1} zeta_K(-i) *
     (1 - N(inf)^i) * (1 - N(p)^i); the two extra factors strip the
     Euler factors at the two ramified places from each special value.
-    Only the degree of the finite place enters.
+    Only the degree of the finite place enters, but the datum it stands
+    for must be valid, so it is built and checked.
     """
-    if r < 2:
-        raise ValueError("rank must be >= 2")
-    if p_degree < 1 or places_of_degree(field, p_degree) == 0:
-        raise NoSuchPlaceError(
-            f"field has no place of degree {p_degree}"
+    ensure_valid(
+        RamificationData(
+            field=field,
+            rank=r,
+            places=(
+                RamifiedPlace(field.deg_inf, -1, r, is_infinity=True),
+                RamifiedPlace(p_degree, 1, r),
+            ),
         )
+    )
     n_inf = field.q ** field.deg_inf
     n_p = field.q ** p_degree
     num, den = class_number_A(field), field.q - 1

@@ -39,7 +39,6 @@ from .csa import RamificationData, ensure_valid, is_definite
 from .errors import (
     InternalConsistencyError,
     InvalidSeriesOrderError,
-    NegativeMultiplicityError,
     NotDefiniteError,
 )
 from .finitefield import factor_prime_power
@@ -376,9 +375,12 @@ def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
         if degree == field.deg_inf:
             multiplicity -= 1
         if multiplicity < 0:
-            raise NegativeMultiplicityError(
-                f"{len(ramified_here)} ramified places of degree {degree} "
-                f"but the field only has {available}"
+            # ensure_valid's availability check, made again from the
+            # place counts the product runs over
+            raise InternalConsistencyError(
+                f"{len(ramified_here)} finite ramified places of degree {degree} "
+                f"but the field has {multiplicity + len(ramified_here)} finite places "
+                "of that degree"
             )
         exponents = Counter({q ** (degree * i): multiplicity for i in range(r)})
         for place in ramified_here:

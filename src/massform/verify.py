@@ -262,17 +262,17 @@ def random_product_field(
 # Suites
 # ----------------------------------------------------------------------
 
-def suite_zeta_at_zero(
-    ranks: tuple[int, ...] = (2, 3, 4, 6), max_degree: int = 3, **_: object
-) -> SuiteReport:
+def suite_zeta_at_zero(max_rank: int = 6) -> SuiteReport:
     """Capstone: the order zeta value at zero against the factored mass,
-    computed along disjoint code paths, over the whole battery."""
+    computed along disjoint code paths, over the battery's ranks up to
+    max_rank."""
     failures = []
-    battery = full_battery(ranks=ranks, max_degree=max_degree)
-    if not battery:
+    ranks = tuple(r for r in (2, 3, 4, 6) if r <= max_rank)
+    if not ranks:
         raise EmptySelectionError(
-            f"ranks {ranks} and max degree {max_degree} select no configuration"
+            f"max rank {max_rank} selects none of the battery ranks 2, 3, 4, 6"
         )
+    battery = full_battery(ranks=ranks)
     for data in battery:
         lhs = order_zeta_at_zero(data)
         rhs = -mass(data).mass
@@ -302,7 +302,7 @@ def _series_sample(per_rank: int = 2) -> list[RamificationData]:
     return sample
 
 
-def suite_series_closed_form(series_order: int = 12, **_: object) -> SuiteReport:
+def suite_series_closed_form(series_order: int = 12) -> SuiteReport:
     """Dirichlet series built place by place against the closed-form
     rational function expanded by long division."""
     failures = []
@@ -326,7 +326,7 @@ def suite_series_closed_form(series_order: int = 12, **_: object) -> SuiteReport
     )
 
 
-def suite_drinfeld(**_: object) -> SuiteReport:
+def suite_drinfeld() -> SuiteReport:
     """Specialized Drinfeld-type mass against the general engine."""
     failures = []
     checked = 0
@@ -362,8 +362,10 @@ def suite_drinfeld(**_: object) -> SuiteReport:
     )
 
 
-def suite_lambda_volumes(max_rank: int = 8, **_: object) -> SuiteReport:
+def suite_lambda_volumes(max_rank: int = 8) -> SuiteReport:
     """Local factor closed form against the volume-ratio pipeline."""
+    if max_rank < 1:
+        raise EmptySelectionError(f"max rank {max_rank} must be >= 1")
     failures = []
     checked = 0
     for q_v in (2, 3, 4, 5, 8, 9):
@@ -385,7 +387,7 @@ def suite_lambda_volumes(max_rank: int = 8, **_: object) -> SuiteReport:
     )
 
 
-def suite_brute_oracles(**_: object) -> SuiteReport:
+def suite_brute_oracles() -> SuiteReport:
     """Brute-force counts against the closed formulas they oracle."""
     failures = []
     checked = 0
@@ -420,7 +422,7 @@ def suite_brute_oracles(**_: object) -> SuiteReport:
     )
 
 
-def suite_local_models(pairs: int = 100, seed: int = 0, **_: object) -> SuiteReport:
+def suite_local_models(pairs: int = 100, seed: int = 0) -> SuiteReport:
     """Defining relations of every small local model at precision 6."""
     failures = []
     checked = 0
@@ -450,7 +452,7 @@ def suite_local_models(pairs: int = 100, seed: int = 0, **_: object) -> SuiteRep
 
 
 def suite_random_properties(
-    count: int = 1000, seed: int = 20260813, series_order: int = 6, **_: object
+    count: int = 1000, seed: int = 20260813, series_order: int = 6
 ) -> SuiteReport:
     """Parity, mass positivity, and non-negative series coefficients over
     a seeded stream of random valid definite data.  (The coefficients
@@ -481,9 +483,7 @@ def suite_random_properties(
     )
 
 
-def suite_class_number_products(
-    count: int = 50, seed: int = 7, **_: object
-) -> SuiteReport:
+def suite_class_number_products(count: int = 50, seed: int = 7) -> SuiteReport:
     """Full zeta at u=1 against -h/(q-1) for fields whose L-polynomial
     is a product of degree-2 symmetric factors."""
     if count < 1:
@@ -538,10 +538,6 @@ def run_suite(name: str, **options: object) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name](**options)
-
-
-def run_all(**options: object) -> list[SuiteReport]:
-    return [run_suite(name, **options) for name in SUITES]
 
 
 def suite_report_to_json_dict(report: SuiteReport) -> dict:

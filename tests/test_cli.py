@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import massform.cli as cli
+from massform import csa, verify
 from massform.algebra import rational_to_str
 from massform.csa import MAX_RANK
 from massform.errors import InternalConsistencyError
@@ -272,6 +273,7 @@ def test_local_subcommands(capsys):
         (("local", "model-check", "--qv", "2", "--d", "2", "--prec", "1"),
          "PrecisionTooLowError"),
         (("verify", "--suite", "zeta-at-zero", "--max-rank", "1"), "EmptySelectionError"),
+        (("verify", "--suite", "lambda-volumes", "--max-rank", "0"), "EmptySelectionError"),
         (("verify", "--suite", "random-properties", "--count", "0"), "EmptySelectionError"),
         (("local", "model-check", "--qv", "2", "--d", "2", "--pairs", "-3"),
          "EmptySelectionError"),
@@ -296,16 +298,23 @@ def test_local_subcommands(capsys):
          "InvalidRamificationError"),
         (("order-zeta", "--q", "5", "--rank", "48", "--ram", "inf:1/48,1:-1/48",
           "--series-order", "300"), "InvalidRamificationError"),
+        (("drinfeld-mass", "--q", "2", "--rank", "1", "--p-degree", "1"),
+         "InvalidRamificationError"),
+        (("drinfeld-mass", "--q", "2", "--rank", "9", "--p-degree", "1"),
+         "InvalidRamificationError"),
+        (("drinfeld-mass", "--q", "2", "--genus", "1", "--l-poly", "1,-2,2", "--rank", "2",
+          "--p-degree", "1"), "InvalidRamificationError"),
     ],
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
-        "model-check-prec1", "verify-empty-ranks", "verify-count0",
+        "model-check-prec1", "verify-empty-ranks", "verify-lambda-max-rank0", "verify-count0",
         "model-check-pairs-negative", "mass-invariant-den0",
         "zeta-values-negative", "zeta-values0", "order-zeta-series-order-above-cap",
         "order-zeta-series-order-negative", "verify-series-order-above-cap",
         "model-check-d0", "model-check-b-not-coprime", "model-check-field-above-cap",
         "iw-index-d0", "iw-index-d-above-cap", "volumes-rank-above-cap",
-        "mass-rank-above-cap", "order-zeta-rank-above-cap",
+        "mass-rank-above-cap", "order-zeta-rank-above-cap", "drinfeld-mass-rank1",
+        "drinfeld-mass-rank-above-cap", "drinfeld-mass-place-taken-by-infinity",
     ],
 )
 def test_bad_input_regressions_are_exit_2(capsys, argv, error_type):
@@ -376,6 +385,49 @@ def test_verify_respects_max_rank(capsys):
     assert obj["ok"] is True
     # rank 2 only: far fewer configurations than the full battery
     assert 0 < obj["reports"][0]["checked"] < 30
+
+
+def test_verify_passes_options_only_to_suites_that_take_them(capsys, monkeypatch):
+    code, out, _ = invoke(capsys, "verify", "--suite", "lambda-volumes", "--max-rank", "2")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["checked"] == 18
+    code, out, err = invoke(capsys, "verify", "--suite", "drinfeld", "--count", "0")
+    assert code == 64
+    assert out == ""
+    assert "--count" in err
+
+    seen = {}
+
+    def counted(count=1):
+        seen["counted"] = count
+        return verify.SuiteReport("counted", count, ())
+
+    def fixed():
+        seen["fixed"] = None
+        return verify.SuiteReport("fixed", 1, ())
+
+    monkeypatch.setattr(verify, "SUITES", {"counted": counted, "fixed": fixed})
+    code, out, _ = invoke(capsys, "verify", "--count", "3")
+    assert code == 0
+    assert seen == {"counted": 3, "fixed": None}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2"),
+        ("order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
+         "--series-order", "4"),
+    ],
+    ids=["mass", "order-zeta"],
+)
+def test_one_validation_per_invocation(capsys, monkeypatch, argv):
+    calls = []
+    validate = csa.validate
+    monkeypatch.setattr(csa, "validate", lambda data: calls.append(data) or validate(data))
+    code, _, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
 
 
 # Frozen sha256 digests of stdout, so work on the exact core cannot change

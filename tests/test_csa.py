@@ -13,8 +13,6 @@ from massform.csa import (
     lambda_value,
     parity_check,
     parse_shorthand,
-    ramification_from_json_dict,
-    ramification_to_json_dict,
     shorthand,
     validate,
 )
@@ -104,8 +102,7 @@ def test_validate_availability_of_finite_places():
 
 
 def test_validate_degenerate_rank_one():
-    report = validate(data(1, []))
-    assert report.ok and report.degenerate
+    assert validate(data(1, [])).ok
     assert not validate(data(2, [])).ok      # lcm 1 != 2
 
 
@@ -239,25 +236,3 @@ def test_shorthand_rejects_garbage():
         parse_shorthand("inf:1/2,x:1/2", K2, rank=2)
     with pytest.raises(InvalidRamificationError):
         parse_shorthand("inf:1", K2, rank=2)
-
-
-def test_json_round_trip():
-    obj = ramification_to_json_dict(DRINFELD_R3)
-    assert obj == {
-        "rank": 3,
-        "places": [
-            {"deg": 1, "inv": "-1/3", "inf": True},
-            {"deg": 1, "inv": "1/3", "inf": False},
-        ],
-    }
-    back = ramification_from_json_dict(obj, K2)
-    assert back == DRINFELD_R3
-
-
-def test_json_rejects_garbage():
-    with pytest.raises(InvalidRamificationError):
-        ramification_from_json_dict({"rank": 2}, K2)
-    with pytest.raises(InvalidRamificationError):
-        ramification_from_json_dict(
-            {"rank": 2, "places": [{"deg": 1}]}, K2
-        )

@@ -14,7 +14,6 @@ from massform.csa import (
 )
 from massform.errors import (
     InvalidRamificationError,
-    NoSuchPlaceError,
     NotDefiniteError,
 )
 from massform.funcfield import FunctionFieldData, zeta_special_value
@@ -171,9 +170,9 @@ def test_drinfeld_mass_equals_factored_mass():
 
 
 def test_drinfeld_mass_missing_place():
-    with pytest.raises(NoSuchPlaceError):
+    with pytest.raises(InvalidRamificationError):
         drinfeld_mass(K2_G1, 2, 3)        # genus-1 field: no degree-3 places
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRamificationError):
         drinfeld_mass(K2, 1, 1)
 
 

@@ -17,8 +17,8 @@ from massform.algebra import (
 from massform.csa import RamificationData, RamifiedPlace, parse_shorthand
 from massform.errors import (
     InternalConsistencyError,
+    InvalidRamificationError,
     InvalidSeriesOrderError,
-    NegativeMultiplicityError,
     NotDefiniteError,
 )
 from massform.funcfield import FunctionFieldData
@@ -209,6 +209,12 @@ def test_p_shift_zeros_count_with_multiplicity(field):
         assert _at_one(field, exponents)[0] == _reference_order(want, 1) > 0
         pole = Fraction(1, 2 ** rank)
         assert orderzeta._order_at(field, exponents, rank) == _reference_order(want, pole) >= 0
+        if field is NON_WEIL_SQUARED:
+            # infinity is this field's only degree-1 place, so the datum is
+            # invalid and the pole check is reached only past validation
+            with pytest.raises(InvalidRamificationError, match="only 0 exist"):
+                order_zeta_closed_form(data)
+            object.__setattr__(data, "_valid", True)
         # P(2^(r-1) u) vanishes at u = 2^-r, so the reference lacks the pole
         with pytest.raises(InternalConsistencyError, match="lacks the expected pole"):
             order_zeta_closed_form(data)
@@ -385,21 +391,31 @@ def test_every_coefficient_the_package_builds_is_an_int():
         assert all(type(c) is int for c in f.num.coeffs + f.den.coeffs)
 
 
-def test_series_negative_multiplicity_guard():
+def test_every_engine_rejects_more_places_than_the_field_has():
     # three ramified degree-1 finite places over F_2 rational: only two
-    # exist once infinity takes its slot; structural checks all pass
-    data = RamificationData(
-        field=K2,
-        rank=2,
-        places=(
-            RamifiedPlace(1, 1, 2, is_infinity=True),
-            RamifiedPlace(1, 1, 2),
-            RamifiedPlace(1, 1, 2),
-            RamifiedPlace(1, 1, 2),
-        ),
-    )
-    with pytest.raises(NegativeMultiplicityError):
-        order_zeta_series(data, 4)
+    # exist once infinity takes its slot; the structural checks all pass
+    def too_many_places():
+        return RamificationData(
+            field=K2,
+            rank=2,
+            places=(
+                RamifiedPlace(1, 1, 2, is_infinity=True),
+                RamifiedPlace(1, 1, 2),
+                RamifiedPlace(1, 1, 2),
+                RamifiedPlace(1, 1, 2),
+            ),
+        )
+
+    engines = (mass, order_zeta_closed_form, lambda data: order_zeta_series(data, 4))
+    for engine in engines:
+        with pytest.raises(InvalidRamificationError, match="only 2 exist"):
+            engine(too_many_places())
+    # the series makes its own place count: a datum that skipped
+    # validation still cannot produce a series
+    unchecked = too_many_places()
+    object.__setattr__(unchecked, "_valid", True)
+    with pytest.raises(InternalConsistencyError, match="has 2 finite places"):
+        order_zeta_series(unchecked, 4)
 
 
 def test_multiplicativity_check_frozen_examples():

@@ -1,4 +1,5 @@
-"""Package-wide properties: no bare asserts, one version number."""
+"""Package-wide properties: no bare asserts, no unused imports, one
+version number."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,24 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert massform.__version__ == project["version"]
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        used |= set(massform.__all__)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = _unused_imports(path)
+    assert unused == [], f"{path.name}: unused imports (line, name) {unused}"

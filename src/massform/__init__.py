@@ -1,26 +1,41 @@
 """Exact mass formulas, class numbers, and maximal-order zeta functions
-for central division algebras over global function fields."""
+for central division algebras over global function fields.
 
-from .csa import RamificationData, RamifiedPlace, parse_shorthand, validate
-from .funcfield import FunctionFieldData, class_number_A, zeta_K, zeta_special_value
-from .massengine import drinfeld_mass, mass
-from .orderzeta import order_zeta_at_zero, order_zeta_closed_form, order_zeta_series
+Importing the package loads no submodule.  Each public name is imported
+from its module on first access (a module ``__getattr__``, PEP 562) and
+then stored in this module's globals, so every later access is a plain
+attribute lookup.  The CLI imports per command in the same spirit:
+``massform mass`` never loads the finite-field models or the verify
+suites.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FunctionFieldData",
-    "RamificationData",
-    "RamifiedPlace",
-    "class_number_A",
-    "drinfeld_mass",
-    "mass",
-    "order_zeta_at_zero",
-    "order_zeta_closed_form",
-    "order_zeta_series",
-    "parse_shorthand",
-    "validate",
-    "zeta_K",
-    "zeta_special_value",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_HOMES = {
+    "FunctionFieldData": "funcfield",
+    "RamificationData": "csa",
+    "RamifiedPlace": "csa",
+    "class_number_A": "funcfield",
+    "drinfeld_mass": "massengine",
+    "mass": "massengine",
+    "order_zeta_at_zero": "orderzeta",
+    "order_zeta_closed_form": "orderzeta",
+    "order_zeta_series": "orderzeta",
+    "parse_shorthand": "csa",
+    "validate": "csa",
+    "zeta_K": "funcfield",
+    "zeta_special_value": "funcfield",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value

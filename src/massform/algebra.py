@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: dense integer polynomials, normalized
-rational functions, and truncated power series.
+rational functions, truncated power series, and the prime-power test
+every field size passes.
 
 Every polynomial the package builds has integer coefficients: the
 L-polynomial, the factors of the order zeta and its Euler product.  So
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from operator import index
 from typing import Iterable
 
@@ -42,6 +43,23 @@ def rational_to_str(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """q = p**e with p prime, or ValueError.
+
+    The least divisor of q above 1 is prime, so the search for p stops
+    at the square root of q."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,12 @@
 Parses field and ramification descriptions, dispatches to the engines,
 and emits deterministic JSON (default) or CSV.  Exit codes: 0 success,
 2 invalid input data, 64 usage error, 70 internal consistency failure.
+
+Imports are per command.  At module level this file loads only click,
+the standard library and `errors`; each command imports the engines it
+runs in its body, so `massform mass` never loads the finite-field
+models or the verify suites, and `massform local volumes` never loads
+the global engines.
 """
 
 from __future__ import annotations
@@ -14,39 +20,36 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import click
 
-from .algebra import RationalFunctionQ, rational_to_str
-from .csa import (
-    RamificationData,
-    ensure_valid,
-    parse_shorthand,
-    shorthand,
-)
 from .errors import (
+    MAX_SERIES_ORDER,
     EmptySelectionError,
     InputDataError,
     InternalConsistencyError,
     InvalidFieldError,
     MassformError,
 )
-from .funcfield import (
-    FunctionFieldData,
-    class_number_A,
-    field_from_json_dict,
-    zeta_A,
-    zeta_K,
-    zeta_special_value,
+
+if TYPE_CHECKING:
+    from .algebra import RationalFunctionQ
+    from .csa import RamificationData
+    from .funcfield import FunctionFieldData
+
+# The names of verify.SUITES, sorted, for the --suite choice; listed here
+# so that --help does not load the suites (a test ties the two together).
+SUITE_NAMES = (
+    "brute-force-oracles",
+    "drinfeld",
+    "lambda-volumes",
+    "local-models",
+    "random-properties",
+    "series-closed-form",
+    "zeta-at-zero",
+    "zeta-class-number",
 )
-from .localmodels import (
-    iwahori_index,
-    local_volume_report,
-    run_model_checks,
-)
-from .massengine import drinfeld_mass, mass, mass_report_to_json_dict
-from .orderzeta import MAX_SERIES_ORDER, order_zeta_closed_form, order_zeta_series
-from . import verify as verify_mod
 
 
 # ----------------------------------------------------------------------
@@ -121,12 +124,16 @@ def _resolve_field(q, genus, l_poly, deg_inf, field_file) -> FunctionFieldData:
         merged.setdefault("l_poly", [1])
     if "l_poly" not in merged:
         raise click.UsageError("positive genus needs --l-poly")
+    from .funcfield import field_from_json_dict
+
     return field_from_json_dict(merged)
 
 
 def _resolve_ramification(
     field: FunctionFieldData, rank: int, ram: str
 ) -> RamificationData:
+    from .csa import ensure_valid, parse_shorthand
+
     data = parse_shorthand(ram, field, rank)
     ensure_valid(data)
     return data
@@ -181,6 +188,8 @@ def _emit_rows(header: list[str], rows: list[dict], fmt: str) -> None:
 def _ratfun_json(f: RationalFunctionQ) -> dict:
     """num/den printed with den monic: every coefficient over den's
     leading coefficient."""
+    from .algebra import rational_to_str
+
     lead = f.den.leading()
     return {
         "num": [rational_to_str(Fraction(c, lead)) for c in f.num.coeffs],
@@ -209,6 +218,9 @@ def cli() -> None:
 @_format_option
 def cmd_mass(q, genus, l_poly, deg_inf, field_file, rank, ram, fmt):
     """Mass of the maximal orders for one ramification datum."""
+    from .csa import shorthand
+    from .massengine import mass, mass_report_to_json_dict
+
     field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
     data = _resolve_ramification(field, rank, ram)
     out = {
@@ -227,6 +239,9 @@ def cmd_mass(q, genus, l_poly, deg_inf, field_file, rank, ram, fmt):
 @_format_option
 def cmd_drinfeld_mass(q, genus, l_poly, deg_inf, field_file, rank, p_degree, fmt):
     """Mass in the Drinfeld shape: one finite ramified place plus infinity."""
+    from .algebra import rational_to_str
+    from .massengine import drinfeld_mass
+
     field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
     out = {
         **_field_header(field),
@@ -242,6 +257,9 @@ def cmd_drinfeld_mass(q, genus, l_poly, deg_inf, field_file, rank, p_degree, fmt
 @_format_option
 def cmd_class_number(q, genus, l_poly, deg_inf, field_file, fmt):
     """Class number of the ring of functions regular away from infinity."""
+    from .algebra import rational_to_str
+    from .funcfield import class_number_A
+
     field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
     out = {
         **_field_header(field),
@@ -256,6 +274,9 @@ def cmd_class_number(q, genus, l_poly, deg_inf, field_file, fmt):
 @_format_option
 def cmd_zeta(q, genus, l_poly, deg_inf, field_file, values, fmt):
     """Field zeta function, with and without the infinity factor."""
+    from .algebra import rational_to_str
+    from .funcfield import zeta_A, zeta_K, zeta_special_value
+
     field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
     if values < 1:
         raise EmptySelectionError(f"values {values} must be >= 1")
@@ -283,6 +304,10 @@ def cmd_zeta(q, genus, l_poly, deg_inf, field_file, values, fmt):
 @_format_option
 def cmd_order_zeta(q, genus, l_poly, deg_inf, field_file, rank, ram, series_order, fmt):
     """Zeta function of a maximal order: closed form, value at zero, series."""
+    from .algebra import rational_to_str
+    from .csa import shorthand
+    from .orderzeta import order_zeta_closed_form, order_zeta_series
+
     field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
     data = _resolve_ramification(field, rank, ram)
     if series_order is None:
@@ -314,6 +339,9 @@ def _volume_options(fn):
 
 
 def _local_volumes(q_v: int, r: int, d: int) -> dict:
+    from .algebra import rational_to_str
+    from .localmodels import local_volume_report
+
     rep = local_volume_report(q_v, r, d)
     return {
         "q_v": q_v,
@@ -349,6 +377,8 @@ def cmd_local_lambda(q_v, r, d, fmt):
 @click.option("--brute", is_flag=True, default=False)
 @_format_option
 def cmd_local_iw_index(q_v, d, brute, fmt):
+    from .localmodels import iwahori_index
+
     out = {
         "q_v": q_v,
         "d": d,
@@ -367,6 +397,8 @@ def cmd_local_iw_index(q_v, d, brute, fmt):
 @click.option("--seed", type=int, default=0)
 @_format_option
 def cmd_local_model_check(q_v, d, b, precision, pairs, seed, fmt):
+    from .localmodels import run_model_checks
+
     report = run_model_checks(q_v, d, b, precision=precision, pairs=pairs, seed=seed)
     out = {
         "q_v": report.q_v,
@@ -391,6 +423,10 @@ def cmd_local_model_check(q_v, d, b, precision, pairs, seed, fmt):
 @_format_option
 def cmd_table(qs, ranks, p_degrees, fmt):
     """Mass table over a parameter grid of Drinfeld-shape data."""
+    from .csa import RamificationData, shorthand
+    from .funcfield import FunctionFieldData
+    from .massengine import mass
+
     try:
         qs, ranks, p_degrees = map(_parse_int_list, (qs, ranks, p_degrees))
     except ValueError as exc:
@@ -430,7 +466,7 @@ def cmd_table(qs, ranks, p_degrees, fmt):
 @cli.command("verify")
 @click.option(
     "--suite",
-    type=click.Choice(["all"] + sorted(verify_mod.SUITES)),
+    type=click.Choice(["all", *SUITE_NAMES]),
     default="all",
 )
 @click.option("--max-rank", "max_rank", type=int, default=None)
@@ -445,6 +481,8 @@ def cmd_verify(suite, fmt, **options):
     Each option given goes to the selected suites that take it; one that
     no selected suite takes is a usage error.
     """
+    from . import verify as verify_mod
+
     names = list(verify_mod.SUITES) if suite == "all" else [suite]
     takes = {
         name: inspect.signature(verify_mod.SUITES[name]).parameters for name in names

@@ -27,6 +27,16 @@ from .funcfield import FunctionFieldData, places_of_degree
 # takes 2.1-2.5 s; rank 48 runs for minutes.
 MAX_RANK = 6
 
+# The largest degree of a ramified place.  validate counts the places of
+# every degree up to the largest one a datum uses, at a cost quadratic in
+# that degree: about 1 ms at this cap, 0.6 s at degree 4000.  The closed
+# form grows with the degree too.  At q = 5, rank 6 and series order 300,
+# `massform order-zeta` with one ramified place of this degree takes
+# about 1.3 s (2-CPU machine), the worst case the rank cap documents;
+# degree 200 takes 1.9 s, and degree 900 runs 43 s before its output
+# overflows.  At q = 2 and MAX_RANK the mass prints up to degree 952.
+MAX_PLACE_DEGREE = 128
+
 
 @dataclass(frozen=True)
 class RamifiedPlace:
@@ -78,7 +88,9 @@ def validate(data: RamificationData) -> ValidationReport:
     Besides the structural checks, this checks that the field possesses
     as many distinct places of each degree as the data uses; entries
     name places only by degree, and the infinity place occupies one slot
-    of degree deg_inf.  This is the one full validation of a datum;
+    of degree deg_inf.  A place of degree above MAX_PLACE_DEGREE is
+    rejected and takes no part in that check, so no place count above
+    the cap is computed.  This is the one full validation of a datum;
     ensure_valid runs it once per datum.
     """
     failures: list[str] = []
@@ -92,6 +104,8 @@ def validate(data: RamificationData) -> ValidationReport:
         problems = []
         if p.degree < 1:
             problems.append("degree must be >= 1")
+        elif p.degree > MAX_PLACE_DEGREE:
+            problems.append(f"degree {p.degree} is above the cap {MAX_PLACE_DEGREE}")
         if p.inv_den < 2:
             problems.append("invariant denominator must be >= 2")
         elif not 0 < abs(p.inv_num) < p.inv_den:
@@ -130,7 +144,7 @@ def validate(data: RamificationData) -> ValidationReport:
 
     by_degree: dict[int, int] = {}
     for p in data.places:
-        if not p.is_infinity and p.degree >= 1:
+        if not p.is_infinity and 1 <= p.degree <= MAX_PLACE_DEGREE:
             by_degree[p.degree] = by_degree.get(p.degree, 0) + 1
     for degree, used in sorted(by_degree.items()):
         available = places_of_degree(data.field, degree)

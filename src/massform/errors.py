@@ -5,7 +5,15 @@
 the CLI maps them to exit code 2.  ``InternalConsistencyError`` marks
 identities that are theorems for valid input and must never fail; the
 CLI maps it (and failed verification suites) to exit code 70.
+
+The series-order cap lives here, beside its error, because the CLI's
+help text shows it and the CLI loads no engine to print help.
 """
+
+# The largest series order accepted.  Cost and output grow faster than
+# the square of the order: for q = 5, r = 6 a `massform order-zeta` run
+# takes about 1.2 s at this cap (2-CPU machine) and prints 190 KB.
+MAX_SERIES_ORDER = 300
 
 
 class MassformError(Exception):
@@ -42,6 +50,10 @@ class InvalidSeriesOrderError(InputDataError):
 
 class EmptySelectionError(InputDataError):
     """A filter or count selects nothing to check."""
+
+
+class SelectionTooLargeError(InputDataError):
+    """A count asks for more checks than its cap allows."""
 
 
 class PoleError(MassformError):

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 from typing import Iterable, Iterator
 
+from .algebra import factor_prime_power
 from .errors import InternalConsistencyError, OrderMismatchError
 
 FIELD_SIZE_CAP = 2 ** 12
@@ -42,23 +42,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """q = p**e with p prime, or ValueError.
-
-    The least divisor of q above 1 is prime, so the search for p stops
-    at the square root of q."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    e, m = 0, q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, e
 
 
 def _prime_divisors(n: int) -> list[int]:

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import PolyQ, RationalFunctionQ, ratfun
+from .algebra import PolyQ, RationalFunctionQ, factor_prime_power, ratfun
 from .errors import InternalConsistencyError, InvalidFieldError
-from .finitefield import factor_prime_power
 
 
 def _mobius(n: int) -> int:

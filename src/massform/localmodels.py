@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .algebra import factor_prime_power
 from .errors import (
     BruteForceTooLargeError,
     EmptySelectionError,
@@ -39,7 +40,6 @@ from .finitefield import (
     FIELD_SIZE_CAP,
     FqField,
     TruncatedSeriesFq,
-    factor_prime_power,
     fq_series,
     fq_series_one,
     fq_series_pi,

@@ -34,14 +34,14 @@ from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
 
-from .algebra import PolyQ, RationalFunctionQ, TruncatedSeriesQ, ratfun
+from .algebra import PolyQ, RationalFunctionQ, TruncatedSeriesQ, factor_prime_power, ratfun
 from .csa import RamificationData, ensure_valid, is_definite
 from .errors import (
+    MAX_SERIES_ORDER,
     InternalConsistencyError,
     InvalidSeriesOrderError,
     NotDefiniteError,
 )
-from .finitefield import factor_prime_power
 from .funcfield import FunctionFieldData, _mobius, places_of_degree
 
 
@@ -327,12 +327,6 @@ def local_ideal_count(q_v: int, m_v: int, d_v: int, ell: int) -> int:
 
     walk(1, ell, 1)
     return total
-
-
-# The largest series order accepted.  Cost and output grow faster than
-# the square of the order: for q = 5, r = 6 a `massform order-zeta` run
-# takes about 1.2 s at this cap (2-CPU machine) and prints 190 KB.
-MAX_SERIES_ORDER = 300
 
 
 def _apply_binomial(coeffs: list[int], a: int, m: int) -> None:

@@ -23,7 +23,12 @@ from .csa import (
     shorthand,
     validate,
 )
-from .errors import EmptySelectionError, InternalConsistencyError, InvalidFieldError
+from .errors import (
+    EmptySelectionError,
+    InternalConsistencyError,
+    InvalidFieldError,
+    SelectionTooLargeError,
+)
 from .funcfield import (
     FunctionFieldData,
     class_number_A,
@@ -451,6 +456,22 @@ def suite_local_models(pairs: int = 100, seed: int = 0) -> SuiteReport:
     )
 
 
+# Caps on the count of the two random suites.  random-properties costs
+# about 0.45 ms a datum at its default series order (2-CPU machine), so
+# its cap keeps a run near 5 s.  zeta-class-number draws distinct fields,
+# and random_product_field has only 466 valid ones at its defaults: a
+# larger count never finished.  At 400 the suite takes about 0.15 s.
+MAX_RANDOM_DATA = 10_000
+MAX_PRODUCT_FIELDS = 400
+
+
+def _check_count(count: int, cap: int) -> None:
+    if count < 1:
+        raise EmptySelectionError(f"count {count} must be >= 1")
+    if count > cap:
+        raise SelectionTooLargeError(f"count {count} is above the cap {cap}")
+
+
 def suite_random_properties(
     count: int = 1000, seed: int = 20260813, series_order: int = 6
 ) -> SuiteReport:
@@ -458,8 +479,7 @@ def suite_random_properties(
     a seeded stream of random valid definite data.  (The coefficients
     are ints by type; the series builder's exact binomial divisions
     guard their integrality.)"""
-    if count < 1:
-        raise EmptySelectionError(f"count {count} must be >= 1")
+    _check_count(count, MAX_RANDOM_DATA)
     rng = random.Random(seed)
     failures = []
     for _ in range(count):
@@ -486,8 +506,7 @@ def suite_random_properties(
 def suite_class_number_products(count: int = 50, seed: int = 7) -> SuiteReport:
     """Full zeta at u=1 against -h/(q-1) for fields whose L-polynomial
     is a product of degree-2 symmetric factors."""
-    if count < 1:
-        raise EmptySelectionError(f"count {count} must be >= 1")
+    _check_count(count, MAX_PRODUCT_FIELDS)
     rng = random.Random(seed)
     failures = []
     seen: set[tuple] = set()

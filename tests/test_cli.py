@@ -1,17 +1,24 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
+import massform
 import massform.cli as cli
-from massform import csa, verify
-from massform.algebra import rational_to_str
-from massform.csa import MAX_RANK
-from massform.errors import InternalConsistencyError
+from massform import csa, massengine, verify
+from massform.algebra import PolyQ, rational_to_str
+from massform.csa import MAX_PLACE_DEGREE, MAX_RANK
+from massform.errors import InternalConsistencyError, InvalidFieldError
 from massform.finitefield import FIELD_SIZE_CAP
-from massform.funcfield import zeta_A, zeta_K
+from massform.funcfield import FunctionFieldData, zeta_A, zeta_K
 from massform.localmodels import MAX_LOCAL_INDEX, MAX_LOCAL_RANK
 from massform.orderzeta import MAX_SERIES_ORDER, order_zeta_closed_form
 from test_orderzeta import reference_stream
@@ -110,7 +117,7 @@ def test_internal_errors_are_exit_70(capsys, monkeypatch):
     def boom(data):
         raise InternalConsistencyError("forced")
 
-    monkeypatch.setattr(cli, "mass", boom)
+    monkeypatch.setattr(massengine, "mass", boom)
     code, out, err = invoke(
         capsys, "mass", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
     )
@@ -304,6 +311,14 @@ def test_local_subcommands(capsys):
          "InvalidRamificationError"),
         (("drinfeld-mass", "--q", "2", "--genus", "1", "--l-poly", "1,-2,2", "--rank", "2",
           "--p-degree", "1"), "InvalidRamificationError"),
+        (("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/2,8000:1/2"),
+         "InvalidRamificationError"),
+        (("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/2,16000:1/2"),
+         "InvalidRamificationError"),
+        (("verify", "--suite", "random-properties", "--count", str(verify.MAX_RANDOM_DATA + 1)),
+         "SelectionTooLargeError"),
+        (("verify", "--suite", "zeta-class-number", "--count", "1000"),
+         "SelectionTooLargeError"),
     ],
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
@@ -315,6 +330,8 @@ def test_local_subcommands(capsys):
         "iw-index-d0", "iw-index-d-above-cap", "volumes-rank-above-cap",
         "mass-rank-above-cap", "order-zeta-rank-above-cap", "drinfeld-mass-rank1",
         "drinfeld-mass-rank-above-cap", "drinfeld-mass-place-taken-by-infinity",
+        "mass-place-degree-8000", "mass-place-degree-16000",
+        "verify-random-count-above-cap", "verify-field-count-above-cap",
     ],
 )
 def test_bad_input_regressions_are_exit_2(capsys, argv, error_type):
@@ -359,6 +376,65 @@ def test_rank_cap_from_each_side(capsys):
             code, out, _ = invoke(capsys, *argv, "--rank", str(rank), "--ram", ram)
             assert code == want, (argv, rank)
     assert "above the cap" in json.loads(out)["error"]["message"]
+
+
+def test_place_degree_cap_from_each_side(capsys):
+    # at the cap the mass at q = 2 and the largest rank still prints
+    r = MAX_RANK
+    for degree, want in ((MAX_PLACE_DEGREE, 0), (MAX_PLACE_DEGREE + 1, 2)):
+        for argv in (
+            ("mass", "--q", "2", "--rank", str(r), "--ram", f"inf:1/{r},{degree}:-1/{r}"),
+            ("order-zeta", "--q", "2", "--rank", str(r), "--ram", f"inf:1/{r},{degree}:-1/{r}",
+             "--series-order", "4"),
+            ("drinfeld-mass", "--q", "2", "--rank", str(r), "--p-degree", str(degree)),
+        ):
+            code, out, _ = invoke(capsys, *argv)
+            assert code == want, (argv, degree)
+    assert "above the cap" in json.loads(out)["error"]["message"]
+
+
+def test_place_degree_cap_is_checked_before_any_place_count():
+    field = FunctionFieldData.rational(2)
+    known = len(field._counts)
+    data = csa.parse_shorthand("inf:1/2,16000:1/2", field, 2)
+    report = csa.validate(data)
+    assert not report.ok
+    assert any("above the cap" in failure for failure in report.failures)
+    assert len(field._counts) == known
+
+
+def _distinct_product_fields() -> int:
+    """Valid fields random_product_field can draw at its defaults,
+    enumerated as multisets of degree-2 factors."""
+    seen = set()
+    for q in (2, 3, 4, 5):
+        bound = isqrt(4 * q)
+        for genus in (1, 2, 3):
+            for factors in combinations_with_replacement(range(-bound, bound + 1), genus):
+                poly = PolyQ((1,))
+                for a in factors:
+                    poly = poly * PolyQ((1, a, q))
+                try:
+                    FunctionFieldData(q=q, genus=genus, l_poly=poly, deg_inf=1)
+                except InvalidFieldError:
+                    continue
+                seen.add((q, poly.coeffs))
+    return len(seen)
+
+
+def test_verify_count_cap_from_each_side(capsys):
+    # zeta-class-number draws distinct fields, so a count above the number
+    # that exist never finished; the cap sits below that number
+    cap = verify.MAX_PRODUCT_FIELDS
+    assert cap <= _distinct_product_fields()
+    code, out, _ = invoke(capsys, "verify", "--suite", "zeta-class-number", "--count", str(cap))
+    assert code == 0
+    assert json.loads(out)["reports"][0]["checked"] == cap
+    for suite, suite_cap in (("zeta-class-number", cap),
+                             ("random-properties", verify.MAX_RANDOM_DATA)):
+        code, out, _ = invoke(capsys, "verify", "--suite", suite, "--count", str(suite_cap + 1))
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == f"count {suite_cap + 1} is above the cap {suite_cap}"
 
 
 def test_verify_command_single_suite(capsys):
@@ -577,3 +653,90 @@ def test_ratfun_json_matches_the_fraction_reference():
         assert cli._ratfun_json(order_zeta_closed_form(data).ratfun) == want, (
             data.field, data.rank, data.places,
         )
+
+
+# -- per-command imports and the lazy package root ----------------------------
+
+def test_suite_choice_names_every_verify_suite():
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+
+
+# sha256 of each command's --help at 80 columns, taken before the CLI moved
+# its imports into the commands; the help text reads MAX_SERIES_ORDER and
+# the suite names without loading an engine
+HELP_DIGESTS = {
+    (): "e4076c817a9d05a0c6ca1b2d60ff0d865b477f410eb9bc5fdd24335cc99af37b",
+    ("mass",): "4ed3c74d5a759b45059935a1f3f7884862ca2256ddd3d006d684c54dc381a7ab",
+    ("drinfeld-mass",): "93143e9bec48fba299acd4b4bf0098ba3b1967d04c22dd65ca1169d581be172d",
+    ("class-number",): "5d8fcc598a6a9db8654168a826c8da7bf8f0f36f0df9fa9cdc382a000d95860b",
+    ("zeta",): "bdbf37c5379675e5bff1a532673ffbc11651bf897c005795a75de51e0df35739",
+    ("order-zeta",): "70aef8a0024ff98233c99dcf909594ac048343475e4b7e1f38a35680ed7da540",
+    ("local",): "fcab430f7f67b2aaa5d720d67e142630ee0fd2df2d0c016a2d810da54588296e",
+    ("local", "volumes"): "d1a81ffe1d729dac01e63ac4beede5aecb9c8f232bfcfd33c66e2868bb7a0328",
+    ("local", "lambda"): "0376694e134542f028509628134b21046296383c43aa1434cbcfa25d8ec41af0",
+    ("local", "iw-index"): "6f1efa34b7f7f2ae7e75ee932fccfe4d232649be6099bec0922e4b07b7573aaf",
+    ("local", "model-check"): "ff343d21a62fe7d22ab19934f60eab03d3db406ba5b594639915e8a49af338f5",
+    ("table",): "1c9b72206d816b544a3b544e018646628e6ab2d840f385de95c592d92c0f450f",
+    ("verify",): "bde99d8d866333b5f5e9837b7e7e9970921ce1640a07c7d4e07e217a19134894",
+}
+
+
+@pytest.mark.parametrize(
+    "path, digest", HELP_DIGESTS.items(), ids=[" ".join(p) or "group" for p in HELP_DIGESTS]
+)
+def test_help_text_is_frozen(capsys, monkeypatch, path, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = cli.cli.main(args=[*path, "--help"], prog_name="massform", standalone_mode=False)
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _loaded_submodules(*argv) -> set[str]:
+    """The massform submodules a fresh interpreter imports to run argv."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {name.split(".", 1)[1] for name in names if name.startswith("massform.")}
+
+
+def test_mass_loads_only_the_global_engines():
+    loaded = _loaded_submodules(
+        "-m", "massform.cli", "mass", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
+    )
+    assert "massengine" in loaded
+    assert loaded.isdisjoint({"localmodels", "finitefield", "verify", "orderzeta"}), loaded
+
+
+def test_local_volumes_loads_no_global_engine():
+    loaded = _loaded_submodules(
+        "-m", "massform.cli", "local", "volumes", "--qv", "2", "--r", "2", "--d", "1",
+    )
+    assert "localmodels" in loaded
+    assert loaded.isdisjoint({"csa", "funcfield", "massengine", "orderzeta", "verify"}), loaded
+
+
+def test_bare_import_loads_no_submodule():
+    assert _loaded_submodules("-c", "import massform") == set()
+
+
+def test_public_names_resolve_lazily():
+    namespace = {}
+    exec("from massform import *", namespace)
+    assert set(massform.__all__) <= set(namespace)
+    for name in massform.__all__:
+        value = getattr(massform, name)
+        assert namespace[name] is value
+        # cached: later lookups do not go through the module __getattr__
+        assert vars(massform)[name] is value
+    assert massform.mass is massengine.mass
+    with pytest.raises(AttributeError, match="no_such_name"):
+        massform.no_such_name

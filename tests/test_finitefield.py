@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from massform.algebra import factor_prime_power
 from massform.errors import OrderMismatchError
 from massform.finitefield import (
     FqField,
     enumerate_monic_irreducibles,
-    factor_prime_power,
     fq_series,
     fq_series_one,
 )

@@ -17,25 +17,23 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InvalidRamificationError
+from .errors import MAX_PLACE_DEGREE, InvalidRamificationError
 from .funcfield import FunctionFieldData, places_of_degree
 
 # The largest global rank accepted.  The order-zeta series costs most,
-# and the cap keeps its worst case at the one the series-order cap
-# documents: at q = 5, series order 300 and this rank, `massform
-# order-zeta` takes about 1.2-1.4 s (2-CPU machine, Python 3.11).  Rank 8
-# takes 2.1-2.5 s; rank 48 runs for minutes.
+# and grows with the rank: at q = 5 and series order 300, `massform
+# order-zeta` spends about 0.17 s in the engines at this rank, 0.27 s at
+# rank 8 and 0.58 s at rank 12 (2-CPU machine, Python 3.11).
 MAX_RANK = 6
 
-# The largest degree of a ramified place.  validate counts the places of
-# every degree up to the largest one a datum uses, at a cost quadratic in
-# that degree: about 1 ms at this cap, 0.6 s at degree 4000.  The closed
-# form grows with the degree too.  At q = 5, rank 6 and series order 300,
-# `massform order-zeta` with one ramified place of this degree takes
-# about 1.3 s (2-CPU machine), the worst case the rank cap documents;
-# degree 200 takes 1.9 s, and degree 900 runs 43 s before its output
-# overflows.  At q = 2 and MAX_RANK the mass prints up to degree 952.
-MAX_PLACE_DEGREE = 128
+# The largest summed degree of the ramified places, infinity included.
+# Each place of degree n adds correction factors of degree n and
+# coefficients up to q^(n r^2/2), so the closed form and the mass grow
+# with the sum.  At q = 5, rank 6 and series order 300, `massform
+# order-zeta` at this cap takes 0.5-0.8 s and prints up to 1.6 MB (2-CPU
+# machine); a sum of 256 takes 1.5-1.8 s, and at 501 both it and
+# `massform mass` overflow the 4300-digit limit.
+MAX_RAMIFIED_DEGREE = 200
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,9 @@ def validate(data: RamificationData) -> ValidationReport:
     name places only by degree, and the infinity place occupies one slot
     of degree deg_inf.  A place of degree above MAX_PLACE_DEGREE is
     rejected and takes no part in that check, so no place count above
-    the cap is computed.  This is the one full validation of a datum;
-    ensure_valid runs it once per datum.
+    the cap is computed.  A datum whose ramified degrees sum above
+    MAX_RAMIFIED_DEGREE is rejected too.  This is the one full
+    validation of a datum; ensure_valid runs it once per datum.
     """
     failures: list[str] = []
     r = data.rank
@@ -99,6 +98,13 @@ def validate(data: RamificationData) -> ValidationReport:
         failures.append(f"rank {r} must be >= 1")
     elif r > MAX_RANK:
         failures.append(f"rank {r} is above the cap {MAX_RANK}")
+
+    total_degree = sum(p.degree for p in data.places)
+    if total_degree > MAX_RAMIFIED_DEGREE:
+        failures.append(
+            f"ramified places have total degree {total_degree}, "
+            f"above the cap {MAX_RAMIFIED_DEGREE}"
+        )
 
     for idx, p in enumerate(data.places):
         problems = []

@@ -7,13 +7,24 @@ identities that are theorems for valid input and must never fail; the
 CLI maps it (and failed verification suites) to exit code 70.
 
 The series-order cap lives here, beside its error, because the CLI's
-help text shows it and the CLI loads no engine to print help.
+help text shows it and the CLI loads no engine to print help.  The
+place-degree cap lives here because both funcfield and csa, which
+imports funcfield, enforce it.
 """
 
 # The largest series order accepted.  Cost and output grow faster than
 # the square of the order: for q = 5, r = 6 a `massform order-zeta` run
-# takes about 1.2 s at this cap (2-CPU machine) and prints 190 KB.
+# takes about 0.3 s at this cap (2-CPU machine) and prints 190 KB.
 MAX_SERIES_ORDER = 300
+
+# The largest degree of a place: a ramified place, or the place at
+# infinity.  Place counts up to a degree cost time quadratic in it:
+# about 1 ms at this cap, 0.5 s at degree 4000.  The closed form grows
+# with the degree too.  At q = 5, rank 6 and series order 300, `massform
+# order-zeta` with one ramified place of this degree takes about 0.4 s
+# (2-CPU machine).  At q = 2 and the largest rank the mass prints up to
+# degree 952.
+MAX_PLACE_DEGREE = 128
 
 
 class MassformError(Exception):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import PolyQ, RationalFunctionQ, factor_prime_power, ratfun
-from .errors import InternalConsistencyError, InvalidFieldError
+from .errors import MAX_PLACE_DEGREE, InternalConsistencyError, InvalidFieldError
 
 
 def _mobius(n: int) -> int:
@@ -40,10 +40,10 @@ class FunctionFieldData:
     """A global function field presented by its counting data.
 
     l_poly is P(T) with integer coefficients, lowest degree first;
-    deg_inf is the degree of the chosen place at infinity.  sanity_bound
-    controls how many place counts are certified non-negative at
-    construction (the exact Weil root bound is irrational, so counting
-    non-negativity is the acceptance proxy).
+    deg_inf is the degree of the chosen place at infinity, at most
+    MAX_PLACE_DEGREE.  sanity_bound controls how many place counts are
+    certified non-negative at construction (the exact Weil root bound is
+    irrational, so counting non-negativity is the acceptance proxy).
     """
 
     q: int
@@ -64,6 +64,9 @@ class FunctionFieldData:
             problems.append("genus must be >= 0")
         if self.deg_inf < 1:
             problems.append("deg_inf must be >= 1")
+        elif self.deg_inf > MAX_PLACE_DEGREE:
+            # checked before any place is counted
+            problems.append(f"deg_inf {self.deg_inf} is above the cap {MAX_PLACE_DEGREE}")
         if problems:
             raise InvalidFieldError("; ".join(problems))
 

@@ -48,6 +48,7 @@ from .orderzeta import (
     order_zeta_at_zero,
     order_zeta_closed_form,
     order_zeta_series,
+    place_by_place_series,
 )
 from .algebra import ratfun_eval
 
@@ -307,27 +308,50 @@ def _series_sample(per_rank: int = 2) -> list[RamificationData]:
     return sample
 
 
+# The place-by-place series convolves one stream per place, so its cost
+# grows with the number of places, exponentially in the order: on the 16
+# q = 2 data of the sample it takes about 0.04 s at order 8, 0.35 s at
+# order 12 and 2.7 s at order 16 (2-CPU machine).  It runs on the q = 2
+# data only, up to this order.
+PLACE_BY_PLACE_ORDER = 8
+
+
+def _first_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
 def suite_series_closed_form(series_order: int = 12) -> SuiteReport:
-    """Dirichlet series built place by place against the closed-form
-    rational function expanded by long division."""
+    """Dirichlet series built from the Euler product by Newton's
+    identities against the closed-form rational function expanded by
+    long division; on the q = 2 data, also the series rebuilt place by
+    place from local ideal counts, to at most PLACE_BY_PLACE_ORDER."""
     failures = []
     sample = _series_sample()
+    local_order = min(series_order, PLACE_BY_PLACE_ORDER)
     for data in sample:
         direct = order_zeta_series(data, series_order).coeffs
         closed = series_from_ratfun(
             order_zeta_closed_form(data).ratfun, series_order
         ).coeffs
-        k = next((k for k, (a, b) in enumerate(zip(direct, closed)) if a != b), None)
+        k = _first_difference(direct, closed)
         if k is not None:
             failures.append(
                 f"{_config_label(data)}: u^{k} coefficient {direct[k]} in the "
                 f"Euler product, {closed[k]} in the closed form"
             )
+        if data.field.q == 2:
+            local = place_by_place_series(data, local_order)
+            k = _first_difference(local, closed)
+            if k is not None:
+                failures.append(
+                    f"{_config_label(data)}: u^{k} coefficient {local[k]} place "
+                    f"by place, {closed[k]} in the closed form"
+                )
     return SuiteReport(
         suite="series-closed-form",
         checked=len(sample),
         failures=tuple(failures),
-        notes=f"order {series_order}",
+        notes=f"order {series_order}; place by place on q = 2 to order {local_order}",
     )
 
 
@@ -457,12 +481,18 @@ def suite_local_models(pairs: int = 100, seed: int = 0) -> SuiteReport:
 
 
 # Caps on the count of the two random suites.  random-properties costs
-# about 0.45 ms a datum at its default series order (2-CPU machine), so
-# its cap keeps a run near 5 s.  zeta-class-number draws distinct fields,
+# about 0.4 ms a datum at its default series order (2-CPU machine), so
+# its cap keeps a run near 4 s.  zeta-class-number draws distinct fields,
 # and random_product_field has only 466 valid ones at its defaults: a
 # larger count never finished.  At 400 the suite takes about 0.15 s.
 MAX_RANDOM_DATA = 10_000
 MAX_PRODUCT_FIELDS = 400
+
+# A cap on count x series order for random-properties: the series order
+# is paid once per datum, and a datum costs 0.7 ms at order 24, 5 ms at
+# 120 and 47 ms at 300.  The cap admits every count at the default order
+# 6; at order 300 its largest count, 200, takes about 11 s.
+MAX_RANDOM_SERIES_TERMS = 60_000
 
 
 def _check_count(count: int, cap: int) -> None:
@@ -477,9 +507,14 @@ def suite_random_properties(
 ) -> SuiteReport:
     """Parity, mass positivity, and non-negative series coefficients over
     a seeded stream of random valid definite data.  (The coefficients
-    are ints by type; the series builder's exact binomial divisions
-    guard their integrality.)"""
+    are ints by type; the exact divisions of the series builder's
+    Newton recurrence guard their integrality.)"""
     _check_count(count, MAX_RANDOM_DATA)
+    if count * series_order > MAX_RANDOM_SERIES_TERMS:
+        raise SelectionTooLargeError(
+            f"count {count} at series order {series_order} is above the cap "
+            f"count x order <= {MAX_RANDOM_SERIES_TERMS}"
+        )
     rng = random.Random(seed)
     failures = []
     for _ in range(count):

@@ -15,7 +15,7 @@ import massform
 import massform.cli as cli
 from massform import csa, massengine, verify
 from massform.algebra import PolyQ, rational_to_str
-from massform.csa import MAX_PLACE_DEGREE, MAX_RANK
+from massform.csa import MAX_PLACE_DEGREE, MAX_RAMIFIED_DEGREE, MAX_RANK
 from massform.errors import InternalConsistencyError, InvalidFieldError
 from massform.finitefield import FIELD_SIZE_CAP
 from massform.funcfield import FunctionFieldData, zeta_A, zeta_K
@@ -319,6 +319,14 @@ def test_local_subcommands(capsys):
          "SelectionTooLargeError"),
         (("verify", "--suite", "zeta-class-number", "--count", "1000"),
          "SelectionTooLargeError"),
+        (("class-number", "--q", "2", "--deg-inf", "4000"), "InvalidFieldError"),
+        (("mass", "--q", "2", "--deg-inf", "129", "--rank", "2", "--ram", "inf:1/2,1:1/2"),
+         "InvalidFieldError"),
+        (("order-zeta", "--q", "5", "--rank", "6", "--ram",
+          "inf:1/6,100:1/6,100:1/6,100:1/6,100:1/6,100:1/6", "--series-order", "300"),
+         "InvalidRamificationError"),
+        (("verify", "--suite", "random-properties", "--series-order", "300"),
+         "SelectionTooLargeError"),
     ],
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
@@ -332,6 +340,8 @@ def test_local_subcommands(capsys):
         "drinfeld-mass-rank-above-cap", "drinfeld-mass-place-taken-by-infinity",
         "mass-place-degree-8000", "mass-place-degree-16000",
         "verify-random-count-above-cap", "verify-field-count-above-cap",
+        "class-number-deg-inf-4000", "mass-deg-inf-above-cap",
+        "order-zeta-ramified-degree-501", "verify-random-count-times-order-above-cap",
     ],
 )
 def test_bad_input_regressions_are_exit_2(capsys, argv, error_type):
@@ -391,6 +401,29 @@ def test_place_degree_cap_from_each_side(capsys):
             code, out, _ = invoke(capsys, *argv)
             assert code == want, (argv, degree)
     assert "above the cap" in json.loads(out)["error"]["message"]
+
+
+def test_ramified_degree_cap_from_each_side(capsys):
+    # infinity, places of degree 128 and 1, and a fourth place that sets
+    # the sum; every invariant is 1/2, so four of them sum to 2
+    for total, want in ((MAX_RAMIFIED_DEGREE, 0), (MAX_RAMIFIED_DEGREE + 1, 2)):
+        fourth = total - 1 - MAX_PLACE_DEGREE - 1
+        ram = f"inf:1/2,{MAX_PLACE_DEGREE}:1/2,1:1/2,{fourth}:1/2"
+        for argv in (("mass",), ("order-zeta", "--series-order", "4")):
+            code, out, _ = invoke(capsys, *argv, "--q", "2", "--rank", "2", "--ram", ram)
+            assert code == want, (argv, total)
+    message = json.loads(out)["error"]["message"]
+    assert message == (
+        f"ramified places have total degree {MAX_RAMIFIED_DEGREE + 1}, "
+        f"above the cap {MAX_RAMIFIED_DEGREE}"
+    )
+
+
+def test_deg_inf_cap_from_each_side(capsys):
+    for deg_inf, want in ((MAX_PLACE_DEGREE, 0), (MAX_PLACE_DEGREE + 1, 2)):
+        code, out, _ = invoke(capsys, "class-number", "--q", "2", "--deg-inf", str(deg_inf))
+        assert code == want, deg_inf
+    assert json.loads(out)["error"]["type"] == "InvalidFieldError"
 
 
 def test_place_degree_cap_is_checked_before_any_place_count():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from massform.algebra import PolyQ, ratfun, ratfun_eval
-from massform.errors import InvalidFieldError
+from massform.errors import MAX_PLACE_DEGREE, InvalidFieldError
 from massform.finitefield import enumerate_monic_irreducibles
 from massform.funcfield import (
     FunctionFieldData,
@@ -71,6 +71,18 @@ def test_rejects_missing_infinity_degree():
 def test_accepts_deg_inf_beyond_sanity_bound():
     k = FunctionFieldData.rational(2, deg_inf=9)
     assert k.deg_inf == 9
+
+
+def test_deg_inf_cap_from_each_side(monkeypatch):
+    assert FunctionFieldData.rational(2, deg_inf=MAX_PLACE_DEGREE).deg_inf == MAX_PLACE_DEGREE
+
+    def boom(self, upto):
+        raise AssertionError("places counted before the deg_inf cap")
+
+    monkeypatch.setattr(FunctionFieldData, "_compute_place_counts", boom)
+    for deg_inf in (MAX_PLACE_DEGREE + 1, 4000):
+        with pytest.raises(InvalidFieldError, match=f"deg_inf {deg_inf} is above the cap"):
+            FunctionFieldData.rational(2, deg_inf=deg_inf)
 
 
 # -- zeta_K and special values -------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -21,7 +22,7 @@ from massform.errors import (
     InvalidSeriesOrderError,
     NotDefiniteError,
 )
-from massform.funcfield import FunctionFieldData
+from massform.funcfield import FunctionFieldData, places_of_degree
 from massform.massengine import mass
 from massform.verify import (
     definite_battery,
@@ -31,17 +32,16 @@ from massform.verify import (
 )
 from massform.orderzeta import (
     MAX_SERIES_ORDER,
-    _apply_binomial,
     _at_one,
     _cyclotomic,
     _cyclotomic_at_one,
     _cyclotomic_value,
     _expand,
-    coefficient_multiplicativity_check,
     local_ideal_count,
     order_zeta_at_zero,
     order_zeta_closed_form,
     order_zeta_series,
+    place_by_place_series,
 )
 
 K2 = FunctionFieldData.rational(2)
@@ -362,18 +362,66 @@ def test_series_matches_closed_form_on_every_battery_cell():
         )
 
 
-def test_binomial_factor_matches_repeated_geometric_factors():
-    for a, m in [(1, 3), (4, 5), (2, 1), (9, 2)]:
-        got = [1, 2, 0, 5, 0, 0, 7, 0, 0, 1]
-        want = list(got)
-        _apply_binomial(got, a, m)
-        for _ in range(m):      # times 1/(1 - a v): w[j] += a * w[j - 1]
-            for j in range(1, 10):
-                want[j] += a * want[j - 1]
-        assert got == want, (a, m)
-    # (1 - v)^(-1/2) = 1 + v/2 + ...: the exact division check must fire
-    with pytest.raises(InternalConsistencyError):
-        _apply_binomial([1, 0, 0], 1, Fraction(1, 2))
+def reference_series(data, order):
+    """The Euler product expanded per degree n: one binomial series
+    (1 - a v)^{-m} = sum binom(m+k-1, k) a^k v^k in v = u^n per (a, m),
+    their product multiplied in by a stride-n convolution."""
+    field, q, r = data.field, data.field.q, data.rank
+    coeffs = [1] + [0] * order
+    for degree in range(1, order + 1):
+        ramified_here = [p for p in data.finite_places() if p.degree == degree]
+        multiplicity = places_of_degree(field, degree) - len(ramified_here)
+        if degree == field.deg_inf:
+            multiplicity -= 1
+        exponents = Counter({q ** (degree * i): multiplicity for i in range(r)})
+        for place in ramified_here:
+            d_v = place.inv_den
+            exponents.update(q ** (degree * i * d_v) for i in range(r // d_v))
+        factor = [1] + [0] * (order // degree)      # in v = u^degree
+        for a, m in (+exponents).items():
+            binomial = [1]
+            for k in range(1, len(factor)):
+                binomial.append(binomial[-1] * (m + k - 1) * a // k)
+            factor = [sum(map(mul, binomial, factor[j::-1])) for j in range(len(factor))]
+        for j in range(order, degree - 1, -1):
+            coeffs[j] = sum(map(mul, factor, coeffs[j::-degree]))
+    return tuple(coeffs)
+
+
+def test_series_matches_binomial_reference_on_the_reference_stream():
+    count = 0
+    for data in reference_stream():
+        want = reference_series(data, 24)
+        for order in (6, 12, 24):
+            assert order_zeta_series(data, order).coeffs == want[:order + 1], (
+                data.field, data.rank, data.places, order,
+            )
+        count += 1
+    assert count == 1772
+
+
+def test_series_matches_binomial_reference_at_the_order_cap():
+    cells = {}
+    for data in full_battery():
+        cells.setdefault((data.field, data.rank), data)
+    assert len(cells) == 20
+    for data in cells.values():
+        assert order_zeta_series(data, MAX_SERIES_ORDER).coeffs == reference_series(
+            data, MAX_SERIES_ORDER
+        ), (data.field.q, data.field.genus, data.rank)
+
+
+def test_series_recurrence_guard_fires_on_a_non_integral_product():
+    # half a place of degree 1 makes the factor (1 - u)^(-3/2), whose
+    # u^1 coefficient is 3/2: Newton's k s_k = sum c_j s_(k-j) cannot
+    # divide exactly, and the guard must say so
+    field = FunctionFieldData.rational(2)
+    data = parse_shorthand("inf:1/2,1:1/2", field, rank=2)
+    assert order_zeta_series(data, 4).coeffs == (1, 4, 16, 64, 256)
+    counts = field._place_counts(4)
+    object.__setattr__(field, "_counts", (counts[0] + Fraction(1, 2), *counts[1:]))
+    with pytest.raises(InternalConsistencyError, match=r"u\^1 series coefficient"):
+        order_zeta_series(data, 4)
 
 
 def test_series_coefficients_count_ideals():
@@ -418,10 +466,12 @@ def test_every_engine_rejects_more_places_than_the_field_has():
         order_zeta_series(unchecked, 4)
 
 
-def test_multiplicativity_check_frozen_examples():
-    assert coefficient_multiplicativity_check(STANDARD_R2, 8)
-    assert coefficient_multiplicativity_check(
-        RamificationData(field=K2, rank=1, places=()), 8
-    )
-    assert coefficient_multiplicativity_check(DRINFELD_R3, 6)
-    assert coefficient_multiplicativity_check(GENUS1_R2, 12)
+def test_place_by_place_series_matches_the_euler_product():
+    for data, order in [
+        (STANDARD_R2, 8),
+        (RamificationData(field=K2, rank=1, places=()), 8),
+        (DRINFELD_R3, 6),
+        (GENUS1_R2, 12),
+    ]:
+        assert place_by_place_series(data, order) == order_zeta_series(data, order).coeffs
+    assert place_by_place_series(STANDARD_R2, 3) == (1, 4, 16, 64)

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from massform import verify
 from massform.algebra import PolyQ, TruncatedSeriesQ
 from massform.csa import is_definite, validate
-from massform.errors import InvalidFieldError
+from massform.errors import InvalidFieldError, SelectionTooLargeError
 from massform.funcfield import FunctionFieldData
 from massform.verify import (
     SuiteReport,
@@ -138,3 +139,55 @@ def test_series_closed_form_failure_names_first_differing_coefficient(monkeypatc
         f": u^5 coefficient {want + 1} in the Euler product, "
         f"{want} in the closed form"
     )
+
+
+def test_series_closed_form_third_path_runs_on_q2_and_can_fail(monkeypatch):
+    report = run_suite("series-closed-form", series_order=12)
+    assert report.ok
+    assert report.notes == "order 12; place by place on q = 2 to order 8"
+    q2 = [data for data in _series_sample() if data.field.q == 2]
+    assert len(q2) == 16
+    real = verify.place_by_place_series
+
+    def perturbed(data, order):
+        coeffs = list(real(data, order))
+        coeffs[order] += 1
+        return tuple(coeffs)
+
+    monkeypatch.setattr(verify, "place_by_place_series", perturbed)
+    report = run_suite("series-closed-form", series_order=12)
+    assert len(report.failures) == len(q2)
+    want = real(q2[0], 8)[8]
+    assert report.failures[0].endswith(
+        f": u^8 coefficient {want + 1} place by place, {want} in the closed form"
+    )
+
+
+def test_series_closed_form_fails_on_a_mutated_closed_form(monkeypatch):
+    real = verify.order_zeta_closed_form
+
+    def extra_factor(data):
+        form = real(data)
+        exponents = dict(form.exponents)
+        exponents[1, 1] = exponents.get((1, 1), 0) + 1      # one more 1 - qu
+        return type(form)(form.data, exponents, form.value_at_one)
+
+    monkeypatch.setattr(verify, "order_zeta_closed_form", extra_factor)
+    report = run_suite("series-closed-form", series_order=8)
+    q2 = sum(1 for data in _series_sample() if data.field.q == 2)
+    # every datum fails against the Euler product, the q = 2 data also
+    # against the place-by-place series
+    assert len(report.failures) == report.checked + q2
+    assert sum("place by place" in failure for failure in report.failures) == q2
+
+
+def test_random_properties_count_times_order_cap_from_each_side(monkeypatch):
+    # the real cap admits every count at the default series order
+    default = inspect.signature(verify.suite_random_properties).parameters["series_order"]
+    assert verify.MAX_RANDOM_DATA * default.default <= verify.MAX_RANDOM_SERIES_TERMS
+    monkeypatch.setattr(verify, "MAX_RANDOM_SERIES_TERMS", 60)
+    assert run_suite("random-properties", count=10, series_order=6).ok
+    assert run_suite("random-properties", count=6, series_order=10).ok
+    for count, order in ((11, 6), (10, 7), (1, 61)):
+        with pytest.raises(SelectionTooLargeError, match=f"count {count} at series order {order}"):
+            run_suite("random-properties", count=count, series_order=order)

@@ -87,5 +87,9 @@ class PrecisionTooLowError(InputDataError, PrecisionExhaustedError):
     """Requested pi-adic precision cannot hold the model at all."""
 
 
+class PrecisionTooHighError(InputDataError):
+    """Requested pi-adic precision is above its cap."""
+
+
 class InternalConsistencyError(MassformError):
     """A theorem-level identity failed; indicates a bug (CLI exit 70)."""

@@ -5,25 +5,28 @@ Elements are integer-encoded: the residue polynomial
 c_0 + c_1 t + ... + c_{e-1} t^{e-1} over F_p becomes the integer
 c_0 + c_1 p + ... + c_{e-1} p^{e-1}.  Each field precomputes log/exp
 tables for a fixed multiplicative generator g, so products and inverses
-are table lookups, and a Zech-logarithm table zech[n] = log(1 + g^n),
-so that sums are table lookups too: a + b = a * (1 + b/a).  Every table
-has O(q) entries, and fields are capped at 2**12 elements; everything
-this package needs lives far below that.
+are table lookups.  In characteristic 2 the digits are bits and a sum
+of codes is their XOR.  In odd characteristic a Zech-logarithm table
+zech[n] = log(1 + g^n) makes sums table lookups too:
+a + b = a * (1 + b/a).  Every table has O(q) entries, and fields are
+capped at 2**12 elements; everything this package needs lives far
+below that.
 
 Truncated series model the complete local rings at a place: a series of
 precision N is a residue mod pi^N with N stored coefficients.  Every
 sum of products of series, sum_t pi^(s_t) x_t y_t, is built by one
 kernel, `log_dot`: the operands enter as (position, log) lists of their
-nonzero coefficients, each product is Zech-added straight into one
-log-domain accumulator per output coefficient (-1 standing for the log
-of 0), and each accumulator is mapped back through the exp table once.
-The series product is its one-term case; the matrix products and
+nonzero coefficients.  In characteristic 2 each product is read off a
+doubled exp table and XORed into its output coefficient; in odd
+characteristic it is Zech-added straight into one log-domain
+accumulator per output coefficient (-1 standing for the log of 0), and
+each accumulator is mapped back through the exp table once.  The
+series product is its one-term case; the matrix products and
 division-algebra products of `localmodels` are its many-term cases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -216,6 +219,9 @@ class FqField:
         self.generator = gen
         self._order = group_order
         self._exp = exp
+        # exp at any sum of two logs, with no reduction mod q - 1; the
+        # characteristic-2 kernel of log_dot reads it
+        self._exp2 = exp + exp
         self._log = log
         # zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0
         self._zech = [log[self._add_digits(1, x)] for x in exp]
@@ -344,10 +350,26 @@ def log_dot(
     """Coefficients of sum pi**s * x * y over the terms (x, y, s), mod
     pi**precision, with x and y given as `TruncatedSeriesFq.log_terms`.
 
-    One pass in the log domain: every product of a nonzero coefficient
-    pair is added with a Zech lookup straight into the accumulator of
-    its output position, i + j + s, and each accumulator is mapped back
+    One pass over every product of a nonzero coefficient pair, each
+    landing on its output position i + j + s.  In characteristic 2 the
+    product's code is read off the doubled exp table and XORed into a
+    code accumulator.  In odd characteristic it is added with a Zech
+    lookup into a log accumulator, and each accumulator is mapped back
     through the exp table once at the end."""
+    if field.p == 2:
+        exp2 = field._exp2
+        codes = [0] * precision
+        for xs, ys, s in terms:
+            for i, lx in xs:
+                base = i + s
+                if base >= precision:
+                    break
+                for j, ly in ys:
+                    k = base + j
+                    if k >= precision:
+                        break
+                    codes[k] ^= exp2[lx + ly]
+        return tuple(codes)
     zech, order = field._zech, field._order
     acc = [-1] * precision          # log of each partial sum; -1 is 0
     for xs, ys, s in terms:
@@ -370,18 +392,39 @@ def log_dot(
     return tuple(0 if a < 0 else exp[a] for a in acc)
 
 
-@dataclass(frozen=True)
 class TruncatedSeriesFq:
     """Residue mod pi**precision: exactly `precision` stored coefficients,
-    constant term first, each an integer code in the attached field."""
+    constant term first, each an integer code in the attached field.
 
-    field: FqField
-    precision: int
-    coeffs: tuple[int, ...]
+    A value: equal and hashed by field (by identity), precision and
+    coefficients, and never changed after construction."""
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.precision:
+    __slots__ = ("field", "precision", "coeffs")
+
+    def __init__(self, field: FqField, precision: int, coeffs: tuple[int, ...]):
+        if len(coeffs) != precision:
             raise ValueError("coefficient count must equal precision")
+        self.field = field
+        self.precision = precision
+        self.coeffs = coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruncatedSeriesFq):
+            return NotImplemented
+        return (
+            self.field is other.field
+            and self.precision == other.precision
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.precision, self.coeffs))
+
+    def __repr__(self) -> str:
+        return (
+            f"TruncatedSeriesFq(field={self.field!r}, precision={self.precision!r}, "
+            f"coeffs={self.coeffs!r})"
+        )
 
     def _check(self, other: "TruncatedSeriesFq") -> None:
         if other.field is not self.field:

@@ -15,7 +15,10 @@ q_v^d <= 4096 elements (the cap on every finite field here), so the
 matrices are d x d with d at most 12, and the brute-force counters
 enforce hard input bounds.  Matrix entries and division-algebra
 coefficients are sums of products, each built in one pass by the
-log-domain dot kernel `finitefield.log_dot`.
+log-domain dot kernel `finitefield.log_dot`.  The Frobenius tau^j acts
+on codes through a per-field power table when the matrix of an element
+is built, and on logs, as multiplication by q_v^e mod q_v^d - 1, inside
+the division-algebra product.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ from .errors import (
     InvalidRamificationError,
     NotDivisibleError,
     PrecisionExhaustedError,
+    PrecisionTooHighError,
     PrecisionTooLowError,
+    SelectionTooLargeError,
 )
 from .finitefield import (
     FIELD_SIZE_CAP,
@@ -56,6 +61,14 @@ Mat = tuple[tuple[TruncatedSeriesFq, ...], ...]
 # int-to-string conversion.
 MAX_LOCAL_INDEX = 12
 MAX_LOCAL_RANK = 48
+
+# Caps on the pi-adic precision and the random pair count of the model
+# checks.  A pair costs about d^3 products of series, each quadratic in
+# the precision.  The worst case is q_v = 2, d = 12 (residue field
+# F_4096): at both caps `run_model_checks` takes 8-9 s, at the defaults
+# (precision 6, 100 pairs) about 0.5 s (2-CPU machine).
+MAX_MODEL_PRECISION = 16
+MAX_MODEL_PAIRS = 250
 
 
 def _check_residue_size(q_v: int) -> None:
@@ -186,12 +199,17 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_pow(a: Mat, n: int, model: LocalModel) -> Mat:
-    result = mat_identity(model)
-    while n:
-        if n & 1:
+    """a**n by squaring from the top bit of n down: n.bit_length() - 1
+    squarings and n.bit_count() - 1 products by a, the identity at 0."""
+    if n < 0:
+        raise ValueError("negative matrix power")
+    if n == 0:
+        return mat_identity(model)
+    result = a
+    for bit in bin(n)[3:]:
+        result = mat_mul(result, result)
+        if bit == "1":
             result = mat_mul(result, a)
-        a = mat_mul(a, a)
-        n >>= 1
     return result
 
 
@@ -214,40 +232,48 @@ def phi_of_element(model: LocalModel, coeffs) -> Mat:
     """Matrix of x = sum_i P^i a_i, i.e. sum_i phi_of_pi^i * diag(tau^c(a_i)).
 
     Built entry by entry: entry (r, c) is tau^c(a_{(r-c) mod d}), times
-    pi when c > r, where the power of P has wrapped past P^d = pi."""
+    pi when c > r, where the power of P has wrapped past P^d = pi.  Each
+    column maps every coefficient tuple through one Frobenius table."""
     coeffs = list(coeffs)
-    d = model.d
+    d, n, field = model.d, model.precision, model.residue_field
     if len(coeffs) != d:
         raise ValueError(f"need exactly {d} coefficients")
-    tau_power = model.tau_power
-    return _mat_from_rows(
-        [
-            [
-                tau_power(coeffs[(r - c) % d], c).shift(1) if c > r
-                else tau_power(coeffs[r - c], c)
-                for c in range(d)
-            ]
-            for r in range(d)
-        ]
-    )
+    rows = [[None] * d for _ in range(d)]
+    for c in range(d):
+        e = (model.m_bez * c) % d
+        table = model.frobenius_table(e).__getitem__ if e else None
+        for i, a in enumerate(coeffs):
+            t = tuple(map(table, a.coeffs)) if e else a.coeffs
+            r = i + c
+            if r >= d:
+                rows[r - d][c] = TruncatedSeriesFq(field, n, (0,) + t[:-1])
+            else:
+                rows[r][c] = TruncatedSeriesFq(field, n, t) if e else a
+    return _mat_from_rows(rows)
 
 
 def delta_mul(model: LocalModel, xs, ys) -> tuple[TruncatedSeriesFq, ...]:
     """Product in the division algebra, in normal form.
 
     (sum P^i x_i)(sum P^j y_j) = sum P^{i+j} tau^j(x_i) y_j, then
-    P^{i+j} folds to pi^{(i+j) div d} P^{(i+j) mod d}.
+    P^{i+j} folds to pi^{(i+j) div d} P^{(i+j) mod d}.  tau^j raises
+    every coefficient to the power q_v^e, e = m*j mod d, so on logs it
+    is multiplication by q_v^e mod q_v^d - 1, and each x_i enters log
+    form once.
     """
     d, n, field = model.d, model.precision, model.residue_field
-    y_logs = [y.log_terms() for y in ys]
+    order = field._order
+    x_logs = [x.log_terms() for x in xs]
     # the terms of each output coefficient P^k, the pi power as shift
     terms = [[] for _ in range(d)]
-    for i, x in enumerate(xs):
-        for j, y in enumerate(y_logs):
-            if y:
-                terms[(i + j) % d].append(
-                    (model.tau_power(x, j).log_terms(), y, (i + j) // d)
-                )
+    for j, y in enumerate(ys):
+        y_log = y.log_terms()
+        if not y_log:
+            continue
+        frob = model.q_v ** ((model.m_bez * j) % d)
+        for i, x_log in enumerate(x_logs):
+            tau_x = x_log if frob == 1 else [(pos, lx * frob % order) for pos, lx in x_log]
+            terms[(i + j) % d].append((tau_x, y_log, (i + j) // d))
     return tuple(TruncatedSeriesFq(field, n, log_dot(field, t, n)) for t in terms)
 
 
@@ -530,6 +556,12 @@ def run_model_checks(
     """
     if pairs < 1:
         raise EmptySelectionError(f"pairs {pairs} must be >= 1")
+    if pairs > MAX_MODEL_PAIRS:
+        raise SelectionTooLargeError(f"pairs {pairs} is above the cap {MAX_MODEL_PAIRS}")
+    if precision > MAX_MODEL_PRECISION:
+        raise PrecisionTooHighError(
+            f"precision {precision} is above the cap {MAX_MODEL_PRECISION}"
+        )
     model = LocalModel.create(q_v, d, b, precision)
     rng = random.Random(seed)
 

@@ -19,7 +19,12 @@ from massform.csa import MAX_PLACE_DEGREE, MAX_RAMIFIED_DEGREE, MAX_RANK
 from massform.errors import InternalConsistencyError, InvalidFieldError
 from massform.finitefield import FIELD_SIZE_CAP
 from massform.funcfield import FunctionFieldData, zeta_A, zeta_K
-from massform.localmodels import MAX_LOCAL_INDEX, MAX_LOCAL_RANK
+from massform.localmodels import (
+    MAX_LOCAL_INDEX,
+    MAX_LOCAL_RANK,
+    MAX_MODEL_PAIRS,
+    MAX_MODEL_PRECISION,
+)
 from massform.orderzeta import MAX_SERIES_ORDER, order_zeta_closed_form
 from test_orderzeta import reference_stream
 
@@ -327,6 +332,11 @@ def test_local_subcommands(capsys):
          "InvalidRamificationError"),
         (("verify", "--suite", "random-properties", "--series-order", "300"),
          "SelectionTooLargeError"),
+        (("local", "model-check", "--qv", "2", "--d", "4", "--b", "1", "--prec", "2000",
+          "--pairs", "1"), "PrecisionTooHighError"),
+        (("local", "model-check", "--qv", "2", "--d", "4", "--b", "1", "--pairs", "20000"),
+         "SelectionTooLargeError"),
+        (("verify", "--suite", "local-models", "--pairs", "20000"), "SelectionTooLargeError"),
     ],
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
@@ -342,6 +352,7 @@ def test_local_subcommands(capsys):
         "verify-random-count-above-cap", "verify-field-count-above-cap",
         "class-number-deg-inf-4000", "mass-deg-inf-above-cap",
         "order-zeta-ramified-degree-501", "verify-random-count-times-order-above-cap",
+        "model-check-prec-2000", "model-check-pairs-20000", "verify-local-models-pairs-20000",
     ],
 )
 def test_bad_input_regressions_are_exit_2(capsys, argv, error_type):
@@ -385,6 +396,21 @@ def test_rank_cap_from_each_side(capsys):
         for argv in (("mass", "--q", "2"), ("order-zeta", "--q", "5", "--series-order", "4")):
             code, out, _ = invoke(capsys, *argv, "--rank", str(rank), "--ram", ram)
             assert code == want, (argv, rank)
+    assert "above the cap" in json.loads(out)["error"]["message"]
+
+
+def test_model_check_caps_from_each_side(capsys):
+    model_check = ("local", "model-check", "--qv", "2", "--d", "2", "--b", "1")
+    for precision, want in ((MAX_MODEL_PRECISION, 0), (MAX_MODEL_PRECISION + 1, 2)):
+        code, _, _ = invoke(capsys, *model_check, "--prec", str(precision), "--pairs", "1")
+        assert code == want, precision
+    for pairs, want in ((MAX_MODEL_PAIRS, 0), (MAX_MODEL_PAIRS + 1, 2)):
+        code, _, _ = invoke(capsys, "local", "model-check", "--qv", "2", "--d", "1",
+                            "--pairs", str(pairs))
+        assert code == want, pairs
+    code, out, _ = invoke(capsys, "verify", "--suite", "local-models",
+                          "--pairs", str(MAX_MODEL_PAIRS + 1))
+    assert code == 2
     assert "above the cap" in json.loads(out)["error"]["message"]
 
 

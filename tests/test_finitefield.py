@@ -8,9 +8,11 @@ from massform.algebra import factor_prime_power
 from massform.errors import OrderMismatchError
 from massform.finitefield import (
     FqField,
+    TruncatedSeriesFq,
     enumerate_monic_irreducibles,
     fq_series,
     fq_series_one,
+    log_dot,
 )
 
 
@@ -281,6 +283,23 @@ def test_series_precision_mismatch_rejected():
         fq_series_one(f2, 3) * fq_series_one(f2, 4)
 
 
+def test_series_value_semantics():
+    f4 = FqField.of_order(4)
+    a = fq_series(f4, (1, 2, 3), 3)
+    b = TruncatedSeriesFq(f4, 3, (1, 2, 3))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, fq_series(f4, (1, 2), 3)}) == 2
+    assert a != fq_series(f4, (1, 2, 3), 4)
+    # the field compares by identity: the same order built anew is
+    # another field
+    assert TruncatedSeriesFq(FqField(2, 2), 3, (1, 2, 3)) != a
+    assert a.__eq__((1, 2, 3)) is NotImplemented
+    assert a != (1, 2, 3) and a != 5
+    with pytest.raises(ValueError):
+        TruncatedSeriesFq(f4, 3, (1, 2))
+    assert repr(a) == "TruncatedSeriesFq(field=FqField(q=4), precision=3, coeffs=(1, 2, 3))"
+
+
 def test_series_mul_truncates_consistently():
     f4 = FqField.of_order(4)
     a = fq_series(f4, (1, 2, 3, 1, 2, 3), 6)
@@ -322,3 +341,70 @@ def test_series_mul_matches_schoolbook_convolution(q):
     x = fq_series(f, [rng.randrange(1, q) for _ in range(5)], 5)
     minus_x = fq_series(f, [f.neg(c) for c in x.coeffs], 5)
     assert (x * minus_x).coeffs == tuple(f.neg(c) for c in (x * x).coeffs)
+
+
+# -- log_dot against a digit-wise reference ----------------------------------
+#
+# The matrix and division-algebra tests of localmodels multiply series with
+# `TruncatedSeriesFq.__mul__`, which is `log_dot` itself.  This reference
+# shares nothing with it: every product is a residue-polynomial product,
+# every sum a digit-wise sum, and the shift pi**s moves the product along.
+
+def _reference_dot(f: FqField, terms, precision: int) -> tuple[int, ...]:
+    out = [0] * precision
+    for x, y, s in terms:
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                k = i + j + s
+                if k < precision:
+                    out[k] = _digit_add(f, out[k], _poly_mul(f, a, b))
+    return tuple(out)
+
+
+def _log_terms(f: FqField, coeffs: tuple[int, ...]):
+    return TruncatedSeriesFq(f, len(coeffs), coeffs).log_terms()
+
+
+def _draw_coeffs(f: FqField, rng: random.Random, n: int) -> tuple[int, ...]:
+    # a zero operand now and then, and about half the coefficients 0 in
+    # another, so empty log lists and skipped positions both occur
+    roll = rng.random()
+    if roll < 0.1:
+        return (0,) * n
+    density = 0.5 if roll < 0.5 else 1.0
+    return tuple(rng.randrange(1, f.q) if rng.random() < density else 0 for _ in range(n))
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 4096, 3, 9, 81, 2187])
+def test_log_dot_matches_digit_reference(q):
+    f = FqField.of_order(q)
+    rng = random.Random(q + 1)
+    for trial in range(40):
+        precision = 1 + trial % 7
+        terms = [
+            (_draw_coeffs(f, rng, precision), _draw_coeffs(f, rng, precision),
+             rng.randrange(precision + 1))
+            for _ in range(rng.randrange(1, 6))
+        ]
+        got = log_dot(
+            f, [(_log_terms(f, x), _log_terms(f, y), s) for x, y, s in terms], precision
+        )
+        assert got == _reference_dot(f, terms, precision), (q, terms)
+    for precision in (1, 4):
+        assert log_dot(f, [], precision) == (0,) * precision
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 4096, 3, 9, 81, 2187])
+def test_log_dot_sums_that_cancel_to_zero(q):
+    f = FqField.of_order(q)
+    rng = random.Random(q + 2)
+    for s in (0, 1, 3):
+        x = tuple(rng.randrange(1, q) for _ in range(5))
+        y = tuple(rng.randrange(1, q) for _ in range(5))
+        minus_y = tuple(_digit_neg(f, c) for c in y)
+        lx, ly, lmy = (_log_terms(f, c) for c in (x, y, minus_y))
+        # pi^s x y + pi^s x (-y) = 0, then a third term survives alone
+        assert log_dot(f, [(lx, ly, s), (lx, lmy, s)], 5) == (0,) * 5
+        z = tuple(rng.randrange(1, q) for _ in range(5))
+        third = [(lx, ly, s), (lx, lmy, s), (_log_terms(f, z), ly, 1)]
+        assert log_dot(f, third, 5) == _reference_dot(f, [(z, y, 1)], 5)

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from massform import localmodels
 from massform.csa import lambda_value
 from massform.errors import (
     BruteForceTooLargeError,
@@ -21,6 +22,7 @@ from massform.localmodels import (
     iwahori_index,
     lambda_from_volumes,
     local_volume_report,
+    mat_identity,
     mat_mul,
     mat_pow,
     mat_scalar,
@@ -262,6 +264,42 @@ def test_phi_of_pi_power_is_uniformizer():
             model = LocalModel.create(q_v, d, 1)
             lhs = mat_pow(phi_of_pi(model), d, model)
             assert lhs == mat_scalar(model, model.pi())
+
+
+def _repeated_power(a, n, model):
+    """a**n as n - 1 products from the left; the identity at n = 0."""
+    if n == 0:
+        return mat_identity(model)
+    out = a
+    for _ in range(n - 1):
+        out = mat_mul(out, a)
+    return out
+
+
+def test_mat_pow_matches_repeated_products(monkeypatch):
+    calls = []
+
+    def counted_mat_mul(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    rng = random.Random(23)
+    for model in (LocalModel.create(2, 3, 2), LocalModel.create(3, 2, 1, precision=4)):
+        d = model.d
+        random_mat = tuple(
+            tuple(model.random_integral(rng) for _ in range(d)) for _ in range(d)
+        )
+        for a in (phi_of_pi(model), random_mat):
+            for n in (0, 1, 2, 3, 5, 8):
+                want = _repeated_power(a, n, model)
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(localmodels, "mat_mul", counted_mat_mul)
+                    got = mat_pow(a, n, model)
+                assert got == want, (model, n)
+                assert len(calls) == (n.bit_length() + n.bit_count() - 2 if n else 0), n
+        with pytest.raises(ValueError):
+            mat_pow(phi_of_pi(model), -1, model)
 
 
 def test_phi_of_pi_shape_d2():

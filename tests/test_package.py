@@ -50,3 +50,42 @@ def _unused_imports(path):
 def test_no_unused_imports(path):
     unused = _unused_imports(path)
     assert unused == [], f"{path.name}: unused imports (line, name) {unused}"
+
+
+def _series_attribute_bindings(path):
+    """(line, code) of each statement outside a constructor that binds an
+    attribute named like a `TruncatedSeriesFq` slot."""
+    names = {"field", "precision", "coeffs"}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    in_constructor = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+        for sub in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in in_constructor:
+            continue
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            if any(
+                isinstance(sub, ast.Attribute) and sub.attr in names
+                for target in targets
+                for sub in ast.walk(target)
+            ):
+                found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            func, name = node.func, node.args[1]
+            setter = getattr(func, "id", None) == "setattr" or getattr(func, "attr", None) == "__setattr__"
+            if setter and isinstance(name, ast.Constant) and name.value in names:
+                found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_series_attributes_are_bound_only_in_constructors(path):
+    # TruncatedSeriesFq is hashed by value but, for speed, does not
+    # forbid rebinding its slots; nothing in the package may rebind them
+    found = _series_attribute_bindings(path)
+    assert found == [], f"{path.name}: series attribute bound at {found}"

@@ -2,7 +2,9 @@
 
 Parses field and ramification descriptions, dispatches to the engines,
 and emits deterministic JSON (default) or CSV.  Exit codes: 0 success,
-2 invalid input data, 64 usage error, 70 internal consistency failure.
+2 invalid input data (a typed InputDataError, or an answer past
+Python's int-to-string limit), 64 usage error, 70 internal consistency
+failure or any other untyped error.
 
 Imports are per command.  At module level this file loads only click,
 the standard library and `errors`; each command imports the engines it
@@ -28,9 +30,8 @@ from .errors import (
     MAX_SERIES_ORDER,
     EmptySelectionError,
     InputDataError,
-    InternalConsistencyError,
     InvalidFieldError,
-    MassformError,
+    OutputTooLargeError,
 )
 
 if TYPE_CHECKING:
@@ -510,6 +511,16 @@ def cmd_verify(suite, fmt, **options):
 # Entry points
 # ----------------------------------------------------------------------
 
+def _input_error(exc: InputDataError) -> int:
+    _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, "json")
+    return 2
+
+
+def _internal_error(exc: Exception) -> int:
+    click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+    return 70
+
+
 def run(argv: list[str]) -> int:
     """Execute one invocation; returns the exit code instead of exiting."""
     try:
@@ -523,20 +534,15 @@ def run(argv: list[str]) -> int:
     except click.exceptions.Abort:
         return 64
     except InputDataError as exc:
-        _emit(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            "json",
-        )
-        return 2
+        return _input_error(exc)
     except ValueError as exc:
-        _emit(
-            {"error": {"type": "ValueError", "message": str(exc)}},
-            "json",
-        )
-        return 2
-    except (InternalConsistencyError, MassformError) as exc:
-        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
-        return 70
+        # Python's int-to-string limit is the one untyped error that
+        # reports an input: an answer too long to print
+        if "integer string conversion" in str(exc):
+            return _input_error(OutputTooLargeError(str(exc)))
+        return _internal_error(exc)
+    except Exception as exc:
+        return _internal_error(exc)
     if isinstance(result, int):
         return result
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import MAX_PLACE_DEGREE, InvalidRamificationError
+from .errors import MAX_PLACE_DEGREE, InvalidRamificationError, NotDivisibleError
 from .funcfield import FunctionFieldData, places_of_degree
 
 # The largest global rank accepted.  The order-zeta series costs most,
@@ -209,8 +209,10 @@ def lambda_value(norm: int, r: int, d: int) -> int:
 
     d = 1 gives the empty product 1 (an unramified place contributes no
     correction)."""
-    if r < 1 or d < 1 or r % d != 0:
-        raise ValueError(f"need d | r, got d={d}, r={r}")
+    if r < 1 or d < 1:
+        raise InvalidRamificationError(f"need r, d >= 1, got d={d}, r={r}")
+    if r % d != 0:
+        raise NotDivisibleError(f"need d | r, got d={d}, r={r}")
     out = 1
     for i in range(1, r):
         if i % d != 0:

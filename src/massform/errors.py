@@ -4,12 +4,15 @@
 (bad field spec, inconsistent ramification, out-of-range brute force);
 the CLI maps them to exit code 2.  ``InternalConsistencyError`` marks
 identities that are theorems for valid input and must never fail; the
-CLI maps it (and failed verification suites) to exit code 70.
+CLI maps it, any other untyped error and failed verification suites to
+exit code 70.  ``OutputTooLargeError`` is the CLI's name for Python's
+int-to-string limit, the one untyped error that reports an input.
 
 The series-order cap lives here, beside its error, because the CLI's
 help text shows it and the CLI loads no engine to print help.  The
 place-degree cap lives here because both funcfield and csa, which
-imports funcfield, enforce it.
+imports funcfield, enforce it, and the cap on q because funcfield and
+localmodels both do.
 """
 
 # The largest series order accepted.  Cost and output grow faster than
@@ -25,6 +28,15 @@ MAX_SERIES_ORDER = 300
 # (2-CPU machine).  At q = 2 and the largest rank the mass prints up to
 # degree 952.
 MAX_PLACE_DEGREE = 128
+
+# The largest constant field size q and local residue size q_v.  Both
+# are checked before the prime-power test, which trial-divides up to the
+# square root: about 4 ms for the largest prime below this cap, 55 ms
+# near 10^12, and a prime near 10^18 ran on past 15 s.  Below the cap
+# the other costs grow only with log q: at this cap, rank 6 and series
+# order 300, `massform order-zeta` takes about 8.6 s (2-CPU machine)
+# before its answer is refused as too long to print.
+MAX_Q = 2 ** 32
 
 
 class MassformError(Exception):
@@ -65,6 +77,17 @@ class EmptySelectionError(InputDataError):
 
 class SelectionTooLargeError(InputDataError):
     """A count asks for more checks than its cap allows."""
+
+
+class InvalidArgumentError(InputDataError):
+    """An argument lies outside the domain of the function called: a
+    special value zeta_K(-i) at i < 1, a place degree below 1, a negative
+    denominator exponent."""
+
+
+class OutputTooLargeError(InputDataError):
+    """An answer has more digits than Python converts to a string (its
+    int-to-string limit, 4300 digits by default)."""
 
 
 class PoleError(MassformError):

@@ -16,9 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .algebra import PolyQ, RationalFunctionQ, factor_prime_power, ratfun
-from .errors import MAX_PLACE_DEGREE, InternalConsistencyError, InvalidFieldError
+from .errors import (
+    MAX_PLACE_DEGREE,
+    MAX_Q,
+    InternalConsistencyError,
+    InvalidArgumentError,
+    InvalidFieldError,
+)
 
 
 def _mobius(n: int) -> int:
@@ -35,15 +42,21 @@ def _mobius(n: int) -> int:
     return result
 
 
+@cache
+def _divisors(k: int) -> tuple[int, ...]:
+    return tuple(m for m in range(1, k + 1) if k % m == 0)
+
+
 @dataclass(frozen=True)
 class FunctionFieldData:
     """A global function field presented by its counting data.
 
-    l_poly is P(T) with integer coefficients, lowest degree first;
-    deg_inf is the degree of the chosen place at infinity, at most
-    MAX_PLACE_DEGREE.  sanity_bound controls how many place counts are
-    certified non-negative at construction (the exact Weil root bound is
-    irrational, so counting non-negativity is the acceptance proxy).
+    q is a prime power of at most MAX_Q; l_poly is P(T) with integer
+    coefficients, lowest degree first; deg_inf is the degree of the
+    chosen place at infinity, at most MAX_PLACE_DEGREE.  sanity_bound
+    controls how many place counts are certified non-negative at
+    construction (the exact Weil root bound is irrational, so counting
+    non-negativity is the acceptance proxy).
     """
 
     q: int
@@ -56,10 +69,14 @@ class FunctionFieldData:
 
     def __post_init__(self):
         problems = []
-        try:
-            factor_prime_power(self.q)
-        except ValueError:
-            problems.append(f"q={self.q} is not a prime power")
+        if self.q > MAX_Q:
+            # checked before factoring, which trial-divides up to sqrt(q)
+            problems.append(f"q={self.q} is above the cap {MAX_Q}")
+        else:
+            try:
+                factor_prime_power(self.q)
+            except ValueError:
+                problems.append(f"q={self.q} is not a prime power")
         if self.genus < 0:
             problems.append("genus must be >= 0")
         if self.deg_inf < 1:
@@ -129,14 +146,12 @@ class FunctionFieldData:
         return self._counts[:upto]
 
     def _compute_place_counts(self, upto: int) -> tuple[int, ...]:
+        """The stored counts extended to b_1 .. b_upto: only the degrees
+        not yet counted are summed, and a failure stores nothing."""
         n_counts = self.point_counts(upto)
-        out = []
-        for n in range(1, upto + 1):
-            total = sum(
-                _mobius(n // d) * n_counts[d - 1]
-                for d in range(1, n + 1)
-                if n % d == 0
-            )
+        out = list(self._counts)
+        for n in range(len(out) + 1, upto + 1):
+            total = sum(_mobius(n // d) * n_counts[d - 1] for d in _divisors(n))
             if total % n != 0:
                 raise InvalidFieldError(
                     f"degree-{n} place count is not integral"
@@ -159,7 +174,7 @@ def zeta_special_value(data: FunctionFieldData, i: int) -> Fraction:
 
     P(q^i) by Horner's rule in integers; one Fraction at the end."""
     if i < 1:
-        raise ValueError("special values are taken at i >= 1")
+        raise InvalidArgumentError("special values are taken at i >= 1")
     qi = data.q ** i
     return Fraction(data.l_poly.eval(qi), (1 - qi) * (1 - qi * data.q))
 
@@ -176,7 +191,7 @@ def class_number_A(data: FunctionFieldData) -> int:
 def places_of_degree(data: FunctionFieldData, n: int) -> int:
     """Number of places of K of degree exactly n."""
     if n < 1:
-        raise ValueError("degree must be >= 1")
+        raise InvalidArgumentError("degree must be >= 1")
     return data._place_counts(n)[n - 1]
 
 

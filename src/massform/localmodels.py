@@ -30,9 +30,11 @@ from math import gcd
 
 from .algebra import factor_prime_power
 from .errors import (
+    MAX_Q,
     BruteForceTooLargeError,
     EmptySelectionError,
     InternalConsistencyError,
+    InvalidArgumentError,
     InvalidFieldError,
     InvalidRamificationError,
     NotDivisibleError,
@@ -72,6 +74,9 @@ MAX_MODEL_PAIRS = 250
 
 
 def _check_residue_size(q_v: int) -> None:
+    if q_v > MAX_Q:
+        # checked before factoring, which trial-divides up to sqrt(q_v)
+        raise InvalidFieldError(f"residue size q_v = {q_v} is above the cap {MAX_Q}")
     try:
         factor_prime_power(q_v)
     except ValueError as exc:
@@ -286,7 +291,7 @@ def in_iwahori(mat: Mat, denominator_exponent: int = 0) -> bool:
     on and below the diagonal and >= k + 1 above it.
     """
     if denominator_exponent < 0:
-        raise ValueError("denominator exponent must be >= 0")
+        raise InvalidArgumentError("denominator exponent must be >= 0")
     precision = mat[0][0].precision
     if denominator_exponent >= precision:
         raise PrecisionExhaustedError(
@@ -343,7 +348,7 @@ def vol_G(q_v: int, r: int) -> Fraction:
     """Volume of the standard maximal compact of the split group:
     prod_{i=1..r} (q_v^i - 1) / q_v^{r(r+1)/2}."""
     if r < 1:
-        raise ValueError("r must be >= 1")
+        raise InvalidRamificationError(f"rank {r} must be >= 1")
     num = 1
     for i in range(1, r + 1):
         num *= q_v ** i - 1
@@ -355,7 +360,7 @@ def vol_Gprime(q_v: int, m: int, d: int) -> Fraction:
     the index correction q_v^{-m^2 d(d-1)/2} and the GL_m factor over
     the degree-d residue field."""
     if m < 1 or d < 1:
-        raise ValueError("m and d must be >= 1")
+        raise InvalidRamificationError(f"m = {m} and d = {d} must be >= 1")
     index_correction = Fraction(1, q_v ** (m * m * d * (d - 1) // 2))
     gl_num = 1
     for i in range(1, m + 1):

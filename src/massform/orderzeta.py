@@ -14,8 +14,13 @@ Two independent realizations of the same object live here:
   and the normalized num/den are audit output, built only when read;
 * a truncated Dirichlet series built from an Euler product over the
   finite places, expanded in integers by Newton's identities on its
-  log-derivative, and rebuilt place by place from an explicit
-  composition sum (local_ideal_count) by place_by_place_series.
+  log-derivative.  That is read off the product's own place counts:
+  its u^k coefficient is a divisor sum over the unramified places times
+  the geometric sum (q^{rk} - 1)/(q^k - 1), plus one geometric sum per
+  ramified place (the log Z(u) = sum N_k u^k / k bookkeeping of Rosen,
+  Number Theory in Function Fields, ch. 5).  The series is rebuilt
+  place by place from an explicit composition sum (local_ideal_count)
+  by place_by_place_series.
 
 Their coefficientwise agreement, and the equality of the value at u = 1
 with minus the factored mass, are the package's central cross-checks.
@@ -42,7 +47,7 @@ from .errors import (
     InvalidSeriesOrderError,
     NotDefiniteError,
 )
-from .funcfield import FunctionFieldData, _mobius, places_of_degree
+from .funcfield import FunctionFieldData, _divisors, _mobius, places_of_degree
 
 
 # ----------------------------------------------------------------------
@@ -56,11 +61,6 @@ from .funcfield import FunctionFieldData, _mobius, places_of_degree
 # factors are irreducible over Q and distinct for distinct (j, m).  A key
 # with m = 0 stands for the P-shift P(q^j u).
 ExponentMap = dict[tuple[int, int], int]
-
-
-@cache
-def _divisors(k: int) -> tuple[int, ...]:
-    return tuple(m for m in range(1, k + 1) if k % m == 0)
 
 
 def _binomial(j: int, k: int) -> list[tuple[int, int]]:
@@ -329,19 +329,29 @@ def local_ideal_count(q_v: int, m_v: int, d_v: int, ell: int) -> int:
     return total
 
 
+def _geometric(x: int, n: int) -> int:
+    """1 + x + ... + x^(n-1) for an integer x >= 2."""
+    return (x ** n - 1) // (x - 1)
+
+
 def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
     """Dirichlet series of the order zeta to the given order in u.
 
-    Euler product over finite places only, in integers.  Per degree n,
-    the factors are gathered as prod (1 - a u^n)^{-m}: the unramified
-    places add their number to m at a = q^{n i}, i < r, and each
-    ramified place adds 1 at a = q^{n i d_v}, i < r/d_v.  The product's
-    log-derivative u F'/F = sum_k c_k u^k has c_k = sum_{n | k} n
-    sum_{(a, m) at degree n} m a^{k/n}, and Newton's identities
-    k s_k = sum_{j=1..k} c_j s_{k-j} give the coefficients s_k, each by
-    an exact division.  Infinity is skipped; the closed form
-    compensates, and the tests compare the two expansions coefficient
-    by coefficient.
+    Euler product over finite places only, in integers.  A place of
+    degree n contributes prod_{i < r} (1 - q^{n i} u^n)^{-1} when it is
+    unramified, and prod_{i < r/d_v} (1 - q^{n i d_v} u^n)^{-1} when it
+    is ramified with local index d_v.  The product's log-derivative
+    u F'/F = sum_k c_k u^k therefore takes, for each n | k,
+    n (q^{rk} - 1)/(q^k - 1) from every unramified place of degree n and
+    n (q^{rk} - 1)/(q^{d_v k} - 1) from every ramified one.  So
+    c_k = w_k (q^{rk} - 1)/(q^k - 1) plus the ramified terms, where
+    w_k = sum_{n | k} n M_n and M_n is the number of unramified finite
+    places of degree n, read off the place counts (infinity and the
+    ramified places subtracted, the subtraction checked to stay
+    non-negative).  Newton's identities k s_k = sum_{j=1..k} c_j s_{k-j}
+    give the coefficients s_k, each by an exact division.  Infinity is
+    skipped; the closed form compensates, and the tests compare the two
+    expansions coefficient by coefficient.
     """
     ensure_valid(data)
     if not is_definite(data):
@@ -352,29 +362,34 @@ def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
         )
     field = data.field
     q, r = field.q, data.rank
-    log_derivative = [0] * (order + 1)
+    ramified: dict[int, list[int]] = {}
+    for place in data.finite_places():
+        ramified.setdefault(place.degree, []).append(place.inv_den)
+    # w_k = sum_{n | k} n M_n over the unramified place counts M_n
+    weights = [0] * (order + 1)
     for degree, available in enumerate(field._place_counts(order), start=1):
-        ramified_here = [p for p in data.finite_places() if p.degree == degree]
-        multiplicity = available - len(ramified_here)
-        if degree == field.deg_inf:
-            multiplicity -= 1
+        ramified_here = len(ramified.get(degree, ()))
+        multiplicity = available - ramified_here - (degree == field.deg_inf)
         if multiplicity < 0:
             # ensure_valid's availability check, made again from the
             # place counts the product runs over
             raise InternalConsistencyError(
-                f"{len(ramified_here)} finite ramified places of degree {degree} "
-                f"but the field has {multiplicity + len(ramified_here)} finite places "
+                f"{ramified_here} finite ramified places of degree {degree} "
+                f"but the field has {multiplicity + ramified_here} finite places "
                 "of that degree"
             )
-        exponents = Counter({q ** (degree * i): multiplicity for i in range(r)})
-        for place in ramified_here:
-            d_v = place.inv_den
-            exponents.update(q ** (degree * i * d_v) for i in range(r // d_v))
-        for a, m in exponents.items():
-            term = degree * m
+        if multiplicity:
             for k in range(degree, order + 1, degree):
-                term *= a
-                log_derivative[k] += term
+                weights[k] += degree * multiplicity
+    log_derivative = [0] * (order + 1)
+    q_k = 1
+    for k in range(1, order + 1):
+        q_k *= q
+        log_derivative[k] = weights[k] * _geometric(q_k, r)
+    for degree, inv_dens in ramified.items():
+        for d_v in inv_dens:
+            for k in range(degree, order + 1, degree):
+                log_derivative[k] += degree * _geometric(q ** (d_v * k), r // d_v)
     coeffs = [1]
     for k in range(1, order + 1):
         total = sum(map(mul, log_derivative[1:k + 1], reversed(coeffs)))

@@ -13,10 +13,10 @@ import pytest
 
 import massform
 import massform.cli as cli
-from massform import csa, massengine, verify
+from massform import csa, funcfield, localmodels, massengine, verify
 from massform.algebra import PolyQ, rational_to_str
 from massform.csa import MAX_PLACE_DEGREE, MAX_RAMIFIED_DEGREE, MAX_RANK
-from massform.errors import InternalConsistencyError, InvalidFieldError
+from massform.errors import MAX_Q, InternalConsistencyError, InvalidFieldError
 from massform.finitefield import FIELD_SIZE_CAP
 from massform.funcfield import FunctionFieldData, zeta_A, zeta_K
 from massform.localmodels import (
@@ -27,6 +27,10 @@ from massform.localmodels import (
 )
 from massform.orderzeta import MAX_SERIES_ORDER, order_zeta_closed_form
 from test_orderzeta import reference_stream
+
+# a prime near 10^18: trial division up to its square root ran on past
+# 15 s before q was capped
+HUGE_PRIME = "1000000000000000003"
 
 
 def invoke(capsys, *argv):
@@ -128,6 +132,33 @@ def test_internal_errors_are_exit_70(capsys, monkeypatch):
     )
     assert code == 70
     assert "InternalConsistencyError" in err
+
+
+@pytest.mark.parametrize("error", [ValueError("forced"), TypeError("forced")])
+def test_untyped_errors_are_exit_70(capsys, monkeypatch, error):
+    def boom(data):
+        raise error
+
+    monkeypatch.setattr(massengine, "mass", boom)
+    code, out, err = invoke(
+        capsys, "mass", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
+    )
+    assert (code, out) == (70, "")
+    assert f"internal error: {type(error).__name__}: forced" in err
+
+
+def test_int_to_string_limit_is_exit_2(capsys, monkeypatch):
+    def too_long_to_print(data):
+        return str(10 ** 5000)
+
+    monkeypatch.setattr(massengine, "mass", too_long_to_print)
+    code, out, _ = invoke(
+        capsys, "mass", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
+    )
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "OutputTooLargeError"
+    assert "integer string conversion" in error["message"]
 
 
 def test_determinism_byte_identical(capsys):
@@ -337,6 +368,9 @@ def test_local_subcommands(capsys):
         (("local", "model-check", "--qv", "2", "--d", "4", "--b", "1", "--pairs", "20000"),
          "SelectionTooLargeError"),
         (("verify", "--suite", "local-models", "--pairs", "20000"), "SelectionTooLargeError"),
+        (("class-number", "--q", HUGE_PRIME), "InvalidFieldError"),
+        (("local", "volumes", "--qv", HUGE_PRIME, "--r", "2", "--d", "1"), "InvalidFieldError"),
+        (("local", "volumes", "--qv", "65537", "--r", "48", "--d", "1"), "OutputTooLargeError"),
     ],
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
@@ -353,6 +387,7 @@ def test_local_subcommands(capsys):
         "class-number-deg-inf-4000", "mass-deg-inf-above-cap",
         "order-zeta-ramified-degree-501", "verify-random-count-times-order-above-cap",
         "model-check-prec-2000", "model-check-pairs-20000", "verify-local-models-pairs-20000",
+        "class-number-huge-q", "volumes-huge-qv", "volumes-past-the-digit-limit",
     ],
 )
 def test_bad_input_regressions_are_exit_2(capsys, argv, error_type):
@@ -427,6 +462,33 @@ def test_place_degree_cap_from_each_side(capsys):
             code, out, _ = invoke(capsys, *argv)
             assert code == want, (argv, degree)
     assert "above the cap" in json.loads(out)["error"]["message"]
+
+
+def test_q_cap_from_each_side(capsys, monkeypatch):
+    # MAX_Q is 2^32, a prime power; the next prime is 2^32 + 15
+    above = str(MAX_Q + 15)
+    for argv_of in (
+        lambda q: ("class-number", "--q", q),
+        lambda q: ("mass", "--q", q, "--rank", "2", "--ram", "inf:1/2,1:1/2"),
+        lambda q: ("local", "volumes", "--qv", q, "--r", "2", "--d", "2"),
+    ):
+        code, _, _ = invoke(capsys, *argv_of(str(MAX_Q)))
+        assert code == 0, argv_of(str(MAX_Q))
+        code, out, _ = invoke(capsys, *argv_of(above))
+        assert code == 2, argv_of(above)
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidFieldError"
+        assert "above the cap" in error["message"]
+    # the cap is checked before the trial division that made huge q hang
+    def no_factoring(q):
+        raise AssertionError("factored a q above the cap")
+
+    monkeypatch.setattr(funcfield, "factor_prime_power", no_factoring)
+    monkeypatch.setattr(localmodels, "factor_prime_power", no_factoring)
+    with pytest.raises(InvalidFieldError, match="above the cap"):
+        FunctionFieldData.rational(int(HUGE_PRIME))
+    with pytest.raises(InvalidFieldError, match="above the cap"):
+        localmodels.local_volume_report(int(HUGE_PRIME), 2, 1)
 
 
 def test_ramified_degree_cap_from_each_side(capsys):

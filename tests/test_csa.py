@@ -16,7 +16,7 @@ from massform.csa import (
     shorthand,
     validate,
 )
-from massform.errors import InvalidRamificationError
+from massform.errors import InvalidRamificationError, NotDivisibleError
 from massform.funcfield import FunctionFieldData
 
 
@@ -199,7 +199,7 @@ def test_lambda_positive_and_divisibility_guard():
         for r in [2, 3, 4, 6]:
             for d in [2, 3, 6]:
                 if r % d:
-                    with pytest.raises(ValueError):
+                    with pytest.raises(NotDivisibleError):
                         lambda_value(norm, r, d)
                 else:
                     assert lambda_value(norm, r, d) >= 1

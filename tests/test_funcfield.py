@@ -1,11 +1,12 @@
 """Base field data: validation, zeta values, class numbers, place counts."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from massform.algebra import PolyQ, ratfun, ratfun_eval
-from massform.errors import MAX_PLACE_DEGREE, InvalidFieldError
+from massform.errors import MAX_PLACE_DEGREE, InvalidArgumentError, InvalidFieldError
 from massform.finitefield import enumerate_monic_irreducibles
 from massform.funcfield import (
     FunctionFieldData,
@@ -16,6 +17,8 @@ from massform.funcfield import (
     zeta_K,
     zeta_special_value,
 )
+from massform.verify import full_battery
+from test_orderzeta import DEG_INF_FIELDS
 
 GENUS1_P = PolyQ((1, 1, 2))    # a genus-1 count polynomial over F_2
 
@@ -110,8 +113,10 @@ def test_zeta_special_value_matches_direct_evaluation():
 
 
 def test_zeta_special_value_rejects_nonpositive_i():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         zeta_special_value(FunctionFieldData.rational(2), 0)
+    with pytest.raises(InvalidArgumentError):
+        places_of_degree(FunctionFieldData.rational(2), 0)
 
 
 # -- class number -----------------------------------------------------------
@@ -149,6 +154,49 @@ def test_mobius_inversion_consistency():
                 d * places_of_degree(k, d) for d in range(1, n + 1) if n % d == 0
             )
             assert total == n_counts[n - 1]
+
+
+def _emptied(field):
+    # a copy of the field with no place count stored
+    copy = dataclasses.replace(field)
+    object.__setattr__(copy, "_counts", ())
+    return copy
+
+
+def test_place_counts_extended_in_steps_equal_one_shot():
+    fields = {data.field for data in full_battery()} | set(DEG_INF_FIELDS)
+    assert len(fields) == 9
+    for field in fields:
+        stepwise = _emptied(field)
+        for upto in (3, 10, 40, 128):
+            counts = stepwise._place_counts(upto)
+            assert len(stepwise._counts) == upto
+        one_shot = _emptied(field)._place_counts(128)
+        assert counts == one_shot, field
+        # and they invert the point counts: sum_{d | n} d b_d = N_n
+        for n, n_count in enumerate(field.point_counts(128), start=1):
+            assert sum(d * counts[d - 1] for d in range(1, n + 1) if n % d == 0) == n_count
+    # an extension sums only the new degrees: what is stored stays as is
+    field = _emptied(FunctionFieldData.rational(2))
+    field._place_counts(3)
+    object.__setattr__(field, "_counts", ("stored", *field._counts[1:]))
+    assert field._place_counts(10)[0] == "stored"
+
+
+def test_failed_extension_stores_nothing():
+    # breaks Weil's bound; its place counts hold up to degree 4 and the
+    # degree-5 count is negative
+    field = FunctionFieldData(
+        q=3, genus=2, l_poly=PolyQ((1, -3, 11, -9, 9)), deg_inf=1, sanity_bound=1
+    )
+    assert field._place_counts(2) == (1, 11)
+    with pytest.raises(InvalidFieldError, match="degree-5 place count is negative"):
+        field._place_counts(10)
+    assert field._counts == (1, 11)
+    assert field._place_counts(4) == (1, 11, 24, 15)
+    with pytest.raises(InvalidFieldError, match="degree-5"):
+        places_of_degree(field, 5)
+    assert field._counts == (1, 11, 24, 15)
 
 
 # -- zeta_A ---------------------------------------------------------------------

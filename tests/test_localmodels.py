@@ -8,6 +8,7 @@ from massform import localmodels
 from massform.csa import lambda_value
 from massform.errors import (
     BruteForceTooLargeError,
+    InvalidArgumentError,
     InvalidFieldError,
     InvalidRamificationError,
     NotDivisibleError,
@@ -137,6 +138,23 @@ def test_vol_Gprime_with_trivial_index_matches_vol_G():
     for q in (2, 3, 4, 5):
         for r in (1, 2, 3, 4):
             assert vol_Gprime(q, r, 1) == vol_G(q, r)
+
+
+def test_engine_domain_errors_are_typed():
+    # input errors are typed where they are raised, so none can reach the
+    # CLI as a bare ValueError
+    with pytest.raises(InvalidRamificationError):
+        vol_G(2, 0)
+    for m, d in ((0, 1), (1, 0)):
+        with pytest.raises(InvalidRamificationError):
+            vol_Gprime(2, m, d)
+    with pytest.raises(InvalidRamificationError):
+        lambda_value(2, 0, 1)
+    with pytest.raises(NotDivisibleError):
+        lambda_value(2, 3, 2)
+    model = LocalModel.create(2, 2, 1)
+    with pytest.raises(InvalidArgumentError):
+        in_iwahori(phi_of_pi(model), denominator_exponent=-1)
 
 
 def test_lambda_from_volumes_frozen():

@@ -4,17 +4,23 @@ A place in the ramification set carries its degree, its invariant b/d
 (stored exactly as given; reduced mod d only where an equality test
 needs it), and an infinity flag.  validate() is the one full validation
 of a datum, place availability included, and is report-style: it lists
-every broken constraint instead of stopping at the first.  The engines
-and the CLI call ensure_valid(), which raises on broken data and records
-a success on the datum, so validate() runs once per RamificationData
-however many engines read it; a failure is never recorded and raises on
-every call.
+every broken constraint instead of stopping at the first.  The engines,
+the CLI and the verify batteries call ensure_valid(), which raises on
+broken data and records a success on the datum, so validate() runs once
+per RamificationData however many engines read it: a battery datum
+reaches the engines already validated.  A failure is never recorded and
+raises on every call.
+
+lambda_value, the local mass correction, is memoised on its integer
+arguments.  It belongs to the mass side only; the order-zeta closed form
+never reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .errors import MAX_PLACE_DEGREE, InvalidRamificationError, NotDivisibleError
@@ -170,7 +176,8 @@ def ensure_valid(data: RamificationData) -> None:
 
     A success is recorded on the data, so the engines that each call
     this pay for validate once per datum; a failure is not recorded and
-    raises again on every call.
+    raises again on every call.  The verify batteries build their data
+    through this gate too, so a battery datum is validated once in all.
     """
     if data._valid:
         return
@@ -204,11 +211,13 @@ def is_drinfeld_type(data: RamificationData) -> bool:
     return inf.inv_den == data.rank and inf.reduced_num() == data.rank - 1
 
 
+@cache
 def lambda_value(norm: int, r: int, d: int) -> int:
     """Product of (norm**i - 1) over 1 <= i <= r-1 with d not dividing i.
 
     d = 1 gives the empty product 1 (an unramified place contributes no
-    correction)."""
+    correction).  Memoised on (norm, r, d): a mass-side memo with one
+    entry per residue-field size, rank and local index met."""
     if r < 1 or d < 1:
         raise InvalidRamificationError(f"need r, d >= 1, got d={d}, r={r}")
     if r % d != 0:

@@ -66,6 +66,10 @@ class FunctionFieldData:
     sanity_bound: int = field(default=8, compare=False)
     # b_1, b_2, ... as far as computed; grown by _place_counts
     _counts: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    # zeta_K(-i) by i, filled by zeta_special_value (the mass side only)
+    _zeta_values: dict[int, Fraction] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         problems = []
@@ -172,11 +176,19 @@ def zeta_K(data: FunctionFieldData) -> RationalFunctionQ:
 def zeta_special_value(data: FunctionFieldData, i: int) -> Fraction:
     """zeta_K at s = -i, i.e. at u = q**i: P(q^i)/((1-q^i)(1-q^{i+1})).
 
-    P(q^i) by Horner's rule in integers; one Fraction at the end."""
-    if i < 1:
-        raise InvalidArgumentError("special values are taken at i >= 1")
-    qi = data.q ** i
-    return Fraction(data.l_poly.eval(qi), (1 - qi) * (1 - qi * data.q))
+    P(q^i) by Horner's rule in integers; one Fraction at the end.  The
+    value is kept on the field, one entry per i asked for (i < MAX_RANK
+    from the mass engine), and dataclasses.replace starts a copy with
+    none.  This memo is the mass side's: the order-zeta closed form
+    never reads it."""
+    value = data._zeta_values.get(i)
+    if value is None:
+        if i < 1:
+            raise InvalidArgumentError("special values are taken at i >= 1")
+        qi = data.q ** i
+        value = Fraction(data.l_poly.eval(qi), (1 - qi) * (1 - qi * data.q))
+        data._zeta_values[i] = value
+    return value
 
 
 def class_number_A(data: FunctionFieldData) -> int:

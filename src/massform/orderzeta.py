@@ -29,10 +29,20 @@ form instead carries a (1 - u^{deg_inf}) prefactor and correction
 factors whose product deletes every infinity Euler factor exactly when
 the data is definite.  No step here reuses the mass engine,
 zeta_special_value or lambda_v.
+
+The closed form keeps its own memos, inside the functions that compute
+each value, so a patched function still replaces the computation:
+_p_value (the P-shifts at u = 1 and u = q^-r, by L-polynomial
+coefficients), _cyclotomic_value and _cyclotomic_at_one, and
+_zeta_exponents and _correction_keys (the exponent-map pieces fixed by
+deg_inf, r and a place's shape).  The mass side reads none of them, and
+the closed form never reads the zeta_K(-i) memo the mass side keeps on
+the field.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +56,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidSeriesOrderError,
     NotDefiniteError,
+    OutputTooLargeError,
 )
 from .funcfield import FunctionFieldData, _divisors, _mobius, places_of_degree
 
@@ -93,6 +104,7 @@ def _cyclotomic_value(m: int, x: int) -> int:
     return num // den
 
 
+@cache
 def _cyclotomic_at_one(m: int) -> int:
     """Phi*_m(1) for m > 1: p when m is a power of the prime p, else 1."""
     try:
@@ -101,12 +113,27 @@ def _cyclotomic_at_one(m: int) -> int:
         return 1
 
 
+# (L-polynomial coefficients, a, b) -> b^deg P * P(a/b); see _p_value
+_P_VALUES: dict[tuple[tuple[int, ...], int, int], int] = {}
+
+
 def _p_value(field: FunctionFieldData, a: int, b: int) -> int:
-    """b^deg P * P(a/b), by Horner's rule in integers."""
-    acc, b_power = 0, 1
-    for c in reversed(field.l_poly.coeffs):
-        acc = acc * a + c * b_power
-        b_power *= b
+    """b^deg P * P(a/b), by Horner's rule in integers.
+
+    Memoised in _P_VALUES on (coefficients, a, b), a closed-form memo:
+    the closed form asks for a = q^j with j < r and b = 1, or a = 1 and
+    b = q^k with 1 <= k <= r, so it holds at most 2 MAX_RANK entries per
+    field.  The mass side never reads it.
+    """
+    coeffs = field.l_poly.coeffs
+    key = (coeffs, a, b)
+    acc = _P_VALUES.get(key)
+    if acc is None:
+        acc, b_power = 0, 1
+        for c in reversed(coeffs):
+            acc = acc * a + c * b_power
+            b_power *= b
+        _P_VALUES[key] = acc
     return acc
 
 
@@ -250,13 +277,13 @@ def _labelled_factors(data: RamificationData) -> list[tuple[str, ExponentMap]]:
     return factors
 
 
-def _exponents(data: RamificationData) -> ExponentMap:
-    """The net exponent map of the closed form, in one pass: the sum of
-    the labelled factors without building them."""
-    r = data.rank
+@cache
+def _zeta_exponents(deg_inf: int, r: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The exponents of zeta_A and of the r - 1 shifts, before any
+    correction: a closed-form memo on (deg_inf, r)."""
     # zeta_A: (1 - u^deg_inf) P(u) / ((1 - u)(1 - qu))
     net = {(0, 0): 1, (1, 1): -1}
-    for m in _divisors(data.field.deg_inf):
+    for m in _divisors(deg_inf):
         net[0, m] = net.get((0, m), 0) + 1
     net[0, 1] -= 1
     # the shifts P(q^i u) / ((1 - q^i u)(1 - q^(i+1) u))
@@ -264,13 +291,32 @@ def _exponents(data: RamificationData) -> ExponentMap:
         net[i, 0] = 1
         net[i, 1] = net.get((i, 1), 0) - 1
         net[i + 1, 1] = net.get((i + 1, 1), 0) - 1
-    # the corrections 1 - (q^i u)^deg v, d_v not dividing i
+    return tuple(net.items())
+
+
+@cache
+def _correction_keys(degree: int, inv_den: int, r: int) -> tuple[tuple[int, int], ...]:
+    """Keys of a place's correction, the factors 1 - (q^i u)^deg v for
+    i < r with d_v not dividing i: a closed-form memo on the place's
+    shape (degree, inv_den, r)."""
+    divisors = _divisors(degree)
+    return tuple((i, m) for i in range(1, r) if i % inv_den for m in divisors)
+
+
+def _exponents(data: RamificationData) -> ExponentMap:
+    """The net exponent map of the closed form, in one pass: the sum of
+    the labelled factors without building them.
+
+    The part fixed by (deg_inf, r) and each place's correction keys are
+    read from the memos _zeta_exponents and _correction_keys, which hold
+    at most MAX_PLACE_DEGREE x MAX_RANK and MAX_PLACE_DEGREE x MAX_RANK^2
+    entries; only the sum is made per datum.
+    """
+    r = data.rank
+    net = dict(_zeta_exponents(data.field.deg_inf, r))
     for place in data.places:
-        divisors = _divisors(place.degree)
-        for i in range(1, r):
-            if i % place.inv_den:
-                for m in divisors:
-                    net[i, m] = net.get((i, m), 0) + 1
+        for key in _correction_keys(place.degree, place.inv_den, r):
+            net[key] = net.get(key, 0) + 1
     return {key: e for key, e in net.items() if e}
 
 
@@ -334,6 +380,28 @@ def _geometric(x: int, n: int) -> int:
     return (x ** n - 1) // (x - 1)
 
 
+def _refuse_unprintable(log_derivative: list[int]) -> None:
+    """Raise OutputTooLargeError when some series coefficient s_k is sure
+    to pass Python's int-to-string limit.
+
+    Every c_k and s_k is non-negative, so k s_k = sum_j c_j s_{k-j}
+    gives s_k >= c_k // k; the bound costs O(N) before the O(N^2)
+    Newton step.  A limit of 0 means no limit.
+    """
+    # Pythons before 3.10.7 have no limit
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # every c_k below 2^(3 digits) < 10^digits needs no closer look
+    if not digits or max(log_derivative) < 1 << 3 * digits:
+        return
+    limit = 10 ** digits
+    for k in range(1, len(log_derivative)):
+        if log_derivative[k] // k >= limit:
+            raise OutputTooLargeError(
+                f"the u^{k} series coefficient has more than {digits} digits, "
+                "Python's int-to-string limit"
+            )
+
+
 def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
     """Dirichlet series of the order zeta to the given order in u.
 
@@ -390,6 +458,7 @@ def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
         for d_v in inv_dens:
             for k in range(degree, order + 1, degree):
                 log_derivative[k] += degree * _geometric(q ** (d_v * k), r // d_v)
+    _refuse_unprintable(log_derivative)
     coeffs = [1]
     for k in range(1, order + 1):
         total = sum(map(mul, log_derivative[1:k + 1], reversed(coeffs)))

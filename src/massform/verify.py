@@ -18,15 +18,16 @@ from .algebra import PolyQ, series_from_ratfun
 from .csa import (
     RamificationData,
     RamifiedPlace,
+    ensure_valid,
     lambda_value,
     parity_check,
     shorthand,
-    validate,
 )
 from .errors import (
     EmptySelectionError,
     InternalConsistencyError,
     InvalidFieldError,
+    InvalidRamificationError,
     SelectionTooLargeError,
 )
 from .funcfield import (
@@ -98,11 +99,14 @@ def _finite_available(field: FunctionFieldData, degree: int) -> int:
 
 
 def _must_be_valid(data: RamificationData) -> RamificationData:
-    report = validate(data)
-    if not report.ok:
+    """The datum, validated through ensure_valid's gate, so that the
+    engines it reaches do not validate it again."""
+    try:
+        ensure_valid(data)
+    except InvalidRamificationError as exc:
         raise InternalConsistencyError(
-            f"battery produced invalid data {shorthand(data)}: {report.failures}"
-        )
+            f"battery produced invalid data {shorthand(data)}: {exc}"
+        ) from None
     return data
 
 
@@ -238,8 +242,11 @@ def random_definite_data(
         if not feasible:
             continue
         data = RamificationData(field=field, rank=r, places=tuple(places))
-        if validate(data).ok:
-            return data
+        try:
+            ensure_valid(data)
+        except InvalidRamificationError:
+            continue
+        return data
 
 
 def random_product_field(

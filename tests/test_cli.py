@@ -13,7 +13,7 @@ import pytest
 
 import massform
 import massform.cli as cli
-from massform import csa, funcfield, localmodels, massengine, verify
+from massform import csa, funcfield, localmodels, massengine, orderzeta, verify
 from massform.algebra import PolyQ, rational_to_str
 from massform.csa import MAX_PLACE_DEGREE, MAX_RAMIFIED_DEGREE, MAX_RANK
 from massform.errors import MAX_Q, InternalConsistencyError, InvalidFieldError
@@ -159,6 +159,35 @@ def test_int_to_string_limit_is_exit_2(capsys, monkeypatch):
     error = json.loads(out)["error"]
     assert error["type"] == "OutputTooLargeError"
     assert "integer string conversion" in error["message"]
+
+
+# The Euler series of inf:1/6,1:-1/6 at rank 6 and order 300 passes the
+# 4300-digit limit at the prime q = 251; at q = 241 its widest coefficient
+# has 4288 digits and prints
+TOP_SERIES = ("--rank", "6", "--ram", "inf:1/6,1:-1/6", "--series-order", "300")
+
+
+@pytest.mark.parametrize("q", ["251", "4294967291"])   # the largest prime below MAX_Q
+def test_unprintable_series_is_refused_before_the_newton_step(capsys, monkeypatch, q):
+    def no_newton(*_):
+        raise AssertionError("the Newton step ran")
+
+    # the refusal comes from the O(N) bound, before any coefficient is summed
+    monkeypatch.setattr(orderzeta, "mul", no_newton)
+    code, out, _ = invoke(capsys, "order-zeta", "--q", q, *TOP_SERIES)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "OutputTooLargeError"
+    assert "series coefficient has more than 4300 digits" in error["message"]
+
+
+def test_series_just_below_the_limit_prints_as_before(capsys):
+    # digest taken before the bound existed
+    code, out, _ = invoke(capsys, "order-zeta", "--q", "241", *TOP_SERIES)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ca4e97e0ee3f9eb196ad0a5588eed6717b33d83c8684757f2d5bd1c41a09ea97"
+    )
 
 
 def test_determinism_byte_identical(capsys):

@@ -1,10 +1,11 @@
 """Mass formula engine: factored mass, two-place normal form, class numbers."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from massform import massengine
+from massform import massengine, orderzeta
 from massform.csa import (
     RamificationData,
     RamifiedPlace,
@@ -23,9 +24,9 @@ from massform.massengine import (
     mass,
     mass_report_to_json_dict,
 )
-from massform.orderzeta import order_zeta_at_zero
-from massform.algebra import PolyQ
-from test_orderzeta import reference_stream
+from massform.orderzeta import order_zeta_at_zero, order_zeta_closed_form
+from massform.algebra import PolyQ, ratfun_eval
+from test_orderzeta import DEG_INF2_R4, reference_closed_form, reference_stream
 
 K2 = FunctionFieldData.rational(2)
 K2_G1 = FunctionFieldData(q=2, genus=1, l_poly=PolyQ((1, 1, 2)), deg_inf=1)
@@ -183,3 +184,62 @@ def test_mass_report_json_shape():
     assert obj["zeta_factors"] == ["1/3", "1/21"]
     assert obj["lambda_factors"][0] == {"place": "inf:-1/3", "lambda": "3"}
     assert obj["definite"] is True and obj["drinfeld_type"] is True
+
+
+# -- memos: each path keeps its own, and none masks a fault ------------------
+
+CONTROL_DATA = (
+    parse_shorthand("inf:1/2,1:1/2", K2, rank=2),
+    parse_shorthand("inf:-1/3,1:1/3", K2, rank=3),
+    parse_shorthand("inf:1/2,1:1/2", K2_G1, rank=2),
+)
+
+
+def test_warm_memos_leave_the_negative_controls_biting(monkeypatch):
+    want = order_zeta_at_zero(DEG_INF2_R4)
+    for data in (*CONTROL_DATA, DEG_INF2_R4):
+        assert mass(data).mass == -order_zeta_at_zero(data)
+    assert K2._zeta_values and K2_G1._zeta_values
+    assert orderzeta._cyclotomic_at_one.cache_info().currsize > 0
+
+    def dropped(field, i):
+        return reference_zeta_value(field, i) * (field.q ** (i + 1) - 1)
+
+    monkeypatch.setattr(massengine, "zeta_special_value", dropped)
+    monkeypatch.setattr(orderzeta, "_cyclotomic_at_one", lambda m: 1)
+    for data in CONTROL_DATA:
+        assert mass(data) != reference_mass(data)
+        assert mass(data).mass != -order_zeta_at_zero(data)
+    assert order_zeta_at_zero(DEG_INF2_R4) != want
+
+
+def test_zeta_memo_stays_off_equality_and_out_of_copies():
+    mass(CONTROL_DATA[1])
+    copy = dataclasses.replace(K2)
+    assert K2._zeta_values and copy._zeta_values == {}
+    assert copy == K2 and hash(copy) == hash(K2)
+    assert "_zeta_values" not in repr(K2)
+
+
+def test_a_poisoned_zeta_memo_moves_only_the_mass():
+    field = dataclasses.replace(K2)
+    data = parse_shorthand("inf:-1/3,1:1/3", field, rank=3)
+    assert mass(data).mass == -order_zeta_at_zero(data)
+    field._zeta_values[1] *= 2
+    assert mass(data) != reference_mass(data)
+    assert mass(data).mass != -order_zeta_at_zero(data)
+    want = reference_closed_form(data)
+    assert order_zeta_closed_form(data).ratfun == want
+    assert order_zeta_at_zero(data) == ratfun_eval(want, 1)
+    assert mass(CONTROL_DATA[1]).mass == -order_zeta_at_zero(CONTROL_DATA[1])
+
+
+def test_a_poisoned_p_value_memo_moves_only_the_closed_form(monkeypatch):
+    data = parse_shorthand("inf:1/3,1:-1/3", K2_G1, rank=3)
+    assert mass(data).mass == -order_zeta_at_zero(data)
+    key = (K2_G1.l_poly.coeffs, 2, 1)       # P(qu) at u = 1
+    assert orderzeta._P_VALUES[key] == 11
+    monkeypatch.setitem(orderzeta._P_VALUES, key, 12)
+    assert order_zeta_at_zero(data) != -mass(data).mass
+    assert order_zeta_at_zero(data) != ratfun_eval(reference_closed_form(data), 1)
+    assert mass(data) == reference_mass(data)

@@ -21,6 +21,7 @@ from massform.errors import (
     InvalidRamificationError,
     InvalidSeriesOrderError,
     NotDefiniteError,
+    OutputTooLargeError,
 )
 from massform.funcfield import FunctionFieldData, places_of_degree
 from massform.massengine import mass
@@ -322,6 +323,29 @@ def test_series_order_cap():
     for order in (-1, MAX_SERIES_ORDER + 1):
         with pytest.raises(InvalidSeriesOrderError):
             order_zeta_series(STANDARD_R2, order)
+
+
+def test_series_refusal_is_exactly_the_newton_lower_bound(monkeypatch):
+    # the log-derivative c_k, read back from the series by Newton's
+    # identities k s_k = sum_j c_j s_{k-j}, bounds s_k >= c_k // k; a digit
+    # limit D refuses exactly when some c_k // k has more than D digits,
+    # and a limit of 0 refuses nothing
+    data = parse_shorthand("inf:1/6,1:-1/6", FunctionFieldData.rational(5), rank=6)
+    coeffs = order_zeta_series(data, 40).coeffs
+    c = [0]
+    for k in range(1, len(coeffs)):
+        c.append(k * coeffs[k] - sum(c[j] * coeffs[k - j] for j in range(1, k)))
+    bound = len(str(max(c[k] // k for k in range(1, len(c)))))
+    widest = len(str(max(coeffs)))
+    assert 1 < bound <= widest
+    for digits in (0, *range(1, widest + 2)):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits)
+        try:
+            assert order_zeta_series(data, 40).coeffs == coeffs
+            refused = False
+        except OutputTooLargeError:
+            refused = True
+        assert refused == (0 < digits < bound), digits
 
 
 def test_series_coefficient_of_u_one_decomposes():

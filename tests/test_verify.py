@@ -3,10 +3,14 @@ import random
 
 import pytest
 
-from massform import verify
+from massform import csa, verify
 from massform.algebra import PolyQ, TruncatedSeriesQ
-from massform.csa import is_definite, validate
-from massform.errors import InvalidFieldError, SelectionTooLargeError
+from massform.csa import RamificationData, RamifiedPlace, is_definite, validate
+from massform.errors import (
+    InternalConsistencyError,
+    InvalidFieldError,
+    SelectionTooLargeError,
+)
 from massform.funcfield import FunctionFieldData
 from massform.verify import (
     SuiteReport,
@@ -49,6 +53,48 @@ def test_full_battery_is_large_and_deterministic():
     battery = full_battery()
     assert len(battery) >= 100
     assert battery == full_battery()
+
+
+def test_battery_data_are_validated_once(monkeypatch):
+    # the battery and both engines together run validate once per datum,
+    # under whichever name they call it
+    calls = []
+    real = csa.validate
+
+    def counted(data):
+        calls.append(data)
+        return real(data)
+
+    for module in (csa, verify):
+        if hasattr(module, "validate"):
+            monkeypatch.setattr(module, "validate", counted)
+    battery = full_battery()
+    for data in battery:
+        verify.mass(data)
+        verify.order_zeta_at_zero(data)
+    assert len(battery) == 384
+    assert len(calls) == 384
+
+
+def test_battery_gate_still_refuses_invalid_data():
+    # three degree-1 finite places over F_2, where infinity leaves two;
+    # a failure is not recorded, so it raises on every call
+    field = FunctionFieldData.rational(2)
+    data = RamificationData(
+        field=field,
+        rank=2,
+        places=(
+            RamifiedPlace(1, 1, 2, is_infinity=True),
+            RamifiedPlace(1, 1, 2),
+            RamifiedPlace(1, 1, 2),
+            RamifiedPlace(1, 1, 2),
+        ),
+    )
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="only 2 exist"):
+            verify._must_be_valid(data)
+    valid = RamificationData(field=field, rank=2, places=data.places[:2])
+    assert verify._must_be_valid(valid) is valid
 
 
 def test_series_sample_covers_genus_one():

@@ -6,25 +6,28 @@ and emits deterministic JSON (default) or CSV.  Exit codes: 0 success,
 Python's int-to-string limit), 64 usage error, 70 internal consistency
 failure or any other untyped error.
 
-Imports are per command.  At module level this file loads only click,
-the standard library and `errors`; each command imports the engines it
-runs in its body, so `massform mass` never loads the finite-field
-models or the verify suites, and `massform local volumes` never loads
-the global engines.
+The parser is a loop over one table, in the standard library only.
+Each command registers its path and its options with `@command`, and
+its docstring is its help; `--help` is rendered from the same table.
+The grammar: `--opt value` or `--opt=value`, where a value may start
+with a dash; flags take no value; the last of a repeated option wins;
+options are never abbreviated; integers are an optional sign and ASCII
+digits.  `--help` after the command path prints that command's help.
+Every other malformed command line is a usage error.
+
+Imports are per command.  At module level this file loads only the
+standard library and `errors`; each command imports the engines it runs
+in its body, so `massform mass` never loads the finite-field models or
+the verify suites, and `massform local volumes` never loads the global
+engines.
 """
 
 from __future__ import annotations
 
-import csv
-import inspect
-import io
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
-
-import click
 
 from .errors import (
     MAX_SERIES_ORDER,
@@ -38,6 +41,8 @@ if TYPE_CHECKING:
     from .algebra import RationalFunctionQ
     from .csa import RamificationData
     from .funcfield import FunctionFieldData
+
+PROG = "massform"
 
 # The names of verify.SUITES, sorted, for the --suite choice; listed here
 # so that --help does not load the suites (a test ties the two together).
@@ -53,36 +58,235 @@ SUITE_NAMES = (
 )
 
 
+class UsageError(Exception):
+    """A malformed command line: exit 64, with the message on stderr."""
+
+
 # ----------------------------------------------------------------------
-# Parsing helpers
+# The command table
 # ----------------------------------------------------------------------
 
-def _field_options(fn):
-    fn = click.option("--field-file", default=None, help="JSON field description")(fn)
-    fn = click.option("--deg-inf", "deg_inf", type=int, default=None)(fn)
-    fn = click.option(
-        "--l-poly", "l_poly", default=None,
-        help="comma-separated integer coefficients, constant term first",
-    )(fn)
-    fn = click.option("--genus", type=int, default=None)(fn)
-    fn = click.option("--q", type=int, default=None)(fn)
-    return fn
+class Option:
+    """One option: its flag, the keyword it fills, its kind ("int",
+    "text", "flag" or a tuple of choices), its default, whether it is
+    required, and its help text."""
+
+    __slots__ = ("flag", "dest", "kind", "default", "required", "help")
+
+    def __init__(self, flag, kind="int", default=None, *, dest=None, required=False, help=""):
+        self.flag = flag
+        self.dest = dest or flag[2:].replace("-", "_")
+        self.kind = kind
+        self.default = default
+        self.required = required
+        self.help = help
 
 
-def _format_option(fn):
-    return click.option(
-        "--format", "fmt", type=click.Choice(["json", "csv"]), default="json"
-    )(fn)
+FIELD_OPTIONS = (
+    Option("--q"),
+    Option("--genus"),
+    Option("--l-poly", "text",
+           help="comma-separated integer coefficients, constant term first"),
+    Option("--deg-inf"),
+    Option("--field-file", "text", help="JSON field description"),
+)
+RANK = Option("--rank", required=True)
+VOLUME_OPTIONS = (
+    Option("--qv", dest="q_v", required=True),
+    Option("--r", required=True),
+    Option("--d", required=True),
+)
+FORMAT = Option("--format", ("json", "csv"), "json", dest="fmt")
+HELP = Option("--help", "flag", False, help="Show this message and exit.")
+
+# The docstrings of the command groups, by path
+GROUPS = {
+    (): """Exact mass formulas, class numbers, and maximal-order zeta
+    functions for division algebras over global function fields.""",
+    ("local",): "Local volume, index, and matrix-model checks.",
+}
+
+# path -> (function, options); every command takes --format last
+COMMANDS: dict[tuple[str, ...], tuple] = {}
 
 
-def _parse_int_list(text: str) -> list[int]:
+def command(path: str, *options: Option):
+    """Register the decorated function as the command at `path`."""
+
+    def register(fn):
+        COMMANDS[tuple(path.split())] = (fn, (*options, FORMAT))
+        return fn
+
+    return register
+
+
+# ----------------------------------------------------------------------
+# Parsing
+# ----------------------------------------------------------------------
+
+def _parse_int(text: str, name: str) -> int:
+    """An optional sign and ASCII digits, surrounding whitespace
+    stripped; int() alone also takes `1_1` and non-ASCII digits."""
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError(f"invalid value for {name}: {text!r} is not an integer")
+    try:
+        return int(text)
+    except ValueError as exc:  # past Python's int-to-string digit limit
+        raise UsageError(f"invalid value for {name}: {exc}")
+
+
+def _parse_int_list(text: str, name: str) -> list[int]:
+    return [_parse_int(token, name) for token in text.split(",") if token.strip()]
+
+
+def _value(opt: Option, given: dict):
+    if opt.dest not in given:
+        if opt.required:
+            raise UsageError(f"missing option {opt.flag}")
+        return opt.default
+    value = given[opt.dest]
+    if opt.kind == "int":
+        return _parse_int(value, opt.flag)
+    if isinstance(opt.kind, tuple) and value not in opt.kind:
+        raise UsageError(
+            f"invalid value for {opt.flag}: {value!r} is not one of {', '.join(opt.kind)}"
+        )
+    return value
+
+
+def _parse_options(options: tuple[Option, ...], args: list[str]) -> dict | None:
+    """The keyword arguments for a command; None when --help was given."""
+    by_flag = {opt.flag: opt for opt in (*options, HELP)}
+    given: dict = {}
+    extra = []
+    tokens = iter(args)
+    for token in tokens:
+        if not token.startswith("-"):
+            extra.append(token)
+            continue
+        flag, has_value, value = token.partition("=")
+        opt = by_flag.get(flag)
+        if opt is None:
+            raise UsageError(f"no such option {flag!r}")
+        if opt.kind == "flag":
+            if has_value:
+                raise UsageError(f"option {flag} takes no value")
+            value = True
+        elif not has_value:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"option {flag} needs a value")
+        given[opt.dest] = value
+    if HELP.dest in given:
+        return None
+    if extra:
+        raise UsageError(f"unexpected argument {extra[0]!r}")
+    return {opt.dest: _value(opt, given) for opt in options}
+
+
+def _parse(argv: list[str]) -> tuple[tuple[str, ...], dict | None]:
+    """The command path and its keyword arguments (None for --help)."""
+    path: tuple[str, ...] = ()
+    args = list(argv)
+    while path in GROUPS:
+        if not args:
+            raise UsageError(f"missing command; see '{' '.join((PROG, *path))} --help'")
+        token = args.pop(0)
+        if token == HELP.flag:
+            return path, None
+        if token.startswith("-"):
+            raise UsageError(f"no such option {token!r}")
+        if path + (token,) not in COMMANDS and path + (token,) not in GROUPS:
+            raise UsageError(f"no such command {token!r}")
+        path += (token,)
+    return path, _parse_options(COMMANDS[path][1], args)
+
+
+# ----------------------------------------------------------------------
+# Help, laid out for an 80-column terminal
+# ----------------------------------------------------------------------
+
+WIDTH = 78
+METAVARS = {"int": " INTEGER", "text": " TEXT", "flag": ""}
+
+
+def _paragraphs(doc: str | None) -> list[str]:
+    lines = "\n".join(line.strip() for line in (doc or "").splitlines())
+    return [" ".join(p.split()) for p in lines.split("\n\n") if p.strip()]
+
+
+def _short_help(doc: str | None, limit: int) -> str:
+    """The first sentence if it fits in `limit`, else the words that fit
+    before an ellipsis."""
+    kept: list[str] = []
+    for word in (_paragraphs(doc) or [""])[0].split():
+        if len(" ".join([*kept, word])) > limit:
+            break
+        kept.append(word)
+        if word.endswith("."):
+            return " ".join(kept)
+    else:
+        return " ".join(kept)
+    while kept and len(" ".join(kept)) + 3 > limit:
+        kept.pop()
+    return " ".join(kept) + "..."
+
+
+def _definition_list(rows: list[tuple[str, str]]) -> list[str]:
+    import textwrap
+
+    first = min(max(len(term) for term, _ in rows), 30) + 2
+    wrapper = textwrap.TextWrapper(max(WIDTH - first - 2, 10))
     out = []
-    for token in text.split(","):
-        token = token.strip()
-        if token:
-            out.append(int(token))
+    for term, text in rows:
+        if not text:
+            out.append(f"  {term}")
+            continue
+        head, *tail = wrapper.wrap(text)
+        out.append(f"  {term:<{first}}{head}")
+        out += [" " * (first + 2) + line for line in tail]
     return out
 
+
+def _option_row(opt: Option) -> tuple[str, str]:
+    if isinstance(opt.kind, tuple):
+        metavar = f" [{'|'.join(opt.kind)}]"
+    else:
+        metavar = METAVARS[opt.kind]
+    text = "  ".join(filter(None, (opt.help, "[required]" if opt.required else "")))
+    return opt.flag + metavar, text
+
+
+def _doc(path: tuple[str, ...]) -> str | None:
+    return GROUPS[path] if path in GROUPS else COMMANDS[path][0].__doc__
+
+
+def _help(path: tuple[str, ...]) -> str:
+    import textwrap
+
+    group = path in GROUPS
+    options = (HELP,) if group else (*COMMANDS[path][1], HELP)
+    usage = " ".join((PROG, *path, "[OPTIONS]", *(("COMMAND", "[ARGS]...") if group else ())))
+    lines = [f"Usage: {usage}", ""]
+    for paragraph in _paragraphs(_doc(path)):
+        lines += [textwrap.fill(paragraph, WIDTH, initial_indent="  ", subsequent_indent="  "), ""]
+    lines += ["Options:", *_definition_list([_option_row(opt) for opt in options])]
+    if group:
+        children = sorted(
+            p for p in (*COMMANDS, *GROUPS) if len(p) == len(path) + 1 and p[:-1] == path
+        )
+        limit = WIDTH - 6 - max(len(p[-1]) for p in children)
+        rows = [(p[-1], _short_help(_doc(p), limit)) for p in children]
+        lines += ["", "Commands:", *_definition_list(rows)]
+    return "\n".join(lines) + "\n"
+
+
+# ----------------------------------------------------------------------
+# Input helpers
+# ----------------------------------------------------------------------
 
 def _resolve_field(q, genus, l_poly, deg_inf, field_file) -> FunctionFieldData:
     base: dict = {}
@@ -91,9 +295,9 @@ def _resolve_field(q, genus, l_poly, deg_inf, field_file) -> FunctionFieldData:
             with open(field_file) as fh:
                 base = json.load(fh)
         except OSError as exc:
-            raise click.UsageError(f"cannot read field file: {exc}")
+            raise UsageError(f"cannot read field file: {exc}")
         except json.JSONDecodeError as exc:
-            raise click.UsageError(f"field file is not valid JSON: {exc}")
+            raise UsageError(f"field file is not valid JSON: {exc}")
         if not isinstance(base, dict):
             raise InvalidFieldError(f"field file holds {base!r}, not a JSON object")
     inline: dict = {}
@@ -102,29 +306,26 @@ def _resolve_field(q, genus, l_poly, deg_inf, field_file) -> FunctionFieldData:
     if genus is not None:
         inline["genus"] = genus
     if l_poly is not None:
-        try:
-            inline["l_poly"] = _parse_int_list(l_poly)
-        except ValueError:
-            raise click.UsageError(f"cannot parse --l-poly {l_poly!r}")
+        inline["l_poly"] = _parse_int_list(l_poly, "--l-poly")
     if deg_inf is not None:
         inline["deg_inf"] = deg_inf
     for key, value in inline.items():
         if key in base and base[key] != value:
             flag = "--" + key.replace("_", "-")
-            click.echo(
+            print(
                 f"warning: inline {flag}={value} overrides field file "
                 f"value {base[key]}",
-                err=True,
+                file=sys.stderr,
             )
     merged = {**base, **inline}
     if "q" not in merged:
-        raise click.UsageError("a field needs --q or --field-file")
+        raise UsageError("a field needs --q or --field-file")
     merged.setdefault("genus", 0)
     merged.setdefault("deg_inf", 1)
     if merged["genus"] == 0:
         merged.setdefault("l_poly", [1])
     if "l_poly" not in merged:
-        raise click.UsageError("positive genus needs --l-poly")
+        raise UsageError("positive genus needs --l-poly")
     from .funcfield import field_from_json_dict
 
     return field_from_json_dict(merged)
@@ -141,13 +342,7 @@ def _resolve_ramification(
 
 
 def _default_series_order() -> int:
-    raw = os.environ.get("MASSFORM_SERIES_ORDER", "10")
-    try:
-        return int(raw)
-    except ValueError:
-        raise click.UsageError(
-            f"MASSFORM_SERIES_ORDER={raw!r} is not an integer"
-        )
+    return _parse_int(os.environ.get("MASSFORM_SERIES_ORDER", "10"), "MASSFORM_SERIES_ORDER")
 
 
 # ----------------------------------------------------------------------
@@ -162,33 +357,33 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _write_csv(header: list[str], rows: list[dict]) -> None:
+    import csv
+
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(row[k]) for k in header] for row in rows)
+
+
 def _emit(obj: dict, fmt: str) -> None:
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        keys = list(obj.keys())
-        writer.writerow(keys)
-        writer.writerow([_cell(obj[k]) for k in keys])
-        click.echo(buf.getvalue(), nl=False)
+        _write_csv(list(obj), [obj])
     else:
-        click.echo(json.dumps(obj, ensure_ascii=True))
+        print(json.dumps(obj, ensure_ascii=True))
 
 
 def _emit_rows(header: list[str], rows: list[dict], fmt: str) -> None:
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(row[k]) for k in header])
-        click.echo(buf.getvalue(), nl=False)
+        _write_csv(header, rows)
     else:
-        click.echo(json.dumps(rows, ensure_ascii=True))
+        print(json.dumps(rows, ensure_ascii=True))
 
 
 def _ratfun_json(f: RationalFunctionQ) -> dict:
     """num/den printed with den monic: every coefficient over den's
     leading coefficient."""
+    from fractions import Fraction
+
     from .algebra import rational_to_str
 
     lead = f.den.leading()
@@ -206,17 +401,7 @@ def _field_header(field: FunctionFieldData) -> dict:
 # Commands: each resolves its inputs, calls its engine and emits
 # ----------------------------------------------------------------------
 
-@click.group()
-def cli() -> None:
-    """Exact mass formulas, class numbers, and maximal-order zeta
-    functions for division algebras over global function fields."""
-
-
-@cli.command("mass")
-@_field_options
-@click.option("--rank", type=int, required=True)
-@click.option("--ram", default="", help='e.g. "inf:1/2,1:1/2"')
-@_format_option
+@command("mass", *FIELD_OPTIONS, RANK, Option("--ram", "text", "", help='e.g. "inf:1/2,1:1/2"'))
 def cmd_mass(q, genus, l_poly, deg_inf, field_file, rank, ram, fmt):
     """Mass of the maximal orders for one ramification datum."""
     from .csa import shorthand
@@ -233,11 +418,7 @@ def cmd_mass(q, genus, l_poly, deg_inf, field_file, rank, ram, fmt):
     _emit(out, fmt)
 
 
-@cli.command("drinfeld-mass")
-@_field_options
-@click.option("--rank", type=int, required=True)
-@click.option("--p-degree", "p_degree", type=int, required=True)
-@_format_option
+@command("drinfeld-mass", *FIELD_OPTIONS, RANK, Option("--p-degree", required=True))
 def cmd_drinfeld_mass(q, genus, l_poly, deg_inf, field_file, rank, p_degree, fmt):
     """Mass in the Drinfeld shape: one finite ramified place plus infinity."""
     from .algebra import rational_to_str
@@ -253,9 +434,7 @@ def cmd_drinfeld_mass(q, genus, l_poly, deg_inf, field_file, rank, p_degree, fmt
     _emit(out, fmt)
 
 
-@cli.command("class-number")
-@_field_options
-@_format_option
+@command("class-number", *FIELD_OPTIONS)
 def cmd_class_number(q, genus, l_poly, deg_inf, field_file, fmt):
     """Class number of the ring of functions regular away from infinity."""
     from .algebra import rational_to_str
@@ -269,10 +448,7 @@ def cmd_class_number(q, genus, l_poly, deg_inf, field_file, fmt):
     _emit(out, fmt)
 
 
-@cli.command("zeta")
-@_field_options
-@click.option("--values", type=int, default=3, help="how many special values")
-@_format_option
+@command("zeta", *FIELD_OPTIONS, Option("--values", default=3, help="how many special values"))
 def cmd_zeta(q, genus, l_poly, deg_inf, field_file, values, fmt):
     """Field zeta function, with and without the infinity factor."""
     from .algebra import rational_to_str
@@ -294,15 +470,11 @@ def cmd_zeta(q, genus, l_poly, deg_inf, field_file, values, fmt):
     _emit(out, fmt)
 
 
-@cli.command("order-zeta")
-@_field_options
-@click.option("--rank", type=int, required=True)
-@click.option("--ram", default="")
-@click.option(
-    "--series-order", "series_order", type=int, default=None,
-    help=f"0 to {MAX_SERIES_ORDER}; default MASSFORM_SERIES_ORDER, else 10",
+@command(
+    "order-zeta", *FIELD_OPTIONS, RANK, Option("--ram", "text", ""),
+    Option("--series-order",
+           help=f"0 to {MAX_SERIES_ORDER}; default MASSFORM_SERIES_ORDER, else 10"),
 )
-@_format_option
 def cmd_order_zeta(q, genus, l_poly, deg_inf, field_file, rank, ram, series_order, fmt):
     """Zeta function of a maximal order: closed form, value at zero, series."""
     from .algebra import rational_to_str
@@ -327,18 +499,6 @@ def cmd_order_zeta(q, genus, l_poly, deg_inf, field_file, rank, ram, series_orde
     _emit(out, fmt)
 
 
-@cli.group("local")
-def cmd_local() -> None:
-    """Local volume, index, and matrix-model checks."""
-
-
-def _volume_options(fn):
-    fn = _format_option(fn)
-    fn = click.option("--d", type=int, required=True)(fn)
-    fn = click.option("--r", type=int, required=True)(fn)
-    return click.option("--qv", "q_v", type=int, required=True)(fn)
-
-
 def _local_volumes(q_v: int, r: int, d: int) -> dict:
     from .algebra import rational_to_str
     from .localmodels import local_volume_report
@@ -354,14 +514,12 @@ def _local_volumes(q_v: int, r: int, d: int) -> dict:
     }
 
 
-@cmd_local.command("volumes")
-@_volume_options
+@command("local volumes", *VOLUME_OPTIONS)
 def cmd_local_volumes(q_v, r, d, fmt):
     _emit(_local_volumes(q_v, r, d), fmt)
 
 
-@cmd_local.command("lambda")
-@_volume_options
+@command("local lambda", *VOLUME_OPTIONS)
 def cmd_local_lambda(q_v, r, d, fmt):
     out = {
         "q_v": q_v,
@@ -372,11 +530,12 @@ def cmd_local_lambda(q_v, r, d, fmt):
     _emit(out, fmt)
 
 
-@cmd_local.command("iw-index")
-@click.option("--qv", "q_v", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--brute", is_flag=True, default=False)
-@_format_option
+@command(
+    "local iw-index",
+    Option("--qv", dest="q_v", required=True),
+    Option("--d", required=True),
+    Option("--brute", "flag", False),
+)
 def cmd_local_iw_index(q_v, d, brute, fmt):
     from .localmodels import iwahori_index
 
@@ -389,14 +548,15 @@ def cmd_local_iw_index(q_v, d, brute, fmt):
     _emit(out, fmt)
 
 
-@cmd_local.command("model-check")
-@click.option("--qv", "q_v", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--b", type=int, default=1)
-@click.option("--prec", "precision", type=int, default=6)
-@click.option("--pairs", type=int, default=100)
-@click.option("--seed", type=int, default=0)
-@_format_option
+@command(
+    "local model-check",
+    Option("--qv", dest="q_v", required=True),
+    Option("--d", required=True),
+    Option("--b", default=1),
+    Option("--prec", default=6, dest="precision"),
+    Option("--pairs", default=100),
+    Option("--seed", default=0),
+)
 def cmd_local_model_check(q_v, d, b, precision, pairs, seed, fmt):
     from .localmodels import run_model_checks
 
@@ -417,21 +577,21 @@ def cmd_local_model_check(q_v, d, b, precision, pairs, seed, fmt):
     return 0 if report.ok else 70
 
 
-@cli.command("table")
-@click.option("--qs", default="2", help="comma-separated list")
-@click.option("--ranks", default="2", help="comma-separated list")
-@click.option("--p-degrees", "p_degrees", default="1,2,3", help="comma-separated list")
-@_format_option
+@command(
+    "table",
+    Option("--qs", "text", "2", help="comma-separated list"),
+    Option("--ranks", "text", "2", help="comma-separated list"),
+    Option("--p-degrees", "text", "1,2,3", help="comma-separated list"),
+)
 def cmd_table(qs, ranks, p_degrees, fmt):
     """Mass table over a parameter grid of Drinfeld-shape data."""
     from .csa import RamificationData, shorthand
     from .funcfield import FunctionFieldData
     from .massengine import mass
 
-    try:
-        qs, ranks, p_degrees = map(_parse_int_list, (qs, ranks, p_degrees))
-    except ValueError as exc:
-        raise click.UsageError(f"bad integer list: {exc}")
+    qs = _parse_int_list(qs, "--qs")
+    ranks = _parse_int_list(ranks, "--ranks")
+    p_degrees = _parse_int_list(p_degrees, "--p-degrees")
     rows = []
     for q in qs:
         field = FunctionFieldData.rational(q)
@@ -464,24 +624,23 @@ def cmd_table(qs, ranks, p_degrees, fmt):
     _emit_rows(header, out_rows, fmt)
 
 
-@cli.command("verify")
-@click.option(
-    "--suite",
-    type=click.Choice(["all", *SUITE_NAMES]),
-    default="all",
+@command(
+    "verify",
+    Option("--suite", ("all", *SUITE_NAMES), "all"),
+    Option("--max-rank"),
+    Option("--series-order"),
+    Option("--count"),
+    Option("--seed"),
+    Option("--pairs"),
 )
-@click.option("--max-rank", "max_rank", type=int, default=None)
-@click.option("--series-order", "series_order", type=int, default=None)
-@click.option("--count", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--pairs", type=int, default=None)
-@_format_option
 def cmd_verify(suite, fmt, **options):
     """Run the cross-check suites and report exact agreement.
 
     Each option given goes to the selected suites that take it; one that
     no selected suite takes is a usage error.
     """
+    import inspect
+
     from . import verify as verify_mod
 
     names = list(verify_mod.SUITES) if suite == "all" else [suite]
@@ -492,7 +651,7 @@ def cmd_verify(suite, fmt, **options):
     for key in given:
         if not any(key in params for params in takes.values()):
             flag = "--" + key.replace("_", "-")
-            raise click.UsageError(f"{flag} is not an option of suite {suite}")
+            raise UsageError(f"{flag} is not an option of suite {suite}")
     reports = [
         verify_mod.run_suite(
             name, **{key: value for key, value in given.items() if key in takes[name]}
@@ -517,21 +676,23 @@ def _input_error(exc: InputDataError) -> int:
 
 
 def _internal_error(exc: Exception) -> int:
-    click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 70
 
 
 def run(argv: list[str]) -> int:
     """Execute one invocation; returns the exit code instead of exiting."""
     try:
-        result = cli.main(args=list(argv), standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        path, kwargs = _parse(argv)
+        if kwargs is None:
+            sys.stdout.write(_help(path))
+            return 0
+        result = COMMANDS[path][0](**kwargs)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 64
-    except click.ClickException as exc:
-        exc.show()
-        return 64
-    except click.exceptions.Abort:
+    except KeyboardInterrupt:  # Ctrl-C: the usage code, and no traceback
+        print(file=sys.stderr)
         return 64
     except InputDataError as exc:
         return _input_error(exc)

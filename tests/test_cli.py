@@ -1,15 +1,20 @@
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from importlib.util import find_spec
 from itertools import combinations_with_replacement
 from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import massform
 import massform.cli as cli
@@ -120,6 +125,91 @@ def test_usage_errors_are_exit_64(capsys):
     assert code == 64
     code, _, _ = invoke(capsys, "no-such-command")
     assert code == 64
+
+
+MASS_ARGS = "mass --q 2 --rank 2 --ram inf:1/2,1:1/2"
+MODEL_ARGS = "local model-check --qv 2 --d 2 --pairs 3"
+
+# The command-line grammar, each rule pinned to its exit code
+GRAMMAR = [
+    (MASS_ARGS, 0),
+    ("mass --q=2 --rank=2 --ram=inf:1/2,1:1/2", 0),
+    ("table --qs 2 --ranks -1,2", 2),
+    (f"{MODEL_ARGS} --seed -5", 0),
+    ("mass --q 2 --ran 2", 64),
+    (f"{MASS_ARGS} --rank 7 --rank 2", 0),
+    (f"{MASS_ARGS} --rank 2 --rank 7", 2),
+    ("local iw-index --qv 2 --d 2 --brute", 0),
+    ("local iw-index --qv 2 --d 2 --brute=1", 64),
+    (f"{MASS_ARGS} extra", 64),
+    ("mass --q 2 --ram inf:1/2,1:1/2 --rank", 64),
+    ("mass --q 2 --ram inf:1/2,1:1/2", 64),
+    ("mass --q x --rank 2", 64),
+    (f"{MASS_ARGS} --format xml", 64),
+    ("verify --suite bogus", 64),
+    ("mass --bogus 1", 64),
+    ("--bogus", 64),
+    ("bogus", 64),
+    ("local bogus", 64),
+    ("--q 2 mass", 64),
+    ("mass -h", 64),
+    ("mass -- --q 2 --rank 2", 64),
+    ("--help", 0),
+    ("--help mass", 0),
+    ("local --help", 0),
+    ("local --help volumes", 0),
+    ("mass --help", 0),
+    ("mass --q 2 --help", 0),
+    ("mass --help extra", 0),
+    ("mass --help --q x", 0),
+    ("local volumes --qv 2 --help", 0),
+    ("mass --help --bogus", 64),
+    ("mass --help --q", 64),
+    ("mass --q --help", 64),
+    ("bogus --help", 64),
+    ("", 64),
+    ("local", 64),
+]
+
+
+@pytest.mark.parametrize("line, want", GRAMMAR, ids=[line or "(none)" for line, _ in GRAMMAR])
+def test_command_line_grammar(capsys, line, want):
+    code, out, err = invoke(capsys, *line.split())
+    assert code == want, err
+    if code == 64:
+        assert out == ""
+        assert err.startswith("usage error: ")
+    elif "--help" in line.split():
+        assert out.startswith("Usage: massform ")
+
+
+@pytest.mark.parametrize(
+    "line, flag",
+    [
+        ("mass --q 1_1 --rank 2 --ram inf:1/2,1:1/2", "--q"),
+        ("mass --q ２ --rank 2 --ram inf:1/2,1:1/2", "--q"),
+        ("mass --q 2 --rank 2 --ram inf:1/2,1:1/2 --deg-inf 0x1", "--deg-inf"),
+        ("class-number --q 2 --genus 1 --l-poly 1,1_1,2", "--l-poly"),
+        ("class-number --q 2 --genus 1 --l-poly 1,1,٢", "--l-poly"),
+        ("table --qs 1_1", "--qs"),
+        ("table --ranks 2,+-2", "--ranks"),
+        ("table --p-degrees 1,2.0", "--p-degrees"),
+        ("local volumes --qv 2 --r ² --d 1", "--r"),
+    ],
+)
+def test_integers_are_a_sign_and_ascii_digits(capsys, line, flag):
+    code, out, err = invoke(capsys, *line.split())
+    assert (code, out) == (64, "")
+    assert f"invalid value for {flag}:" in err
+
+
+def test_integers_may_carry_a_sign_and_spaces(capsys):
+    code, out, _ = invoke(capsys, "mass", "--q", " +2 ", "--rank", "2", "--ram", "inf:1/2,1:1/2")
+    assert code == 0
+    assert json.loads(out)["q"] == 2
+    code, out, _ = invoke(capsys, "table", "--qs", " 2, 3 ,", "--ranks", "+2", "--p-degrees", "1")
+    assert code == 0
+    assert [row["q"] for row in json.loads(out)] == [2, 3]
 
 
 def test_internal_errors_are_exit_70(capsys, monkeypatch):
@@ -728,6 +818,89 @@ def test_local_sizes_at_the_caps_print(capsys):
         assert json.loads(out)["error"]["type"] == "InvalidRamificationError"
 
 
+# -- the grammar under fuzzing ------------------------------------------------
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+def _int_lists(low, high):
+    return st.lists(st.integers(low, high), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+
+
+# Values drawn for each option, small enough that any invocation ends
+# within a fraction of a second; other int options draw from _ints(-2, 16)
+FUZZ_VALUES = {
+    "--rank": _ints(-1, 4),
+    "--r": _ints(-1, 8),
+    "--d": _ints(-1, 4),
+    "--series-order": _ints(-1, 20),
+    "--pairs": _ints(-1, 5),
+    "--prec": _ints(-1, 8),
+    "--ram": st.sampled_from(
+        ["", "inf:1/2,1:1/2", "inf:1/3,1:-1/3", "1:1/2,2:1/2", "inf:1/2", "inf:1/0", "x:y"]
+    ),
+    "--l-poly": st.sampled_from(["1", "1,1,2", "1,-1,2", "1,x", "1_1", ""]),
+    "--field-file": st.just("/nonexistent/field.json"),
+    "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--suite": st.sampled_from(["drinfeld", "lambda-volumes", "zeta-class-number", "bogus"]),
+    "--qs": _int_lists(-1, 16),
+    "--ranks": _int_lists(-1, 4),
+    "--p-degrees": _int_lists(-1, 4),
+}
+GARBAGE = st.sampled_from(
+    ["x", "-", "--", "-5", "--help", "--help=1", "1_1", "２", " ", "1e3", "--q=", "--brute=1",
+     "--bogus", "--ran", "-q", "mass", "local"]
+)
+# Leading options that keep the default of a costly command small
+FUZZ_BOUNDS = {
+    ("local", "model-check"): ["--pairs", "3"],
+    ("verify",): ["--suite", "drinfeld"],
+}
+
+
+def _fuzz_value(draw, opt):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(GARBAGE)
+    return draw(FUZZ_VALUES.get(opt.flag, _ints(-2, 16)))
+
+
+@st.composite
+def command_lines(draw):
+    path = draw(st.sampled_from([*cli.COMMANDS, *cli.GROUPS, ("bogus",)]))
+    options = cli.COMMANDS[path][1] if path in cli.COMMANDS else ()
+    argv = [*path, *FUZZ_BOUNDS.get(path, ())]
+    if draw(st.booleans()):
+        for opt in options:
+            if opt.required or opt.flag == "--q":
+                argv += [opt.flag, _fuzz_value(draw, opt)]
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["value", "equals", "bare", "garbage"]))
+        if shape == "garbage" or not options:
+            argv.append(draw(GARBAGE))
+            continue
+        opt = draw(st.sampled_from(options))
+        if shape == "value" and opt.kind != "flag":
+            argv += [opt.flag, _fuzz_value(draw, opt)]
+        elif shape == "equals":
+            argv.append(f"{opt.flag}={_fuzz_value(draw, opt)}")
+        else:
+            argv.append(opt.flag)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_every_command_line_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 2, 64, 70), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 64:
+        assert out.getvalue() == "", argv
+
+
 # -- the printer against a Fraction reference ----------------------------------
 # The package stores num/den in integers and normalizes only in the printer.
 # The reference below is the earlier normalization, kept in Fractions: it
@@ -836,7 +1009,7 @@ HELP_DIGESTS = {
 )
 def test_help_text_is_frozen(capsys, monkeypatch, path, digest):
     monkeypatch.setenv("COLUMNS", "80")
-    code = cli.cli.main(args=[*path, "--help"], prog_name="massform", standalone_mode=False)
+    code = cli.run([*path, "--help"])
     assert code == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -844,8 +1017,8 @@ def test_help_text_is_frozen(capsys, monkeypatch, path, digest):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _loaded_submodules(*argv) -> set[str]:
-    """The massform submodules a fresh interpreter imports to run argv."""
+def _imported(*argv) -> set[str]:
+    """The modules a fresh interpreter imports to run argv."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -853,17 +1026,34 @@ def _loaded_submodules(*argv) -> set[str]:
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
-    return {name.split(".", 1)[1] for name in names if name.startswith("massform.")}
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def _loaded_submodules(*argv) -> set[str]:
+    """The massform submodules a fresh interpreter imports to run argv."""
+    return {name.split(".", 1)[1] for name in _imported(*argv) if name.startswith("massform.")}
 
 
 def test_mass_loads_only_the_global_engines():
-    loaded = _loaded_submodules(
+    imported = _imported(
         "-m", "massform.cli", "mass", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
     )
+    loaded = {name.split(".", 1)[1] for name in imported if name.startswith("massform.")}
     assert "massengine" in loaded
     assert loaded.isdisjoint({"localmodels", "finitefield", "verify", "orderzeta"}), loaded
+    # past interpreter start-up, only the standard library and massform;
+    # -X importtime also lists failed probes, such as copy's for Jython
+    packages = {name.split(".")[0] for name in imported - _imported("-c", "pass")}
+    others = {p for p in packages - {"massform", *sys.stdlib_module_names} if find_spec(p)}
+    assert not others, others
+
+
+def test_help_loads_no_engine_and_no_inspect():
+    imported = _imported("-m", "massform.cli", "--help")
+    loaded = {name.split(".", 1)[1] for name in imported if name.startswith("massform.")}
+    assert loaded <= {"cli", "errors"}, loaded
+    assert "inspect" not in imported
 
 
 def test_local_volumes_loads_no_global_engine():

@@ -35,6 +35,7 @@ from .errors import (
     InputDataError,
     InvalidFieldError,
     OutputTooLargeError,
+    parse_int,
 )
 
 if TYPE_CHECKING:
@@ -51,7 +52,6 @@ SUITE_NAMES = (
     "drinfeld",
     "lambda-volumes",
     "local-models",
-    "random-properties",
     "series-closed-form",
     "zeta-at-zero",
     "zeta-class-number",
@@ -125,16 +125,9 @@ def command(path: str, *options: Option):
 # ----------------------------------------------------------------------
 
 def _parse_int(text: str, name: str) -> int:
-    """An optional sign and ASCII digits, surrounding whitespace
-    stripped; int() alone also takes `1_1` and non-ASCII digits."""
-    digits = text.strip()
-    if digits[:1] in ("+", "-"):
-        digits = digits[1:]
-    if not (digits.isascii() and digits.isdigit()):
-        raise UsageError(f"invalid value for {name}: {text!r} is not an integer")
     try:
-        return int(text)
-    except ValueError as exc:  # past Python's int-to-string digit limit
+        return parse_int(text)
+    except ValueError as exc:
         raise UsageError(f"invalid value for {name}: {exc}")
 
 
@@ -534,17 +527,11 @@ def cmd_local_lambda(q_v, r, d, fmt):
     "local iw-index",
     Option("--qv", dest="q_v", required=True),
     Option("--d", required=True),
-    Option("--brute", "flag", False),
 )
-def cmd_local_iw_index(q_v, d, brute, fmt):
+def cmd_local_iw_index(q_v, d, fmt):
     from .localmodels import iwahori_index
 
-    out = {
-        "q_v": q_v,
-        "d": d,
-        "brute_force": brute,
-        "index": iwahori_index(q_v, d, brute_force=brute),
-    }
+    out = {"q_v": q_v, "d": d, "index": iwahori_index(q_v, d)}
     _emit(out, fmt)
 
 

@@ -23,7 +23,12 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from .errors import MAX_PLACE_DEGREE, InvalidRamificationError, NotDivisibleError
+from .errors import (
+    MAX_PLACE_DEGREE,
+    InvalidRamificationError,
+    NotDivisibleError,
+    parse_int,
+)
 from .funcfield import FunctionFieldData, places_of_degree
 
 # The largest global rank accepted.  The order-zeta series costs most,
@@ -234,13 +239,6 @@ def lambda_v(place: RamifiedPlace, r: int, q: int) -> int:
     return lambda_value(place.norm(q), r, place.inv_den)
 
 
-def parity_check(data: RamificationData) -> bool:
-    """Sum of (r - m_v) over the ramification set is even; a theorem for
-    valid data, so False signals inconsistency upstream."""
-    total = sum(data.rank - data.rank // p.inv_den for p in data.places)
-    return total % 2 == 0
-
-
 # -- parsing -------------------------------------------------------------------
 
 def parse_invariant(text: str) -> tuple[int, int]:
@@ -248,7 +246,7 @@ def parse_invariant(text: str) -> tuple[int, int]:
     if len(frac) != 2:
         raise InvalidRamificationError(f"invariant {text!r} is not of the form b/d")
     try:
-        num, den = int(frac[0]), int(frac[1])
+        num, den = parse_int(frac[0]), parse_int(frac[1])
     except ValueError:
         raise InvalidRamificationError(f"invariant {text!r} is not of the form b/d") from None
     return num, den
@@ -272,7 +270,7 @@ def parse_shorthand(text: str, field: FunctionFieldData, rank: int) -> Ramificat
                 )
             else:
                 try:
-                    degree = int(head)
+                    degree = parse_int(head)
                 except ValueError:
                     raise InvalidRamificationError(
                         f"place {head!r} is neither 'inf' nor a degree"

@@ -12,7 +12,8 @@ The series-order cap lives here, beside its error, because the CLI's
 help text shows it and the CLI loads no engine to print help.  The
 place-degree cap lives here because both funcfield and csa, which
 imports funcfield, enforce it, and the cap on q because funcfield and
-localmodels both do.
+localmodels both do.  The integer grammar lives here because the CLI
+reads its options with it and csa its ramification shorthand.
 """
 
 # The largest series order accepted.  Cost and output grow faster than
@@ -37,6 +38,19 @@ MAX_PLACE_DEGREE = 128
 # order 300, `massform order-zeta` takes about 8.6 s (2-CPU machine)
 # before its answer is refused as too long to print.
 MAX_Q = 2 ** 32
+
+
+def parse_int(text: str) -> int:
+    """An optional sign and ASCII digits, surrounding whitespace
+    stripped; int() alone also takes `1_1` and non-ASCII digits.
+    Raises ValueError otherwise, and past Python's int-to-string digit
+    limit."""
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 class MassformError(Exception):

@@ -307,37 +307,13 @@ def in_iwahori(mat: Mat, denominator_exponent: int = 0) -> bool:
     return True
 
 
-def iwahori_index(q_v: int, d: int, brute_force: bool = False) -> int:
+def iwahori_index(q_v: int, d: int) -> int:
     """Index of the hereditary order inside the full matrix order:
-    q_v^{d^2 (d-1)/2}.
-
-    With brute_force set, the strictly-upper residue patterns over the
-    residue field of L are enumerated and deduplicated as coset labels,
-    and the count is asserted equal to the formula."""
+    q_v^{d^2 (d-1)/2}."""
     _check_residue_size(q_v)
     if not 1 <= d <= MAX_LOCAL_INDEX:
         raise InvalidRamificationError(f"index d = {d} is outside 1..{MAX_LOCAL_INDEX}")
-    formula = q_v ** (d * d * (d - 1) // 2)
-    if brute_force:
-        slots = d * (d - 1) // 2
-        big_q = q_v ** d
-        if big_q ** slots > 2 ** 20:
-            raise BruteForceTooLargeError(
-                f"{big_q}^{slots} residue patterns exceed the 2^20 bound"
-            )
-        seen = set()
-        for code in range(big_q ** slots):
-            pattern = []
-            x = code
-            for _ in range(slots):
-                pattern.append(x % big_q)
-                x //= big_q
-            seen.add(tuple(pattern))
-        if len(seen) != formula:
-            raise InternalConsistencyError(
-                f"brute-force count {len(seen)} != formula {formula}"
-            )
-    return formula
+    return q_v ** (d * d * (d - 1) // 2)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .csa import (
     RamifiedPlace,
     ensure_valid,
     lambda_value,
-    parity_check,
     shorthand,
 )
 from .errors import (
@@ -38,7 +37,6 @@ from .funcfield import (
 )
 from .localmodels import (
     gl_count_bruteforce,
-    iwahori_index,
     lambda_from_volumes,
     run_model_checks,
     sublattice_count_bruteforce,
@@ -71,6 +69,16 @@ class SuiteReport:
 # ----------------------------------------------------------------------
 
 GENUS_ONE_L_POLY = (1, 1, 2)    # over F_2: 4 rational points, h = 4
+
+# The ranks and the largest finite place degree of the battery and of
+# the random data, and the most finite places a random datum ramifies
+BATTERY_RANKS = (2, 3, 4, 6)
+MAX_FINITE_DEGREE = 3
+MAX_RANDOM_FINITE = 3
+
+# The constant field sizes and the largest genus of the product fields
+PRODUCT_FIELD_QS = (2, 3, 4, 5)
+MAX_PRODUCT_GENUS = 3
 
 
 def battery_fields() -> tuple[FunctionFieldData, ...]:
@@ -111,18 +119,16 @@ def _must_be_valid(data: RamificationData) -> RamificationData:
 
 
 def definite_battery(
-    field: FunctionFieldData,
-    ranks: tuple[int, ...] = (2, 3, 4, 6),
-    max_degree: int = 3,
-    sizes: tuple[int, ...] = (2, 3),
+    field: FunctionFieldData, ranks: tuple[int, ...] = BATTERY_RANKS
 ) -> list[RamificationData]:
     """All definite ramification data over `field` with the given ranks,
     two or three ramified places (infinity included), positive
-    canonical invariants, and finite place degrees up to max_degree."""
+    canonical invariants, and finite place degrees up to
+    MAX_FINITE_DEGREE."""
     out: list[RamificationData] = []
     degrees = [
         delta
-        for delta in range(1, max_degree + 1)
+        for delta in range(1, MAX_FINITE_DEGREE + 1)
         if _finite_available(field, delta) >= 1
     ]
     for r in ranks:
@@ -130,72 +136,58 @@ def definite_battery(
             inf_place = RamifiedPlace(
                 degree=field.deg_inf, inv_num=b0, inv_den=r, is_infinity=True
             )
-            if 2 in sizes:
-                # the finite invariant is forced by the sum condition
-                bf = (r - b0) % r
-                for delta in degrees:
+            # two places: the finite invariant is forced by the sum condition
+            bf = (r - b0) % r
+            for delta in degrees:
+                out.append(
+                    _must_be_valid(
+                        RamificationData(
+                            field=field,
+                            rank=r,
+                            places=(inf_place, RamifiedPlace(delta, bf, r)),
+                        )
+                    )
+                )
+            # three places
+            finite_divisors = [d for d in range(2, r + 1) if r % d == 0]
+            specs = [
+                (delta, d, b)
+                for delta in degrees
+                for d in finite_divisors
+                for b in _coprime_residues(d)
+            ]
+            for i, (delta1, d1, b1) in enumerate(specs):
+                for delta2, d2, b2 in specs[i:]:
+                    if delta1 == delta2 and _finite_available(field, delta1) < 2:
+                        continue
+                    total = Fraction(b0, r) + Fraction(b1, d1) + Fraction(b2, d2)
+                    if total.denominator != 1:
+                        continue
                     out.append(
                         _must_be_valid(
                             RamificationData(
                                 field=field,
                                 rank=r,
-                                places=(inf_place, RamifiedPlace(delta, bf, r)),
+                                places=(
+                                    inf_place,
+                                    RamifiedPlace(delta1, b1, d1),
+                                    RamifiedPlace(delta2, b2, d2),
+                                ),
                             )
                         )
                     )
-            if 3 in sizes:
-                finite_divisors = [d for d in range(2, r + 1) if r % d == 0]
-                specs = [
-                    (delta, d, b)
-                    for delta in degrees
-                    for d in finite_divisors
-                    for b in _coprime_residues(d)
-                ]
-                for i, (delta1, d1, b1) in enumerate(specs):
-                    for delta2, d2, b2 in specs[i:]:
-                        if (
-                            delta1 == delta2
-                            and _finite_available(field, delta1) < 2
-                        ):
-                            continue
-                        total = (
-                            Fraction(b0, r)
-                            + Fraction(b1, d1)
-                            + Fraction(b2, d2)
-                        )
-                        if total.denominator != 1:
-                            continue
-                        out.append(
-                            _must_be_valid(
-                                RamificationData(
-                                    field=field,
-                                    rank=r,
-                                    places=(
-                                        inf_place,
-                                        RamifiedPlace(delta1, b1, d1),
-                                        RamifiedPlace(delta2, b2, d2),
-                                    ),
-                                )
-                            )
-                        )
     return out
 
 
-def full_battery(
-    ranks: tuple[int, ...] = (2, 3, 4, 6), max_degree: int = 3
-) -> list[RamificationData]:
+def full_battery(ranks: tuple[int, ...] = BATTERY_RANKS) -> list[RamificationData]:
     out: list[RamificationData] = []
     for field in battery_fields():
-        out.extend(definite_battery(field, ranks=ranks, max_degree=max_degree))
+        out.extend(definite_battery(field, ranks=ranks))
     return out
 
 
 def random_definite_data(
-    rng: random.Random,
-    fields: tuple[FunctionFieldData, ...] | None = None,
-    ranks: tuple[int, ...] = (2, 3, 4, 6),
-    max_degree: int = 3,
-    max_finite: int = 3,
+    rng: random.Random, fields: tuple[FunctionFieldData, ...] | None = None
 ) -> RamificationData:
     """One random valid definite ramification datum.
 
@@ -205,7 +197,7 @@ def random_definite_data(
         fields = battery_fields()
     while True:
         field = rng.choice(fields)
-        r = rng.choice(ranks)
+        r = rng.choice(BATTERY_RANKS)
         b0 = rng.choice(_coprime_residues(r))
         places = [
             RamifiedPlace(
@@ -214,7 +206,7 @@ def random_definite_data(
         ]
         taken: dict[int, int] = {}
         residual = Fraction(b0, r)
-        k = rng.randint(1, max_finite)
+        k = rng.randint(1, MAX_RANDOM_FINITE)
         feasible = True
         for i in range(k):
             if i == k - 1:
@@ -229,7 +221,7 @@ def random_definite_data(
                 b = rng.choice(_coprime_residues(d))
             open_degrees = [
                 delta
-                for delta in range(1, max_degree + 1)
+                for delta in range(1, MAX_FINITE_DEGREE + 1)
                 if _finite_available(field, delta) - taken.get(delta, 0) >= 1
             ]
             if not open_degrees:
@@ -249,17 +241,15 @@ def random_definite_data(
         return data
 
 
-def random_product_field(
-    rng: random.Random, qs: tuple[int, ...] = (2, 3, 4, 5), max_genus: int = 3
-) -> FunctionFieldData:
+def random_product_field(rng: random.Random) -> FunctionFieldData:
     """A valid field whose L-polynomial is a product of degree-2
     symmetric factors 1 + a*T + q*T^2.
 
     Not every such product passes validation (a factor pair can drive a
     place count negative), so failures reroll."""
     while True:
-        q = rng.choice(qs)
-        genus = rng.randint(1, max_genus)
+        q = rng.choice(PRODUCT_FIELD_QS)
+        genus = rng.randint(1, MAX_PRODUCT_GENUS)
         bound = isqrt(4 * q)
         poly = PolyQ((1,))
         for _ in range(genus):
@@ -280,7 +270,7 @@ def suite_zeta_at_zero(max_rank: int = 6) -> SuiteReport:
     computed along disjoint code paths, over the battery's ranks up to
     max_rank."""
     failures = []
-    ranks = tuple(r for r in (2, 3, 4, 6) if r <= max_rank)
+    ranks = tuple(r for r in BATTERY_RANKS if r <= max_rank)
     if not ranks:
         raise EmptySelectionError(
             f"max rank {max_rank} selects none of the battery ranks 2, 3, 4, 6"
@@ -301,7 +291,8 @@ def suite_zeta_at_zero(max_rank: int = 6) -> SuiteReport:
     )
 
 
-def _series_sample(per_rank: int = 2) -> list[RamificationData]:
+def _series_sample() -> list[RamificationData]:
+    """The first and the last datum of each rank over each battery field."""
     sample = []
     for field in battery_fields():
         battery = definite_battery(field)
@@ -310,7 +301,7 @@ def _series_sample(per_rank: int = 2) -> list[RamificationData]:
             by_rank.setdefault(data.rank, []).append(data)
         for rank_list in by_rank.values():
             sample.extend(rank_list[:1])
-            if per_rank > 1 and len(rank_list) > 1:
+            if len(rank_list) > 1:
                 sample.append(rank_list[-1])
     return sample
 
@@ -435,16 +426,6 @@ def suite_brute_oracles() -> SuiteReport:
         got = gl_count_bruteforce(q, r)
         if got != expected:
             failures.append(f"gl q={q} r={r}: {got} != {expected}")
-    for q_v, d in ((2, 2), (3, 2), (2, 3)):
-        checked += 1
-        formula = iwahori_index(q_v, d)
-        try:
-            brute = iwahori_index(q_v, d, brute_force=True)
-        except InternalConsistencyError as exc:
-            failures.append(f"iwahori q_v={q_v} d={d}: {exc}")
-            continue
-        if brute != formula:
-            failures.append(f"iwahori q_v={q_v} d={d}: {brute} != {formula}")
     for ell in (0, 1, 2):
         checked += 1
         brute = sublattice_count_bruteforce(2, 2, ell)
@@ -487,19 +468,11 @@ def suite_local_models(pairs: int = 100, seed: int = 0) -> SuiteReport:
     )
 
 
-# Caps on the count of the two random suites.  random-properties costs
-# about 0.4 ms a datum at its default series order (2-CPU machine), so
-# its cap keeps a run near 4 s.  zeta-class-number draws distinct fields,
-# and random_product_field has only 466 valid ones at its defaults: a
-# larger count never finished.  At 400 the suite takes about 0.15 s.
-MAX_RANDOM_DATA = 10_000
+# The cap on zeta-class-number's count.  The suite draws distinct
+# fields, and random_product_field has only 466 valid ones: a larger
+# count never finished.  At 400 the suite takes about 0.15 s (2-CPU
+# machine).
 MAX_PRODUCT_FIELDS = 400
-
-# A cap on count x series order for random-properties: the series order
-# is paid once per datum, and a datum costs 0.7 ms at order 24, 5 ms at
-# 120 and 47 ms at 300.  The cap admits every count at the default order
-# 6; at order 300 its largest count, 200, takes about 11 s.
-MAX_RANDOM_SERIES_TERMS = 60_000
 
 
 def _check_count(count: int, cap: int) -> None:
@@ -507,42 +480,6 @@ def _check_count(count: int, cap: int) -> None:
         raise EmptySelectionError(f"count {count} must be >= 1")
     if count > cap:
         raise SelectionTooLargeError(f"count {count} is above the cap {cap}")
-
-
-def suite_random_properties(
-    count: int = 1000, seed: int = 20260813, series_order: int = 6
-) -> SuiteReport:
-    """Parity, mass positivity, and non-negative series coefficients over
-    a seeded stream of random valid definite data.  (The coefficients
-    are ints by type; the exact divisions of the series builder's
-    Newton recurrence guard their integrality.)"""
-    _check_count(count, MAX_RANDOM_DATA)
-    if count * series_order > MAX_RANDOM_SERIES_TERMS:
-        raise SelectionTooLargeError(
-            f"count {count} at series order {series_order} is above the cap "
-            f"count x order <= {MAX_RANDOM_SERIES_TERMS}"
-        )
-    rng = random.Random(seed)
-    failures = []
-    for _ in range(count):
-        data = random_definite_data(rng)
-        label = _config_label(data)
-        if not parity_check(data):
-            failures.append(f"{label}: parity check false")
-        total = mass(data).mass
-        if not total > 0:
-            failures.append(f"{label}: mass {total} not positive")
-        coeffs = order_zeta_series(data, series_order).coeffs
-        for n, c in enumerate(coeffs):
-            if c < 0:
-                failures.append(f"{label}: coefficient {n} is {c}")
-                break
-    return SuiteReport(
-        suite="random-properties",
-        checked=count,
-        failures=tuple(failures),
-        notes=f"seed {seed}, series order {series_order}",
-    )
 
 
 def suite_class_number_products(count: int = 50, seed: int = 7) -> SuiteReport:
@@ -590,7 +527,6 @@ SUITES = {
     "lambda-volumes": suite_lambda_volumes,
     "brute-force-oracles": suite_brute_oracles,
     "local-models": suite_local_models,
-    "random-properties": suite_random_properties,
     "zeta-class-number": suite_class_number_products,
 }
 

@@ -139,8 +139,9 @@ GRAMMAR = [
     ("mass --q 2 --ran 2", 64),
     (f"{MASS_ARGS} --rank 7 --rank 2", 0),
     (f"{MASS_ARGS} --rank 2 --rank 7", 2),
-    ("local iw-index --qv 2 --d 2 --brute", 0),
+    ("local iw-index --qv 2 --d 2 --brute", 64),
     ("local iw-index --qv 2 --d 2 --brute=1", 64),
+    ("mass --help=1", 64),
     (f"{MASS_ARGS} extra", 64),
     ("mass --q 2 --ram inf:1/2,1:1/2 --rank", 64),
     ("mass --q 2 --ram inf:1/2,1:1/2", 64),
@@ -403,9 +404,9 @@ def test_local_subcommands(capsys):
     assert code == 0
     assert json.loads(out)["lambda"] == "3"
 
-    code, out, _ = invoke(capsys, "local", "iw-index", "--qv", "2", "--d", "3", "--brute")
+    code, out, _ = invoke(capsys, "local", "iw-index", "--qv", "2", "--d", "3")
     assert code == 0
-    assert json.loads(out)["index"] == 512
+    assert json.loads(out) == {"q_v": 2, "d": 3, "index": 512}
 
     code, out, _ = invoke(
         capsys, "local", "model-check", "--qv", "2", "--d", "2", "--b", "1",
@@ -436,10 +437,14 @@ def test_local_subcommands(capsys):
          "PrecisionTooLowError"),
         (("verify", "--suite", "zeta-at-zero", "--max-rank", "1"), "EmptySelectionError"),
         (("verify", "--suite", "lambda-volumes", "--max-rank", "0"), "EmptySelectionError"),
-        (("verify", "--suite", "random-properties", "--count", "0"), "EmptySelectionError"),
+        (("verify", "--suite", "zeta-class-number", "--count", "0"), "EmptySelectionError"),
         (("local", "model-check", "--qv", "2", "--d", "2", "--pairs", "-3"),
          "EmptySelectionError"),
         (("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/0"), "InvalidRamificationError"),
+        (("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1_0:1/2"),
+         "InvalidRamificationError"),
+        (("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/\u0662"),
+         "InvalidRamificationError"),
         (("zeta", "--q", "2", "--values", "-1"), "EmptySelectionError"),
         (("zeta", "--q", "2", "--values", "0"), "EmptySelectionError"),
         (("order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
@@ -470,8 +475,6 @@ def test_local_subcommands(capsys):
          "InvalidRamificationError"),
         (("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/2,16000:1/2"),
          "InvalidRamificationError"),
-        (("verify", "--suite", "random-properties", "--count", str(verify.MAX_RANDOM_DATA + 1)),
-         "SelectionTooLargeError"),
         (("verify", "--suite", "zeta-class-number", "--count", "1000"),
          "SelectionTooLargeError"),
         (("class-number", "--q", "2", "--deg-inf", "4000"), "InvalidFieldError"),
@@ -480,8 +483,6 @@ def test_local_subcommands(capsys):
         (("order-zeta", "--q", "5", "--rank", "6", "--ram",
           "inf:1/6,100:1/6,100:1/6,100:1/6,100:1/6,100:1/6", "--series-order", "300"),
          "InvalidRamificationError"),
-        (("verify", "--suite", "random-properties", "--series-order", "300"),
-         "SelectionTooLargeError"),
         (("local", "model-check", "--qv", "2", "--d", "4", "--b", "1", "--prec", "2000",
           "--pairs", "1"), "PrecisionTooHighError"),
         (("local", "model-check", "--qv", "2", "--d", "4", "--b", "1", "--pairs", "20000"),
@@ -494,7 +495,8 @@ def test_local_subcommands(capsys):
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
         "model-check-prec1", "verify-empty-ranks", "verify-lambda-max-rank0", "verify-count0",
-        "model-check-pairs-negative", "mass-invariant-den0",
+        "model-check-pairs-negative", "mass-invariant-den0", "mass-ram-degree-1_0",
+        "mass-ram-non-ascii-digit",
         "zeta-values-negative", "zeta-values0", "order-zeta-series-order-above-cap",
         "order-zeta-series-order-negative", "verify-series-order-above-cap",
         "model-check-d0", "model-check-b-not-coprime", "model-check-field-above-cap",
@@ -502,9 +504,9 @@ def test_local_subcommands(capsys):
         "mass-rank-above-cap", "order-zeta-rank-above-cap", "drinfeld-mass-rank1",
         "drinfeld-mass-rank-above-cap", "drinfeld-mass-place-taken-by-infinity",
         "mass-place-degree-8000", "mass-place-degree-16000",
-        "verify-random-count-above-cap", "verify-field-count-above-cap",
+        "verify-field-count-above-cap",
         "class-number-deg-inf-4000", "mass-deg-inf-above-cap",
-        "order-zeta-ramified-degree-501", "verify-random-count-times-order-above-cap",
+        "order-zeta-ramified-degree-501",
         "model-check-prec-2000", "model-check-pairs-20000", "verify-local-models-pairs-20000",
         "class-number-huge-q", "volumes-huge-qv", "volumes-past-the-digit-limit",
     ],
@@ -644,12 +646,12 @@ def test_place_degree_cap_is_checked_before_any_place_count():
 
 
 def _distinct_product_fields() -> int:
-    """Valid fields random_product_field can draw at its defaults,
-    enumerated as multisets of degree-2 factors."""
+    """Valid fields random_product_field can draw, enumerated as
+    multisets of degree-2 factors."""
     seen = set()
-    for q in (2, 3, 4, 5):
+    for q in verify.PRODUCT_FIELD_QS:
         bound = isqrt(4 * q)
-        for genus in (1, 2, 3):
+        for genus in range(1, verify.MAX_PRODUCT_GENUS + 1):
             for factors in combinations_with_replacement(range(-bound, bound + 1), genus):
                 poly = PolyQ((1,))
                 for a in factors:
@@ -670,11 +672,9 @@ def test_verify_count_cap_from_each_side(capsys):
     code, out, _ = invoke(capsys, "verify", "--suite", "zeta-class-number", "--count", str(cap))
     assert code == 0
     assert json.loads(out)["reports"][0]["checked"] == cap
-    for suite, suite_cap in (("zeta-class-number", cap),
-                             ("random-properties", verify.MAX_RANDOM_DATA)):
-        code, out, _ = invoke(capsys, "verify", "--suite", suite, "--count", str(suite_cap + 1))
-        assert code == 2
-        assert json.loads(out)["error"]["message"] == f"count {suite_cap + 1} is above the cap {suite_cap}"
+    code, out, _ = invoke(capsys, "verify", "--suite", "zeta-class-number", "--count", str(cap + 1))
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == f"count {cap + 1} is above the cap {cap}"
 
 
 def test_verify_command_single_suite(capsys):
@@ -985,8 +985,9 @@ def test_suite_choice_names_every_verify_suite():
 
 
 # sha256 of each command's --help at 80 columns, taken before the CLI moved
-# its imports into the commands; the help text reads MAX_SERIES_ORDER and
-# the suite names without loading an engine
+# its imports into the commands (verify's and local iw-index's retaken when
+# the random-properties suite and the --brute flag went); the help text
+# reads MAX_SERIES_ORDER and the suite names without loading an engine
 HELP_DIGESTS = {
     (): "e4076c817a9d05a0c6ca1b2d60ff0d865b477f410eb9bc5fdd24335cc99af37b",
     ("mass",): "4ed3c74d5a759b45059935a1f3f7884862ca2256ddd3d006d684c54dc381a7ab",
@@ -997,10 +998,10 @@ HELP_DIGESTS = {
     ("local",): "fcab430f7f67b2aaa5d720d67e142630ee0fd2df2d0c016a2d810da54588296e",
     ("local", "volumes"): "d1a81ffe1d729dac01e63ac4beede5aecb9c8f232bfcfd33c66e2868bb7a0328",
     ("local", "lambda"): "0376694e134542f028509628134b21046296383c43aa1434cbcfa25d8ec41af0",
-    ("local", "iw-index"): "6f1efa34b7f7f2ae7e75ee932fccfe4d232649be6099bec0922e4b07b7573aaf",
+    ("local", "iw-index"): "21d837a47bcdc478ca55bfe5c7bc43052bcaedd027c9c9443417761a51d1deb1",
     ("local", "model-check"): "ff343d21a62fe7d22ab19934f60eab03d3db406ba5b594639915e8a49af338f5",
     ("table",): "1c9b72206d816b544a3b544e018646628e6ab2d840f385de95c592d92c0f450f",
-    ("verify",): "bde99d8d866333b5f5e9837b7e7e9970921ce1640a07c7d4e07e217a19134894",
+    ("verify",): "89c4e398db7e1091389785ea83ccda8b54eca609f1ba787bb1455dee62125bf4",
 }
 
 

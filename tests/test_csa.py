@@ -11,7 +11,6 @@ from massform.csa import (
     is_drinfeld_type,
     lambda_v,
     lambda_value,
-    parity_check,
     parse_shorthand,
     shorthand,
     validate,
@@ -203,14 +202,6 @@ def test_lambda_positive_and_divisibility_guard():
                         lambda_value(norm, r, d)
                 else:
                     assert lambda_value(norm, r, d) >= 1
-
-
-# -- parity -----------------------------------------------------------------
-
-def test_parity_check_frozen_examples():
-    assert parity_check(STANDARD_R2)     # (2-1)+(2-1) = 2
-    assert parity_check(DRINFELD_R3)     # (3-1)+(3-1) = 4
-    assert parity_check(data(1, []))     # empty sum
 
 
 # -- parsing / serialization ---------------------------------------------------

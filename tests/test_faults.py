@@ -1,0 +1,157 @@
+"""Every verify suite must be able to fail: a table of seeded faults.
+
+Each fault wraps one function of the package.  It is patched by identity
+in every loaded massform module, the way perfbench's tracer installs its
+wrappers, so the faulty function is reached under every name a module
+bound it to.  Each fault runs in its own `python -O` process, so no memo
+leaks from one fault to the next and no kill comes from an `assert`.  A
+suite fails when `massform verify --suite S` exits 70: a failed
+comparison, or an error raised inside it.
+
+KILLS lists faults with the suites that must fail on them; only those
+suites run.  SURVIVORS lists faults that no suite catches today, each
+with the reason; every suite runs, and none may fail, so the gap stays
+in view until a suite closes it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The child process: argv is the module, the attribute, the fault's
+# source (a function from the original callable to the faulty one,
+# evaluated with the massform modules in scope) and the suites to run.
+# It prints the exit code of each suite as JSON.
+CHILD = """
+import importlib, io, json, sys
+from contextlib import redirect_stdout
+
+import massform.cli, massform.verify
+
+# replace the callable on its module and under every name a loaded
+# massform module bound it to
+def install(module_name, attr, make):
+    modules = {name.rpartition(".")[2]: module for name, module in sys.modules.items()
+               if name == "massform" or name.startswith("massform.")}
+    original = vars(importlib.import_module(module_name))[attr]
+    faulty = eval(make, dict(modules))(original)
+    for module in modules.values():
+        namespace = vars(module)
+        for key, value in list(namespace.items()):
+            if value is original:
+                namespace[key] = faulty
+
+
+module_name, attr, fault, *suites = sys.argv[1:]
+install(module_name, attr, fault)
+codes = {}
+for suite in suites:
+    with redirect_stdout(io.StringIO()):
+        codes[suite] = massform.cli.run(["verify", "--suite", suite])
+print(json.dumps(codes))
+"""
+
+ALL_SUITES = (
+    "zeta-at-zero",
+    "series-closed-form",
+    "drinfeld",
+    "lambda-volumes",
+    "brute-force-oracles",
+    "local-models",
+    "zeta-class-number",
+)
+
+# (id, module, attribute, fault, the suites that must fail)
+KILLS = [
+    ("zeta-special-value-doubled-at-2", "massform.funcfield", "zeta_special_value",
+     "lambda f: lambda data, i: 2 * f(data, i) if i == 2 else f(data, i)",
+     {"zeta-at-zero"}),
+    ("zeta-special-value-sign-at-3", "massform.funcfield", "zeta_special_value",
+     "lambda f: lambda data, i: -f(data, i) if i == 3 else f(data, i)",
+     {"zeta-at-zero", "drinfeld"}),
+    ("lambda-value-plus-one-at-d3", "massform.csa", "lambda_value",
+     "lambda f: lambda norm, r, d: f(norm, r, d) + (d == 3)",
+     {"zeta-at-zero", "drinfeld", "lambda-volumes"}),
+    ("cyclotomic-value-plus-one-at-m3", "massform.orderzeta", "_cyclotomic_value",
+     "lambda f: lambda m, x: f(m, x) + (m == 3)",
+     {"zeta-at-zero"}),
+    ("local-ideal-count-plus-one-at-ell2", "massform.orderzeta", "local_ideal_count",
+     "lambda f: lambda q_v, m_v, d_v, ell: f(q_v, m_v, d_v, ell) + (ell == 2)",
+     {"series-closed-form", "brute-force-oracles"}),
+    ("places-of-degree-plus-one-at-3", "massform.funcfield", "places_of_degree",
+     "lambda f: lambda data, n: f(data, n) + (n == 3)",
+     {"series-closed-form"}),
+    ("geometric-plus-one-at-n2", "massform.orderzeta", "_geometric",
+     "lambda f: lambda x, n: f(x, n) + (n == 2)",
+     {"series-closed-form"}),
+    ("vol-gprime-times-qv", "massform.localmodels", "vol_Gprime",
+     "lambda f: lambda q_v, m, d: q_v * f(q_v, m, d)",
+     {"lambda-volumes"}),
+    ("drinfeld-mass-doubled-at-rank-3", "massform.massengine", "drinfeld_mass",
+     "lambda f: lambda field, r, p: 2 * f(field, r, p) if r == 3 else f(field, r, p)",
+     {"drinfeld"}),
+    ("delta-mul-operands-swapped", "massform.localmodels", "delta_mul",
+     "lambda f: lambda model, xs, ys: f(model, ys, xs)",
+     {"local-models"}),
+    ("gl-count-plus-one", "massform.localmodels", "gl_count_bruteforce",
+     "lambda f: lambda q, r: f(q, r) + 1",
+     {"brute-force-oracles"}),
+    ("zeta-a-returns-zeta-k", "massform.funcfield", "zeta_A",
+     "lambda f: funcfield.zeta_K",
+     {"zeta-class-number"}),
+]
+
+# (id, module, attribute, fault, why no suite fails)
+SURVIVORS = [
+    ("class-number-is-p-at-one", "massform.funcfield", "class_number_A",
+     "lambda f: lambda data: f(data) // data.deg_inf",
+     "every verify field has deg_inf = 1, where h(A) = deg_inf * P(1) is P(1)"),
+    ("iwahori-index-times-qv", "massform.localmodels", "iwahori_index",
+     "lambda f: lambda q_v, d: q_v * f(q_v, d)",
+     "no suite reads the Iwahori index; test_localmodels.py::"
+     "test_iwahori_index_frozen is the only check of its formula"),
+]
+
+
+def _failing_suites(module, attr, fault, suites):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CHILD, module, attr, fault, *suites],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout)
+    assert set(codes.values()) <= {0, 70}, codes
+    return {suite for suite, code in codes.items() if code == 70}
+
+
+@pytest.mark.parametrize(
+    "module, attr, fault, suites",
+    [row[1:] for row in KILLS],
+    ids=[row[0] for row in KILLS],
+)
+def test_fault_fails_its_suites(module, attr, fault, suites):
+    assert _failing_suites(module, attr, fault, sorted(suites)) == suites
+
+
+@pytest.mark.parametrize(
+    "module, attr, fault, reason",
+    [row[1:] for row in SURVIVORS],
+    ids=[row[0] for row in SURVIVORS],
+)
+def test_known_survivor_fails_no_suite(module, attr, fault, reason):
+    assert _failing_suites(module, attr, fault, ALL_SUITES) == set(), reason
+
+
+def test_every_suite_has_a_kill():
+    from massform import verify
+
+    assert set(ALL_SUITES) == set(verify.SUITES)
+    assert set().union(*(row[-1] for row in KILLS)) == set(ALL_SUITES)

@@ -195,16 +195,6 @@ def test_iwahori_index_frozen():
     assert iwahori_index(3, 2) == 9
 
 
-def test_iwahori_index_bruteforce_agrees():
-    for q_v, d in ((2, 2), (3, 2), (2, 3)):
-        assert iwahori_index(q_v, d, brute_force=True) == iwahori_index(q_v, d)
-
-
-def test_iwahori_index_bruteforce_bound():
-    with pytest.raises(BruteForceTooLargeError):
-        iwahori_index(2, 8, brute_force=True)
-
-
 def test_gl_count_frozen():
     assert gl_count_bruteforce(2, 2) == 6
     assert gl_count_bruteforce(3, 2) == 48

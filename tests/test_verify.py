@@ -1,4 +1,3 @@
-import inspect
 import random
 
 import pytest
@@ -6,11 +5,7 @@ import pytest
 from massform import csa, verify
 from massform.algebra import PolyQ, TruncatedSeriesQ
 from massform.csa import RamificationData, RamifiedPlace, is_definite, validate
-from massform.errors import (
-    InternalConsistencyError,
-    InvalidFieldError,
-    SelectionTooLargeError,
-)
+from massform.errors import InternalConsistencyError, InvalidFieldError
 from massform.funcfield import FunctionFieldData
 from massform.verify import (
     SuiteReport,
@@ -153,20 +148,6 @@ def test_suite_report_json_shape():
     assert not report.ok
 
 
-def test_random_properties_fails_on_a_negative_coefficient(monkeypatch):
-    real = verify.order_zeta_series
-
-    def negated_top(data, order):
-        coeffs = real(data, order).coeffs
-        return TruncatedSeriesQ(order, coeffs[:-1] + (-coeffs[-1],))
-
-    monkeypatch.setattr(verify, "order_zeta_series", negated_top)
-    report = run_suite("random-properties", count=5)
-    assert not report.ok
-    assert len(report.failures) == 5
-    assert ": coefficient 6 is -" in report.failures[0]
-
-
 def test_series_closed_form_failure_names_first_differing_coefficient(monkeypatch):
     real = verify.order_zeta_series
 
@@ -225,15 +206,3 @@ def test_series_closed_form_fails_on_a_mutated_closed_form(monkeypatch):
     # against the place-by-place series
     assert len(report.failures) == report.checked + q2
     assert sum("place by place" in failure for failure in report.failures) == q2
-
-
-def test_random_properties_count_times_order_cap_from_each_side(monkeypatch):
-    # the real cap admits every count at the default series order
-    default = inspect.signature(verify.suite_random_properties).parameters["series_order"]
-    assert verify.MAX_RANDOM_DATA * default.default <= verify.MAX_RANDOM_SERIES_TERMS
-    monkeypatch.setattr(verify, "MAX_RANDOM_SERIES_TERMS", 60)
-    assert run_suite("random-properties", count=10, series_order=6).ok
-    assert run_suite("random-properties", count=6, series_order=10).ok
-    for count, order in ((11, 6), (10, 7), (1, 61)):
-        with pytest.raises(SelectionTooLargeError, match=f"count {count} at series order {order}"):
-            run_suite("random-properties", count=count, series_order=order)

@@ -9,8 +9,10 @@ Two independent realizations of the same object live here:
   is kept as a map from irreducible factors (the reciprocal cyclotomic
   polynomials Phi*_m(q^j u), m | k, and the P-shifts) to exponents.
   The net map is built in one pass over a plain dict, and cancellation
-  is adding exponents.  The pole checks at u = 1 and u = q^-r and the
-  value at u = 1 are read off the map in integers.  The labelled factors
+  is adding exponents.  FunctionFieldData certifies P as a Weil
+  polynomial, so no P-shift vanishes at u = q^-j and the pole checks at
+  u = 1 and u = q^-r read cyclotomic exponents only; the value at u = 1
+  is read off the map in integers.  The labelled factors
   and the normalized num/den are audit output, built only when read;
 * a truncated Dirichlet series built from an Euler product over the
   finite places, expanded in integers by Newton's identities on its
@@ -32,8 +34,8 @@ zeta_special_value or lambda_v.
 
 The closed form keeps its own memos, inside the functions that compute
 each value, so a patched function still replaces the computation:
-_p_value (the P-shifts at u = 1 and u = q^-r, by L-polynomial
-coefficients), _cyclotomic_value and _cyclotomic_at_one, and
+_p_value (the P-shifts at u = 1, by L-polynomial coefficients),
+_cyclotomic_value and _cyclotomic_at_one, and
 _zeta_exponents and _correction_keys (the exponent-map pieces fixed by
 deg_inf, r and a place's shape).  The mass side reads none of them, and
 the closed form never reads the zeta_K(-i) memo the mass side keeps on
@@ -113,64 +115,36 @@ def _cyclotomic_at_one(m: int) -> int:
         return 1
 
 
-# (L-polynomial coefficients, a, b) -> b^deg P * P(a/b); see _p_value
-_P_VALUES: dict[tuple[tuple[int, ...], int, int], int] = {}
+# (L-polynomial coefficients, x) -> P(x); see _p_value
+_P_VALUES: dict[tuple[tuple[int, ...], int], int] = {}
 
 
-def _p_value(field: FunctionFieldData, a: int, b: int) -> int:
-    """b^deg P * P(a/b), by Horner's rule in integers.
+def _p_value(field: FunctionFieldData, x: int) -> int:
+    """P(x), by Horner's rule in integers.
 
-    Memoised in _P_VALUES on (coefficients, a, b), a closed-form memo:
-    the closed form asks for a = q^j with j < r and b = 1, or a = 1 and
-    b = q^k with 1 <= k <= r, so it holds at most 2 MAX_RANK entries per
-    field.  The mass side never reads it.
+    Memoised in _P_VALUES on (coefficients, x), a closed-form memo: the
+    closed form asks for x = q^j with j < r, so it holds at most
+    MAX_RANK entries per field.  The mass side never reads it.
     """
-    coeffs = field.l_poly.coeffs
-    key = (coeffs, a, b)
-    acc = _P_VALUES.get(key)
-    if acc is None:
-        acc, b_power = 0, 1
-        for c in reversed(coeffs):
-            acc = acc * a + c * b_power
-            b_power *= b
-        _P_VALUES[key] = acc
-    return acc
-
-
-def _p_root(l_poly: PolyQ, b: int) -> tuple[int, Fraction]:
-    """(k, h(1/b)) with P(t) = (1 - bt)^k h(t) and h(1/b) != 0.
-
-    For the P-shift P(q^i u) at u = 1/(b q^i), k is its order there and
-    h(1/b) the value of its quotient by (1 - b q^i u)^k.  Weil's bound
-    gives k = 0, but FunctionFieldData does not certify that bound.  As
-    P(0) = 1, a rational root of P has numerator +-1 (rational root
-    theorem), and each division by 1 - bt is exact in integers (Gauss's
-    lemma).
-    """
-    y = Fraction(1, b)
-    k, value = 0, l_poly.eval(y)
-    while value == 0:
-        l_poly = l_poly.exact_div(PolyQ((1, -b)))
-        k += 1
-        value = l_poly.eval(y)
-    return k, value
+    key = (field.l_poly.coeffs, x)
+    value = _P_VALUES.get(key)
+    if value is None:
+        value = _P_VALUES[key] = field.l_poly.eval(x)
+    return value
 
 
 def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> tuple[int, Fraction]:
     """Order of the product at u = 1, and its value there when that order
     is 0 (else 0).
 
-    Among the cyclotomic factors only Phi*_1(u) = 1 - u vanishes at
-    u = 1; the others take the nonzero integer values Phi*_m(q^j) for
-    j >= 1 and Phi*_m(1) for m > 1.
+    Only Phi*_1(u) = 1 - u vanishes at u = 1.  The other factors take
+    the nonzero integer values P(q^j), as a Weil P has no root of
+    absolute value q^-j, Phi*_m(q^j) for j >= 1 and Phi*_m(1) for m > 1.
     """
     order, num, den = 0, 1, 1
     for (j, m), e in exponents.items():
         if m == 0:
-            value = _p_value(field, field.q ** j, 1)
-            if value == 0:      # so q^j is a root of P: j = 0
-                k, value = _p_root(field.l_poly, 1)
-                order += k * e
+            value = _p_value(field, field.q ** j)
         elif j == 0 and m == 1:
             order += e
             continue
@@ -185,25 +159,14 @@ def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> tuple[int, Frac
     return order, (Fraction(num, den) if order == 0 else Fraction(0))
 
 
-def _order_at(field: FunctionFieldData, exponents: ExponentMap, s: int) -> int:
-    """Order of the product at u = q^-s for s >= 1, where 1 - q^s u is the
-    only cyclotomic factor that vanishes."""
-    q = field.q
-    order = exponents.get((s, 1), 0)
-    for (i, m), e in exponents.items():
-        if m == 0 and _p_value(field, q ** max(i - s, 0), q ** max(s - i, 0)) == 0:
-            # q^(i-s) is a root of P, so i <= s
-            order += e * _p_root(field.l_poly, q ** (s - i))[0]
-    return order
-
-
 def _expand(field: FunctionFieldData, exponents: ExponentMap) -> RationalFunctionQ:
     """The normalized num/den of an exponent map.
 
     The cyclotomic keys are distinct irreducibles and cancel by their
-    exponents alone.  A P-shift could share a root with a denominator
-    factor only if P broke Weil's bound, which FunctionFieldData does
-    not certify, so ratfun's gcd must leave the denominator whole.
+    exponents alone.  The roots of a P-shift P(q^j u) have absolute
+    value q^(-j-1/2), as FunctionFieldData certifies P as a Weil
+    polynomial, and those of a cyclotomic factor an integral power of q,
+    so ratfun's gcd must leave the denominator whole.
     """
     num = den = PolyQ.one()
     for (j, m), e in exponents.items():
@@ -218,8 +181,7 @@ def _expand(field: FunctionFieldData, exponents: ExponentMap) -> RationalFunctio
     out = ratfun(num, den)
     if out.den.degree < den.degree:
         raise InternalConsistencyError(
-            "closed form numerator and denominator share a factor: "
-            "the L-polynomial breaks Weil's bound"
+            "closed form numerator and denominator share a factor"
         )
     return out
 
@@ -333,7 +295,8 @@ def order_zeta_closed_form(data: RamificationData) -> OrderZetaClosedForm:
     order, value = _at_one(data.field, exponents)
     if order < 0:
         raise InternalConsistencyError("closed form has a pole at u = 1")
-    if _order_at(data.field, exponents, data.rank) >= 0:
+    # 1 - q^r u is the one factor that vanishes at u = q^-r
+    if exponents.get((data.rank, 1), 0) >= 0:
         raise InternalConsistencyError(
             "closed form lacks the expected pole at u = q^-r"
         )

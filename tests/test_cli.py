@@ -23,7 +23,7 @@ from massform.algebra import PolyQ, rational_to_str
 from massform.csa import MAX_PLACE_DEGREE, MAX_RAMIFIED_DEGREE, MAX_RANK
 from massform.errors import MAX_Q, InternalConsistencyError, InvalidFieldError
 from massform.finitefield import FIELD_SIZE_CAP
-from massform.funcfield import FunctionFieldData, zeta_A, zeta_K
+from massform.funcfield import MAX_GENUS, FunctionFieldData, zeta_A, zeta_K
 from massform.localmodels import (
     MAX_LOCAL_INDEX,
     MAX_LOCAL_RANK,
@@ -491,6 +491,15 @@ def test_local_subcommands(capsys):
         (("class-number", "--q", HUGE_PRIME), "InvalidFieldError"),
         (("local", "volumes", "--qv", HUGE_PRIME, "--r", "2", "--d", "1"), "InvalidFieldError"),
         (("local", "volumes", "--qv", "65537", "--r", "48", "--d", "1"), "OutputTooLargeError"),
+        (("class-number", "--q", "3", "--genus", "2", "--l-poly", "1,-2,8,-6,9"),
+         "InvalidFieldError"),
+        (("mass", "--q", "3", "--genus", "2", "--l-poly", "1,-2,8,-6,9", "--rank", "2",
+          "--ram", "inf:1/2,1:1/2"), "InvalidFieldError"),
+        (("order-zeta", "--q", "3", "--genus", "2", "--l-poly", "1,-2,8,-6,9", "--rank", "2",
+          "--ram", "inf:1/2,1:1/2"), "InvalidFieldError"),
+        (("class-number", "--q", "4294967291", "--genus", str(MAX_GENUS + 1), "--l-poly",
+          ",".join(["1"] + ["0"] * (2 * MAX_GENUS + 1) + [str(4294967291 ** (MAX_GENUS + 1))])),
+         "InvalidFieldError"),
     ],
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
@@ -509,6 +518,8 @@ def test_local_subcommands(capsys):
         "order-zeta-ramified-degree-501",
         "model-check-prec-2000", "model-check-pairs-20000", "verify-local-models-pairs-20000",
         "class-number-huge-q", "volumes-huge-qv", "volumes-past-the-digit-limit",
+        "class-number-non-weil", "mass-non-weil", "order-zeta-non-weil",
+        "class-number-genus-above-cap",
     ],
 )
 def test_bad_input_regressions_are_exit_2(capsys, argv, error_type):

@@ -112,6 +112,9 @@ SURVIVORS = [
     ("class-number-is-p-at-one", "massform.funcfield", "class_number_A",
      "lambda f: lambda data: f(data) // data.deg_inf",
      "every verify field has deg_inf = 1, where h(A) = deg_inf * P(1) is P(1)"),
+    ("weil-test-always-true", "massform.funcfield", "real_roots_within",
+     "lambda f: lambda h, q: True",
+     "no suite builds an invalid field"),
     ("iwahori-index-times-qv", "massform.localmodels", "iwahori_index",
      "lambda f: lambda q_v, d: q_v * f(q_v, d)",
      "no suite reads the Iwahori index; test_localmodels.py::"

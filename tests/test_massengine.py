@@ -237,7 +237,7 @@ def test_a_poisoned_zeta_memo_moves_only_the_mass():
 def test_a_poisoned_p_value_memo_moves_only_the_closed_form(monkeypatch):
     data = parse_shorthand("inf:1/3,1:-1/3", K2_G1, rank=3)
     assert mass(data).mass == -order_zeta_at_zero(data)
-    key = (K2_G1.l_poly.coeffs, 2, 1)       # P(qu) at u = 1
+    key = (K2_G1.l_poly.coeffs, 2)          # P(qu) at u = 1
     assert orderzeta._P_VALUES[key] == 11
     monkeypatch.setitem(orderzeta._P_VALUES, key, 12)
     assert order_zeta_at_zero(data) != -mass(data).mass

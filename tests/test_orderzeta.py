@@ -8,7 +8,7 @@ from operator import mul
 
 import pytest
 
-from massform import orderzeta
+from massform import funcfield, orderzeta
 from massform.algebra import (
     PolyQ,
     ratfun,
@@ -61,16 +61,18 @@ DEG_INF_FIELDS = (
 )
 DEG_INF2_R4 = parse_shorthand("inf:1/4,1:1/4,1:1/2", DEG_INF_FIELDS[0], rank=4)
 
-# P = (1 - u)(1 - 2u)(1 + 2u + 2u^2) breaks Weil's bound: P(1) = P(1/2) = 0.
-# Its place counts fail from degree 2 on, so only b_1 is certified.  The
-# second field squares the zeros at u = 1 and u = 1/2.
-NON_WEIL = FunctionFieldData(
-    q=2, genus=2, l_poly=PolyQ((1, -1, -2, -2, 4)), deg_inf=1, sanity_bound=1
-)
-NON_WEIL_SQUARED = FunctionFieldData(
-    q=2, genus=3, l_poly=PolyQ((1, -2, -9, 28, -18, -8, 8)), deg_inf=1,
-    sanity_bound=1,
-)
+# Symmetric L-polynomials over F_2 that break Weil's bound.  The first
+# is (1 - u)(1 - 2u)(1 + 2u + 2u^2), so P(1) = P(1/2) = 0; the second
+# squares those zeros.
+NON_WEIL = (PolyQ((1, -1, -2, -2, 4)), PolyQ((1, -2, -9, 28, -18, -8, 8)))
+
+
+def non_weil_field(monkeypatch):
+    """NON_WEIL[0] as a field, built with the Weil test switched off and
+    only b_1 checked, as its place counts fail from degree 2 on."""
+    monkeypatch.setattr(funcfield, "real_roots_within", lambda h, q: True)
+    monkeypatch.setattr(funcfield, "CHECKED_DEGREES", 1)
+    return FunctionFieldData(q=2, genus=2, l_poly=NON_WEIL[0], deg_inf=1)
 
 
 def reference_closed_form(data):
@@ -187,41 +189,20 @@ def test_cyclotomic_factors():
             assert _cyclotomic_value(k, x) == _cyclotomic(k).eval(x), (k, x)
 
 
-def _reference_order(f, x):
-    """Order of the cancelled rational function f at u = x."""
-    x = Fraction(x)
-    root = PolyQ((-x.numerator, x.denominator))     # vanishes at u = x
-
-    def multiplicity(poly):
-        k = 0
-        while poly.eval(x) == 0:
-            poly = poly.exact_div(root)
-            k += 1
-        return k
-    return multiplicity(f.num) - multiplicity(f.den)
-
-
-@pytest.mark.parametrize("field", [NON_WEIL, NON_WEIL_SQUARED], ids=["simple", "double"])
-def test_p_shift_zeros_count_with_multiplicity(field):
-    for rank, ram in [(2, "inf:1/2,1:1/2"), (3, "inf:1/3,1:-1/3")]:
-        data = parse_shorthand(ram, field, rank=rank)
-        want = reference_closed_form(data)
-        exponents = orderzeta._exponents(data)
-        assert _at_one(field, exponents)[0] == _reference_order(want, 1) > 0
-        pole = Fraction(1, 2 ** rank)
-        assert orderzeta._order_at(field, exponents, rank) == _reference_order(want, pole) >= 0
-        if field is NON_WEIL_SQUARED:
-            # infinity is this field's only degree-1 place, so the datum is
-            # invalid and the pole check is reached only past validation
-            with pytest.raises(InvalidRamificationError, match="only 0 exist"):
-                order_zeta_closed_form(data)
-            object.__setattr__(data, "_valid", True)
-        # P(2^(r-1) u) vanishes at u = 2^-r, so the reference lacks the pole
-        with pytest.raises(InternalConsistencyError, match="lacks the expected pole"):
-            order_zeta_closed_form(data)
+def test_expand_refuses_a_shared_factor(monkeypatch):
     # P(u) shares 1 - 2u with zeta_A's denominator; the expansion's gcd sees it
     with pytest.raises(InternalConsistencyError, match="share a factor"):
-        _expand(field, Counter({(0, 0): 1, (1, 1): -1}))
+        _expand(non_weil_field(monkeypatch), Counter({(0, 0): 1, (1, 1): -1}))
+
+
+def test_closed_form_guards_its_poles(monkeypatch):
+    exponents = orderzeta._exponents
+    monkeypatch.setattr(orderzeta, "_exponents", lambda data: {**exponents(data), (2, 1): 0})
+    with pytest.raises(InternalConsistencyError, match="lacks the expected pole"):
+        order_zeta_closed_form(STANDARD_R2)
+    monkeypatch.setattr(orderzeta, "_exponents", lambda data: {**exponents(data), (0, 1): -1})
+    with pytest.raises(InternalConsistencyError, match="has a pole at u = 1"):
+        order_zeta_closed_form(STANDARD_R2)
 
 
 def test_closed_form_rank_two_is_geometric():

@@ -23,7 +23,6 @@ share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import index
@@ -35,6 +34,7 @@ from .errors import (
     OrderMismatchError,
     PoleError,
 )
+from .record import Record
 
 
 def rational_to_str(x: Fraction | int) -> str:
@@ -232,8 +232,7 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
 # Rational functions over Q, stored fully cancelled
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalFunctionQ:
+class RationalFunctionQ(Record):
     """num/den in Z[u], coprime, with no common integer content and a
     positive leading coefficient in den; that representative is unique.
 
@@ -241,8 +240,11 @@ class RationalFunctionQ:
     pole-order bookkeeping at u = 1 depends on full cancellation.
     """
 
-    num: PolyQ
-    den: PolyQ
+    __slots__ = _fields = ("num", "den")
+
+    def __init__(self, num: PolyQ, den: PolyQ):
+        self.num = num
+        self.den = den
 
     def __mul__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
         return ratfun(self.num * other.num, self.den * other.den)
@@ -282,17 +284,17 @@ def ratfun_eval(f: RationalFunctionQ, x: int | Fraction) -> Fraction:
 # Truncated power series over Z
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncatedSeriesQ:
+class TruncatedSeriesQ(Record):
     """Power series in u truncated at a fixed order D: D+1 integer
     coefficients."""
 
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("order", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, order: int, coeffs: tuple[int, ...]):
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient count must equal order + 1")
+        self.order = order
+        self.coeffs = coeffs
 
     def coefficient(self, k: int) -> int:
         return self.coeffs[k]

@@ -18,8 +18,10 @@ Every other malformed command line is a usage error.
 Imports are per command.  At module level this file loads only the
 standard library and `errors`; each command imports the engines it runs
 in its body, so `massform mass` never loads the finite-field models or
-the verify suites, and `massform local volumes` never loads the global
-engines.
+the verify suites, and `massform local volumes` loads neither the global
+engines nor the matrix models.  Only the matrix models import
+`dataclasses` (and with it `inspect`, `ast` and `dis`), so only `local
+model-check` and the verify suite local-models pay for that import.
 """
 
 from __future__ import annotations
@@ -494,7 +496,7 @@ def cmd_order_zeta(q, genus, l_poly, deg_inf, field_file, rank, ram, series_orde
 
 def _local_volumes(q_v: int, r: int, d: int) -> dict:
     from .algebra import rational_to_str
-    from .localmodels import local_volume_report
+    from .localvolumes import local_volume_report
 
     rep = local_volume_report(q_v, r, d)
     return {
@@ -529,7 +531,7 @@ def cmd_local_lambda(q_v, r, d, fmt):
     Option("--d", required=True),
 )
 def cmd_local_iw_index(q_v, d, fmt):
-    from .localmodels import iwahori_index
+    from .localvolumes import iwahori_index
 
     out = {"q_v": q_v, "d": d, "index": iwahori_index(q_v, d)}
     _emit(out, fmt)
@@ -611,6 +613,13 @@ def cmd_table(qs, ranks, p_degrees, fmt):
     _emit_rows(header, out_rows, fmt)
 
 
+def _parameter_names(fn) -> tuple[str, ...]:
+    """The names of fn's parameters, read off its code object, so that
+    `verify` does not import `inspect`."""
+    code = fn.__code__
+    return code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+
+
 @command(
     "verify",
     Option("--suite", ("all", *SUITE_NAMES), "all"),
@@ -626,14 +635,10 @@ def cmd_verify(suite, fmt, **options):
     Each option given goes to the selected suites that take it; one that
     no selected suite takes is a usage error.
     """
-    import inspect
-
     from . import verify as verify_mod
 
     names = list(verify_mod.SUITES) if suite == "all" else [suite]
-    takes = {
-        name: inspect.signature(verify_mod.SUITES[name]).parameters for name in names
-    }
+    takes = {name: _parameter_names(verify_mod.SUITES[name]) for name in names}
     given = {key: value for key, value in options.items() if value is not None}
     for key in given:
         if not any(key in params for params in takes.values()):

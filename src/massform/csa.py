@@ -18,7 +18,6 @@ never reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -30,6 +29,7 @@ from .errors import (
     parse_int,
 )
 from .funcfield import FunctionFieldData, places_of_degree
+from .record import Record
 
 # The largest global rank accepted.  The order-zeta series costs most,
 # and grows with the rank: at q = 5 and series order 300, `massform
@@ -47,12 +47,14 @@ MAX_RANK = 6
 MAX_RAMIFIED_DEGREE = 200
 
 
-@dataclass(frozen=True)
-class RamifiedPlace:
-    degree: int
-    inv_num: int
-    inv_den: int
-    is_infinity: bool = False
+class RamifiedPlace(Record):
+    __slots__ = _fields = ("degree", "inv_num", "inv_den", "is_infinity")
+
+    def __init__(self, degree: int, inv_num: int, inv_den: int, is_infinity: bool = False):
+        self.degree = degree
+        self.inv_num = inv_num
+        self.inv_den = inv_den
+        self.is_infinity = is_infinity
 
     def norm(self, q: int) -> int:
         """Size of the residue field at this place."""
@@ -67,13 +69,16 @@ class RamifiedPlace:
         return f"{head}:{self.inv_num}/{self.inv_den}"
 
 
-@dataclass(frozen=True)
-class RamificationData:
-    field: FunctionFieldData
-    rank: int
-    places: tuple[RamifiedPlace, ...]
-    # set by ensure_valid once the structural checks pass; never set on failure
-    _valid: bool = dataclass_field(default=False, init=False, repr=False, compare=False)
+class RamificationData(Record):
+    _fields = ("field", "rank", "places")
+    __slots__ = (*_fields, "_valid")
+
+    def __init__(self, field: FunctionFieldData, rank: int, places: tuple[RamifiedPlace, ...]):
+        self.field = field
+        self.rank = rank
+        self.places = places
+        # set by ensure_valid once the structural checks pass; never set on failure
+        self._valid = False
 
     def infinite_place(self) -> RamifiedPlace | None:
         for p in self.places:
@@ -85,10 +90,12 @@ class RamificationData:
         return tuple(p for p in self.places if not p.is_infinity)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    failures: tuple[str, ...]
+class ValidationReport(Record):
+    __slots__ = _fields = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[str, ...]):
+        self.ok = ok
+        self.failures = failures
 
 
 def validate(data: RamificationData) -> ValidationReport:
@@ -189,7 +196,7 @@ def ensure_valid(data: RamificationData) -> None:
     report = validate(data)
     if not report.ok:
         raise InvalidRamificationError("; ".join(report.failures))
-    object.__setattr__(data, "_valid", True)
+    data._valid = True
 
 
 def is_definite(data: RamificationData) -> bool:

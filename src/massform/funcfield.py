@@ -15,7 +15,6 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -29,6 +28,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidFieldError,
 )
+from .record import Record
 
 # The largest genus, checked before the Weil test.  At q = 4294967291,
 # the largest prime below MAX_Q, the slowest test found takes about
@@ -109,8 +109,7 @@ def real_roots_within(h: list[int], q: int) -> bool:
     return min(n) >= 0
 
 
-@dataclass(frozen=True)
-class FunctionFieldData:
+class FunctionFieldData(Record):
     """A global function field presented by its counting data.
 
     q is a prime power of at most MAX_Q; l_poly is P(T), a Weil
@@ -120,18 +119,19 @@ class FunctionFieldData:
     CHECKED_DEGREES are checked non-negative at construction.
     """
 
-    q: int
-    genus: int
-    l_poly: PolyQ
-    deg_inf: int
-    # b_1, b_2, ... as far as computed; grown by _place_counts
-    _counts: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
-    # zeta_K(-i) by i, filled by zeta_special_value (the mass side only)
-    _zeta_values: dict[int, Fraction] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _fields = ("q", "genus", "l_poly", "deg_inf")
+    __slots__ = (*_fields, "_counts", "_zeta_values")
 
-    def __post_init__(self):
+    def __init__(self, q: int, genus: int, l_poly: PolyQ, deg_inf: int):
+        self.q = q
+        self.genus = genus
+        self.l_poly = l_poly
+        self.deg_inf = deg_inf
+        # b_1, b_2, ... as far as computed; grown by _place_counts
+        self._counts: tuple[int, ...] = ()
+        # zeta_K(-i) by i, filled by zeta_special_value (the mass side only)
+        self._zeta_values: dict[int, Fraction] = {}
+
         problems = []
         if self.q > MAX_Q:
             # checked before factoring, which trial-divides up to sqrt(q)
@@ -210,7 +210,7 @@ class FunctionFieldData:
         """b_1 .. b_upto with validation (non-negative integers), computed
         once per field and extended when a higher degree is asked for."""
         if len(self._counts) < upto:
-            object.__setattr__(self, "_counts", self._compute_place_counts(upto))
+            self._counts = self._compute_place_counts(upto)
         return self._counts[:upto]
 
     def _compute_place_counts(self, upto: int) -> tuple[int, ...]:
@@ -241,9 +241,9 @@ def zeta_special_value(data: FunctionFieldData, i: int) -> Fraction:
 
     P(q^i) by Horner's rule in integers; one Fraction at the end.  The
     value is kept on the field, one entry per i asked for (i < MAX_RANK
-    from the mass engine), and dataclasses.replace starts a copy with
-    none.  This memo is the mass side's: the order-zeta closed form
-    never reads it."""
+    from the mass engine); the memo takes no part in equality, and a
+    field built again from its four values starts with none.  This memo
+    is the mass side's: the order-zeta closed form never reads it."""
     value = data._zeta_values.get(i)
     if value is None:
         if i < 1:

@@ -16,7 +16,6 @@ the test suite pins the two against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import rational_to_str
@@ -37,18 +36,32 @@ from .funcfield import (
     class_number_A,
     zeta_special_value,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class MassReport:
+class MassReport(Record):
     """Mass together with every factor it was assembled from."""
 
-    mass: Fraction
-    class_number_factor: Fraction             # h(A)/(q-1)
-    zeta_factors: tuple[Fraction, ...]        # zeta_K(-1) ... zeta_K(-(r-1))
-    lambda_factors: tuple[tuple[str, int], ...]   # (place token, lambda_v)
-    definite: bool
-    drinfeld_type: bool
+    __slots__ = _fields = (
+        "mass", "class_number_factor", "zeta_factors", "lambda_factors",
+        "definite", "drinfeld_type",
+    )
+
+    def __init__(
+        self,
+        mass: Fraction,
+        class_number_factor: Fraction,                  # h(A)/(q-1)
+        zeta_factors: tuple[Fraction, ...],             # zeta_K(-1) ... zeta_K(-(r-1))
+        lambda_factors: tuple[tuple[str, int], ...],    # (place token, lambda_v)
+        definite: bool,
+        drinfeld_type: bool,
+    ):
+        self.mass = mass
+        self.class_number_factor = class_number_factor
+        self.zeta_factors = zeta_factors
+        self.lambda_factors = lambda_factors
+        self.definite = definite
+        self.drinfeld_type = drinfeld_type
 
 
 def mass(data: RamificationData) -> MassReport:

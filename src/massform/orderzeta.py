@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
@@ -61,6 +60,7 @@ from .errors import (
     OutputTooLargeError,
 )
 from .funcfield import FunctionFieldData, _divisors, _mobius, places_of_degree
+from .record import Record
 
 
 # ----------------------------------------------------------------------
@@ -186,8 +186,7 @@ def _expand(field: FunctionFieldData, exponents: ExponentMap) -> RationalFunctio
     return out
 
 
-@dataclass(frozen=True)
-class OrderZetaClosedForm:
+class OrderZetaClosedForm(Record):
     """The closed form as an exponent map over irreducible factors.
 
     exponents is the net map and value_at_one the value at u = 1
@@ -197,9 +196,13 @@ class OrderZetaClosedForm:
     functions.
     """
 
-    data: RamificationData
-    exponents: ExponentMap
-    value_at_one: Fraction
+    # no __slots__: the cached properties keep their values in __dict__
+    _fields = ("data", "exponents", "value_at_one")
+
+    def __init__(self, data: RamificationData, exponents: ExponentMap, value_at_one: Fraction):
+        self.data = data
+        self.exponents = exponents
+        self.value_at_one = value_at_one
 
     @property
     def field(self) -> FunctionFieldData:

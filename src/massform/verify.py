@@ -10,7 +10,6 @@ here weakens a comparison to make it pass.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -35,10 +34,9 @@ from .funcfield import (
     places_of_degree,
     zeta_A,
 )
-from .localmodels import (
+from .localvolumes import (
     gl_count_bruteforce,
     lambda_from_volumes,
-    run_model_checks,
     sublattice_count_bruteforce,
 )
 from .massengine import drinfeld_mass, mass
@@ -50,14 +48,17 @@ from .orderzeta import (
     place_by_place_series,
 )
 from .algebra import ratfun_eval
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    checked: int
-    failures: tuple[str, ...]
-    notes: str = ""
+class SuiteReport(Record):
+    __slots__ = _fields = ("suite", "checked", "failures", "notes")
+
+    def __init__(self, suite: str, checked: int, failures: tuple[str, ...], notes: str = ""):
+        self.suite = suite
+        self.checked = checked
+        self.failures = failures
+        self.notes = notes
 
     @property
     def ok(self) -> bool:
@@ -440,7 +441,13 @@ def suite_brute_oracles() -> SuiteReport:
 
 
 def suite_local_models(pairs: int = 100, seed: int = 0) -> SuiteReport:
-    """Defining relations of every small local model at precision 6."""
+    """Defining relations of every small local model at precision 6.
+
+    The matrix models are imported here, not at the top: they load
+    `dataclasses` (for their check report), which every other suite
+    does without."""
+    from .localmodels import run_model_checks
+
     failures = []
     checked = 0
     for q_v in (2, 3):

@@ -18,18 +18,14 @@ from hypothesis import strategies as st
 
 import massform
 import massform.cli as cli
-from massform import csa, funcfield, localmodels, massengine, orderzeta, verify
+from massform import csa, funcfield, localvolumes, massengine, orderzeta, verify
 from massform.algebra import PolyQ, rational_to_str
 from massform.csa import MAX_PLACE_DEGREE, MAX_RAMIFIED_DEGREE, MAX_RANK
 from massform.errors import MAX_Q, InternalConsistencyError, InvalidFieldError
 from massform.finitefield import FIELD_SIZE_CAP
 from massform.funcfield import MAX_GENUS, FunctionFieldData, zeta_A, zeta_K
-from massform.localmodels import (
-    MAX_LOCAL_INDEX,
-    MAX_LOCAL_RANK,
-    MAX_MODEL_PAIRS,
-    MAX_MODEL_PRECISION,
-)
+from massform.localmodels import MAX_MODEL_PAIRS, MAX_MODEL_PRECISION
+from massform.localvolumes import MAX_LOCAL_INDEX, MAX_LOCAL_RANK
 from massform.orderzeta import MAX_SERIES_ORDER, order_zeta_closed_form
 from test_orderzeta import reference_stream
 
@@ -616,11 +612,11 @@ def test_q_cap_from_each_side(capsys, monkeypatch):
         raise AssertionError("factored a q above the cap")
 
     monkeypatch.setattr(funcfield, "factor_prime_power", no_factoring)
-    monkeypatch.setattr(localmodels, "factor_prime_power", no_factoring)
+    monkeypatch.setattr(localvolumes, "factor_prime_power", no_factoring)
     with pytest.raises(InvalidFieldError, match="above the cap"):
         FunctionFieldData.rational(int(HUGE_PRIME))
     with pytest.raises(InvalidFieldError, match="above the cap"):
-        localmodels.local_volume_report(int(HUGE_PRIME), 2, 1)
+        localvolumes.local_volume_report(int(HUGE_PRIME), 2, 1)
 
 
 def test_ramified_degree_cap_from_each_side(capsys):
@@ -1072,8 +1068,38 @@ def test_local_volumes_loads_no_global_engine():
     loaded = _loaded_submodules(
         "-m", "massform.cli", "local", "volumes", "--qv", "2", "--r", "2", "--d", "1",
     )
-    assert "localmodels" in loaded
+    assert "localvolumes" in loaded
     assert loaded.isdisjoint({"csa", "funcfield", "massengine", "orderzeta", "verify"}), loaded
+
+
+# One invocation of each command of the benchmark's cli workload, and
+# whether it runs the matrix models.  Only they import `dataclasses`, and
+# `inspect` with it; every other command, verify's drinfeld suite and the
+# other local commands included, loads none of the three.
+WORKLOAD_COMMANDS = {
+    "mass": (("mass", "--q", "3", "--rank", "2", "--ram", "inf:1/2,1:1/2"), False),
+    "drinfeld-mass": (("drinfeld-mass", "--q", "2", "--genus", "1", "--l-poly", "1,1,2",
+                       "--rank", "3", "--p-degree", "2"), False),
+    "class-number": (("class-number", "--q", "4"), False),
+    "zeta": (("zeta", "--q", "5", "--values", "3"), False),
+    "order-zeta": (("order-zeta", "--q", "2", "--rank", "4", "--ram", "inf:1/4,2:3/4",
+                    "--series-order", "8"), False),
+    "local volumes": (("local", "volumes", "--qv", "3", "--r", "4", "--d", "2"), False),
+    "local lambda": (("local", "lambda", "--qv", "4", "--r", "6", "--d", "3"), False),
+    "local iw-index": (("local", "iw-index", "--qv", "3", "--d", "3"), False),
+    "local model-check": (("local", "model-check", "--qv", "2", "--d", "2", "--pairs", "3"), True),
+    "table": (("table", "--qs", "3", "--ranks", "2,3", "--p-degrees", "1,2"), False),
+    "verify drinfeld": (("verify", "--suite", "drinfeld"), False),
+}
+
+
+@pytest.mark.parametrize("argv, models", WORKLOAD_COMMANDS.values(), ids=WORKLOAD_COMMANDS)
+def test_only_the_matrix_models_load_dataclasses(argv, models):
+    imported = _imported("-m", "massform.cli", *argv)
+    loaded = {name.split(".", 1)[1] for name in imported if name.startswith("massform.")}
+    assert ("localmodels" in loaded) is models, loaded
+    assert ("dataclasses" in imported) is models
+    assert ("inspect" in imported) is models
 
 
 def test_bare_import_loads_no_submodule():

@@ -1,6 +1,5 @@
 """Base field data: validation, zeta values, class numbers, place counts."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -271,7 +270,7 @@ def test_mobius_inversion_consistency():
 
 def _emptied(field):
     # a copy of the field with no place count stored
-    copy = dataclasses.replace(field)
+    copy = FunctionFieldData(field.q, field.genus, field.l_poly, field.deg_inf)
     object.__setattr__(copy, "_counts", ())
     return copy
 

@@ -18,11 +18,7 @@ from massform.finitefield import TruncatedSeriesFq
 from massform.localmodels import (
     LocalModel,
     delta_mul,
-    gl_count_bruteforce,
     in_iwahori,
-    iwahori_index,
-    lambda_from_volumes,
-    local_volume_report,
     mat_identity,
     mat_mul,
     mat_pow,
@@ -30,6 +26,12 @@ from massform.localmodels import (
     phi_of_element,
     phi_of_pi,
     run_model_checks,
+)
+from massform.localvolumes import (
+    gl_count_bruteforce,
+    iwahori_index,
+    lambda_from_volumes,
+    local_volume_report,
     sublattice_count_bruteforce,
     vol_G,
     vol_Gprime,

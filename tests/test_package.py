@@ -1,12 +1,14 @@
 """Package-wide properties: no bare asserts, no unused imports, one
-version number."""
+version number, immutable values, and `dataclasses` in one module only."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import massform
+from massform.record import Record
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "massform").glob("*.py"))
@@ -52,10 +54,28 @@ def test_no_unused_imports(path):
     assert unused == [], f"{path.name}: unused imports (line, name) {unused}"
 
 
-def _series_attribute_bindings(path):
+def _value_field_names() -> set[str]:
+    """The slots of `TruncatedSeriesFq` and the compared fields of every
+    record class."""
+    for path in SOURCES:
+        importlib.import_module(f"massform.{path.stem}")
+    return {"field", "precision", "coeffs"}.union(
+        *(cls._fields for cls in Record.__subclasses__())
+    )
+
+
+def _target_nodes(target):
+    """The nodes of an assignment target, less the index expressions of
+    its subscripts: `counts[p.degree] = n` binds no attribute `degree`."""
+    yield target
+    for child in ast.iter_child_nodes(target):
+        if not (isinstance(target, ast.Subscript) and child is target.slice):
+            yield from _target_nodes(child)
+
+
+def _series_attribute_bindings(path, names):
     """(line, code) of each statement outside a constructor that binds an
-    attribute named like a `TruncatedSeriesFq` slot."""
-    names = {"field", "precision", "coeffs"}
+    attribute named in `names`."""
     tree = ast.parse(path.read_text(), filename=str(path))
     in_constructor = {
         id(sub)
@@ -72,7 +92,7 @@ def _series_attribute_bindings(path):
             if any(
                 isinstance(sub, ast.Attribute) and sub.attr in names
                 for target in targets
-                for sub in ast.walk(target)
+                for sub in _target_nodes(target)
             ):
                 found.append((node.lineno, ast.unparse(node)))
         elif isinstance(node, ast.Call) and len(node.args) >= 2:
@@ -85,7 +105,26 @@ def _series_attribute_bindings(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_series_attributes_are_bound_only_in_constructors(path):
-    # TruncatedSeriesFq is hashed by value but, for speed, does not
-    # forbid rebinding its slots; nothing in the package may rebind them
-    found = _series_attribute_bindings(path)
+    # TruncatedSeriesFq and the records are hashed by value but, for
+    # speed, do not forbid rebinding their fields; nothing in the package
+    # may rebind them (a record's memos are not among the names)
+    found = _series_attribute_bindings(path, _value_field_names())
     assert found == [], f"{path.name}: series attribute bound at {found}"
+
+
+def test_dataclasses_is_imported_by_the_matrix_models_only():
+    # every other module would put its 8-10 ms import, inspect included,
+    # on commands that never run a model check
+    importers = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules or "inspect" in modules:
+                importers.setdefault(path.name, []).append(node.col_offset)
+    # col_offset 0: at the top of the module, never inside a function
+    assert importers == {"localmodels.py": [0]}

@@ -1,0 +1,181 @@
+"""Value semantics of the record classes: what `@dataclass(frozen=True)`
+gave them, kept without importing `dataclasses`.
+
+Each record is equal to an instance of its own class with equal compared
+fields, and hashed as the tuple of them; an instance of any other class
+holding the same values, a subclass of the same name included, is never
+equal.  The memos some records carry take no part in equality, the hash
+or the repr, and each repr below is the text the dataclass printed.
+"""
+
+import dataclasses
+import importlib
+from pathlib import Path
+
+import pytest
+
+from massform.algebra import PolyQ, TruncatedSeriesQ, ratfun
+from massform.csa import RamifiedPlace, ValidationReport, ensure_valid, parse_shorthand
+from massform.funcfield import FunctionFieldData, places_of_degree, zeta_special_value
+from massform.localmodels import LocalModel, ModelCheckReport
+from massform.localvolumes import local_volume_report
+from massform.massengine import mass
+from massform.orderzeta import order_zeta_closed_form
+from massform.record import Record
+from massform.verify import SuiteReport
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "massform").glob("*.py"))
+
+K3 = FunctionFieldData.rational(3)
+K2_G1 = FunctionFieldData(q=2, genus=1, l_poly=PolyQ((1, 1, 2)), deg_inf=1)
+DATUM = "inf:1/2,1:1/2"
+
+
+def _fill_field_memos(field):
+    places_of_degree(field, 12)
+    zeta_special_value(field, 2)
+
+
+def _fill_closed_form_memos(closed):
+    closed.ratfun, closed.factors
+
+
+# name -> (a factory of one instance, what fills its memos, the memo
+# names, its repr as the dataclass printed it)
+RECORDS = {
+    "RationalFunctionQ": (
+        lambda: ratfun(PolyQ((2, 4)), PolyQ((3, -9))),
+        None, (),
+        "RationalFunctionQ(num=PolyQ(-2 + -4*u), den=PolyQ(-3 + 9*u))",
+    ),
+    "TruncatedSeriesQ": (
+        lambda: TruncatedSeriesQ(3, (1, 4, 10, 20)),
+        None, (),
+        "TruncatedSeriesQ(order=3, coeffs=(1, 4, 10, 20))",
+    ),
+    "RamifiedPlace": (
+        lambda: RamifiedPlace(2, -1, 3),
+        None, (),
+        "RamifiedPlace(degree=2, inv_num=-1, inv_den=3, is_infinity=False)",
+    ),
+    "RamificationData": (
+        lambda: parse_shorthand(DATUM, K3, rank=2),
+        ensure_valid, ("_valid",),
+        "RamificationData(field=FunctionFieldData(q=3, genus=0, l_poly=PolyQ(1), "
+        "deg_inf=1), rank=2, places=(RamifiedPlace(degree=1, inv_num=1, inv_den=2, "
+        "is_infinity=True), RamifiedPlace(degree=1, inv_num=1, inv_den=2, "
+        "is_infinity=False)))",
+    ),
+    "ValidationReport": (
+        lambda: ValidationReport(ok=False, failures=("rank 0 must be >= 1",)),
+        None, (),
+        "ValidationReport(ok=False, failures=('rank 0 must be >= 1',))",
+    ),
+    "FunctionFieldData": (
+        lambda: FunctionFieldData(q=2, genus=1, l_poly=PolyQ((1, 1, 2)), deg_inf=1),
+        _fill_field_memos, ("_counts", "_zeta_values"),
+        "FunctionFieldData(q=2, genus=1, l_poly=PolyQ(1 + u + 2*u^2), deg_inf=1)",
+    ),
+    "LocalModel": (
+        lambda: LocalModel.create(3, 2, 1),
+        None, (),
+        "LocalModel(q_v=3, d=2, b=1, m_bez=1, mprime_bez=0, precision=6, "
+        "residue_field=FqField(q=9))",
+    ),
+    "LocalVolumeReport": (
+        lambda: local_volume_report(3, 2, 2),
+        None, (),
+        "LocalVolumeReport(vol_G=Fraction(16, 27), vol_Gprime=Fraction(8, 27), "
+        "ratio=Fraction(2, 1))",
+    ),
+    "MassReport": (
+        lambda: mass(parse_shorthand(DATUM, K2_G1, rank=2)),
+        None, (),
+        "MassReport(mass=Fraction(44, 3), class_number_factor=Fraction(4, 1), "
+        "zeta_factors=(Fraction(11, 3),), lambda_factors=(('inf:1/2', 1), ('1:1/2', 1)), "
+        "definite=True, drinfeld_type=True)",
+    ),
+    "OrderZetaClosedForm": (
+        lambda: order_zeta_closed_form(parse_shorthand(DATUM, K3, rank=2)),
+        _fill_closed_form_memos, ("ratfun", "factors"),
+        "OrderZetaClosedForm(data=RamificationData(field=FunctionFieldData(q=3, "
+        "genus=0, l_poly=PolyQ(1), deg_inf=1), rank=2, places=(RamifiedPlace("
+        "degree=1, inv_num=1, inv_den=2, is_infinity=True), RamifiedPlace(degree=1, "
+        "inv_num=1, inv_den=2, is_infinity=False))), exponents={(0, 0): 1, (1, 0): 1, "
+        "(2, 1): -1}, value_at_one=Fraction(-1, 8))",
+    ),
+    "SuiteReport": (
+        lambda: SuiteReport(suite="drinfeld", checked=27, failures=()),
+        None, (),
+        "SuiteReport(suite='drinfeld', checked=27, failures=(), notes='')",
+    ),
+}
+
+
+def test_every_record_class_is_listed_and_model_check_report_stays_a_dataclass():
+    for path in SOURCES:
+        importlib.import_module(f"massform.{path.stem}")
+    assert {cls.__name__ for cls in Record.__subclasses__()} == set(RECORDS)
+    # perfbench copies it with dataclasses.replace
+    assert dataclasses.is_dataclass(ModelCheckReport)
+
+
+def _values(record):
+    return tuple(getattr(record, name) for name in record._fields)
+
+
+def _hash(value):
+    """hash(value), or None for a record with a dict field, unhashable
+    as the dataclass was."""
+    try:
+        return hash(value)
+    except TypeError:
+        return None
+
+
+def _stored(record, name):
+    # a cached property is read from the instance dict, not computed
+    return vars(record).get(name) if hasattr(record, "__dict__") else getattr(record, name)
+
+
+@pytest.mark.parametrize("make, fill, memos, text", RECORDS.values(), ids=RECORDS)
+def test_equal_and_hashed_by_the_compared_fields(make, fill, memos, text):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    values = _values(a)
+    assert _hash(a) == _hash(b) == _hash(values)
+    assert type(a)(**dict(zip(a._fields, values))) == a
+    for name in a._fields:
+        changed = make()
+        object.__setattr__(changed, name, object())
+        assert changed != a, name
+
+
+@pytest.mark.parametrize("make, fill, memos, text", RECORDS.values(), ids=RECORDS)
+def test_never_equal_to_another_class_with_the_same_values(make, fill, memos, text):
+    a = make()
+    twin_class = type(type(a).__name__, (type(a),), {})
+    twin = twin_class(**dict(zip(a._fields, _values(a))))
+    assert _values(twin) == _values(a)
+    assert twin != a and a != twin
+    assert a != _values(a)
+
+
+@pytest.mark.parametrize(
+    "make, fill, memos, text",
+    [row for row in RECORDS.values() if row[1] is not None],
+    ids=[name for name, row in RECORDS.items() if row[1] is not None],
+)
+def test_memos_stay_out_of_equality_hash_and_repr(make, fill, memos, text):
+    filled, fresh = make(), make()
+    fill(filled)
+    for name in memos:
+        assert _stored(filled, name) != _stored(fresh, name), name
+    assert filled == fresh and _hash(filled) == _hash(fresh)
+    assert repr(filled) == repr(fresh) == text
+    assert not any(name in text for name in memos)
+
+
+@pytest.mark.parametrize("make, fill, memos, text", RECORDS.values(), ids=RECORDS)
+def test_repr_is_the_dataclass_text(make, fill, memos, text):
+    assert repr(make()) == text

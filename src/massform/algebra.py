@@ -32,7 +32,6 @@ from .errors import (
     InternalConsistencyError,
     NotExpandableError,
     OrderMismatchError,
-    PoleError,
 )
 from .record import Record
 
@@ -270,14 +269,6 @@ def ratfun(num: PolyQ, den: PolyQ) -> RationalFunctionQ:
         num = PolyQ(c // content for c in num.coeffs)
         den = PolyQ(c // content for c in den.coeffs)
     return RationalFunctionQ(num, den)
-
-
-def ratfun_eval(f: RationalFunctionQ, x: int | Fraction) -> Fraction:
-    """Exact value num(x)/den(x); PoleError on a genuine pole."""
-    d = f.den.eval(x)
-    if d == 0:
-        raise PoleError(f"pole at u = {rational_to_str(x)}")
-    return Fraction(f.num.eval(x), d)
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,6 @@ SUITE_NAMES = (
     "local-models",
     "series-closed-form",
     "zeta-at-zero",
-    "zeta-class-number",
 )
 
 
@@ -283,15 +282,25 @@ def _help(path: tuple[str, ...]) -> str:
 # Input helpers
 # ----------------------------------------------------------------------
 
+# The longest field file read.  A field is a few numbers, and a file is
+# read up to one byte past the cap, so `--field-file /dev/zero` ends at
+# once instead of filling memory.
+MAX_FIELD_FILE_BYTES = 1 << 20
+
+
 def _resolve_field(q, genus, l_poly, deg_inf, field_file) -> FunctionFieldData:
     base: dict = {}
     if field_file is not None:
         try:
-            with open(field_file) as fh:
-                base = json.load(fh)
+            with open(field_file, "rb") as fh:
+                raw = fh.read(MAX_FIELD_FILE_BYTES + 1)
         except OSError as exc:
             raise UsageError(f"cannot read field file: {exc}")
-        except json.JSONDecodeError as exc:
+        if len(raw) > MAX_FIELD_FILE_BYTES:
+            raise UsageError(f"field file is longer than {MAX_FIELD_FILE_BYTES} bytes")
+        try:
+            base = json.loads(raw)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise UsageError(f"field file is not valid JSON: {exc}")
         if not isinstance(base, dict):
             raise InvalidFieldError(f"field file holds {base!r}, not a JSON object")
@@ -625,7 +634,6 @@ def _parameter_names(fn) -> tuple[str, ...]:
     Option("--suite", ("all", *SUITE_NAMES), "all"),
     Option("--max-rank"),
     Option("--series-order"),
-    Option("--count"),
     Option("--seed"),
     Option("--pairs"),
 )

@@ -104,10 +104,6 @@ class OutputTooLargeError(InputDataError):
     int-to-string limit, 4300 digits by default)."""
 
 
-class PoleError(MassformError):
-    """Rational function evaluated at a pole."""
-
-
 class NotExpandableError(MassformError):
     """Series expansion at u = 0 of a function with a pole there."""
 

@@ -37,7 +37,6 @@ from math import gcd
 
 from .errors import (
     EmptySelectionError,
-    InternalConsistencyError,
     InvalidArgumentError,
     InvalidFieldError,
     InvalidRamificationError,
@@ -74,7 +73,7 @@ class LocalModel(Record):
     """One local division algebra at finite pi-adic precision."""
 
     __slots__ = _fields = (
-        "q_v", "d", "b", "m_bez", "mprime_bez", "precision", "residue_field",
+        "q_v", "d", "b", "m_bez", "precision", "residue_field",
     )
 
     def __init__(
@@ -82,8 +81,7 @@ class LocalModel(Record):
         q_v: int,
         d: int,
         b: int,
-        m_bez: int,                 # 1 <= m <= d with b*m + d*mprime = 1
-        mprime_bez: int,
+        m_bez: int,                 # 1 <= m <= d with b*m = 1 mod d
         precision: int,
         residue_field: FqField,     # residue field of L, size q_v**d
     ):
@@ -91,7 +89,6 @@ class LocalModel(Record):
         self.d = d
         self.b = b
         self.m_bez = m_bez
-        self.mprime_bez = mprime_bez
         self.precision = precision
         self.residue_field = residue_field
 
@@ -112,18 +109,11 @@ class LocalModel(Record):
             raise InvalidFieldError(
                 f"residue field of order {q_v}^{d} exceeds the {FIELD_SIZE_CAP} cap"
             )
-        m = 1 if d == 1 else pow(b, -1, d)
-        mprime = (1 - b * m) // d
-        if b * m + d * mprime != 1 or not 1 <= m <= d:
-            raise InternalConsistencyError(
-                f"Bezout pair ({m}, {mprime}) fails for b={b}, d={d}"
-            )
         return LocalModel(
             q_v=q_v,
             d=d,
             b=b,
-            m_bez=m,
-            mprime_bez=mprime,
+            m_bez=1 if d == 1 else pow(b, -1, d),
             precision=precision,
             residue_field=FqField.of_order(q_v ** d),
         )

@@ -35,9 +35,11 @@ zeta_special_value or lambda_v.
 The closed form keeps its own memos, inside the functions that compute
 each value, so a patched function still replaces the computation:
 _p_value (the P-shifts at u = 1, by L-polynomial coefficients),
-_cyclotomic_value and _cyclotomic_at_one, and
-_zeta_exponents and _correction_keys (the exponent-map pieces fixed by
-deg_inf, r and a place's shape).  The mass side reads none of them, and
+_cyclotomic_value and _cyclotomic_at_one, and _zeta_a_exponents,
+_shift_exponents, _zeta_exponents and _correction_keys (the exponent-map
+pieces fixed by deg_inf, by a shift's index, by (deg_inf, r) and by a
+place's shape).  Each factor is written once: the labelled factors and
+the net map read the same memos.  The mass side reads none of them, and
 the closed form never reads the zeta_K(-i) memo the mass side keeps on
 the field.
 """
@@ -45,7 +47,6 @@ the field.
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
@@ -74,11 +75,9 @@ from .record import Record
 # factors are irreducible over Q and distinct for distinct (j, m).  A key
 # with m = 0 stands for the P-shift P(q^j u).
 ExponentMap = dict[tuple[int, int], int]
-
-
-def _binomial(j: int, k: int) -> list[tuple[int, int]]:
-    """Keys of 1 - (q^j u)^k = prod_{m | k} Phi*_m(q^j u)."""
-    return [(j, m) for m in _divisors(k)]
+# A memo keeps an exponent map as the tuple of its items, so no caller
+# can change the memo through it
+ExponentItems = tuple[tuple[tuple[int, int], int], ...]
 
 
 def _cyclotomic(m: int) -> PolyQ:
@@ -221,42 +220,22 @@ class OrderZetaClosedForm(Record):
         return tuple((label, _expand(self.field, f)) for label, f in self.factors)
 
 
-def _labelled_factors(data: RamificationData) -> list[tuple[str, ExponentMap]]:
-    """The closed form's factors as labelled exponent maps; each binomial
-    1 - (q^j u)^k enters as its keys (j, m), m | k."""
-    field, r = data.field, data.rank
-    zeta_a = Counter([(0, 0), *_binomial(0, field.deg_inf)])
-    zeta_a.subtract([*_binomial(0, 1), *_binomial(1, 1)])
-    factors = [("zeta_A", zeta_a)]
-    for i in range(1, r):
-        shift = Counter({(i, 0): 1, (i, 1): -1, (i + 1, 1): -1})
-        factors.append((f"zeta_K_shift_{i}", shift))
-    for place in data.places:
-        correction = Counter(
-            key
-            for i in range(1, r)
-            if i % place.inv_den != 0
-            for key in _binomial(i, place.degree)
-        )
-        factors.append((f"correction_{place.shorthand_token()}", correction))
-    return factors
+@cache
+def _zeta_a_exponents(deg_inf: int) -> ExponentItems:
+    """zeta_A = (1 - u^deg_inf) P(u) / ((1 - u)(1 - qu)): a closed-form
+    memo on deg_inf.  1 - u^deg_inf is the product of the Phi*_m(u) over
+    m | deg_inf, and its m = 1 factor cancels 1 - u."""
+    net = {(0, 0): 1, (1, 1): -1}
+    for m in _divisors(deg_inf)[1:]:
+        net[0, m] = 1
+    return tuple(net.items())
 
 
 @cache
-def _zeta_exponents(deg_inf: int, r: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    """The exponents of zeta_A and of the r - 1 shifts, before any
-    correction: a closed-form memo on (deg_inf, r)."""
-    # zeta_A: (1 - u^deg_inf) P(u) / ((1 - u)(1 - qu))
-    net = {(0, 0): 1, (1, 1): -1}
-    for m in _divisors(deg_inf):
-        net[0, m] = net.get((0, m), 0) + 1
-    net[0, 1] -= 1
-    # the shifts P(q^i u) / ((1 - q^i u)(1 - q^(i+1) u))
-    for i in range(1, r):
-        net[i, 0] = 1
-        net[i, 1] = net.get((i, 1), 0) - 1
-        net[i + 1, 1] = net.get((i + 1, 1), 0) - 1
-    return tuple(net.items())
+def _shift_exponents(i: int) -> ExponentItems:
+    """The shift P(q^i u) / ((1 - q^i u)(1 - q^(i+1) u)): a closed-form
+    memo on i."""
+    return (((i, 0), 1), ((i, 1), -1), ((i + 1, 1), -1))
 
 
 @cache
@@ -266,6 +245,29 @@ def _correction_keys(degree: int, inv_den: int, r: int) -> tuple[tuple[int, int]
     shape (degree, inv_den, r)."""
     divisors = _divisors(degree)
     return tuple((i, m) for i in range(1, r) if i % inv_den for m in divisors)
+
+
+def _labelled_factors(data: RamificationData) -> list[tuple[str, ExponentMap]]:
+    """The closed form's factors as labelled exponent maps, read from the
+    same memos as the net map."""
+    r = data.rank
+    factors = [("zeta_A", dict(_zeta_a_exponents(data.field.deg_inf)))]
+    factors += [(f"zeta_K_shift_{i}", dict(_shift_exponents(i))) for i in range(1, r)]
+    for place in data.places:
+        keys = _correction_keys(place.degree, place.inv_den, r)
+        factors.append((f"correction_{place.shorthand_token()}", dict.fromkeys(keys, 1)))
+    return factors
+
+
+@cache
+def _zeta_exponents(deg_inf: int, r: int) -> ExponentItems:
+    """The exponents of zeta_A and of the r - 1 shifts, before any
+    correction: a closed-form memo on (deg_inf, r)."""
+    net = dict(_zeta_a_exponents(deg_inf))
+    for i in range(1, r):
+        for key, e in _shift_exponents(i):
+            net[key] = net.get(key, 0) + e
+    return tuple(net.items())
 
 
 def _exponents(data: RamificationData) -> ExponentMap:

@@ -26,11 +26,9 @@ from .errors import (
     InternalConsistencyError,
     InvalidFieldError,
     InvalidRamificationError,
-    SelectionTooLargeError,
 )
 from .funcfield import (
     FunctionFieldData,
-    class_number_A,
     places_of_degree,
     zeta_A,
 )
@@ -42,12 +40,10 @@ from .localvolumes import (
 from .massengine import drinfeld_mass, mass
 from .orderzeta import (
     local_ideal_count,
-    order_zeta_at_zero,
     order_zeta_closed_form,
     order_zeta_series,
     place_by_place_series,
 )
-from .algebra import ratfun_eval
 from .record import Record
 
 
@@ -266,29 +262,50 @@ def random_product_field(rng: random.Random) -> FunctionFieldData:
 # Suites
 # ----------------------------------------------------------------------
 
+def _rank_one_fields() -> list[FunctionFieldData]:
+    """The fields of zeta-at-zero's rank-1 rows: the battery fields,
+    F_2(T) and F_3(T) with deg_inf 2 and 3, and the first 50 distinct
+    product fields drawn from random.Random(7)."""
+    fields = list(battery_fields())
+    fields += [FunctionFieldData.rational(q, deg_inf) for q in (2, 3) for deg_inf in (2, 3)]
+    rng = random.Random(7)
+    seen: set[tuple] = set()
+    while len(seen) < 50:
+        field = random_product_field(rng)
+        key = (field.q, field.l_poly.coeffs)
+        if key not in seen:
+            seen.add(key)
+            fields.append(field)
+    return fields
+
+
 def suite_zeta_at_zero(max_rank: int = 6) -> SuiteReport:
     """Capstone: the order zeta value at zero against the factored mass,
-    computed along disjoint code paths, over the battery's ranks up to
-    max_rank."""
+    computed along disjoint code paths, over the rank-1 fields and the
+    battery's ranks up to max_rank.
+
+    At rank 1 the order is A itself, and the identity is the class
+    number formula zeta_A(0) = -h(A)/(q - 1).  There the closed form's
+    rational function must also equal zeta_A, built directly from P."""
+    if max_rank < 1:
+        raise EmptySelectionError(f"max rank {max_rank} must be >= 1")
     failures = []
-    ranks = tuple(r for r in BATTERY_RANKS if r <= max_rank)
-    if not ranks:
-        raise EmptySelectionError(
-            f"max rank {max_rank} selects none of the battery ranks 2, 3, 4, 6"
-        )
-    battery = full_battery(ranks=ranks)
-    for data in battery:
-        lhs = order_zeta_at_zero(data)
+    rank_one = [RamificationData(field, 1, ()) for field in _rank_one_fields()]
+    battery = full_battery(ranks=tuple(r for r in BATTERY_RANKS if r <= max_rank))
+    for data in rank_one + battery:
+        closed = order_zeta_closed_form(data)
         rhs = -mass(data).mass
-        if lhs != rhs:
+        if closed.value_at_one != rhs:
             failures.append(
-                f"{_config_label(data)}: zeta(0)={lhs} but -mass={rhs}"
+                f"{_config_label(data)}: zeta(0)={closed.value_at_one} but -mass={rhs}"
             )
+        if data.rank == 1 and closed.ratfun != zeta_A(data.field):
+            failures.append(f"{_config_label(data)}: closed form is not zeta_A")
     return SuiteReport(
         suite="zeta-at-zero",
-        checked=len(battery),
+        checked=len(rank_one) + len(battery),
         failures=tuple(failures),
-        notes=f"{len(battery)} definite configurations",
+        notes=f"{len(rank_one)} rank-1 fields and {len(battery)} definite configurations",
     )
 
 
@@ -475,50 +492,6 @@ def suite_local_models(pairs: int = 100, seed: int = 0) -> SuiteReport:
     )
 
 
-# The cap on zeta-class-number's count.  The suite draws distinct
-# fields, and random_product_field has only 466 valid ones: a larger
-# count never finished.  At 400 the suite takes about 0.15 s (2-CPU
-# machine).
-MAX_PRODUCT_FIELDS = 400
-
-
-def _check_count(count: int, cap: int) -> None:
-    if count < 1:
-        raise EmptySelectionError(f"count {count} must be >= 1")
-    if count > cap:
-        raise SelectionTooLargeError(f"count {count} is above the cap {cap}")
-
-
-def suite_class_number_products(count: int = 50, seed: int = 7) -> SuiteReport:
-    """Full zeta at u=1 against -h/(q-1) for fields whose L-polynomial
-    is a product of degree-2 symmetric factors."""
-    _check_count(count, MAX_PRODUCT_FIELDS)
-    rng = random.Random(seed)
-    failures = []
-    seen: set[tuple] = set()
-    fields = []
-    while len(fields) < count:
-        field = random_product_field(rng)
-        key = (field.q, field.l_poly.coeffs)
-        if key in seen:
-            continue
-        seen.add(key)
-        fields.append(field)
-    for field in fields:
-        lhs = ratfun_eval(zeta_A(field), Fraction(1))
-        rhs = -Fraction(class_number_A(field), field.q - 1)
-        if lhs != rhs:
-            failures.append(
-                f"q={field.q} l_poly={field.l_poly.coeffs}: {lhs} != {rhs}"
-            )
-    return SuiteReport(
-        suite="zeta-class-number",
-        checked=len(fields),
-        failures=tuple(failures),
-        notes=f"seed {seed}",
-    )
-
-
 def _config_label(data: RamificationData) -> str:
     field = data.field
     return (
@@ -534,7 +507,6 @@ SUITES = {
     "lambda-volumes": suite_lambda_volumes,
     "brute-force-oracles": suite_brute_oracles,
     "local-models": suite_local_models,
-    "zeta-class-number": suite_class_number_products,
 }
 
 

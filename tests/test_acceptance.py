@@ -120,14 +120,15 @@ def test_criterion_6_local_model_relations(capsys):
 
 
 def test_criterion_8_zeta_at_one_equals_class_number_ratio(capsys):
-    report = run_suite("zeta-class-number", count=50)
-    ok = report.ok and report.checked == 50
+    # at rank 1 the order is A, and zeta_A(0) = -h(A)/(q - 1)
+    report = run_suite("zeta-at-zero", max_rank=1)
+    ok = report.ok and report.checked == 59
     _announce(
         capsys,
         8,
         ok,
-        f"full zeta at u=1 == -h/(q-1) on {report.checked} product-form "
-        f"L-polynomials ({len(report.failures)} failures)",
+        f"zeta_A at u=1 == -h/(q-1) and the closed form == zeta_A on "
+        f"{report.checked} rank-1 fields ({len(report.failures)} failures)",
     )
-    assert report.checked == 50
+    assert report.checked == 59
     assert report.failures == ()

@@ -8,8 +8,6 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib.util import find_spec
-from itertools import combinations_with_replacement
-from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -19,7 +17,7 @@ from hypothesis import strategies as st
 import massform
 import massform.cli as cli
 from massform import csa, funcfield, localvolumes, massengine, orderzeta, verify
-from massform.algebra import PolyQ, rational_to_str
+from massform.algebra import rational_to_str
 from massform.csa import MAX_PLACE_DEGREE, MAX_RAMIFIED_DEGREE, MAX_RANK
 from massform.errors import MAX_Q, InternalConsistencyError, InvalidFieldError
 from massform.finitefield import FIELD_SIZE_CAP
@@ -431,9 +429,8 @@ def test_local_subcommands(capsys):
         (("local", "iw-index", "--qv", "6", "--d", "2"), "InvalidFieldError"),
         (("local", "model-check", "--qv", "2", "--d", "2", "--prec", "1"),
          "PrecisionTooLowError"),
-        (("verify", "--suite", "zeta-at-zero", "--max-rank", "1"), "EmptySelectionError"),
+        (("verify", "--suite", "zeta-at-zero", "--max-rank", "0"), "EmptySelectionError"),
         (("verify", "--suite", "lambda-volumes", "--max-rank", "0"), "EmptySelectionError"),
-        (("verify", "--suite", "zeta-class-number", "--count", "0"), "EmptySelectionError"),
         (("local", "model-check", "--qv", "2", "--d", "2", "--pairs", "-3"),
          "EmptySelectionError"),
         (("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/0"), "InvalidRamificationError"),
@@ -471,8 +468,6 @@ def test_local_subcommands(capsys):
          "InvalidRamificationError"),
         (("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/2,16000:1/2"),
          "InvalidRamificationError"),
-        (("verify", "--suite", "zeta-class-number", "--count", "1000"),
-         "SelectionTooLargeError"),
         (("class-number", "--q", "2", "--deg-inf", "4000"), "InvalidFieldError"),
         (("mass", "--q", "2", "--deg-inf", "129", "--rank", "2", "--ram", "inf:1/2,1:1/2"),
          "InvalidFieldError"),
@@ -499,7 +494,7 @@ def test_local_subcommands(capsys):
     ],
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
-        "model-check-prec1", "verify-empty-ranks", "verify-lambda-max-rank0", "verify-count0",
+        "model-check-prec1", "verify-empty-ranks", "verify-lambda-max-rank0",
         "model-check-pairs-negative", "mass-invariant-den0", "mass-ram-degree-1_0",
         "mass-ram-non-ascii-digit",
         "zeta-values-negative", "zeta-values0", "order-zeta-series-order-above-cap",
@@ -509,7 +504,6 @@ def test_local_subcommands(capsys):
         "mass-rank-above-cap", "order-zeta-rank-above-cap", "drinfeld-mass-rank1",
         "drinfeld-mass-rank-above-cap", "drinfeld-mass-place-taken-by-infinity",
         "mass-place-degree-8000", "mass-place-degree-16000",
-        "verify-field-count-above-cap",
         "class-number-deg-inf-4000", "mass-deg-inf-above-cap",
         "order-zeta-ramified-degree-501",
         "model-check-prec-2000", "model-check-pairs-20000", "verify-local-models-pairs-20000",
@@ -551,6 +545,31 @@ def test_field_file_accepts_only_json_integers(capsys, tmp_path, obj):
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InvalidFieldError"
     assert "Traceback" not in err
+
+
+def test_field_file_length_cap_from_each_side(capsys, tmp_path):
+    # a valid field, padded with spaces to the cap and then one byte past it
+    text = json.dumps({"q": 2, "genus": 1, "l_poly": [1, 1, 2], "deg_inf": 1})
+    path = tmp_path / "field.json"
+    for size, want in ((cli.MAX_FIELD_FILE_BYTES, 0), (cli.MAX_FIELD_FILE_BYTES + 1, 64)):
+        path.write_text(text.ljust(size))
+        code, out, err = invoke(capsys, "class-number", "--field-file", str(path))
+        assert code == want, size
+    assert out == ""
+    assert f"longer than {cli.MAX_FIELD_FILE_BYTES} bytes" in err
+
+
+@pytest.mark.parametrize(
+    "raw", [b"{", b"\xff\xfe{}", b"\xff{}", b"[" * 100000],
+    ids=["not-json", "utf-16-bom", "not-utf-8", "nested-too-deeply"],
+)
+def test_field_file_that_is_not_json_text_is_a_usage_error(capsys, tmp_path, raw):
+    path = tmp_path / "field.json"
+    path.write_bytes(raw)
+    code, out, err = invoke(capsys, "class-number", "--field-file", str(path))
+    assert code == 64
+    assert out == ""
+    assert "field file is not valid JSON" in err
 
 
 def test_rank_cap_from_each_side(capsys):
@@ -652,38 +671,6 @@ def test_place_degree_cap_is_checked_before_any_place_count():
     assert len(field._counts) == known
 
 
-def _distinct_product_fields() -> int:
-    """Valid fields random_product_field can draw, enumerated as
-    multisets of degree-2 factors."""
-    seen = set()
-    for q in verify.PRODUCT_FIELD_QS:
-        bound = isqrt(4 * q)
-        for genus in range(1, verify.MAX_PRODUCT_GENUS + 1):
-            for factors in combinations_with_replacement(range(-bound, bound + 1), genus):
-                poly = PolyQ((1,))
-                for a in factors:
-                    poly = poly * PolyQ((1, a, q))
-                try:
-                    FunctionFieldData(q=q, genus=genus, l_poly=poly, deg_inf=1)
-                except InvalidFieldError:
-                    continue
-                seen.add((q, poly.coeffs))
-    return len(seen)
-
-
-def test_verify_count_cap_from_each_side(capsys):
-    # zeta-class-number draws distinct fields, so a count above the number
-    # that exist never finished; the cap sits below that number
-    cap = verify.MAX_PRODUCT_FIELDS
-    assert cap <= _distinct_product_fields()
-    code, out, _ = invoke(capsys, "verify", "--suite", "zeta-class-number", "--count", str(cap))
-    assert code == 0
-    assert json.loads(out)["reports"][0]["checked"] == cap
-    code, out, _ = invoke(capsys, "verify", "--suite", "zeta-class-number", "--count", str(cap + 1))
-    assert code == 2
-    assert json.loads(out)["error"]["message"] == f"count {cap + 1} is above the cap {cap}"
-
-
 def test_verify_command_single_suite(capsys):
     code, out, _ = invoke(capsys, "verify", "--suite", "drinfeld")
     assert code == 0
@@ -706,33 +693,33 @@ def test_verify_respects_max_rank(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["ok"] is True
-    # rank 2 only: far fewer configurations than the full battery
-    assert 0 < obj["reports"][0]["checked"] < 30
+    # the 59 rank-1 rows and the 14 rank-2 configurations
+    assert obj["reports"][0]["checked"] == 73
 
 
 def test_verify_passes_options_only_to_suites_that_take_them(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "verify", "--suite", "lambda-volumes", "--max-rank", "2")
     assert code == 0
     assert json.loads(out)["reports"][0]["checked"] == 18
-    code, out, err = invoke(capsys, "verify", "--suite", "drinfeld", "--count", "0")
+    code, out, err = invoke(capsys, "verify", "--suite", "drinfeld", "--seed", "0")
     assert code == 64
     assert out == ""
-    assert "--count" in err
+    assert "--seed" in err
 
     seen = {}
 
-    def counted(count=1):
-        seen["counted"] = count
-        return verify.SuiteReport("counted", count, ())
+    def seeded(seed=1):
+        seen["seeded"] = seed
+        return verify.SuiteReport("seeded", 1, ())
 
     def fixed():
         seen["fixed"] = None
         return verify.SuiteReport("fixed", 1, ())
 
-    monkeypatch.setattr(verify, "SUITES", {"counted": counted, "fixed": fixed})
-    code, out, _ = invoke(capsys, "verify", "--count", "3")
+    monkeypatch.setattr(verify, "SUITES", {"seeded": seeded, "fixed": fixed})
+    code, out, _ = invoke(capsys, "verify", "--seed", "3")
     assert code == 0
-    assert seen == {"counted": 3, "fixed": None}
+    assert seen == {"seeded": 3, "fixed": None}
 
 
 @pytest.mark.parametrize(
@@ -850,7 +837,7 @@ FUZZ_VALUES = {
     "--l-poly": st.sampled_from(["1", "1,1,2", "1,-1,2", "1,x", "1_1", ""]),
     "--field-file": st.just("/nonexistent/field.json"),
     "--format": st.sampled_from(["json", "csv", "xml"]),
-    "--suite": st.sampled_from(["drinfeld", "lambda-volumes", "zeta-class-number", "bogus"]),
+    "--suite": st.sampled_from(["drinfeld", "lambda-volumes", "zeta-at-zero", "bogus"]),
     "--qs": _int_lists(-1, 16),
     "--ranks": _int_lists(-1, 4),
     "--p-degrees": _int_lists(-1, 4),
@@ -993,8 +980,9 @@ def test_suite_choice_names_every_verify_suite():
 
 # sha256 of each command's --help at 80 columns, taken before the CLI moved
 # its imports into the commands (verify's and local iw-index's retaken when
-# the random-properties suite and the --brute flag went); the help text
-# reads MAX_SERIES_ORDER and the suite names without loading an engine
+# the random-properties suite and the --brute flag went, verify's again
+# when the zeta-class-number suite and --count went); the help text reads
+# MAX_SERIES_ORDER and the suite names without loading an engine
 HELP_DIGESTS = {
     (): "e4076c817a9d05a0c6ca1b2d60ff0d865b477f410eb9bc5fdd24335cc99af37b",
     ("mass",): "4ed3c74d5a759b45059935a1f3f7884862ca2256ddd3d006d684c54dc381a7ab",
@@ -1008,7 +996,7 @@ HELP_DIGESTS = {
     ("local", "iw-index"): "21d837a47bcdc478ca55bfe5c7bc43052bcaedd027c9c9443417761a51d1deb1",
     ("local", "model-check"): "ff343d21a62fe7d22ab19934f60eab03d3db406ba5b594639915e8a49af338f5",
     ("table",): "1c9b72206d816b544a3b544e018646628e6ab2d840f385de95c592d92c0f450f",
-    ("verify",): "89c4e398db7e1091389785ea83ccda8b54eca609f1ba787bb1455dee62125bf4",
+    ("verify",): "8b385ba821c1d41c40b8c2640a23e19f261db2ea2aa07e2b357cac6f549ff942",
 }
 
 

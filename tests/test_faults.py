@@ -65,7 +65,6 @@ ALL_SUITES = (
     "lambda-volumes",
     "brute-force-oracles",
     "local-models",
-    "zeta-class-number",
 )
 
 # (id, module, attribute, fault, the suites that must fail)
@@ -105,14 +104,18 @@ KILLS = [
      {"brute-force-oracles"}),
     ("zeta-a-returns-zeta-k", "massform.funcfield", "zeta_A",
      "lambda f: funcfield.zeta_K",
-     {"zeta-class-number"}),
+     {"zeta-at-zero"}),
+    ("zeta-a-without-its-infinity-factor", "massform.funcfield", "zeta_A",
+     "lambda f: lambda data: f(data)"
+     " * algebra.ratfun(algebra.PolyQ.one(), algebra.PolyQ.one_minus(1, data.deg_inf))",
+     {"zeta-at-zero"}),
+    ("class-number-is-p-at-one", "massform.funcfield", "class_number_A",
+     "lambda f: lambda data: f(data) // data.deg_inf",
+     {"zeta-at-zero"}),
 ]
 
 # (id, module, attribute, fault, why no suite fails)
 SURVIVORS = [
-    ("class-number-is-p-at-one", "massform.funcfield", "class_number_A",
-     "lambda f: lambda data: f(data) // data.deg_inf",
-     "every verify field has deg_inf = 1, where h(A) = deg_inf * P(1) is P(1)"),
     ("weil-test-always-true", "massform.funcfield", "real_roots_within",
      "lambda f: lambda h, q: True",
      "no suite builds an invalid field"),

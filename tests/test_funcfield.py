@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 
 from massform import funcfield
-from massform.algebra import PolyQ, ratfun, ratfun_eval
+from massform.algebra import PolyQ, ratfun
 from massform.errors import (
     MAX_PLACE_DEGREE,
     InternalConsistencyError,
@@ -30,7 +30,7 @@ from massform.funcfield import (
     zeta_special_value,
 )
 from massform.verify import full_battery
-from test_orderzeta import DEG_INF_FIELDS, NON_WEIL, non_weil_field
+from test_orderzeta import DEG_INF_FIELDS, NON_WEIL, non_weil_field, value_at
 
 GENUS1_P = PolyQ((1, 1, 2))    # a genus-1 count polynomial over F_2
 
@@ -215,7 +215,7 @@ def test_zeta_special_value_matches_direct_evaluation():
     for k in [FunctionFieldData.rational(3), genus1_field()]:
         zk = zeta_K(k)
         for i in [1, 2, 3]:
-            assert zeta_special_value(k, i) == ratfun_eval(zk, k.q ** i)
+            assert zeta_special_value(k, i) == value_at(zk, k.q ** i)
 
 
 def test_zeta_special_value_rejects_nonpositive_i():
@@ -330,9 +330,9 @@ def test_non_integral_place_count_is_internal(monkeypatch):
 # -- zeta_A ---------------------------------------------------------------------
 
 def test_zeta_A_frozen_values_at_one():
-    assert ratfun_eval(zeta_A(FunctionFieldData.rational(2)), 1) == -1
-    assert ratfun_eval(zeta_A(genus1_field()), 1) == -4
-    assert ratfun_eval(zeta_A(FunctionFieldData.rational(3)), 1) == Fraction(-1, 2)
+    assert value_at(zeta_A(FunctionFieldData.rational(2)), 1) == -1
+    assert value_at(zeta_A(genus1_field()), 1) == -4
+    assert value_at(zeta_A(FunctionFieldData.rational(3)), 1) == Fraction(-1, 2)
 
 
 def test_zeta_A_equals_minus_class_number_ratio():
@@ -346,7 +346,7 @@ def test_zeta_A_equals_minus_class_number_ratio():
         genus1_field(deg_inf=2),
     ]
     for k in fields:
-        lhs = ratfun_eval(zeta_A(k), 1)
+        lhs = value_at(zeta_A(k), 1)
         rhs = Fraction(-class_number_A(k), k.q - 1)
         assert lhs == rhs, k
 
@@ -361,7 +361,7 @@ def test_some_genus_two_field_exists_and_satisfies_identity():
             except InvalidFieldError:
                 continue
             found += 1
-            assert ratfun_eval(zeta_A(k), 1) == Fraction(-class_number_A(k), 1)
+            assert value_at(zeta_A(k), 1) == Fraction(-class_number_A(k), 1)
     assert found >= 5
 
 

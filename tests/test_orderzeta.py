@@ -12,7 +12,6 @@ from massform import funcfield, orderzeta
 from massform.algebra import (
     PolyQ,
     ratfun,
-    ratfun_eval,
     series_from_ratfun,
 )
 from massform.csa import RamificationData, RamifiedPlace, parse_shorthand
@@ -44,6 +43,12 @@ from massform.orderzeta import (
     order_zeta_series,
     place_by_place_series,
 )
+
+
+def value_at(f, x):
+    """A rational function's value at a point that is not a pole."""
+    return Fraction(f.num.eval(x), f.den.eval(x))
+
 
 K2 = FunctionFieldData.rational(2)
 K2_G1 = FunctionFieldData(q=2, genus=1, l_poly=PolyQ((1, 1, 2)), deg_inf=1)
@@ -118,7 +123,7 @@ def test_closed_form_matches_literal_reference():
         want = reference_closed_form(data)
         form = order_zeta_closed_form(data)
         assert form.ratfun == want, (data.field, data.rank, data.places)
-        assert order_zeta_at_zero(data) == ratfun_eval(want, 1)
+        assert order_zeta_at_zero(data) == value_at(want, 1)
         genera.add(data.field.genus)
         deg_infs.add(data.field.deg_inf)
         count += 1
@@ -150,7 +155,7 @@ def test_closed_form_never_calls_the_mass_side(monkeypatch):
     for data in [STANDARD_R2, DRINFELD_R3, GENUS1_R2, DEG_INF2_R4]:
         form = order_zeta_closed_form(data)
         want = reference_closed_form(data)
-        assert form.value_at_one == ratfun_eval(want, 1)
+        assert form.value_at_one == value_at(want, 1)
         assert form.ratfun == want
         assert [label for label, _ in form.assembled_from][0] == "zeta_A"
 
@@ -163,11 +168,11 @@ def test_mutated_exponent_maps_fail_the_reference():
         dropped = Counter(form.exponents)
         dropped.subtract(correction)
         assert _expand(data.field, dropped) != want
-        assert _at_one(data.field, dropped) != (0, ratfun_eval(want, 1))
+        assert _at_one(data.field, dropped) != (0, value_at(want, 1))
 
 
 def test_cyclotomic_value_at_one_is_p_for_prime_powers(monkeypatch):
-    want = ratfun_eval(reference_closed_form(DEG_INF2_R4), 1)
+    want = value_at(reference_closed_form(DEG_INF2_R4), 1)
     assert order_zeta_at_zero(DEG_INF2_R4) == want == -mass(DEG_INF2_R4).mass
     monkeypatch.setattr(orderzeta, "_cyclotomic_at_one", lambda m: 1)
     assert order_zeta_at_zero(DEG_INF2_R4) != want
@@ -229,7 +234,7 @@ def test_closed_form_factors_recompose():
 def test_closed_form_rank_one_is_zeta_A():
     form = order_zeta_closed_form(RamificationData(field=K2, rank=1, places=()))
     assert form.ratfun == ratfun(PolyQ.one(), PolyQ.one_minus(2, 1))
-    assert ratfun_eval(form.ratfun, 1) == -1
+    assert value_at(form.ratfun, 1) == -1
 
 
 def test_closed_form_rejects_indefinite():

@@ -79,8 +79,7 @@ RECORDS = {
     "LocalModel": (
         lambda: LocalModel.create(3, 2, 1),
         None, (),
-        "LocalModel(q_v=3, d=2, b=1, m_bez=1, mprime_bez=0, precision=6, "
-        "residue_field=FqField(q=9))",
+        "LocalModel(q_v=3, d=2, b=1, m_bez=1, precision=6, residue_field=FqField(q=9))",
     ),
     "LocalVolumeReport": (
         lambda: local_volume_report(3, 2, 2),

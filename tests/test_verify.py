@@ -66,7 +66,7 @@ def test_battery_data_are_validated_once(monkeypatch):
     battery = full_battery()
     for data in battery:
         verify.mass(data)
-        verify.order_zeta_at_zero(data)
+        verify.order_zeta_closed_form(data)
     assert len(battery) == 384
     assert len(calls) == 384
 

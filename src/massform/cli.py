@@ -27,7 +27,6 @@ model-check` and the verify suite local-models pay for that import.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -302,6 +301,10 @@ def _resolve_field(q, genus, l_poly, deg_inf, field_file) -> FunctionFieldData:
             base = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise UsageError(f"field file is not valid JSON: {exc}")
+        except ValueError:
+            # the one other error of json.loads: an integer past Python's
+            # int-to-string limit, which run() would take for an answer
+            raise InvalidFieldError(f"field file {field_file} holds an integer too long to read")
         if not isinstance(base, dict):
             raise InvalidFieldError(f"field file holds {base!r}, not a JSON object")
     inline: dict = {}
@@ -343,10 +346,6 @@ def _resolve_ramification(
     data = parse_shorthand(ram, field, rank)
     ensure_valid(data)
     return data
-
-
-def _default_series_order() -> int:
-    return _parse_int(os.environ.get("MASSFORM_SERIES_ORDER", "10"), "MASSFORM_SERIES_ORDER")
 
 
 # ----------------------------------------------------------------------
@@ -476,8 +475,7 @@ def cmd_zeta(q, genus, l_poly, deg_inf, field_file, values, fmt):
 
 @command(
     "order-zeta", *FIELD_OPTIONS, RANK, Option("--ram", "text", ""),
-    Option("--series-order",
-           help=f"0 to {MAX_SERIES_ORDER}; default MASSFORM_SERIES_ORDER, else 10"),
+    Option("--series-order", default=10, help=f"0 to {MAX_SERIES_ORDER}; default 10"),
 )
 def cmd_order_zeta(q, genus, l_poly, deg_inf, field_file, rank, ram, series_order, fmt):
     """Zeta function of a maximal order: closed form, value at zero, series."""
@@ -487,8 +485,6 @@ def cmd_order_zeta(q, genus, l_poly, deg_inf, field_file, rank, ram, series_orde
 
     field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
     data = _resolve_ramification(field, rank, ram)
-    if series_order is None:
-        series_order = _default_series_order()
     closed = order_zeta_closed_form(data)
     series = order_zeta_series(data, series_order)
     out = {

@@ -32,6 +32,7 @@ from typing import Iterable, Iterator
 
 from .algebra import factor_prime_power
 from .errors import InternalConsistencyError, OrderMismatchError
+from .record import Record
 
 FIELD_SIZE_CAP = 2 ** 12
 
@@ -392,14 +393,15 @@ def log_dot(
     return tuple(0 if a < 0 else exp[a] for a in acc)
 
 
-class TruncatedSeriesFq:
+class TruncatedSeriesFq(Record):
     """Residue mod pi**precision: exactly `precision` stored coefficients,
     constant term first, each an integer code in the attached field.
 
-    A value: equal and hashed by field (by identity), precision and
-    coefficients, and never changed after construction."""
+    A record: equal and hashed by field (by identity, as an FqField
+    has no equality of its own), precision and coefficients, and never
+    changed after construction."""
 
-    __slots__ = ("field", "precision", "coeffs")
+    __slots__ = _fields = ("field", "precision", "coeffs")
 
     def __init__(self, field: FqField, precision: int, coeffs: tuple[int, ...]):
         if len(coeffs) != precision:
@@ -407,24 +409,6 @@ class TruncatedSeriesFq:
         self.field = field
         self.precision = precision
         self.coeffs = coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeriesFq):
-            return NotImplemented
-        return (
-            self.field is other.field
-            and self.precision == other.precision
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.precision, self.coeffs))
-
-    def __repr__(self) -> str:
-        return (
-            f"TruncatedSeriesFq(field={self.field!r}, precision={self.precision!r}, "
-            f"coeffs={self.coeffs!r})"
-        )
 
     def _check(self, other: "TruncatedSeriesFq") -> None:
         if other.field is not self.field:

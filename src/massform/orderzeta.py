@@ -34,14 +34,15 @@ zeta_special_value or lambda_v.
 
 The closed form keeps its own memos, inside the functions that compute
 each value, so a patched function still replaces the computation:
-_p_value (the P-shifts at u = 1, by L-polynomial coefficients),
-_cyclotomic_value and _cyclotomic_at_one, and _zeta_a_exponents,
+_cyclotomic (the polynomial Phi*_m, by m), and _zeta_a_exponents,
 _shift_exponents, _zeta_exponents and _correction_keys (the exponent-map
 pieces fixed by deg_inf, by a shift's index, by (deg_inf, r) and by a
-place's shape).  Each factor is written once: the labelled factors and
-the net map read the same memos.  The mass side reads none of them, and
-the closed form never reads the zeta_K(-i) memo the mass side keeps on
-the field.
+place's shape).  Each factor is written once: a key (j, m) stands for
+P or Phi*_m at q^j u, and the expansion prints that one polynomial where
+the value at u = 1 evaluates it at q^j; the labelled factors and the net
+map read the same memos.  The mass side reads none of them, and the
+closed form never reads the zeta_K(-i) memo the mass side keeps on the
+field.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
 
-from .algebra import PolyQ, RationalFunctionQ, TruncatedSeriesQ, factor_prime_power, ratfun
+from .algebra import PolyQ, RationalFunctionQ, TruncatedSeriesQ, ratfun
 from .csa import RamificationData, ensure_valid, is_definite
 from .errors import (
     MAX_SERIES_ORDER,
@@ -80,8 +81,9 @@ ExponentMap = dict[tuple[int, int], int]
 ExponentItems = tuple[tuple[tuple[int, int], int], ...]
 
 
+@cache
 def _cyclotomic(m: int) -> PolyQ:
-    """Phi*_m(x) = prod_{d | m} (1 - x^d)^mu(m/d)."""
+    """Phi*_m(x) = prod_{d | m} (1 - x^d)^mu(m/d): a closed-form memo on m."""
     num, den = PolyQ.one(), PolyQ.one()
     for d in _divisors(m):
         mu = _mobius(m // d)
@@ -92,46 +94,6 @@ def _cyclotomic(m: int) -> PolyQ:
     return num.exact_div(den)
 
 
-@cache
-def _cyclotomic_value(m: int, x: int) -> int:
-    """Phi*_m(x) at an integer x != 1."""
-    num = den = 1
-    for d in _divisors(m):
-        mu = _mobius(m // d)
-        if mu > 0:
-            num *= 1 - x ** d
-        elif mu < 0:
-            den *= 1 - x ** d
-    return num // den
-
-
-@cache
-def _cyclotomic_at_one(m: int) -> int:
-    """Phi*_m(1) for m > 1: p when m is a power of the prime p, else 1."""
-    try:
-        return factor_prime_power(m)[0]
-    except ValueError:
-        return 1
-
-
-# (L-polynomial coefficients, x) -> P(x); see _p_value
-_P_VALUES: dict[tuple[tuple[int, ...], int], int] = {}
-
-
-def _p_value(field: FunctionFieldData, x: int) -> int:
-    """P(x), by Horner's rule in integers.
-
-    Memoised in _P_VALUES on (coefficients, x), a closed-form memo: the
-    closed form asks for x = q^j with j < r, so it holds at most
-    MAX_RANK entries per field.  The mass side never reads it.
-    """
-    key = (field.l_poly.coeffs, x)
-    value = _P_VALUES.get(key)
-    if value is None:
-        value = _P_VALUES[key] = field.l_poly.eval(x)
-    return value
-
-
 def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> tuple[int, Fraction]:
     """Order of the product at u = 1, and its value there when that order
     is 0 (else 0).
@@ -139,18 +101,14 @@ def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> tuple[int, Frac
     Only Phi*_1(u) = 1 - u vanishes at u = 1.  The other factors take
     the nonzero integer values P(q^j), as a Weil P has no root of
     absolute value q^-j, Phi*_m(q^j) for j >= 1 and Phi*_m(1) for m > 1.
+    Each is the polynomial _expand prints for its key, evaluated at q^j.
     """
     order, num, den = 0, 1, 1
     for (j, m), e in exponents.items():
-        if m == 0:
-            value = _p_value(field, field.q ** j)
-        elif j == 0 and m == 1:
+        if j == 0 and m == 1:
             order += e
             continue
-        elif j == 0:
-            value = _cyclotomic_at_one(m)
-        else:
-            value = _cyclotomic_value(m, field.q ** j)
+        value = (field.l_poly if m == 0 else _cyclotomic(m)).eval(field.q ** j)
         if e > 0:
             num *= value ** e
         else:

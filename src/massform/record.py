@@ -7,8 +7,7 @@ an instance of the very same class with equal fields, hashed as the
 tuple of those fields, and printed as ``Name(field=value, ...)``.  Any
 other attribute (a memo) takes no part in any of the three.
 
-Nothing stops a rebinding at run time, as nothing does for
-`finitefield.TruncatedSeriesFq`; `tests/test_package.py` checks
+Nothing stops a rebinding at run time; `tests/test_package.py` checks
 statically that no module binds a compared field outside a constructor.
 Creating a record class costs no `exec`, and importing this module loads
 only `operator`.

@@ -36,6 +36,7 @@ from .localvolumes import (
     gl_count_bruteforce,
     lambda_from_volumes,
     sublattice_count_bruteforce,
+    vol_G,
 )
 from .massengine import drinfeld_mass, mass
 from .orderzeta import (
@@ -67,11 +68,9 @@ class SuiteReport(Record):
 
 GENUS_ONE_L_POLY = (1, 1, 2)    # over F_2: 4 rational points, h = 4
 
-# The ranks and the largest finite place degree of the battery and of
-# the random data, and the most finite places a random datum ramifies
+# The ranks and the largest finite place degree of the battery
 BATTERY_RANKS = (2, 3, 4, 6)
 MAX_FINITE_DEGREE = 3
-MAX_RANDOM_FINITE = 3
 
 # The constant field sizes and the largest genus of the product fields
 PRODUCT_FIELD_QS = (2, 3, 4, 5)
@@ -181,61 +180,6 @@ def full_battery(ranks: tuple[int, ...] = BATTERY_RANKS) -> list[RamificationDat
     for field in battery_fields():
         out.extend(definite_battery(field, ranks=ranks))
     return out
-
-
-def random_definite_data(
-    rng: random.Random, fields: tuple[FunctionFieldData, ...] | None = None
-) -> RamificationData:
-    """One random valid definite ramification datum.
-
-    Finite invariants are drawn freely except the last, which absorbs
-    the sum condition; draws that cannot be patched are rerolled."""
-    if fields is None:
-        fields = battery_fields()
-    while True:
-        field = rng.choice(fields)
-        r = rng.choice(BATTERY_RANKS)
-        b0 = rng.choice(_coprime_residues(r))
-        places = [
-            RamifiedPlace(
-                degree=field.deg_inf, inv_num=b0, inv_den=r, is_infinity=True
-            )
-        ]
-        taken: dict[int, int] = {}
-        residual = Fraction(b0, r)
-        k = rng.randint(1, MAX_RANDOM_FINITE)
-        feasible = True
-        for i in range(k):
-            if i == k - 1:
-                frac = (-residual) % 1
-                d = frac.denominator
-                b = frac.numerator
-                if d < 2 or r % d != 0:
-                    feasible = False
-                    break
-            else:
-                d = rng.choice([dd for dd in range(2, r + 1) if r % dd == 0])
-                b = rng.choice(_coprime_residues(d))
-            open_degrees = [
-                delta
-                for delta in range(1, MAX_FINITE_DEGREE + 1)
-                if _finite_available(field, delta) - taken.get(delta, 0) >= 1
-            ]
-            if not open_degrees:
-                feasible = False
-                break
-            delta = rng.choice(open_degrees)
-            taken[delta] = taken.get(delta, 0) + 1
-            places.append(RamifiedPlace(delta, b, d))
-            residual += Fraction(b, d)
-        if not feasible:
-            continue
-        data = RamificationData(field=field, rank=r, places=tuple(places))
-        try:
-            ensure_valid(data)
-        except InvalidRamificationError:
-            continue
-        return data
 
 
 def random_product_field(rng: random.Random) -> FunctionFieldData:
@@ -438,9 +382,8 @@ def suite_brute_oracles() -> SuiteReport:
     checked = 0
     for q, r in ((2, 2), (3, 2), (2, 3)):
         checked += 1
-        expected = q ** (r * (r - 1) // 2)
-        for i in range(1, r + 1):
-            expected *= q ** i - 1
+        # |GL_r(F_q)| is vol_G times the q^(r^2) points of M_r(F_q)
+        expected = vol_G(q, r) * q ** (r * r)
         got = gl_count_bruteforce(q, r)
         if got != expected:
             failures.append(f"gl q={q} r={r}: {got} != {expected}")

@@ -24,7 +24,7 @@ from massform.finitefield import FIELD_SIZE_CAP
 from massform.funcfield import MAX_GENUS, FunctionFieldData, zeta_A, zeta_K
 from massform.localmodels import MAX_MODEL_PAIRS, MAX_MODEL_PRECISION
 from massform.localvolumes import MAX_LOCAL_INDEX, MAX_LOCAL_RANK
-from massform.orderzeta import MAX_SERIES_ORDER, order_zeta_closed_form
+from massform.orderzeta import order_zeta_closed_form
 from test_orderzeta import reference_stream
 
 # a prime near 10^18: trial division up to its square root ran on past
@@ -349,32 +349,15 @@ def test_field_file_with_inline_override_warns(capsys, tmp_path):
 
 
 def test_series_order_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("MASSFORM_SERIES_ORDER", "3")
-    code, out, _ = invoke(
-        capsys, "order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
-    )
+    # the default is 10, and the variable that once overrode it is not read
+    argv = ("order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2")
+    monkeypatch.delenv("MASSFORM_SERIES_ORDER", raising=False)
+    code, out, _ = invoke(capsys, *argv)
     assert code == 0
-    assert len(json.loads(out)["series"]) == 4
-
-    monkeypatch.setenv("MASSFORM_SERIES_ORDER", str(MAX_SERIES_ORDER + 1))
-    code, out, _ = invoke(
-        capsys, "order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
-    )
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "InvalidSeriesOrderError"
-
-    monkeypatch.setenv("MASSFORM_SERIES_ORDER", "junk")
-    code, _, _ = invoke(
-        capsys, "order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
-    )
-    assert code == 64
-
-    monkeypatch.delenv("MASSFORM_SERIES_ORDER")
-    code, out, _ = invoke(
-        capsys, "order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
-    )
-    assert code == 0
+    assert json.loads(out)["series_order"] == 10
     assert len(json.loads(out)["series"]) == 11
+    monkeypatch.setenv("MASSFORM_SERIES_ORDER", "junk")
+    assert invoke(capsys, *argv) == (code, out, "")
 
 
 def test_single_object_csv_format(capsys):
@@ -570,6 +553,20 @@ def test_field_file_that_is_not_json_text_is_a_usage_error(capsys, tmp_path, raw
     assert code == 64
     assert out == ""
     assert "field file is not valid JSON" in err
+
+
+@pytest.mark.parametrize("text", ['{"q": %s}', '{"q": 2, "note": %s}'], ids=["q", "unused-key"])
+def test_field_file_with_an_unreadably_long_integer_is_an_invalid_field(capsys, tmp_path, text):
+    # json.loads meets Python's int-to-string limit while reading; nothing
+    # was computed, so this is no answer too long to print
+    path = tmp_path / "field.json"
+    path.write_text(text % ("1" * 5000))
+    code, out, err = invoke(capsys, "class-number", "--field-file", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "InvalidFieldError"
+    assert str(path) in error["message"]
+    assert "Traceback" not in err
 
 
 def test_rank_cap_from_each_side(capsys):
@@ -981,15 +978,16 @@ def test_suite_choice_names_every_verify_suite():
 # sha256 of each command's --help at 80 columns, taken before the CLI moved
 # its imports into the commands (verify's and local iw-index's retaken when
 # the random-properties suite and the --brute flag went, verify's again
-# when the zeta-class-number suite and --count went); the help text reads
-# MAX_SERIES_ORDER and the suite names without loading an engine
+# when the zeta-class-number suite and --count went, order-zeta's when
+# MASSFORM_SERIES_ORDER went); the help text reads MAX_SERIES_ORDER and
+# the suite names without loading an engine
 HELP_DIGESTS = {
     (): "e4076c817a9d05a0c6ca1b2d60ff0d865b477f410eb9bc5fdd24335cc99af37b",
     ("mass",): "4ed3c74d5a759b45059935a1f3f7884862ca2256ddd3d006d684c54dc381a7ab",
     ("drinfeld-mass",): "93143e9bec48fba299acd4b4bf0098ba3b1967d04c22dd65ca1169d581be172d",
     ("class-number",): "5d8fcc598a6a9db8654168a826c8da7bf8f0f36f0df9fa9cdc382a000d95860b",
     ("zeta",): "bdbf37c5379675e5bff1a532673ffbc11651bf897c005795a75de51e0df35739",
-    ("order-zeta",): "70aef8a0024ff98233c99dcf909594ac048343475e4b7e1f38a35680ed7da540",
+    ("order-zeta",): "56aa19192841a10ee600abe24b0fa9ca62635ce45ca49259263db906251d9013",
     ("local",): "fcab430f7f67b2aaa5d720d67e142630ee0fd2df2d0c016a2d810da54588296e",
     ("local", "volumes"): "d1a81ffe1d729dac01e63ac4beede5aecb9c8f232bfcfd33c66e2868bb7a0328",
     ("local", "lambda"): "0376694e134542f028509628134b21046296383c43aa1434cbcfa25d8ec41af0",

@@ -78,9 +78,9 @@ KILLS = [
     ("lambda-value-plus-one-at-d3", "massform.csa", "lambda_value",
      "lambda f: lambda norm, r, d: f(norm, r, d) + (d == 3)",
      {"zeta-at-zero", "drinfeld", "lambda-volumes"}),
-    ("cyclotomic-value-plus-one-at-m3", "massform.orderzeta", "_cyclotomic_value",
-     "lambda f: lambda m, x: f(m, x) + (m == 3)",
-     {"zeta-at-zero"}),
+    ("cyclotomic-value-plus-one-at-m3", "massform.orderzeta", "_cyclotomic",
+     "lambda f: lambda m: algebra.PolyQ((f(m).coeffs[0] + (m == 3), *f(m).coeffs[1:]))",
+     {"zeta-at-zero", "series-closed-form"}),
     ("local-ideal-count-plus-one-at-ell2", "massform.orderzeta", "local_ideal_count",
      "lambda f: lambda q_v, m_v, d_v, ell: f(q_v, m_v, d_v, ell) + (ell == 2)",
      {"series-closed-form", "brute-force-oracles"}),
@@ -90,6 +90,9 @@ KILLS = [
     ("geometric-plus-one-at-n2", "massform.orderzeta", "_geometric",
      "lambda f: lambda x, n: f(x, n) + (n == 2)",
      {"series-closed-form"}),
+    ("vol-g-times-qv", "massform.localvolumes", "vol_G",
+     "lambda f: lambda q_v, r: q_v * f(q_v, r)",
+     {"lambda-volumes", "brute-force-oracles"}),
     ("vol-gprime-times-qv", "massform.localvolumes", "vol_Gprime",
      "lambda f: lambda q_v, m, d: q_v * f(q_v, m, d)",
      {"lambda-volumes"}),

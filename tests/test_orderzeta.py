@@ -14,7 +14,14 @@ from massform.algebra import (
     ratfun,
     series_from_ratfun,
 )
-from massform.csa import RamificationData, RamifiedPlace, parse_shorthand
+from massform.csa import (
+    RamificationData,
+    RamifiedPlace,
+    ensure_valid,
+    is_definite,
+    parse_shorthand,
+    validate,
+)
 from massform.errors import (
     InternalConsistencyError,
     InvalidRamificationError,
@@ -25,17 +32,19 @@ from massform.errors import (
 from massform.funcfield import FunctionFieldData, places_of_degree
 from massform.massengine import mass
 from massform.verify import (
+    BATTERY_RANKS,
+    MAX_FINITE_DEGREE,
+    _coprime_residues,
+    _finite_available,
+    battery_fields,
     definite_battery,
     full_battery,
-    random_definite_data,
     random_product_field,
 )
 from massform.orderzeta import (
     MAX_SERIES_ORDER,
     _at_one,
     _cyclotomic,
-    _cyclotomic_at_one,
-    _cyclotomic_value,
     _expand,
     local_ideal_count,
     order_zeta_at_zero,
@@ -102,6 +111,63 @@ def reference_closed_form(data):
     return product
 
 
+# The most finite places a random datum ramifies
+MAX_RANDOM_FINITE = 3
+
+
+def random_definite_data(rng, fields=None):
+    """One random valid definite ramification datum.
+
+    Finite invariants are drawn freely except the last, which absorbs
+    the sum condition; draws that cannot be patched are rerolled."""
+    if fields is None:
+        fields = battery_fields()
+    while True:
+        field = rng.choice(fields)
+        r = rng.choice(BATTERY_RANKS)
+        b0 = rng.choice(_coprime_residues(r))
+        places = [
+            RamifiedPlace(
+                degree=field.deg_inf, inv_num=b0, inv_den=r, is_infinity=True
+            )
+        ]
+        taken: dict[int, int] = {}
+        residual = Fraction(b0, r)
+        k = rng.randint(1, MAX_RANDOM_FINITE)
+        feasible = True
+        for i in range(k):
+            if i == k - 1:
+                frac = (-residual) % 1
+                d = frac.denominator
+                b = frac.numerator
+                if d < 2 or r % d != 0:
+                    feasible = False
+                    break
+            else:
+                d = rng.choice([dd for dd in range(2, r + 1) if r % dd == 0])
+                b = rng.choice(_coprime_residues(d))
+            open_degrees = [
+                delta
+                for delta in range(1, MAX_FINITE_DEGREE + 1)
+                if _finite_available(field, delta) - taken.get(delta, 0) >= 1
+            ]
+            if not open_degrees:
+                feasible = False
+                break
+            delta = rng.choice(open_degrees)
+            taken[delta] = taken.get(delta, 0) + 1
+            places.append(RamifiedPlace(delta, b, d))
+            residual += Fraction(b, d)
+        if not feasible:
+            continue
+        data = RamificationData(field=field, rank=r, places=tuple(places))
+        try:
+            ensure_valid(data)
+        except InvalidRamificationError:
+            continue
+        return data
+
+
 def reference_stream():
     yield from full_battery()
     rng = random.Random(20260813)       # criterion 7's stream
@@ -113,6 +179,20 @@ def reference_stream():
         yield random_definite_data(rng, fields=fields)
     for field in DEG_INF_FIELDS:
         yield from definite_battery(field, ranks=(2, 4, 6))
+
+
+def test_random_definite_data_always_valid():
+    rng = random.Random(99)
+    for _ in range(50):
+        data = random_definite_data(rng)
+        assert validate(data).ok
+        assert is_definite(data)
+
+
+def test_random_definite_data_deterministic_per_seed():
+    a = random_definite_data(random.Random(5))
+    b = random_definite_data(random.Random(5))
+    assert a == b
 
 
 # -- closed form ------------------------------------------------------------
@@ -171,11 +251,28 @@ def test_mutated_exponent_maps_fail_the_reference():
         assert _at_one(data.field, dropped) != (0, value_at(want, 1))
 
 
+def cyclotomic_reading_one_at_one(m):
+    """Phi*_m with its constant term moved so that it reads 1 at x = 1
+    for m > 1, where the true value is p when m is a power of p."""
+    poly = _cyclotomic(m)
+    if m == 1:
+        return poly
+    return PolyQ((poly.coeffs[0] + 1 - poly.eval(1), *poly.coeffs[1:]))
+
+
 def test_cyclotomic_value_at_one_is_p_for_prime_powers(monkeypatch):
     want = value_at(reference_closed_form(DEG_INF2_R4), 1)
     assert order_zeta_at_zero(DEG_INF2_R4) == want == -mass(DEG_INF2_R4).mass
-    monkeypatch.setattr(orderzeta, "_cyclotomic_at_one", lambda m: 1)
+    monkeypatch.setattr(orderzeta, "_cyclotomic", cyclotomic_reading_one_at_one)
     assert order_zeta_at_zero(DEG_INF2_R4) != want
+
+
+def _prime_of_power(k):
+    """p when k is a power of the prime p, else None."""
+    p = next(d for d in range(2, k + 1) if k % d == 0)
+    while k % p == 0:
+        k //= p
+    return p if k == 1 else None
 
 
 def test_cyclotomic_factors():
@@ -189,9 +286,7 @@ def test_cyclotomic_factors():
                 product = product * _cyclotomic(m)
         assert product == PolyQ.one_minus(1, k), k
         if k > 1:
-            assert _cyclotomic_at_one(k) == _cyclotomic(k).eval(1), k
-        for x in (2, 3, 4, 9):
-            assert _cyclotomic_value(k, x) == _cyclotomic(k).eval(x), (k, x)
+            assert _cyclotomic(k).eval(1) == (_prime_of_power(k) or 1), k
 
 
 def test_expand_refuses_a_shared_factor(monkeypatch):

@@ -55,13 +55,10 @@ def test_no_unused_imports(path):
 
 
 def _value_field_names() -> set[str]:
-    """The slots of `TruncatedSeriesFq` and the compared fields of every
-    record class."""
+    """The compared fields of every record class."""
     for path in SOURCES:
         importlib.import_module(f"massform.{path.stem}")
-    return {"field", "precision", "coeffs"}.union(
-        *(cls._fields for cls in Record.__subclasses__())
-    )
+    return set().union(*(cls._fields for cls in Record.__subclasses__()))
 
 
 def _target_nodes(target):
@@ -105,9 +102,9 @@ def _series_attribute_bindings(path, names):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_series_attributes_are_bound_only_in_constructors(path):
-    # TruncatedSeriesFq and the records are hashed by value but, for
-    # speed, do not forbid rebinding their fields; nothing in the package
-    # may rebind them (a record's memos are not among the names)
+    # the records (TruncatedSeriesFq among them) are hashed by value but,
+    # for speed, do not forbid rebinding their fields; nothing in the
+    # package may rebind them (a record's memos are not among the names)
     found = _series_attribute_bindings(path, _value_field_names())
     assert found == [], f"{path.name}: series attribute bound at {found}"
 

@@ -5,7 +5,8 @@ Each record is equal to an instance of its own class with equal compared
 fields, and hashed as the tuple of them; an instance of any other class
 holding the same values, a subclass of the same name included, is never
 equal.  The memos some records carry take no part in equality, the hash
-or the repr, and each repr below is the text the dataclass printed.
+or the repr, and each repr below is the text the class printed before
+it was a record (the dataclass's, for all but TruncatedSeriesFq).
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import pytest
 
 from massform.algebra import PolyQ, TruncatedSeriesQ, ratfun
 from massform.csa import RamifiedPlace, ValidationReport, ensure_valid, parse_shorthand
+from massform.finitefield import FqField, TruncatedSeriesFq
 from massform.funcfield import FunctionFieldData, places_of_degree, zeta_special_value
 from massform.localmodels import LocalModel, ModelCheckReport
 from massform.localvolumes import local_volume_report
@@ -28,6 +30,7 @@ SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "massform").g
 
 K3 = FunctionFieldData.rational(3)
 K2_G1 = FunctionFieldData(q=2, genus=1, l_poly=PolyQ((1, 1, 2)), deg_inf=1)
+F4 = FqField.of_order(4)
 DATUM = "inf:1/2,1:1/2"
 
 
@@ -41,7 +44,7 @@ def _fill_closed_form_memos(closed):
 
 
 # name -> (a factory of one instance, what fills its memos, the memo
-# names, its repr as the dataclass printed it)
+# names, its repr as printed before it was a record)
 RECORDS = {
     "RationalFunctionQ": (
         lambda: ratfun(PolyQ((2, 4)), PolyQ((3, -9))),
@@ -102,6 +105,11 @@ RECORDS = {
         "degree=1, inv_num=1, inv_den=2, is_infinity=True), RamifiedPlace(degree=1, "
         "inv_num=1, inv_den=2, is_infinity=False))), exponents={(0, 0): 1, (1, 0): 1, "
         "(2, 1): -1}, value_at_one=Fraction(-1, 8))",
+    ),
+    "TruncatedSeriesFq": (
+        lambda: TruncatedSeriesFq(F4, 3, (1, 2, 3)),
+        None, (),
+        "TruncatedSeriesFq(field=FqField(q=4), precision=3, coeffs=(1, 2, 3))",
     ),
     "SuiteReport": (
         lambda: SuiteReport(suite="drinfeld", checked=27, failures=()),

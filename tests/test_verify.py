@@ -13,7 +13,6 @@ from massform.verify import (
     battery_fields,
     definite_battery,
     full_battery,
-    random_definite_data,
     random_product_field,
     run_suite,
     suite_report_to_json_dict,
@@ -96,20 +95,6 @@ def test_series_sample_covers_genus_one():
     sample = _series_sample()
     assert len(sample) >= 20
     assert any(data.field.genus == 1 for data in sample)
-
-
-def test_random_definite_data_always_valid():
-    rng = random.Random(99)
-    for _ in range(50):
-        data = random_definite_data(rng)
-        assert validate(data).ok
-        assert is_definite(data)
-
-
-def test_random_definite_data_deterministic_per_seed():
-    a = random_definite_data(random.Random(5))
-    b = random_definite_data(random.Random(5))
-    assert a == b
 
 
 def test_random_product_field_valid_and_product_shaped():

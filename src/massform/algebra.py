@@ -12,10 +12,10 @@ den = 1).
 
 All zeta functions in this package live in the variable u = q**(-s);
 their num/den is carried by :class:`RationalFunctionQ`, coprime and
-content-free with a positive leading denominator coefficient (the order
-zeta is kept factored in orderzeta and expanded to one only for
-output), and Dirichlet expansions by :class:`TruncatedSeriesQ`.  The
-printer divides by den's leading coefficient to show the monic form.
+content-free with a positive leading denominator coefficient (the zeta
+engines build coprime pairs, :func:`ratfun` is the general normalizer),
+and Dirichlet expansions by :class:`TruncatedSeriesQ`.  The printer
+divides by den's leading coefficient to show the monic form.
 
 Everything here is immutable; operations are pure functions and safe to
 share between threads.
@@ -235,8 +235,8 @@ class RationalFunctionQ(Record):
     """num/den in Z[u], coprime, with no common integer content and a
     positive leading coefficient in den; that representative is unique.
 
-    Construct through :func:`ratfun`, which cancels eagerly; exact
-    pole-order bookkeeping at u = 1 depends on full cancellation.
+    Built by :func:`coprime_ratfun` from a pair known to be coprime, else
+    by :func:`ratfun`; poles are read off the order zeta's exponent map.
     """
 
     __slots__ = _fields = ("num", "den")
@@ -248,8 +248,14 @@ class RationalFunctionQ(Record):
     def __mul__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
         return ratfun(self.num * other.num, self.den * other.den)
 
-    def is_regular_at(self, x: int | Fraction) -> bool:
-        return self.den.eval(x) != 0
+
+def coprime_ratfun(num: PolyQ, den: PolyQ) -> RationalFunctionQ:
+    """num/den for a pair already coprime and content-free: only the
+    signs flip, so that den's leading coefficient is positive."""
+    if den.leading() < 0:
+        num = PolyQ(-c for c in num.coeffs)
+        den = PolyQ(-c for c in den.coeffs)
+    return RationalFunctionQ(num, den)
 
 
 def ratfun(num: PolyQ, den: PolyQ) -> RationalFunctionQ:
@@ -263,12 +269,10 @@ def ratfun(num: PolyQ, den: PolyQ) -> RationalFunctionQ:
         num = num.exact_div(g)
         den = den.exact_div(g)
     content = gcd(*num.coeffs, *den.coeffs)
-    if den.leading() < 0:
-        content = -content
     if content != 1:
         num = PolyQ(c // content for c in num.coeffs)
         den = PolyQ(c // content for c in den.coeffs)
-    return RationalFunctionQ(num, den)
+    return coprime_ratfun(num, den)
 
 
 # ----------------------------------------------------------------------

@@ -41,8 +41,8 @@ MAX_RANK = 6
 # Each place of degree n adds correction factors of degree n and
 # coefficients up to q^(n r^2/2), so the closed form and the mass grow
 # with the sum.  At q = 5, rank 6 and series order 300, `massform
-# order-zeta` at this cap takes 0.5-0.8 s and prints up to 1.6 MB (2-CPU
-# machine); a sum of 256 takes 1.5-1.8 s, and at 501 both it and
+# order-zeta` at this cap takes 0.2-0.6 s and prints up to 1.5 MB (2-CPU
+# machine); a sum of 256 takes 0.5-1.9 s, and at 501 both it and
 # `massform mass` overflow the 4300-digit limit.
 MAX_RAMIFIED_DEGREE = 200
 

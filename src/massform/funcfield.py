@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .algebra import PolyQ, RationalFunctionQ, factor_prime_power, ratfun
+from .algebra import PolyQ, RationalFunctionQ, coprime_ratfun, factor_prime_power
 from .algebra import _int_poly_prem, _primitive
 from .errors import (
     MAX_PLACE_DEGREE,
@@ -231,9 +231,10 @@ class FunctionFieldData(Record):
 
 
 def zeta_K(data: FunctionFieldData) -> RationalFunctionQ:
-    """The field zeta function in u = q**(-s): P(u)/((1-u)(1-qu))."""
+    """The field zeta function in u = q**(-s): P(u)/((1-u)(1-qu)), coprime
+    as built, as P's roots have absolute value q^(-1/2)."""
     den = PolyQ.one_minus(1, 1) * PolyQ.one_minus(data.q, 1)
-    return ratfun(data.l_poly, den)
+    return coprime_ratfun(data.l_poly, den)
 
 
 def zeta_special_value(data: FunctionFieldData, i: int) -> Fraction:
@@ -272,14 +273,10 @@ def places_of_degree(data: FunctionFieldData, n: int) -> int:
 
 
 def zeta_A(data: FunctionFieldData) -> RationalFunctionQ:
-    """Zeta with the infinity factor removed:
-    (1 - u^{deg_inf}) * P(u) / ((1-u)(1-qu)); regular at u = 1."""
-    num = PolyQ.one_minus(1, data.deg_inf) * data.l_poly
-    den = PolyQ.one_minus(1, 1) * PolyQ.one_minus(data.q, 1)
-    out = ratfun(num, den)
-    if not out.is_regular_at(1):
-        raise InternalConsistencyError(f"zeta_A has a pole at u = 1: {out}")
-    return out
+    """Zeta with the infinity factor removed, (1 - u^{deg_inf}) P(u) /
+    ((1-u)(1-qu)) = (1 + u + ... + u^{deg_inf-1}) P(u) / (1-qu): coprime
+    as built (roots of absolute value 1, q^(-1/2) and 1/q), no pole at 1."""
+    return coprime_ratfun(PolyQ((1,) * data.deg_inf) * data.l_poly, PolyQ.one_minus(data.q, 1))
 
 
 # -- JSON shape -------------------------------------------------------------

@@ -12,8 +12,8 @@ Two independent realizations of the same object live here:
   is adding exponents.  FunctionFieldData certifies P as a Weil
   polynomial, so no P-shift vanishes at u = q^-j and the pole checks at
   u = 1 and u = q^-r read cyclotomic exponents only; the value at u = 1
-  is read off the map in integers.  The labelled factors
-  and the normalized num/den are audit output, built only when read;
+  is read off the map in integers.  The labelled factors and num/den,
+  multiplied out with no gcd, are audit output, built only when read;
 * a truncated Dirichlet series built from an Euler product over the
   finite places, expanded in integers by Newton's identities on its
   log-derivative.  That is read off the product's own place counts:
@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
 
-from .algebra import PolyQ, RationalFunctionQ, TruncatedSeriesQ, ratfun
+from .algebra import PolyQ, RationalFunctionQ, TruncatedSeriesQ, coprime_ratfun
 from .csa import RamificationData, ensure_valid, is_definite
 from .errors import (
     MAX_SERIES_ORDER,
@@ -117,13 +117,13 @@ def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> tuple[int, Frac
 
 
 def _expand(field: FunctionFieldData, exponents: ExponentMap) -> RationalFunctionQ:
-    """The normalized num/den of an exponent map.
-
-    The cyclotomic keys are distinct irreducibles and cancel by their
-    exponents alone.  The roots of a P-shift P(q^j u) have absolute
-    value q^(-j-1/2), as FunctionFieldData certifies P as a Weil
-    polynomial, and those of a cyclotomic factor an integral power of q,
-    so ratfun's gcd must leave the denominator whole.
+    """The normalized num/den of an exponent map: its factors multiplied
+    out, with no gcd, as nothing cancels.  Each factor has constant term
+    1, so num and den do and, by Gauss's lemma, are primitive.  The keys
+    are distinct irreducibles, each in num or den by its exponent's sign;
+    a P-shift P(q^j u) has roots of absolute value q^(-j-1/2), as
+    FunctionFieldData certifies P as a Weil polynomial, and Phi*_m(q^j u)
+    roots of absolute value q^(-j).
     """
     num = den = PolyQ.one()
     for (j, m), e in exponents.items():
@@ -135,12 +135,7 @@ def _expand(field: FunctionFieldData, exponents: ExponentMap) -> RationalFunctio
                 num = num * factor
             else:
                 den = den * factor
-    out = ratfun(num, den)
-    if out.den.degree < den.degree:
-        raise InternalConsistencyError(
-            "closed form numerator and denominator share a factor"
-        )
-    return out
+    return coprime_ratfun(num, den)
 
 
 class OrderZetaClosedForm(Record):

@@ -11,6 +11,7 @@ from massform.algebra import (
     PolyQ,
     RationalFunctionQ,
     TruncatedSeriesQ,
+    coprime_ratfun,
     poly_gcd,
     ratfun,
     rational_to_str,
@@ -146,10 +147,13 @@ def test_ratfun_mul_cross_cancels():
     assert h.den.coeffs == (1,)
 
 
-def test_ratfun_regularity_probe():
-    f = ratfun(PolyQ((1, 1, 2)), PolyQ((1, -4)))
-    assert f.is_regular_at(1)
-    assert not f.is_regular_at(Fraction(1, 4))
+def test_coprime_ratfun_only_fixes_the_sign():
+    f = coprime_ratfun(PolyQ((1, 1)), PolyQ((1, -2)))      # (1+u)/(1-2u)
+    assert f.num.coeffs == (-1, -1)
+    assert f.den.coeffs == (-1, 2)
+    assert f == ratfun(PolyQ((1, 1)), PolyQ((1, -2)))
+    g = coprime_ratfun(PolyQ((1, 2)), PolyQ((1, 0, 3)))    # already normalized
+    assert (g.num.coeffs, g.den.coeffs) == ((1, 2), (1, 0, 3))
 
 
 # -- truncated series ----------------------------------------------------

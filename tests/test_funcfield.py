@@ -164,6 +164,43 @@ def test_weil_test_agrees_with_the_power_sum_oracle():
     assert 100 < sum(verdicts) < 900
 
 
+def rueck_oracle(q, a):
+    """Whether 1 + a_1 T + qT^2 (genus 1) or 1 + a_1 T + a_2 T^2 + q a_1 T^3
+    + q^2 T^4 (genus 2) is a Weil q-polynomial, by Rueck's inequalities in
+    integers (Compositio Math. 76, 1990): h(x) = x + a_1, or
+    x^2 + a_1 x + a_2 - 2q, has its roots real in [-2 sqrt(q), 2 sqrt(q)]."""
+    if len(a) == 1:
+        return a[0] ** 2 <= 4 * q
+    a1, a2 = a
+    return (a1 * a1 <= 16 * q and 4 * a2 <= a1 * a1 + 8 * q and a2 + 2 * q >= 0
+            and 4 * a1 * a1 * q <= (a2 + 2 * q) ** 2)
+
+
+def test_weil_test_agrees_with_rueck_on_boxes_around_the_bounds():
+    # each box encloses the bounds by a margin; the square q put roots at
+    # the interval's ends, as a_1^2 = 4q, a_1^2 = 16q or a_2 + 2q = 2|a_1| sqrt(q)
+    weil_count = checked = 0
+    for q in (2, 3, 4, 5, 9, 16, 25):
+        b1, b2 = isqrt(4 * q) + 2, isqrt(16 * q) + 2
+        boxes = [(a1,) for a1 in range(-b1, b1 + 1)]
+        boxes += [(a1, a2) for a1 in range(-b2, b2 + 1) for a2 in range(-2 * q - 2, 6 * q + 3)]
+        for a in boxes:
+            genus = len(a)
+            low = (1, *a)
+            p = PolyQ(low + tuple(q ** (genus - i) * low[i] for i in range(genus - 1, -1, -1)))
+            want = rueck_oracle(q, a)
+            assert weil(p, q) == want, (q, a)
+            try:
+                FunctionFieldData(q=q, genus=genus, l_poly=p, deg_inf=1)
+                refused_as_non_weil = False
+            except InvalidFieldError as exc:
+                refused_as_non_weil = "not a Weil" in str(exc)
+            assert refused_as_non_weil == (not want), (q, a)
+            weil_count += want and genus == 2
+            checked += 1
+    assert (checked, weil_count) == (19018, 2723)
+
+
 def test_coefficient_bound_refuses_before_the_sturm_chain(monkeypatch):
     # without the bound, the chain took 28 s on a genus-16 P with coefficients
     # of about 4000 digits (2-CPU machine)

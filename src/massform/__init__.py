@@ -25,7 +25,6 @@ _HOMES = {
     "order_zeta_closed_form": "orderzeta",
     "order_zeta_series": "orderzeta",
     "parse_shorthand": "csa",
-    "validate": "csa",
     "zeta_K": "funcfield",
     "zeta_special_value": "funcfield",
 }

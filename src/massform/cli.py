@@ -41,7 +41,6 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .algebra import RationalFunctionQ
-    from .csa import RamificationData
     from .funcfield import FunctionFieldData
 
 PROG = "massform"
@@ -338,16 +337,6 @@ def _resolve_field(q, genus, l_poly, deg_inf, field_file) -> FunctionFieldData:
     return field_from_json_dict(merged)
 
 
-def _resolve_ramification(
-    field: FunctionFieldData, rank: int, ram: str
-) -> RamificationData:
-    from .csa import ensure_valid, parse_shorthand
-
-    data = parse_shorthand(ram, field, rank)
-    ensure_valid(data)
-    return data
-
-
 # ----------------------------------------------------------------------
 # Output helpers
 # ----------------------------------------------------------------------
@@ -407,11 +396,11 @@ def _field_header(field: FunctionFieldData) -> dict:
 @command("mass", *FIELD_OPTIONS, RANK, Option("--ram", "text", "", help='e.g. "inf:1/2,1:1/2"'))
 def cmd_mass(q, genus, l_poly, deg_inf, field_file, rank, ram, fmt):
     """Mass of the maximal orders for one ramification datum."""
-    from .csa import shorthand
+    from .csa import parse_shorthand, shorthand
     from .massengine import mass, mass_report_to_json_dict
 
     field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
-    data = _resolve_ramification(field, rank, ram)
+    data = parse_shorthand(ram, field, rank)
     out = {
         **_field_header(field),
         "rank": rank,
@@ -480,11 +469,11 @@ def cmd_zeta(q, genus, l_poly, deg_inf, field_file, values, fmt):
 def cmd_order_zeta(q, genus, l_poly, deg_inf, field_file, rank, ram, series_order, fmt):
     """Zeta function of a maximal order: closed form, value at zero, series."""
     from .algebra import rational_to_str
-    from .csa import shorthand
+    from .csa import parse_shorthand, shorthand
     from .orderzeta import order_zeta_closed_form, order_zeta_series
 
     field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
-    data = _resolve_ramification(field, rank, ram)
+    data = parse_shorthand(ram, field, rank)
     closed = order_zeta_closed_form(data)
     series = order_zeta_series(data, series_order)
     out = {
@@ -579,34 +568,34 @@ def cmd_local_model_check(q_v, d, b, precision, pairs, seed, fmt):
 )
 def cmd_table(qs, ranks, p_degrees, fmt):
     """Mass table over a parameter grid of Drinfeld-shape data."""
-    from .csa import RamificationData, shorthand
+    from .csa import RamificationData, parse_shorthand, shorthand
     from .funcfield import FunctionFieldData
     from .massengine import mass
 
     qs = _parse_int_list(qs, "--qs")
     ranks = _parse_int_list(ranks, "--ranks")
     p_degrees = _parse_int_list(p_degrees, "--p-degrees")
+    # (q, r, p-degree, datum): rows sort on the integers, so degree 10
+    # comes after degree 9, not after degree 1
     rows = []
     for q in qs:
         field = FunctionFieldData.rational(q)
         for r in ranks:
             if r == 1:
                 data = RamificationData(field=field, rank=1, places=())
-                rows.append((q, 0, r, data))
+                rows.append((q, r, 0, data))
             else:
                 for p_degree in p_degrees:
-                    data = _resolve_ramification(
-                        field, r, f"inf:-1/{r},{p_degree}:1/{r}"
-                    )
-                    rows.append((q, 0, r, data))
-    rows.sort(key=lambda item: (item[0], item[1], item[2], shorthand(item[3])))
+                    data = parse_shorthand(f"inf:-1/{r},{p_degree}:1/{r}", field, r)
+                    rows.append((q, r, p_degree, data))
+    rows.sort(key=lambda item: item[:3])
     out_rows = []
-    for q, genus, r, data in rows:
+    for q, r, _, data in rows:
         value = mass(data).mass
         out_rows.append(
             {
                 "q": q,
-                "genus": genus,
+                "genus": data.field.genus,
                 "deg_inf": data.field.deg_inf,
                 "r": r,
                 "ramification": shorthand(data),

@@ -2,14 +2,12 @@
 
 A place in the ramification set carries its degree, its invariant b/d
 (stored exactly as given; reduced mod d only where an equality test
-needs it), and an infinity flag.  validate() is the one full validation
-of a datum, place availability included, and is report-style: it lists
-every broken constraint instead of stopping at the first.  The engines,
-the CLI and the verify batteries call ensure_valid(), which raises on
-broken data and records a success on the datum, so validate() runs once
-per RamificationData however many engines read it: a battery datum
-reaches the engines already validated.  A failure is never recorded and
-raises on every call.
+needs it), and an infinity flag.  A RamificationData is valid by
+construction: its constructor runs validate(), the one full validation
+of a datum, place availability included, which lists every broken
+constraint in one InvalidRamificationError instead of stopping at the
+first.  So no engine checks a datum again, and validate() runs once per
+datum however many engines read it.
 
 lambda_value, the local mass correction, is memoised on its integer
 arguments.  It belongs to the mass side only; the order-zeta closed form
@@ -70,15 +68,13 @@ class RamifiedPlace(Record):
 
 
 class RamificationData(Record):
-    _fields = ("field", "rank", "places")
-    __slots__ = (*_fields, "_valid")
+    __slots__ = _fields = ("field", "rank", "places")
 
     def __init__(self, field: FunctionFieldData, rank: int, places: tuple[RamifiedPlace, ...]):
         self.field = field
         self.rank = rank
         self.places = places
-        # set by ensure_valid once the structural checks pass; never set on failure
-        self._valid = False
+        validate(self)
 
     def infinite_place(self) -> RamifiedPlace | None:
         for p in self.places:
@@ -90,16 +86,9 @@ class RamificationData(Record):
         return tuple(p for p in self.places if not p.is_infinity)
 
 
-class ValidationReport(Record):
-    __slots__ = _fields = ("ok", "failures")
-
-    def __init__(self, ok: bool, failures: tuple[str, ...]):
-        self.ok = ok
-        self.failures = failures
-
-
-def validate(data: RamificationData) -> ValidationReport:
-    """Check every constraint on the datum and report all failures.
+def validate(data: RamificationData) -> None:
+    """Check every constraint on the datum and raise one
+    InvalidRamificationError that names every failure.
 
     Besides the structural checks, this checks that the field possesses
     as many distinct places of each degree as the data uses; entries
@@ -107,8 +96,8 @@ def validate(data: RamificationData) -> ValidationReport:
     of degree deg_inf.  A place of degree above MAX_PLACE_DEGREE is
     rejected and takes no part in that check, so no place count above
     the cap is computed.  A datum whose ramified degrees sum above
-    MAX_RAMIFIED_DEGREE is rejected too.  This is the one full
-    validation of a datum; ensure_valid runs it once per datum.
+    MAX_RAMIFIED_DEGREE is rejected too.  RamificationData's
+    constructor is the one caller.
     """
     failures: list[str] = []
     r = data.rank
@@ -180,23 +169,8 @@ def validate(data: RamificationData) -> ValidationReport:
                 f"but only {available} exist"
             )
 
-    return ValidationReport(ok=not failures, failures=tuple(failures))
-
-
-def ensure_valid(data: RamificationData) -> None:
-    """Raise InvalidRamificationError unless validate passes the data.
-
-    A success is recorded on the data, so the engines that each call
-    this pay for validate once per datum; a failure is not recorded and
-    raises again on every call.  The verify batteries build their data
-    through this gate too, so a battery datum is validated once in all.
-    """
-    if data._valid:
-        return
-    report = validate(data)
-    if not report.ok:
-        raise InvalidRamificationError("; ".join(report.failures))
-    data._valid = True
+    if failures:
+        raise InvalidRamificationError("; ".join(failures))
 
 
 def is_definite(data: RamificationData) -> bool:

@@ -22,7 +22,6 @@ from .algebra import rational_to_str
 from .csa import (
     RamificationData,
     RamifiedPlace,
-    ensure_valid,
     is_definite,
     is_drinfeld_type,
     lambda_v,
@@ -71,7 +70,6 @@ def mass(data: RamificationData) -> MassReport:
     q - 1, each zeta_K(-i) and each lambda_v; the mass is the one
     Fraction made from them.
     """
-    ensure_valid(data)
     if not is_definite(data):
         raise NotDefiniteError(
             "mass is defined only for definite data (division algebra at infinity)"
@@ -109,17 +107,15 @@ def drinfeld_mass(field: FunctionFieldData, r: int, p_degree: int) -> Fraction:
     (1 - N(inf)^i) * (1 - N(p)^i); the two extra factors strip the
     Euler factors at the two ramified places from each special value.
     Only the degree of the finite place enters, but the datum it stands
-    for must be valid, so it is built and checked.
+    for must be valid, so it is built, and building it checks it.
     """
-    ensure_valid(
-        RamificationData(
-            field=field,
-            rank=r,
-            places=(
-                RamifiedPlace(field.deg_inf, -1, r, is_infinity=True),
-                RamifiedPlace(p_degree, 1, r),
-            ),
-        )
+    RamificationData(
+        field=field,
+        rank=r,
+        places=(
+            RamifiedPlace(field.deg_inf, -1, r, is_infinity=True),
+            RamifiedPlace(p_degree, 1, r),
+        ),
     )
     n_inf = field.q ** field.deg_inf
     n_p = field.q ** p_degree

@@ -53,7 +53,7 @@ from functools import cache, cached_property
 from operator import mul
 
 from .algebra import PolyQ, RationalFunctionQ, TruncatedSeriesQ, coprime_ratfun
-from .csa import RamificationData, ensure_valid, is_definite
+from .csa import RamificationData, is_definite
 from .errors import (
     MAX_SERIES_ORDER,
     InternalConsistencyError,
@@ -246,7 +246,6 @@ def order_zeta_closed_form(data: RamificationData) -> OrderZetaClosedForm:
     * prod_{places} prod_{i in 1..r-1, d_v not | i} (1 - q^{i deg v} u^{deg v}),
     kept as exponents of its irreducible factors.
     """
-    ensure_valid(data)
     if not is_definite(data):
         raise NotDefiniteError("order zeta closed form needs definite data")
     exponents = _exponents(data)
@@ -342,7 +341,6 @@ def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
     skipped; the closed form compensates, and the tests compare the two
     expansions coefficient by coefficient.
     """
-    ensure_valid(data)
     if not is_definite(data):
         raise NotDefiniteError("order zeta series needs definite data")
     if not 0 <= order <= MAX_SERIES_ORDER:
@@ -360,7 +358,7 @@ def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
         ramified_here = len(ramified.get(degree, ()))
         multiplicity = available - ramified_here - (degree == field.deg_inf)
         if multiplicity < 0:
-            # ensure_valid's availability check, made again from the
+            # the constructor's availability check, made again from the
             # place counts the product runs over
             raise InternalConsistencyError(
                 f"{ramified_here} finite ramified places of degree {degree} "
@@ -400,7 +398,6 @@ def place_by_place_series(data: RamificationData, order: int) -> tuple[int, ...]
     the two is a real multiplicativity statement.  The cost grows with
     the number of places, exponentially in the order.
     """
-    ensure_valid(data)
     coeffs = [1] + [0] * order
 
     def convolve_place(degree: int, m_v: int, d_v: int) -> None:

@@ -17,7 +17,6 @@ from .algebra import PolyQ, series_from_ratfun
 from .csa import (
     RamificationData,
     RamifiedPlace,
-    ensure_valid,
     lambda_value,
     shorthand,
 )
@@ -102,16 +101,18 @@ def _finite_available(field: FunctionFieldData, degree: int) -> int:
     return n
 
 
-def _must_be_valid(data: RamificationData) -> RamificationData:
-    """The datum, validated through ensure_valid's gate, so that the
-    engines it reaches do not validate it again."""
+def _battery_datum(
+    field: FunctionFieldData, rank: int, places: tuple[RamifiedPlace, ...]
+) -> RamificationData:
+    """The battery's datum with these places.  The battery yields only
+    valid data, so a refusal by the constructor is an internal fault."""
     try:
-        ensure_valid(data)
+        return RamificationData(field=field, rank=rank, places=places)
     except InvalidRamificationError as exc:
+        tokens = ",".join(p.shorthand_token() for p in places)
         raise InternalConsistencyError(
-            f"battery produced invalid data {shorthand(data)}: {exc}"
+            f"battery produced invalid data {tokens}: {exc}"
         ) from None
-    return data
 
 
 def definite_battery(
@@ -136,13 +137,7 @@ def definite_battery(
             bf = (r - b0) % r
             for delta in degrees:
                 out.append(
-                    _must_be_valid(
-                        RamificationData(
-                            field=field,
-                            rank=r,
-                            places=(inf_place, RamifiedPlace(delta, bf, r)),
-                        )
-                    )
+                    _battery_datum(field, r, (inf_place, RamifiedPlace(delta, bf, r)))
                 )
             # three places
             finite_divisors = [d for d in range(2, r + 1) if r % d == 0]
@@ -160,16 +155,14 @@ def definite_battery(
                     if total.denominator != 1:
                         continue
                     out.append(
-                        _must_be_valid(
-                            RamificationData(
-                                field=field,
-                                rank=r,
-                                places=(
-                                    inf_place,
-                                    RamifiedPlace(delta1, b1, d1),
-                                    RamifiedPlace(delta2, b2, d2),
-                                ),
-                            )
+                        _battery_datum(
+                            field,
+                            r,
+                            (
+                                inf_place,
+                                RamifiedPlace(delta1, b1, d1),
+                                RamifiedPlace(delta2, b2, d2),
+                            ),
                         )
                     )
     return out

@@ -19,7 +19,12 @@ import massform.cli as cli
 from massform import csa, funcfield, localvolumes, massengine, orderzeta, verify
 from massform.algebra import rational_to_str
 from massform.csa import MAX_PLACE_DEGREE, MAX_RAMIFIED_DEGREE, MAX_RANK
-from massform.errors import MAX_Q, InternalConsistencyError, InvalidFieldError
+from massform.errors import (
+    MAX_Q,
+    InternalConsistencyError,
+    InvalidFieldError,
+    InvalidRamificationError,
+)
 from massform.finitefield import FIELD_SIZE_CAP
 from massform.funcfield import MAX_GENUS, FunctionFieldData, zeta_A, zeta_K
 from massform.localmodels import MAX_MODEL_PAIRS, MAX_MODEL_PRECISION
@@ -325,6 +330,16 @@ def test_table_rows_sorted(capsys):
     rows = json.loads(out)
     keys = [(row["q"], row["genus"], row["r"], row["ramification"]) for row in rows]
     assert keys == sorted(keys)
+
+
+def test_table_rows_sort_place_degrees_as_integers(capsys):
+    code, out, _ = invoke(
+        capsys, "table", "--qs", "2", "--ranks", "2", "--p-degrees", "2,10,1",
+    )
+    assert code == 0
+    assert [row["ramification"] for row in json.loads(out)] == [
+        "inf:-1/2,1:1/2", "inf:-1/2,2:1/2", "inf:-1/2,10:1/2",
+    ]
 
 
 def test_field_file_with_inline_override_warns(capsys, tmp_path):
@@ -661,10 +676,8 @@ def test_deg_inf_cap_from_each_side(capsys):
 def test_place_degree_cap_is_checked_before_any_place_count():
     field = FunctionFieldData.rational(2)
     known = len(field._counts)
-    data = csa.parse_shorthand("inf:1/2,16000:1/2", field, 2)
-    report = csa.validate(data)
-    assert not report.ok
-    assert any("above the cap" in failure for failure in report.failures)
+    with pytest.raises(InvalidRamificationError, match="above the cap"):
+        csa.parse_shorthand("inf:1/2,16000:1/2", field, 2)
     assert len(field._counts) == known
 
 

@@ -131,8 +131,9 @@ def test_mass_rejects_indefinite_and_invalid():
     indefinite = parse_shorthand("1:1/2,1:-1/2", K2, rank=2)
     with pytest.raises(NotDefiniteError):
         mass(indefinite)
+    # invalid data never reaches mass: its constructor refuses it
     with pytest.raises(InvalidRamificationError):
-        mass(parse_shorthand("inf:1/2", K2, rank=2))
+        parse_shorthand("inf:1/2", K2, rank=2)
 
 
 def test_mass_report_recomposition():

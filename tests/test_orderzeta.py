@@ -17,10 +17,8 @@ from massform.algebra import (
 from massform.csa import (
     RamificationData,
     RamifiedPlace,
-    ensure_valid,
     is_definite,
     parse_shorthand,
-    validate,
 )
 from massform.errors import (
     InternalConsistencyError,
@@ -160,12 +158,10 @@ def random_definite_data(rng, fields=None):
             residual += Fraction(b, d)
         if not feasible:
             continue
-        data = RamificationData(field=field, rank=r, places=tuple(places))
         try:
-            ensure_valid(data)
+            return RamificationData(field=field, rank=r, places=tuple(places))
         except InvalidRamificationError:
             continue
-        return data
 
 
 def reference_stream():
@@ -184,9 +180,8 @@ def reference_stream():
 def test_random_definite_data_always_valid():
     rng = random.Random(99)
     for _ in range(50):
-        data = random_definite_data(rng)
-        assert validate(data).ok
-        assert is_definite(data)
+        # built, so valid; the draw must also keep it definite
+        assert is_definite(random_definite_data(rng))
 
 
 def test_random_definite_data_deterministic_per_seed():
@@ -562,26 +557,24 @@ def test_every_coefficient_the_package_builds_is_an_int():
 def test_every_engine_rejects_more_places_than_the_field_has():
     # three ramified degree-1 finite places over F_2 rational: only two
     # exist once infinity takes its slot; the structural checks all pass
-    def too_many_places():
-        return RamificationData(
-            field=K2,
-            rank=2,
-            places=(
-                RamifiedPlace(1, 1, 2, is_infinity=True),
-                RamifiedPlace(1, 1, 2),
-                RamifiedPlace(1, 1, 2),
-                RamifiedPlace(1, 1, 2),
-            ),
-        )
-
-    engines = (mass, order_zeta_closed_form, lambda data: order_zeta_series(data, 4))
-    for engine in engines:
-        with pytest.raises(InvalidRamificationError, match="only 2 exist"):
-            engine(too_many_places())
+    fields = {
+        "field": K2,
+        "rank": 2,
+        "places": (
+            RamifiedPlace(1, 1, 2, is_infinity=True),
+            RamifiedPlace(1, 1, 2),
+            RamifiedPlace(1, 1, 2),
+            RamifiedPlace(1, 1, 2),
+        ),
+    }
+    # no engine can be handed the datum: its constructor refuses it
+    with pytest.raises(InvalidRamificationError, match="only 2 exist"):
+        RamificationData(**fields)
     # the series makes its own place count: a datum that skipped
     # validation still cannot produce a series
-    unchecked = too_many_places()
-    object.__setattr__(unchecked, "_valid", True)
+    unchecked = object.__new__(RamificationData)
+    for name, value in fields.items():
+        object.__setattr__(unchecked, name, value)
     with pytest.raises(InternalConsistencyError, match="has 2 finite places"):
         order_zeta_series(unchecked, 4)
 

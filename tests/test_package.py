@@ -1,5 +1,6 @@
 """Package-wide properties: no bare asserts, no unused imports, one
-version number, immutable values, and `dataclasses` in one module only."""
+version number, immutable values, `dataclasses` in one module only, and
+ramification data validated by its constructor only."""
 
 import ast
 import importlib
@@ -127,3 +128,31 @@ def test_dataclasses_is_imported_by_the_matrix_models_only():
                 importers.setdefault(path.name, []).append(node.col_offset)
     # col_offset 0: at the top of the module, never inside a function
     assert importers == {"localmodels.py": [0]}
+
+
+def _callers_of(name: str) -> list[tuple[str, str]]:
+    """(module file, enclosing qualified name) of every call to `name`,
+    as a bare name or as an attribute."""
+    callers = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    callers.append((path.name, ".".join(scope)))
+            visit(child, path, scope)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), filename=str(path)), path, ())
+    return callers
+
+
+def test_ramification_data_is_validated_by_its_constructor_only():
+    # a datum is valid by construction; no engine or command checks again
+    assert _callers_of("validate") == [("csa.py", "RamificationData.__init__")]
+    assert [path.name for path in SOURCES if "ensure_valid" in path.read_text()] == []

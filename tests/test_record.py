@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from massform.algebra import PolyQ, TruncatedSeriesQ, ratfun
-from massform.csa import RamifiedPlace, ValidationReport, ensure_valid, parse_shorthand
+from massform.csa import RamifiedPlace, parse_shorthand
 from massform.finitefield import FqField, TruncatedSeriesFq
 from massform.funcfield import FunctionFieldData, places_of_degree, zeta_special_value
 from massform.localmodels import LocalModel, ModelCheckReport
@@ -63,16 +63,11 @@ RECORDS = {
     ),
     "RamificationData": (
         lambda: parse_shorthand(DATUM, K3, rank=2),
-        ensure_valid, ("_valid",),
+        None, (),
         "RamificationData(field=FunctionFieldData(q=3, genus=0, l_poly=PolyQ(1), "
         "deg_inf=1), rank=2, places=(RamifiedPlace(degree=1, inv_num=1, inv_den=2, "
         "is_infinity=True), RamifiedPlace(degree=1, inv_num=1, inv_den=2, "
         "is_infinity=False)))",
-    ),
-    "ValidationReport": (
-        lambda: ValidationReport(ok=False, failures=("rank 0 must be >= 1",)),
-        None, (),
-        "ValidationReport(ok=False, failures=('rank 0 must be >= 1',))",
     ),
     "FunctionFieldData": (
         lambda: FunctionFieldData(q=2, genus=1, l_poly=PolyQ((1, 1, 2)), deg_inf=1),

@@ -4,7 +4,7 @@ import pytest
 
 from massform import csa, verify
 from massform.algebra import PolyQ, TruncatedSeriesQ
-from massform.csa import RamificationData, RamifiedPlace, is_definite, validate
+from massform.csa import RamifiedPlace, is_definite
 from massform.errors import InternalConsistencyError, InvalidFieldError
 from massform.funcfield import FunctionFieldData
 from massform.verify import (
@@ -28,7 +28,6 @@ def test_battery_fields_composition():
 def test_definite_battery_all_valid_and_definite():
     for field in battery_fields():
         for data in definite_battery(field):
-            assert validate(data).ok
             assert is_definite(data)
             assert len(data.places) in (2, 3)
             assert all(p.degree <= 3 for p in data.places)
@@ -72,23 +71,22 @@ def test_battery_data_are_validated_once(monkeypatch):
 
 def test_battery_gate_still_refuses_invalid_data():
     # three degree-1 finite places over F_2, where infinity leaves two;
-    # a failure is not recorded, so it raises on every call
+    # a refusal raises on every call
     field = FunctionFieldData.rational(2)
-    data = RamificationData(
-        field=field,
-        rank=2,
-        places=(
-            RamifiedPlace(1, 1, 2, is_infinity=True),
-            RamifiedPlace(1, 1, 2),
-            RamifiedPlace(1, 1, 2),
-            RamifiedPlace(1, 1, 2),
-        ),
+    places = (
+        RamifiedPlace(1, 1, 2, is_infinity=True),
+        RamifiedPlace(1, 1, 2),
+        RamifiedPlace(1, 1, 2),
+        RamifiedPlace(1, 1, 2),
     )
     for _ in range(2):
-        with pytest.raises(InternalConsistencyError, match="only 2 exist"):
-            verify._must_be_valid(data)
-    valid = RamificationData(field=field, rank=2, places=data.places[:2])
-    assert verify._must_be_valid(valid) is valid
+        with pytest.raises(
+            InternalConsistencyError,
+            match="battery produced invalid data inf:1/2,1:1/2,1:1/2,1:1/2: .*only 2 exist",
+        ):
+            verify._battery_datum(field, 2, places)
+    valid = verify._battery_datum(field, 2, places[:2])
+    assert (valid.field, valid.rank, valid.places) == (field, 2, places[:2])
 
 
 def test_series_sample_covers_genus_one():

@@ -8,12 +8,12 @@ Two independent realizations of the same object live here:
   1 - (q^j u)^k or a shift P(q^i u) of the L-polynomial, so the product
   is kept as a map from irreducible factors (the reciprocal cyclotomic
   polynomials Phi*_m(q^j u), m | k, and the P-shifts) to exponents.
-  The net map is built in one pass over a plain dict, and cancellation
-  is adding exponents.  FunctionFieldData certifies P as a Weil
-  polynomial, so no P-shift vanishes at u = q^-j and the pole checks at
-  u = 1 and u = q^-r read cyclotomic exponents only; the value at u = 1
-  is read off the map in integers.  The labelled factors and num/den,
-  multiplied out with no gcd, are audit output, built only when read;
+  The net map is written down by one formula in _exponents, and
+  cancellation is adding exponents.  FunctionFieldData certifies P as a
+  Weil polynomial, so no P-shift vanishes at u = q^-j and the pole
+  checks at u = 1 and u = q^-r read cyclotomic exponents only; the value
+  at u = 1 is read off the map in integers.  Its num/den, multiplied
+  out with no gcd, is built only when read;
 * a truncated Dirichlet series built from an Euler product over the
   finite places, expanded in integers by Newton's identities on its
   log-derivative.  That is read off the product's own place counts:
@@ -32,17 +32,14 @@ factors whose product deletes every infinity Euler factor exactly when
 the data is definite.  No step here reuses the mass engine,
 zeta_special_value or lambda_v.
 
-The closed form keeps its own memos, inside the functions that compute
+The closed form keeps two memos, inside the functions that compute
 each value, so a patched function still replaces the computation:
-_cyclotomic (the polynomial Phi*_m, by m), and _zeta_a_exponents,
-_shift_exponents, _zeta_exponents and _correction_keys (the exponent-map
-pieces fixed by deg_inf, by a shift's index, by (deg_inf, r) and by a
-place's shape).  Each factor is written once: a key (j, m) stands for
-P or Phi*_m at q^j u, and the expansion prints that one polynomial where
-the value at u = 1 evaluates it at q^j; the labelled factors and the net
-map read the same memos.  The mass side reads none of them, and the
-closed form never reads the zeta_K(-i) memo the mass side keeps on the
-field.
+_cyclotomic (the polynomial Phi*_m, by m) and _correction_keys (a
+place's correction keys, by the place's shape).  Each factor is written
+once: a key (j, m) stands for P or Phi*_m at q^j u, and the expansion
+prints that one polynomial where the value at u = 1 evaluates it at
+q^j.  The mass side reads neither memo, and the closed form never reads
+the zeta_K(-i) memo the mass side keeps on the field.
 """
 
 from __future__ import annotations
@@ -76,9 +73,6 @@ from .record import Record
 # factors are irreducible over Q and distinct for distinct (j, m).  A key
 # with m = 0 stands for the P-shift P(q^j u).
 ExponentMap = dict[tuple[int, int], int]
-# A memo keeps an exponent map as the tuple of its items, so no caller
-# can change the memo through it
-ExponentItems = tuple[tuple[tuple[int, int], int], ...]
 
 
 @cache
@@ -142,13 +136,11 @@ class OrderZetaClosedForm(Record):
     """The closed form as an exponent map over irreducible factors.
 
     exponents is the net map and value_at_one the value at u = 1
-    (s = 0), read off it.  Everything else is audit output, built only
-    when read: factors, the labelled maps whose sum is the net map, and
-    ratfun and assembled_from, the maps expanded to normalized rational
-    functions.
+    (s = 0), read off it.  ratfun, the map expanded to a normalized
+    rational function, is built only when read.
     """
 
-    # no __slots__: the cached properties keep their values in __dict__
+    # no __slots__: the cached property keeps its value in __dict__
     _fields = ("data", "exponents", "value_at_one")
 
     def __init__(self, data: RamificationData, exponents: ExponentMap, value_at_one: Fraction):
@@ -156,39 +148,9 @@ class OrderZetaClosedForm(Record):
         self.exponents = exponents
         self.value_at_one = value_at_one
 
-    @property
-    def field(self) -> FunctionFieldData:
-        return self.data.field
-
-    @cached_property
-    def factors(self) -> tuple[tuple[str, ExponentMap], ...]:
-        return tuple(_labelled_factors(self.data))
-
     @cached_property
     def ratfun(self) -> RationalFunctionQ:
-        return _expand(self.field, self.exponents)
-
-    @property
-    def assembled_from(self) -> tuple[tuple[str, RationalFunctionQ], ...]:
-        return tuple((label, _expand(self.field, f)) for label, f in self.factors)
-
-
-@cache
-def _zeta_a_exponents(deg_inf: int) -> ExponentItems:
-    """zeta_A = (1 - u^deg_inf) P(u) / ((1 - u)(1 - qu)): a closed-form
-    memo on deg_inf.  1 - u^deg_inf is the product of the Phi*_m(u) over
-    m | deg_inf, and its m = 1 factor cancels 1 - u."""
-    net = {(0, 0): 1, (1, 1): -1}
-    for m in _divisors(deg_inf)[1:]:
-        net[0, m] = 1
-    return tuple(net.items())
-
-
-@cache
-def _shift_exponents(i: int) -> ExponentItems:
-    """The shift P(q^i u) / ((1 - q^i u)(1 - q^(i+1) u)): a closed-form
-    memo on i."""
-    return (((i, 0), 1), ((i, 1), -1), ((i + 1, 1), -1))
+        return _expand(self.data.field, self.exponents)
 
 
 @cache
@@ -200,40 +162,25 @@ def _correction_keys(degree: int, inv_den: int, r: int) -> tuple[tuple[int, int]
     return tuple((i, m) for i in range(1, r) if i % inv_den for m in divisors)
 
 
-def _labelled_factors(data: RamificationData) -> list[tuple[str, ExponentMap]]:
-    """The closed form's factors as labelled exponent maps, read from the
-    same memos as the net map."""
-    r = data.rank
-    factors = [("zeta_A", dict(_zeta_a_exponents(data.field.deg_inf)))]
-    factors += [(f"zeta_K_shift_{i}", dict(_shift_exponents(i))) for i in range(1, r)]
-    for place in data.places:
-        keys = _correction_keys(place.degree, place.inv_den, r)
-        factors.append((f"correction_{place.shorthand_token()}", dict.fromkeys(keys, 1)))
-    return factors
-
-
-@cache
-def _zeta_exponents(deg_inf: int, r: int) -> ExponentItems:
-    """The exponents of zeta_A and of the r - 1 shifts, before any
-    correction: a closed-form memo on (deg_inf, r)."""
-    net = dict(_zeta_a_exponents(deg_inf))
-    for i in range(1, r):
-        for key, e in _shift_exponents(i):
-            net[key] = net.get(key, 0) + e
-    return tuple(net.items())
-
-
 def _exponents(data: RamificationData) -> ExponentMap:
-    """The net exponent map of the closed form, in one pass: the sum of
-    the labelled factors without building them.
+    """The net exponent map of the closed form.
 
-    The part fixed by (deg_inf, r) and each place's correction keys are
-    read from the memos _zeta_exponents and _correction_keys, which hold
-    at most MAX_PLACE_DEGREE x MAX_RANK and MAX_PLACE_DEGREE x MAX_RANK^2
-    entries; only the sum is made per datum.
+    zeta_A = (1 - u^deg_inf) P(u) / ((1 - u)(1 - qu)), where
+    1 - u^deg_inf is the product of the Phi*_m(u) over m | deg_inf and
+    its m = 1 factor cancels 1 - u, times the shifts
+    P(q^j u) / ((1 - q^j u)(1 - q^(j+1) u)) for 0 < j < r, is
+        prod_{j < r} P(q^j u) * prod_{m | deg_inf, m > 1} Phi*_m(u)
+        * prod_{0 < j < r} (1 - q^j u)^-2 * (1 - q^r u)^-1,
+    and each place adds one to the exponent of each of its correction
+    keys, read from the memo _correction_keys.
     """
     r = data.rank
-    net = dict(_zeta_exponents(data.field.deg_inf, r))
+    net = {(j, 0): 1 for j in range(r)}
+    for m in _divisors(data.field.deg_inf)[1:]:
+        net[0, m] = 1
+    for j in range(1, r):
+        net[j, 1] = -2
+    net[r, 1] = -1
     for place in data.places:
         for key in _correction_keys(place.degree, place.inv_den, r):
             net[key] = net.get(key, 0) + 1

@@ -25,6 +25,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidFieldError,
     InvalidRamificationError,
+    SelectionTooLargeError,
 )
 from .funcfield import (
     FunctionFieldData,
@@ -32,6 +33,7 @@ from .funcfield import (
     zeta_A,
 )
 from .localvolumes import (
+    MAX_LOCAL_INDEX,
     gl_count_bruteforce,
     lambda_from_volumes,
     sublattice_count_bruteforce,
@@ -199,12 +201,17 @@ def random_product_field(rng: random.Random) -> FunctionFieldData:
 # Suites
 # ----------------------------------------------------------------------
 
+def _deg_inf_fields() -> list[FunctionFieldData]:
+    """F_2(T) and F_3(T) with deg_inf 2 and 3: the identity suites' fields
+    beyond the battery, kept out of full_battery."""
+    return [FunctionFieldData.rational(q, deg_inf) for q in (2, 3) for deg_inf in (2, 3)]
+
+
 def _rank_one_fields() -> list[FunctionFieldData]:
     """The fields of zeta-at-zero's rank-1 rows: the battery fields,
-    F_2(T) and F_3(T) with deg_inf 2 and 3, and the first 50 distinct
-    product fields drawn from random.Random(7)."""
-    fields = list(battery_fields())
-    fields += [FunctionFieldData.rational(q, deg_inf) for q in (2, 3) for deg_inf in (2, 3)]
+    the deg_inf fields, and the first 50 distinct product fields drawn
+    from random.Random(7)."""
+    fields = [*battery_fields(), *_deg_inf_fields()]
     rng = random.Random(7)
     seen: set[tuple] = set()
     while len(seen) < 50:
@@ -218,8 +225,9 @@ def _rank_one_fields() -> list[FunctionFieldData]:
 
 def suite_zeta_at_zero(max_rank: int = 6) -> SuiteReport:
     """Capstone: the order zeta value at zero against the factored mass,
-    computed along disjoint code paths, over the rank-1 fields and the
-    battery's ranks up to max_rank.
+    computed along disjoint code paths, over the rank-1 fields and, at
+    the battery's ranks up to max_rank, over the battery fields and the
+    deg_inf fields.
 
     At rank 1 the order is A itself, and the identity is the class
     number formula zeta_A(0) = -h(A)/(q - 1).  There the closed form's
@@ -228,8 +236,12 @@ def suite_zeta_at_zero(max_rank: int = 6) -> SuiteReport:
         raise EmptySelectionError(f"max rank {max_rank} must be >= 1")
     failures = []
     rank_one = [RamificationData(field, 1, ()) for field in _rank_one_fields()]
-    battery = full_battery(ranks=tuple(r for r in BATTERY_RANKS if r <= max_rank))
-    for data in rank_one + battery:
+    ranks = tuple(r for r in BATTERY_RANKS if r <= max_rank)
+    battery = full_battery(ranks=ranks)
+    deg_inf_battery = [
+        data for field in _deg_inf_fields() for data in definite_battery(field, ranks)
+    ]
+    for data in rank_one + battery + deg_inf_battery:
         closed = order_zeta_closed_form(data)
         rhs = -mass(data).mass
         if closed.value_at_one != rhs:
@@ -240,16 +252,20 @@ def suite_zeta_at_zero(max_rank: int = 6) -> SuiteReport:
             failures.append(f"{_config_label(data)}: closed form is not zeta_A")
     return SuiteReport(
         suite="zeta-at-zero",
-        checked=len(rank_one) + len(battery),
+        checked=len(rank_one) + len(battery) + len(deg_inf_battery),
         failures=tuple(failures),
-        notes=f"{len(rank_one)} rank-1 fields and {len(battery)} definite configurations",
+        notes=(
+            f"{len(rank_one)} rank-1 fields, {len(battery)} definite configurations "
+            f"and {len(deg_inf_battery)} more with deg_inf 2 or 3"
+        ),
     )
 
 
 def _series_sample() -> list[RamificationData]:
-    """The first and the last datum of each rank over each battery field."""
+    """The first and the last datum of each rank over each battery field
+    and each deg_inf field."""
     sample = []
-    for field in battery_fields():
+    for field in [*battery_fields(), *_deg_inf_fields()]:
         battery = definite_battery(field)
         by_rank: dict[int, list[RamificationData]] = {}
         for data in battery:
@@ -262,9 +278,9 @@ def _series_sample() -> list[RamificationData]:
 
 
 # The place-by-place series convolves one stream per place, so its cost
-# grows with the number of places, exponentially in the order: on the 16
-# q = 2 data of the sample it takes about 0.04 s at order 8, 0.35 s at
-# order 12 and 2.7 s at order 16 (2-CPU machine).  It runs on the q = 2
+# grows with the number of places, exponentially in the order: on the 32
+# q = 2 data of the sample it takes about 0.05 s at order 8, 0.38 s at
+# order 12 and 3.3 s at order 16 (2-CPU machine).  It runs on the q = 2
 # data only, up to this order.
 PLACE_BY_PLACE_ORDER = 8
 
@@ -348,6 +364,9 @@ def suite_lambda_volumes(max_rank: int = 8) -> SuiteReport:
     """Local factor closed form against the volume-ratio pipeline."""
     if max_rank < 1:
         raise EmptySelectionError(f"max rank {max_rank} must be >= 1")
+    # every d | r up to r is a local index, and the volumes cap the index
+    if max_rank > MAX_LOCAL_INDEX:
+        raise SelectionTooLargeError(f"max rank {max_rank} is above the cap {MAX_LOCAL_INDEX}")
     failures = []
     checked = 0
     for q_v in (2, 3, 4, 5, 8, 9):

@@ -429,6 +429,9 @@ def test_local_subcommands(capsys):
          "PrecisionTooLowError"),
         (("verify", "--suite", "zeta-at-zero", "--max-rank", "0"), "EmptySelectionError"),
         (("verify", "--suite", "lambda-volumes", "--max-rank", "0"), "EmptySelectionError"),
+        (("verify", "--max-rank", "13"), "SelectionTooLargeError"),
+        (("verify", "--suite", "lambda-volumes", "--max-rank", "1000000"),
+         "SelectionTooLargeError"),
         (("local", "model-check", "--qv", "2", "--d", "2", "--pairs", "-3"),
          "EmptySelectionError"),
         (("mass", "--q", "2", "--rank", "2", "--ram", "inf:1/0"), "InvalidRamificationError"),
@@ -493,6 +496,7 @@ def test_local_subcommands(capsys):
     ids=[
         "volumes-d0", "lambda-d0", "table-rank0", "volumes-qv6", "iw-index-qv6",
         "model-check-prec1", "verify-empty-ranks", "verify-lambda-max-rank0",
+        "verify-max-rank-above-cap", "verify-lambda-max-rank-huge",
         "model-check-pairs-negative", "mass-invariant-den0", "mass-ram-degree-1_0",
         "mass-ram-non-ascii-digit",
         "zeta-values-negative", "zeta-values0", "order-zeta-series-order-above-cap",
@@ -703,8 +707,9 @@ def test_verify_respects_max_rank(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["ok"] is True
-    # the 59 rank-1 rows and the 14 rank-2 configurations
-    assert obj["reports"][0]["checked"] == 73
+    # the 59 rank-1 rows, the 14 rank-2 battery configurations and the 11
+    # rank-2 data with deg_inf 2 or 3
+    assert obj["reports"][0]["checked"] == 84
 
 
 def test_verify_passes_options_only_to_suites_that_take_them(capsys, monkeypatch):

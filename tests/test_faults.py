@@ -81,6 +81,15 @@ KILLS = [
     ("cyclotomic-value-plus-one-at-m3", "massform.orderzeta", "_cyclotomic",
      "lambda f: lambda m: algebra.PolyQ((f(m).coeffs[0] + (m == 3), *f(m).coeffs[1:]))",
      {"zeta-at-zero", "series-closed-form"}),
+    ("correction-keys-drop-the-first", "massform.orderzeta", "_correction_keys",
+     "lambda f: lambda degree, inv_den, r: f(degree, inv_den, r)[1:]",
+     {"zeta-at-zero", "series-closed-form"}),
+    ("exponents-double-pole-at-q-to-minus-r", "massform.orderzeta", "_exponents",
+     "lambda f: lambda data: {**f(data), (data.rank, 1): -2}",
+     {"zeta-at-zero", "series-closed-form"}),
+    ("exponents-without-the-infinity-cyclotomics", "massform.orderzeta", "_exponents",
+     "lambda f: lambda data: {key: e for key, e in f(data).items() if key[0] or key[1] < 2}",
+     {"zeta-at-zero", "series-closed-form"}),
     ("local-ideal-count-plus-one-at-ell2", "massform.orderzeta", "local_ideal_count",
      "lambda f: lambda q_v, m_v, d_v, ell: f(q_v, m_v, d_v, ell) + (ell == 2)",
      {"series-closed-form", "brute-force-oracles"}),

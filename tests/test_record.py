@@ -40,7 +40,7 @@ def _fill_field_memos(field):
 
 
 def _fill_closed_form_memos(closed):
-    closed.ratfun, closed.factors
+    closed.ratfun
 
 
 # name -> (a factory of one instance, what fills its memos, the memo
@@ -94,7 +94,7 @@ RECORDS = {
     ),
     "OrderZetaClosedForm": (
         lambda: order_zeta_closed_form(parse_shorthand(DATUM, K3, rank=2)),
-        _fill_closed_form_memos, ("ratfun", "factors"),
+        _fill_closed_form_memos, ("ratfun",),
         "OrderZetaClosedForm(data=RamificationData(field=FunctionFieldData(q=3, "
         "genus=0, l_poly=PolyQ(1), deg_inf=1), rank=2, places=(RamifiedPlace("
         "degree=1, inv_num=1, inv_den=2, is_infinity=True), RamifiedPlace(degree=1, "

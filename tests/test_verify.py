@@ -156,7 +156,7 @@ def test_series_closed_form_third_path_runs_on_q2_and_can_fail(monkeypatch):
     assert report.ok
     assert report.notes == "order 12; place by place on q = 2 to order 8"
     q2 = [data for data in _series_sample() if data.field.q == 2]
-    assert len(q2) == 16
+    assert len(q2) == 32
     real = verify.place_by_place_series
 
     def perturbed(data, order):

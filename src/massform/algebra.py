@@ -1,6 +1,8 @@
 """Exact arithmetic substrate: dense integer polynomials, normalized
-rational functions, truncated power series, and the prime-power test
-every field size passes.
+rational functions, truncated power series, and the one factorization
+of integers: the prime-power test every field size passes, the Mobius
+function of the place counts and the generator search of the finite
+fields all read :func:`prime_factors`.
 
 Every polynomial the package builds has integer coefficients: the
 L-polynomial, the factors of the order zeta and its Euler product.  So
@@ -44,21 +46,28 @@ def rational_to_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """q = p**e with p prime, or ValueError.
+def prime_factors(n: int) -> dict[int, int]:
+    """The factorization of n as {prime: exponent}, primes ascending;
+    empty for n < 2.  The package's one trial division.
 
-    The least divisor of q above 1 is prime, so the search for p stops
-    at the square root of q."""
-    if q < 2:
+    The least divisor above 1 of what is left is prime, so each search
+    stops at the square root of what is left."""
+    factors: dict[int, int] = {}
+    p = 2
+    while n > 1:
+        p = next((d for d in range(p, isqrt(n) + 1) if n % d == 0), n)
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+    return factors
+
+
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """q = p**e with p prime, or ValueError."""
+    factors = prime_factors(q)
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    e, m = 0, q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, e
+    return next(iter(factors.items()))
 
 
 # ----------------------------------------------------------------------

@@ -90,10 +90,11 @@ FIELD_OPTIONS = (
     Option("--field-file", "text", help="JSON field description"),
 )
 RANK = Option("--rank", required=True)
+QV = Option("--qv", dest="q_v", required=True, help="residue field size q_v, a prime power")
 VOLUME_OPTIONS = (
-    Option("--qv", dest="q_v", required=True),
-    Option("--r", required=True),
-    Option("--d", required=True),
+    QV,
+    Option("--r", required=True, help="local rank r"),
+    Option("--d", required=True, help="local index d, a divisor of r"),
 )
 FORMAT = Option("--format", ("json", "csv"), "json", dest="fmt")
 HELP = Option("--help", "flag", False, help="Show this message and exit.")
@@ -488,12 +489,14 @@ def cmd_order_zeta(q, genus, l_poly, deg_inf, field_file, rank, ram, series_orde
     _emit(out, fmt)
 
 
-def _local_volumes(q_v: int, r: int, d: int) -> dict:
+@command("local volumes", *VOLUME_OPTIONS)
+def cmd_local_volumes(q_v, r, d, fmt):
+    """Volumes of GL_r and its index-d inner form, and their ratio."""
     from .algebra import rational_to_str
     from .localvolumes import local_volume_report
 
     rep = local_volume_report(q_v, r, d)
-    return {
+    out = {
         "q_v": q_v,
         "r": r,
         "d": d,
@@ -501,30 +504,27 @@ def _local_volumes(q_v: int, r: int, d: int) -> dict:
         "vol_Gprime": rational_to_str(rep.vol_Gprime),
         "ratio": rational_to_str(rep.ratio),
     }
-
-
-@command("local volumes", *VOLUME_OPTIONS)
-def cmd_local_volumes(q_v, r, d, fmt):
-    _emit(_local_volumes(q_v, r, d), fmt)
+    _emit(out, fmt)
 
 
 @command("local lambda", *VOLUME_OPTIONS)
 def cmd_local_lambda(q_v, r, d, fmt):
+    """Local mass factor lambda_v, the ratio of the two volumes."""
+    from .algebra import rational_to_str
+    from .localvolumes import lambda_from_volumes
+
     out = {
         "q_v": q_v,
         "r": r,
         "d": d,
-        "lambda": _local_volumes(q_v, r, d)["ratio"],
+        "lambda": rational_to_str(lambda_from_volumes(q_v, r, d)),
     }
     _emit(out, fmt)
 
 
-@command(
-    "local iw-index",
-    Option("--qv", dest="q_v", required=True),
-    Option("--d", required=True),
-)
+@command("local iw-index", QV, Option("--d", required=True, help="local index d"))
 def cmd_local_iw_index(q_v, d, fmt):
+    """Index of the hereditary order in the full matrix order."""
     from .localvolumes import iwahori_index
 
     out = {"q_v": q_v, "d": d, "index": iwahori_index(q_v, d)}
@@ -533,14 +533,15 @@ def cmd_local_iw_index(q_v, d, fmt):
 
 @command(
     "local model-check",
-    Option("--qv", dest="q_v", required=True),
-    Option("--d", required=True),
-    Option("--b", default=1),
-    Option("--prec", default=6, dest="precision"),
-    Option("--pairs", default=100),
-    Option("--seed", default=0),
+    QV,
+    Option("--d", required=True, help="local index d"),
+    Option("--b", default=1, help="invariant numerator, coprime to d; default 1"),
+    Option("--prec", default=6, dest="precision", help="pi-adic precision; default 6"),
+    Option("--pairs", default=100, help="random element pairs; default 100"),
+    Option("--seed", default=0, help="seed of the random pairs; default 0"),
 )
 def cmd_local_model_check(q_v, d, b, precision, pairs, seed, fmt):
+    """Check the matrix model of one local division algebra."""
     from .localmodels import run_model_checks
 
     report = run_model_checks(q_v, d, b, precision=precision, pairs=pairs, seed=seed)

@@ -32,9 +32,10 @@ MAX_PLACE_DEGREE = 128
 
 # The largest constant field size q and local residue size q_v.  Both
 # are checked before the prime-power test, which trial-divides up to the
-# square root: about 4 ms for the largest prime below this cap, 55 ms
-# near 10^12, and a prime near 10^18 ran on past 15 s.  Below the cap
-# the other costs grow only with log q: at this cap and rank 6, `massform
+# square root of what is left: about 2.5 ms for the largest prime below
+# this cap, 1.7 ms for 2 * (2^31 - 1), 40 ms for a prime near 10^12,
+# and a prime near 10^18 ran on past 15 s.  Below the cap the other
+# costs grow only with log q: at this cap and rank 6, `massform
 # order-zeta` refuses an order-300 series as too long to print in 0.25 s,
 # and a closed form with a degree-128 place in 0.6 s (2-CPU machine).
 MAX_Q = 2 ** 32

@@ -3,9 +3,13 @@ irreducible polynomials over F_q, and truncated power series over F_q.
 
 Elements are integer-encoded: the residue polynomial
 c_0 + c_1 t + ... + c_{e-1} t^{e-1} over F_p becomes the integer
-c_0 + c_1 p + ... + c_{e-1} p^{e-1}.  Each field precomputes log/exp
-tables for a fixed multiplicative generator g, so products and inverses
-are table lookups.  In characteristic 2 the digits are bits and a sum
+c_0 + c_1 p + ... + c_{e-1} p^{e-1}.  `digits` and `from_digits` are
+the package's one base-q codec, for these codes and for the counters of
+the brute-force oracles.  The modulus of F_{p^e} is the first monic
+irreducible of degree e that the sieve `enumerate_monic_irreducibles`
+lists over F_p.  Each field precomputes log/exp tables for a fixed
+multiplicative generator g, so products and inverses are table
+lookups.  In characteristic 2 the digits are bits and a sum
 of codes is their XOR.  In odd characteristic a Zech-logarithm table
 zech[n] = log(1 + g^n) makes sums table lookups too:
 a + b = a * (1 + b/a).  Every table has O(q) entries, and fields are
@@ -28,41 +32,34 @@ division-algebra products of `localmodels` are its many-term cases.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
-from .algebra import factor_prime_power
+from .algebra import factor_prime_power, prime_factors
 from .errors import InternalConsistencyError, OrderMismatchError
 from .record import Record
 
 FIELD_SIZE_CAP = 2 ** 12
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
+def digits(code: int, base: int, count: int) -> list[int]:
+    """The lowest `count` base-`base` digits of code, least significant
+    first: a field code's residue coefficients, or a counter's entries."""
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+    for _ in range(count):
+        out.append(code % base)
+        code //= base
     return out
 
 
-# -- polynomial helpers over F_p (plain digit lists, used only during
+def from_digits(ds: Sequence[int], base: int) -> int:
+    """The code whose base-`base` digits, least significant first, are ds."""
+    code = 0
+    for d in reversed(ds):
+        code = code * base + d
+    return code
+
+
+# -- polynomial helper over F_p (plain digit lists, used only during
 #    field construction, so clarity beats speed here) -------------------
 
 def _fp_poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -82,39 +79,17 @@ def _fp_poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _fp_monic_polys(degree: int, p: int) -> Iterator[list[int]]:
-    # ascending integer encoding of the non-leading coefficients
-    for m in range(p ** degree):
-        coeffs = []
-        x = m
-        for _ in range(degree):
-            coeffs.append(x % p)
-            x //= p
-        yield coeffs + [1]
-
-
-def _fp_is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    e = len(poly) - 1
-    if e < 1:
-        return False
-    for d in range(1, e // 2 + 1):
-        for g in _fp_monic_polys(d, p):
-            if not _fp_poly_mod(poly, g, p):
-                return False
-    return True
-
-
 class FqField:
     """The field with q = p**e elements, elements encoded as ints in [0, q).
 
-    The defining modulus is the monic irreducible of degree e over F_p
-    with the smallest integer encoding, so serialized data is stable
-    across runs and machines.
+    The defining modulus is the first monic irreducible of degree e over
+    F_p that `enumerate_monic_irreducibles` lists, the one with the
+    smallest integer encoding, so serialized data is stable across runs
+    and machines.
     """
 
     def __init__(self, p: int, e: int):
-        if not _is_prime(p):
+        if prime_factors(p) != {p: 1}:
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be positive")
@@ -124,7 +99,10 @@ class FqField:
         self.p = p
         self.e = e
         self.q = q
-        self.modulus = self._least_irreducible(p, e)
+        irreducibles = _enumerate_irreducibles_cached(p, e)
+        if not irreducibles:
+            raise InternalConsistencyError(f"no irreducible of degree {e} over F_{p}")
+        self.modulus = irreducibles[0]
         self._build_tables()
         self._power_tables: dict[int, tuple[int, ...]] = {}
 
@@ -134,32 +112,7 @@ class FqField:
         p, e = factor_prime_power(q)
         return FqField(p, e)
 
-    @staticmethod
-    def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
-        for cand in _fp_monic_polys(e, p):
-            if _fp_is_irreducible(cand, p):
-                return tuple(cand)
-        raise InternalConsistencyError(f"no irreducible of degree {e} over F_{p}")
-
     # -- raw code arithmetic --------------------------------------------
-
-    def _code_to_digits(self, code: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(code % self.p)
-            code //= self.p
-        return out
-
-    def _digits_to_code(self, digits: Iterable[int]) -> int:
-        code = 0
-        for d in reversed(list(digits)):
-            code = code * self.p + d
-        return code
-
-    def _add_digits(self, a: int, b: int) -> int:
-        # digit-wise sum; only used while bootstrapping the Zech table
-        da, db = self._code_to_digits(a), self._code_to_digits(b)
-        return self._digits_to_code((x + y) % self.p for x, y in zip(da, db))
 
     def add(self, a: int, b: int) -> int:
         if a == 0:
@@ -184,30 +137,24 @@ class FqField:
     def _mul_raw(self, a: int, b: int) -> int:
         # schoolbook product of residue polynomials, reduced mod modulus;
         # only used while bootstrapping the log/exp tables
-        da, db = self._code_to_digits(a), self._code_to_digits(b)
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(da):
+        p, e = self.p, self.e
+        db = digits(b, p, e)
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(digits(a, p, e)):
             if x:
                 for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        rem = _fp_poly_mod(prod, list(self.modulus), self.p)
-        rem += [0] * (self.e - len(rem))
-        return self._digits_to_code(rem)
+                    prod[i + j] = (prod[i + j] + x * y) % p
+        return from_digits(_fp_poly_mod(prod, list(self.modulus), p), p)
 
     def _build_tables(self) -> None:
-        q = self.q
+        q, p = self.q, self.p
         group_order = q - 1
-        prime_parts = _prime_divisors(group_order)
-        gen = None
-        for cand in range(1, q):
-            ok = True
-            for ell in prime_parts:
-                if self._pow_raw(cand, group_order // ell) == 1:
-                    ok = False
-                    break
-            if ok:
-                gen = cand
-                break
+        prime_parts = prime_factors(group_order)
+        gen = next(
+            (g for g in range(1, q)
+             if all(self._pow_raw(g, group_order // ell) != 1 for ell in prime_parts)),
+            None,
+        )
         if gen is None:
             raise InternalConsistencyError(f"no generator of GF({q})^x found")
         exp = [1] * group_order
@@ -224,10 +171,11 @@ class FqField:
         # characteristic-2 kernel of log_dot reads it
         self._exp2 = exp + exp
         self._log = log
-        # zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0
-        self._zech = [log[self._add_digits(1, x)] for x in exp]
+        # zech[n] = log(1 + g^n), or -1 where 1 + g^n = 0; adding 1 moves
+        # only the constant digit, which wraps from p - 1 to 0
+        self._zech = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in exp]
         # -1 = g^((q-1)/2) in odd characteristic, and -1 = 1 when p = 2
-        self._log_minus_one = 0 if self.p == 2 else group_order // 2
+        self._log_minus_one = 0 if p == 2 else group_order // 2
 
     def _pow_raw(self, a: int, n: int) -> int:
         result = 1
@@ -282,8 +230,10 @@ def enumerate_monic_irreducibles(q: int, degree: int) -> list[tuple[int, ...]]:
     is lexicographic reading the highest coefficient first.  A product
     sieve marks every reducible polynomial (each has an irreducible
     factor of degree <= degree/2), so cost is about q**degree times a
-    small log factor; callers keep q**degree modest.
+    small log factor; callers keep q**degree modest.  Over a prime
+    field the first entry is the modulus of `FqField`.
     """
+    FqField.of_order(q)     # refuses a q that is not a field order
     return list(_enumerate_irreducibles_cached(q, degree))
 
 
@@ -291,16 +241,10 @@ def enumerate_monic_irreducibles(q: int, degree: int) -> list[tuple[int, ...]]:
 def _enumerate_irreducibles_cached(q: int, degree: int) -> tuple[tuple[int, ...], ...]:
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    field = FqField.of_order(q)
     if degree == 1:
+        # returned before any field is built: FqField(p, 1) reads it
         return tuple((c, 1) for c in range(q))
-
-    def index_of(poly: tuple[int, ...]) -> int:
-        # poly is monic of length degree+1; index over non-leading coeffs
-        idx = 0
-        for c in reversed(poly[:-1]):
-            idx = idx * q + c
-        return idx
+    field = FqField.of_order(q)
 
     def mul_monic(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         out = [0] * (len(a) + len(b) - 1)
@@ -313,29 +257,14 @@ def _enumerate_irreducibles_cached(q: int, degree: int) -> tuple[tuple[int, ...]
 
     composite = bytearray(q ** degree)
     for m in range(1, degree // 2 + 1):
+        rest = degree - m
         for g in _enumerate_irreducibles_cached(q, m):
-            rest = degree - m
             for idx in range(q ** rest):
-                h = []
-                x = idx
-                for _ in range(rest):
-                    h.append(x % q)
-                    x //= q
-                h.append(1)
-                composite[index_of(mul_monic(g, tuple(h)))] = 1
-
-    out = []
-    for idx in range(q ** degree):
-        if composite[idx]:
-            continue
-        coeffs = []
-        x = idx
-        for _ in range(degree):
-            coeffs.append(x % q)
-            x //= q
-        coeffs.append(1)
-        out.append(tuple(coeffs))
-    return tuple(out)
+                product = mul_monic(g, (*digits(idx, q, rest), 1))
+                composite[from_digits(product[:-1], q)] = 1
+    return tuple(
+        (*digits(idx, q, degree), 1) for idx in range(q ** degree) if not composite[idx]
+    )
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .algebra import PolyQ, RationalFunctionQ, coprime_ratfun, factor_prime_power
+from .algebra import PolyQ, RationalFunctionQ, coprime_ratfun, factor_prime_power, prime_factors
 from .algebra import _int_poly_prem, _primitive
 from .errors import (
     MAX_PLACE_DEGREE,
@@ -42,17 +42,8 @@ CHECKED_DEGREES = 8
 
 
 def _mobius(n: int) -> int:
-    result, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+    exponents = prime_factors(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 @cache

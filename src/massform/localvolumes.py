@@ -21,7 +21,7 @@ from .errors import (
     InvalidRamificationError,
     NotDivisibleError,
 )
-from .finitefield import FqField
+from .finitefield import FqField, digits
 from .record import Record
 
 # Caps on the local index d and the local rank r of the index, volume and
@@ -118,14 +118,9 @@ def gl_count_bruteforce(q: int, r: int) -> int:
     if q ** (r * r) > 2 ** 20:
         raise BruteForceTooLargeError(f"{q}^{r * r} matrices exceed the 2^20 bound")
     field = FqField.of_order(q)
-    total_entries = r * r
     count = 0
-    for code in range(q ** total_entries):
-        entries = []
-        x = code
-        for _ in range(total_entries):
-            entries.append(x % q)
-            x //= q
+    for code in range(q ** (r * r)):
+        entries = digits(code, q, r * r)
         rows = [entries[i * r:(i + 1) * r] for i in range(r)]
         if _is_invertible(rows, field):
             count += 1
@@ -174,15 +169,7 @@ def sublattice_count_bruteforce(q_v: int, r: int, ell: int) -> int:
     field = FqField.of_order(q_v)
 
     ring_size = q_v ** ell      # elements of O_v/pi^ell as digit tuples
-
-    def decode(code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(ell):
-            out.append(code % q_v)
-            code //= q_v
-        return tuple(out)
-
-    ring = [decode(c) for c in range(ring_size)]
+    ring = [tuple(digits(c, q_v, ell)) for c in range(ring_size)]
 
     def ring_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         out = [0] * ell
@@ -198,32 +185,20 @@ def sublattice_count_bruteforce(q_v: int, r: int, ell: int) -> int:
 
     zero_vec = tuple(ring[0] for _ in range(r))
     vector_count = ring_size ** r
-
-    def decode_vec(code: int) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for _ in range(r):
-            out.append(ring[code % ring_size])
-            code //= ring_size
-        return tuple(out)
-
-    vectors = [decode_vec(c) for c in range(vector_count)]
+    vectors = [
+        tuple(ring[k] for k in digits(c, ring_size, r)) for c in range(vector_count)
+    ]
     target_size = q_v ** (ell * (r - 1))
 
     seen_spans = set()
     count = 0
     for code in range(vector_count ** r):
-        gens = []
-        x = code
-        for _ in range(r):
-            gens.append(vectors[x % vector_count])
-            x //= vector_count
+        gens = [vectors[k] for k in digits(code, vector_count, r)]
         span = {zero_vec}
         for scalar_code in range(ring_size ** r):
-            sc = scalar_code
             acc = zero_vec
-            for g in gens:
-                coeff = ring[sc % ring_size]
-                sc //= ring_size
+            for g, k in zip(gens, digits(scalar_code, ring_size, r)):
+                coeff = ring[k]
                 if coeff != ring[0]:
                     term = tuple(ring_mul(coeff, comp) for comp in g)
                     acc = tuple(ring_add(a, t) for a, t in zip(acc, term))

@@ -12,7 +12,9 @@ from massform.algebra import (
     RationalFunctionQ,
     TruncatedSeriesQ,
     coprime_ratfun,
+    factor_prime_power,
     poly_gcd,
+    prime_factors,
     ratfun,
     rational_to_str,
     series_from_ratfun,
@@ -25,10 +27,56 @@ from massform.errors import (
     NotExpandableError,
     OrderMismatchError,
 )
+from massform.funcfield import _mobius
 
 
 def series(coeffs):
     return TruncatedSeriesQ(len(coeffs) - 1, tuple(coeffs))
+
+
+# -- the factorization ----------------------------------------------------
+
+def _least_prime_factors(bound: int) -> list[int]:
+    """A sieve of Eratosthenes: the least prime factor of each n < bound."""
+    least = list(range(bound))
+    for p in range(2, bound):
+        if least[p] == p:
+            for m in range(p * p, bound, p):
+                least[m] = min(least[m], p)
+    return least
+
+
+def test_prime_factors_match_a_sieve_below_10_to_the_4():
+    least = _least_prime_factors(10 ** 4)
+    for n in range(1, 10 ** 4):
+        want: dict[int, int] = {}
+        m = n
+        while m > 1:
+            want[least[m]] = want.get(least[m], 0) + 1
+            m //= least[m]
+        got = prime_factors(n)
+        assert got == want, n
+        assert list(got) == sorted(got), n
+        if len(want) == 1:
+            assert factor_prime_power(n) == next(iter(want.items())), n
+        else:
+            with pytest.raises(ValueError):
+                factor_prime_power(n)
+        squarefree = all(e == 1 for e in want.values())
+        assert _mobius(n) == ((-1) ** len(want) if squarefree else 0), n
+
+
+def test_prime_factors_frozen_examples():
+    assert prime_factors(0) == {}
+    assert prime_factors(1) == {}
+    assert prime_factors(4294967291) == {4294967291: 1}     # the largest prime below 2^32
+    assert prime_factors(2 * 2147483647) == {2: 1, 2147483647: 1}
+    assert prime_factors(3 ** 20) == {3: 20}
+    assert factor_prime_power(3 ** 20) == (3, 20)
+    assert factor_prime_power(4294967291) == (4294967291, 1)
+    for bad in (0, 1, 2 * 2147483647):
+        with pytest.raises(ValueError):
+            factor_prime_power(bad)
 
 
 # -- rationals ----------------------------------------------------------

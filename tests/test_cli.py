@@ -827,6 +827,18 @@ def test_local_sizes_at_the_caps_print(capsys):
         assert json.loads(out)["error"]["type"] == "InvalidRamificationError"
 
 
+def test_lambda_prints_where_only_the_volumes_overflow(capsys):
+    # at the largest prime q_v below MAX_Q and the largest rank, both
+    # volumes pass the 4300-digit limit, but lambda at d = 1 is 1
+    argv = ("local", "lambda", "--qv", "4294967291", "--r", str(MAX_LOCAL_RANK), "--d", "1")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {"q_v": 4294967291, "r": MAX_LOCAL_RANK, "d": 1, "lambda": "1"}
+    code, out, _ = invoke(capsys, "local", "volumes", *argv[2:])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "OutputTooLargeError"
+
+
 # -- the grammar under fuzzing ------------------------------------------------
 
 def _ints(low, high):
@@ -1006,11 +1018,11 @@ HELP_DIGESTS = {
     ("class-number",): "5d8fcc598a6a9db8654168a826c8da7bf8f0f36f0df9fa9cdc382a000d95860b",
     ("zeta",): "bdbf37c5379675e5bff1a532673ffbc11651bf897c005795a75de51e0df35739",
     ("order-zeta",): "56aa19192841a10ee600abe24b0fa9ca62635ce45ca49259263db906251d9013",
-    ("local",): "fcab430f7f67b2aaa5d720d67e142630ee0fd2df2d0c016a2d810da54588296e",
-    ("local", "volumes"): "d1a81ffe1d729dac01e63ac4beede5aecb9c8f232bfcfd33c66e2868bb7a0328",
-    ("local", "lambda"): "0376694e134542f028509628134b21046296383c43aa1434cbcfa25d8ec41af0",
-    ("local", "iw-index"): "21d837a47bcdc478ca55bfe5c7bc43052bcaedd027c9c9443417761a51d1deb1",
-    ("local", "model-check"): "ff343d21a62fe7d22ab19934f60eab03d3db406ba5b594639915e8a49af338f5",
+    ("local",): "dc1709d5d813f14966e06f2911558cf2064444e8fdf5d08c3ecce9a3b1f0a28b",
+    ("local", "volumes"): "9881c773aef6352c82345e1e4174454f9120be89ca0d8c6c77f315682fcf9df0",
+    ("local", "lambda"): "d885560028266140dfa11b7d64471c748e1033cbe36aa58ba050153db98e4883",
+    ("local", "iw-index"): "961de832598d859dd604de50f6834abe6ff170eab76d53b39c0313c369c74e2f",
+    ("local", "model-check"): "5fe28fb2ffa5caf74749fe2b0ddbc5bb9c43c15aab7769fe84e41ae9b091d885",
     ("table",): "1c9b72206d816b544a3b544e018646628e6ab2d840f385de95c592d92c0f450f",
     ("verify",): "8b385ba821c1d41c40b8c2640a23e19f261db2ea2aa07e2b357cac6f549ff942",
 }

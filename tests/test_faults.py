@@ -124,6 +124,14 @@ KILLS = [
     ("class-number-is-p-at-one", "massform.funcfield", "class_number_A",
      "lambda f: lambda data: f(data) // data.deg_inf",
      {"zeta-at-zero"}),
+    # _mobius reads the exponents, so mu(4) = -1: "degree-4 place count
+    # is not integral"
+    ("prime-factors-without-exponents", "massform.algebra", "prime_factors",
+     "lambda f: lambda n: {p: 1 for p in f(n)}",
+     {"zeta-at-zero", "series-closed-form", "drinfeld"}),
+    ("digits-most-significant-first", "massform.finitefield", "digits",
+     "lambda f: lambda code, base, count: f(code, base, count)[::-1]",
+     {"local-models"}),
 ]
 
 # (id, module, attribute, fault, why no suite fails)

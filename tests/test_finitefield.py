@@ -1,5 +1,7 @@
 """Finite field arithmetic, irreducible enumeration, series over F_q."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -9,9 +11,11 @@ from massform.errors import OrderMismatchError
 from massform.finitefield import (
     FqField,
     TruncatedSeriesFq,
+    digits,
     enumerate_monic_irreducibles,
     fq_series,
     fq_series_one,
+    from_digits,
     log_dot,
 )
 
@@ -43,6 +47,36 @@ def test_moduli_are_the_least_irreducibles():
     assert FqField.of_order(8).modulus == (1, 1, 0, 1)    # t^3+t+1
     assert FqField.of_order(9).modulus == (1, 0, 1)       # t^2+1
     assert FqField.of_order(5).modulus == (0, 1)          # prime field: t
+
+
+# sha256 of the JSON list [[q, modulus, generator], ...] over the 40
+# prime powers q <= 4096 that are not primes, ascending; taken when the
+# modulus came from a trial-division search, before the sieve gave it
+MODULI_DIGEST = "5a9db5411ab7f74e1d2c66fcec22e83f02b709cac7a8404c7b029d13f6eed9c1"
+
+
+def test_moduli_and_generators_are_pinned_up_to_4096():
+    rows = []
+    for q in _fields_up_to(4096):
+        f = FqField.of_order(q)
+        if f.e > 1:
+            rows.append([q, list(f.modulus), f.generator])
+    assert len(rows) == 40
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == MODULI_DIGEST
+
+
+def test_digits_round_trip():
+    for base in (2, 3, 5, 16, 4096):
+        for count in range(5):
+            for code in range(min(base ** count, 700)):
+                ds = digits(code, base, count)
+                assert len(ds) == count and all(0 <= x < base for x in ds)
+                assert from_digits(ds, base) == code
+                # least significant first
+                assert sum(x * base ** i for i, x in enumerate(ds)) == code
+    assert digits(5, 2, 4) == [1, 0, 1, 0]
+    assert from_digits((1, 2), 3) == 7
+    assert from_digits([], 7) == 0
 
 
 def test_of_order_rejects_non_prime_powers():

@@ -41,6 +41,7 @@ MAX_GENUS = 24
 CHECKED_DEGREES = 8
 
 
+@cache
 def _mobius(n: int) -> int:
     exponents = prime_factors(n).values()
     return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)

@@ -7,7 +7,8 @@ c_0 + c_1 p + ... + c_{e-1} p^{e-1}.  `digits` and `from_digits` are
 the package's one base-q codec, for these codes and for the counters of
 the brute-force oracles.  The modulus of F_{p^e} is the first monic
 irreducible of degree e that the sieve `enumerate_monic_irreducibles`
-lists over F_p.  Each field precomputes log/exp tables for a fixed
+would list over F_p, found by trial division against the sieve's lists
+of degree <= e/2.  Each field precomputes log/exp tables for a fixed
 multiplicative generator g, so products and inverses are table
 lookups.  In characteristic 2 the digits are bits and a sum
 of codes is their XOR.  In odd characteristic a Zech-logarithm table
@@ -79,13 +80,29 @@ def _fp_poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
+    """The monic irreducible of degree e over F_p with the smallest
+    integer encoding, the first entry `enumerate_monic_irreducibles`
+    would list: candidates in ascending code order, each trial-divided
+    by the sieve's irreducibles of degree <= e/2, up to the first that
+    none divides."""
+    factors = [
+        list(g) for d in range(1, e // 2 + 1) for g in _enumerate_irreducibles_cached(p, d)
+    ]
+    for code in range(p ** e):
+        candidate = [*digits(code, p, e), 1]
+        if all(_fp_poly_mod(candidate, g, p) for g in factors):
+            return tuple(candidate)
+    raise InternalConsistencyError(f"no irreducible of degree {e} over F_{p}")
+
+
 class FqField:
     """The field with q = p**e elements, elements encoded as ints in [0, q).
 
-    The defining modulus is the first monic irreducible of degree e over
-    F_p that `enumerate_monic_irreducibles` lists, the one with the
-    smallest integer encoding, so serialized data is stable across runs
-    and machines.
+    The defining modulus is the monic irreducible of degree e over F_p
+    with the smallest integer encoding, the first entry of
+    `enumerate_monic_irreducibles`, so serialized data is stable across
+    runs and machines.
     """
 
     def __init__(self, p: int, e: int):
@@ -99,10 +116,7 @@ class FqField:
         self.p = p
         self.e = e
         self.q = q
-        irreducibles = _enumerate_irreducibles_cached(p, e)
-        if not irreducibles:
-            raise InternalConsistencyError(f"no irreducible of degree {e} over F_{p}")
-        self.modulus = irreducibles[0]
+        self.modulus = _least_irreducible(p, e)
         self._build_tables()
         self._power_tables: dict[int, tuple[int, ...]] = {}
 
@@ -242,7 +256,6 @@ def _enumerate_irreducibles_cached(q: int, degree: int) -> tuple[tuple[int, ...]
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if degree == 1:
-        # returned before any field is built: FqField(p, 1) reads it
         return tuple((c, 1) for c in range(q))
     field = FqField.of_order(q)
 

@@ -109,10 +109,17 @@ class FunctionFieldData(Record):
     at most MAX_GENUS; deg_inf is the degree of the chosen place at
     infinity, at most MAX_PLACE_DEGREE.  Place counts up to degree
     CHECKED_DEGREES are checked non-negative at construction.
+
+    Three memos ride along, outside equality, the hash and the repr, and
+    a field built again from its four values starts with all three empty:
+    _counts, the place counts b_1, b_2, ... (both paths);
+    _zeta_values, zeta_K(-i) by i (the mass side only);
+    _closed_form_values, each closed-form factor's value at u = 1 by its
+    key, beside the polynomial it came from (the closed form only).
     """
 
     _fields = ("q", "genus", "l_poly", "deg_inf")
-    __slots__ = (*_fields, "_counts", "_zeta_values")
+    __slots__ = (*_fields, "_counts", "_zeta_values", "_closed_form_values")
 
     def __init__(self, q: int, genus: int, l_poly: PolyQ, deg_inf: int):
         self.q = q
@@ -123,6 +130,9 @@ class FunctionFieldData(Record):
         self._counts: tuple[int, ...] = ()
         # zeta_K(-i) by i, filled by zeta_special_value (the mass side only)
         self._zeta_values: dict[int, Fraction] = {}
+        # (j, m) -> (P or Phi*_m, its value at q^j), filled by
+        # orderzeta._at_one (the closed form only)
+        self._closed_form_values: dict[tuple[int, int], tuple[PolyQ, int]] = {}
 
         problems = []
         if self.q > MAX_Q:

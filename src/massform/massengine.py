@@ -87,7 +87,8 @@ def mass(data: RamificationData) -> MassReport:
     for _, lam in lambdas:
         num *= lam
     total = Fraction(num, den)
-    if total <= 0:
+    # den is positive: q - 1 times Fraction denominators
+    if num <= 0:
         raise InternalConsistencyError(f"mass {total} is not positive")
     return MassReport(
         mass=total,

@@ -13,7 +13,8 @@ Two independent realizations of the same object live here:
   Weil polynomial, so no P-shift vanishes at u = q^-j and the pole
   checks at u = 1 and u = q^-r read cyclotomic exponents only; the value
   at u = 1 is read off the map in integers.  Its num/den, multiplied
-  out with no gcd, is built only when read;
+  out with no gcd, is built only when read, and refused first when its
+  leading coefficient, known from the map, is too long to print;
 * a truncated Dirichlet series built from an Euler product over the
   finite places, expanded in integers by Newton's identities on its
   log-derivative.  That is read off the product's own place counts:
@@ -32,14 +33,23 @@ factors whose product deletes every infinity Euler factor exactly when
 the data is definite.  No step here reuses the mass engine,
 zeta_special_value or lambda_v.
 
-The closed form keeps two memos, inside the functions that compute
-each value, so a patched function still replaces the computation:
-_cyclotomic (the polynomial Phi*_m, by m) and _correction_keys (a
-place's correction keys, by the place's shape).  Each factor is written
-once: a key (j, m) stands for P or Phi*_m at q^j u, and the expansion
-prints that one polynomial where the value at u = 1 evaluates it at
-q^j.  The mass side reads neither memo, and the closed form never reads
-the zeta_K(-i) memo the mass side keeps on the field.
+The closed form keeps three memos, each behind the function a fault
+harness patches, so a patched function still replaces the computation:
+* _cyclotomic, the polynomial Phi*_m by m, inside the function itself;
+* _shape_exponents, the net exponent map by the data's shape (the rank,
+  deg_inf and each place's (degree, d_v)), read only through
+  _exponents, which hands out a copy: a patched _exponents never
+  reaches it, and no caller can change it.  _correction_keys is read
+  when a shape is first met;
+* the field's _closed_form_values, each key's value at u = 1 kept
+  beside the polynomial it was evaluated from, and read again only
+  while field.l_poly or _cyclotomic(m) returns that very object: a
+  patched _cyclotomic is evaluated afresh.
+Each factor is written once: a key (j, m) stands for P or Phi*_m at
+q^j u, and the expansion prints that one polynomial where the value at
+u = 1 evaluates it at q^j.  The mass side reads none of these memos,
+and the closed form never reads the zeta_K(-i) memo the mass side keeps
+on the field.
 """
 
 from __future__ import annotations
@@ -95,18 +105,26 @@ def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> tuple[int, Frac
     Only Phi*_1(u) = 1 - u vanishes at u = 1.  The other factors take
     the nonzero integer values P(q^j), as a Weil P has no root of
     absolute value q^-j, Phi*_m(q^j) for j >= 1 and Phi*_m(1) for m > 1.
-    Each is the polynomial _expand prints for its key, evaluated at q^j.
+    Each is the polynomial _expand prints for its key, evaluated at q^j,
+    and kept on the field beside that polynomial: a kept value is read
+    again only while field.l_poly or _cyclotomic(m) is the very object
+    it was evaluated from.
     """
     order, num, den = 0, 1, 1
-    for (j, m), e in exponents.items():
+    values = field._closed_form_values
+    for key, e in exponents.items():
+        j, m = key
         if j == 0 and m == 1:
             order += e
             continue
-        value = (field.l_poly if m == 0 else _cyclotomic(m)).eval(field.q ** j)
+        base = field.l_poly if m == 0 else _cyclotomic(m)
+        kept = values.get(key)
+        if kept is None or kept[0] is not base:
+            kept = values[key] = (base, base.eval(field.q ** j))
         if e > 0:
-            num *= value ** e
+            num *= kept[1] ** e
         else:
-            den *= value ** -e
+            den *= kept[1] ** -e
     return order, (Fraction(num, den) if order == 0 else Fraction(0))
 
 
@@ -150,20 +168,72 @@ class OrderZetaClosedForm(Record):
 
     @cached_property
     def ratfun(self) -> RationalFunctionQ:
+        _refuse_unprintable_form(self.data.field, self.exponents)
         return _expand(self.data.field, self.exponents)
 
 
-@cache
+def _int_digit_limit() -> int:
+    """Python's int-to-string limit in digits; 0 means no limit, as in
+    Pythons before 3.10.7, which have none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _refuse_unprintable_form(field: FunctionFieldData, exponents: ExponentMap) -> None:
+    """Raise OutputTooLargeError, before anything is multiplied out, when
+    the den-monic form num/lead(den), den/lead(den) is sure to print an
+    integer past Python's int-to-string limit.
+
+    num and den lead with +-q^N_num and q^N_den, the products of their
+    factors' leading coefficients: q^(g + 2gj) for P(q^j u), as P leads
+    with q^g, and +-q^(j phi(m)) for Phi*_m(q^j u), each to the power
+    |e|.  Both constant terms are +-1, so the den-monic form prints
+    q^N_den in the denominator of its constant terms and
+    q^(N_num - N_den) in num's leading coefficient; q^n has more digits
+    than the limit exactly when q^n >= 10^digits.
+    """
+    digits = _int_digit_limit()
+    if not digits:
+        return
+    q, g = field.q, field.genus
+    n_num = n_den = 0
+    for (j, m), e in exponents.items():
+        n = g + 2 * g * j if m == 0 else j * _cyclotomic(m).degree
+        if e > 0:
+            n_num += e * n
+        else:
+            n_den -= e * n
+    n = max(n_den, n_num - n_den)
+    limit = 10 ** digits
+    # q^n >= 2^(n (bits - 1)): the exact power is taken only when it has
+    # at most about twice the bits of the limit
+    if n * (q.bit_length() - 1) >= limit.bit_length() or q ** n >= limit:
+        raise OutputTooLargeError(
+            f"the closed form prints q^{n}, which has more than {digits} digits, "
+            "Python's int-to-string limit"
+        )
+
+
 def _correction_keys(degree: int, inv_den: int, r: int) -> tuple[tuple[int, int], ...]:
     """Keys of a place's correction, the factors 1 - (q^i u)^deg v for
-    i < r with d_v not dividing i: a closed-form memo on the place's
-    shape (degree, inv_den, r)."""
+    i < r with d_v not dividing i."""
     divisors = _divisors(degree)
     return tuple((i, m) for i in range(1, r) if i % inv_den for m in divisors)
 
 
 def _exponents(data: RamificationData) -> ExponentMap:
-    """The net exponent map of the closed form.
+    """The net exponent map of the closed form, a fresh dict: it depends
+    only on the shape of the data, whose map _shape_exponents keeps."""
+    shape = tuple((place.degree, place.inv_den) for place in data.places)
+    return dict(_shape_exponents(data.rank, data.field.deg_inf, shape))
+
+
+@cache
+def _shape_exponents(
+    r: int, deg_inf: int, places: tuple[tuple[int, int], ...]
+) -> ExponentMap:
+    """The net exponent map for rank r, the infinity degree and the
+    (degree, d_v) of each ramified place: a closed-form memo on that
+    shape, read only through _exponents, which copies it.
 
     zeta_A = (1 - u^deg_inf) P(u) / ((1 - u)(1 - qu)), where
     1 - u^deg_inf is the product of the Phi*_m(u) over m | deg_inf and
@@ -172,17 +242,16 @@ def _exponents(data: RamificationData) -> ExponentMap:
         prod_{j < r} P(q^j u) * prod_{m | deg_inf, m > 1} Phi*_m(u)
         * prod_{0 < j < r} (1 - q^j u)^-2 * (1 - q^r u)^-1,
     and each place adds one to the exponent of each of its correction
-    keys, read from the memo _correction_keys.
+    keys.
     """
-    r = data.rank
     net = {(j, 0): 1 for j in range(r)}
-    for m in _divisors(data.field.deg_inf)[1:]:
+    for m in _divisors(deg_inf)[1:]:
         net[0, m] = 1
     for j in range(1, r):
         net[j, 1] = -2
     net[r, 1] = -1
-    for place in data.places:
-        for key in _correction_keys(place.degree, place.inv_den, r):
+    for degree, inv_den in places:
+        for key in _correction_keys(degree, inv_den, r):
             net[key] = net.get(key, 0) + 1
     return {key: e for key, e in net.items() if e}
 
@@ -255,8 +324,7 @@ def _refuse_unprintable(log_derivative: list[int]) -> None:
     gives s_k >= c_k // k; the bound costs O(N) before the O(N^2)
     Newton step.  A limit of 0 means no limit.
     """
-    # Pythons before 3.10.7 have no limit
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _int_digit_limit()
     # every c_k below 2^(3 digits) < 10^digits needs no closer look
     if not digits or max(log_derivative) < 1 << 3 * digits:
         return

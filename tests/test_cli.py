@@ -280,6 +280,34 @@ def test_series_just_below_the_limit_prints_as_before(capsys):
     )
 
 
+# The closed form of inf:1/6,128:5/6 at rank 6, printed with den monic,
+# leads with q^1899: 4288 digits at the prime q = 181, and more than 4300
+# from the next prime, 191, on
+TOP_CLOSED_FORM = ("--rank", "6", "--ram", "inf:1/6,128:5/6", "--series-order", "0")
+
+
+@pytest.mark.parametrize("q", ["191", "65537", "4294967291"])
+def test_unprintable_closed_form_is_refused_before_it_is_expanded(capsys, monkeypatch, q):
+    def no_expansion(*_):
+        raise AssertionError("the closed form was expanded")
+
+    monkeypatch.setattr(orderzeta, "_expand", no_expansion)
+    code, out, _ = invoke(capsys, "order-zeta", "--q", q, *TOP_CLOSED_FORM)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "OutputTooLargeError"
+    assert "more than 4300 digits" in error["message"]
+
+
+def test_closed_form_just_below_the_limit_prints_as_before(capsys):
+    # digest taken before the refusal existed
+    code, out, _ = invoke(capsys, "order-zeta", "--q", "181", *TOP_CLOSED_FORM)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fde34fd63bca9bc0aa9ca510ed1d0242c76dd439d1fd2648d18576d18d68663d"
+    )
+
+
 def test_determinism_byte_identical(capsys):
     argv = [
         "order-zeta", "--q", "3", "--rank", "2",

@@ -227,6 +227,30 @@ def test_zeta_memo_stays_off_equality_and_out_of_copies():
     assert "_zeta_values" not in repr(K2)
 
 
+def test_closed_form_memo_stays_off_equality_and_out_of_copies():
+    order_zeta_at_zero(CONTROL_DATA[2])
+    copy = FunctionFieldData(K2_G1.q, K2_G1.genus, K2_G1.l_poly, K2_G1.deg_inf)
+    assert K2_G1._closed_form_values and copy._closed_form_values == {}
+    assert copy == K2_G1 and hash(copy) == hash(K2_G1)
+    assert "_closed_form_values" not in repr(K2_G1)
+
+
+def test_a_poisoned_closed_form_memo_moves_only_the_closed_form():
+    field = FunctionFieldData(K2_G1.q, K2_G1.genus, K2_G1.l_poly, K2_G1.deg_inf)
+    data = parse_shorthand("inf:1/2,1:1/2", field, rank=2)
+    want = mass(data)
+    assert want.mass == -order_zeta_at_zero(data)
+    # P(q u) at u = 1: P(2) = 1 + 2 + 8
+    poly, value = field._closed_form_values[1, 0]
+    assert poly is field.l_poly and value == 11
+    field._closed_form_values[1, 0] = (poly, 2 * value)
+    assert order_zeta_at_zero(data) != -want.mass
+    assert mass(data) == want == reference_mass(data)
+    # a value kept beside an equal but other polynomial is not read
+    field._closed_form_values[1, 0] = (PolyQ(poly.coeffs), 2 * value)
+    assert order_zeta_at_zero(data) == -want.mass
+
+
 def test_a_poisoned_zeta_memo_moves_only_the_mass():
     field = FunctionFieldData(K2.q, K2.genus, K2.l_poly, K2.deg_inf)
     data = parse_shorthand("inf:-1/3,1:1/3", field, rank=3)

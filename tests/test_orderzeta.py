@@ -296,6 +296,67 @@ def test_cyclotomic_factors():
             assert _cyclotomic(k).eval(1) == (_prime_of_power(k) or 1), k
 
 
+def test_warm_memos_still_follow_a_patched_exponents_or_cyclotomic(monkeypatch):
+    want = order_zeta_at_zero(DEG_INF2_R4)
+    assert order_zeta_at_zero(DEG_INF2_R4) == want
+    assert orderzeta._shape_exponents.cache_info().currsize > 0
+    assert DEG_INF2_R4.field._closed_form_values
+    exponents = orderzeta._exponents
+    monkeypatch.setattr(
+        orderzeta, "_exponents", lambda data: {**exponents(data), (data.rank, 1): -2}
+    )
+    assert order_zeta_at_zero(DEG_INF2_R4) != want
+    monkeypatch.undo()
+    assert order_zeta_at_zero(DEG_INF2_R4) == want
+    monkeypatch.setattr(orderzeta, "_cyclotomic", cyclotomic_reading_one_at_one)
+    assert order_zeta_at_zero(DEG_INF2_R4) != want
+
+
+def test_exponents_are_a_fresh_map_on_every_call():
+    form = order_zeta_closed_form(DEG_INF2_R4)
+    want = dict(form.exponents)
+    form.exponents[DEG_INF2_R4.rank, 1] -= 1
+    del form.exponents[0, 0]
+    again = order_zeta_closed_form(DEG_INF2_R4)
+    assert again.exponents == want and again.exponents is not form.exponents
+    assert again.value_at_one == form.value_at_one
+    assert again.ratfun == reference_closed_form(DEG_INF2_R4)
+
+
+def _widest(text):
+    """The most digits of an integer in a printed rational."""
+    return max(len(part) for part in text.lstrip("-").split("/"))
+
+
+def test_closed_form_refusal_is_exactly_the_printed_lead(monkeypatch):
+    # the den-monic form prints q^N_den under both constant terms and
+    # q^(N_num - N_den) in num's leading term; a digit limit D refuses the
+    # closed form exactly when one of those has more than D digits, and a
+    # limit of 0 refuses nothing
+    configs = [
+        DEG_INF2_R4,
+        # N_num = 0: q^N_den alone decides
+        parse_shorthand("inf:1/6,1:-1/6", FunctionFieldData.rational(5), rank=6),
+        parse_shorthand("inf:1/6,3:5/6", FunctionFieldData.rational(7), rank=6),
+        # genus 1: each P-shift leads with q^(g + 2gj)
+        parse_shorthand("inf:1/4,2:3/4", K2_G1, rank=4),
+    ]
+    for data in configs:
+        printed = cli._ratfun_json(order_zeta_closed_form(data).ratfun)
+        bound = max(_widest(printed["den"][0]), _widest(printed["num"][-1]))
+        widest = max(map(_widest, printed["num"] + printed["den"]))
+        assert 1 < bound <= widest
+        for digits in (0, *range(1, widest + 2)):
+            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits)
+            try:
+                order_zeta_closed_form(data).ratfun
+                refused = False
+            except OutputTooLargeError:
+                refused = True
+            assert refused == (0 < digits < bound), (data, digits)
+        monkeypatch.undo()
+
+
 def test_closed_form_guards_its_poles(monkeypatch):
     exponents = orderzeta._exponents
     monkeypatch.setattr(orderzeta, "_exponents", lambda data: {**exponents(data), (2, 1): 0})

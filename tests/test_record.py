@@ -22,7 +22,7 @@ from massform.funcfield import FunctionFieldData, places_of_degree, zeta_special
 from massform.localmodels import LocalModel, ModelCheckReport
 from massform.localvolumes import local_volume_report
 from massform.massengine import mass
-from massform.orderzeta import order_zeta_closed_form
+from massform.orderzeta import order_zeta_at_zero, order_zeta_closed_form
 from massform.record import Record
 from massform.verify import SuiteReport
 
@@ -37,6 +37,7 @@ DATUM = "inf:1/2,1:1/2"
 def _fill_field_memos(field):
     places_of_degree(field, 12)
     zeta_special_value(field, 2)
+    order_zeta_at_zero(parse_shorthand(DATUM, field, rank=2))
 
 
 def _fill_closed_form_memos(closed):
@@ -71,7 +72,7 @@ RECORDS = {
     ),
     "FunctionFieldData": (
         lambda: FunctionFieldData(q=2, genus=1, l_poly=PolyQ((1, 1, 2)), deg_inf=1),
-        _fill_field_memos, ("_counts", "_zeta_values"),
+        _fill_field_memos, ("_counts", "_zeta_values", "_closed_form_values"),
         "FunctionFieldData(q=2, genus=1, l_poly=PolyQ(1 + u + 2*u^2), deg_inf=1)",
     ),
     "LocalModel": (

@@ -396,16 +396,3 @@ def fq_series(field: FqField, coeffs: Iterable[int], precision: int) -> Truncate
     if len(cs) < precision:
         cs += [0] * (precision - len(cs))
     return TruncatedSeriesFq(field, precision, tuple(cs[:precision]))
-
-
-def fq_series_zero(field: FqField, precision: int) -> TruncatedSeriesFq:
-    return TruncatedSeriesFq(field, precision, (0,) * precision)
-
-
-def fq_series_one(field: FqField, precision: int) -> TruncatedSeriesFq:
-    return fq_series(field, (1,), precision)
-
-
-def fq_series_pi(field: FqField, precision: int) -> TruncatedSeriesFq:
-    """The uniformizer pi as a series."""
-    return fq_series(field, (0, 1), precision)

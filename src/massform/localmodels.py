@@ -50,9 +50,6 @@ from .finitefield import (
     FqField,
     TruncatedSeriesFq,
     fq_series,
-    fq_series_one,
-    fq_series_pi,
-    fq_series_zero,
     log_dot,
 )
 from .localvolumes import _check_residue_size
@@ -70,30 +67,16 @@ MAX_MODEL_PAIRS = 250
 
 
 class LocalModel(Record):
-    """One local division algebra at finite pi-adic precision."""
+    """One local division algebra at finite pi-adic precision.  The
+    constructor checks its arguments and derives m_bez, the 1 <= m <= d
+    with b*m = 1 mod d, and residue_field, the residue field of L of
+    size q_v**d."""
 
     __slots__ = _fields = (
         "q_v", "d", "b", "m_bez", "precision", "residue_field",
     )
 
-    def __init__(
-        self,
-        q_v: int,
-        d: int,
-        b: int,
-        m_bez: int,                 # 1 <= m <= d with b*m = 1 mod d
-        precision: int,
-        residue_field: FqField,     # residue field of L, size q_v**d
-    ):
-        self.q_v = q_v
-        self.d = d
-        self.b = b
-        self.m_bez = m_bez
-        self.precision = precision
-        self.residue_field = residue_field
-
-    @staticmethod
-    def create(q_v: int, d: int, b: int, precision: int = 6) -> "LocalModel":
+    def __init__(self, q_v: int, d: int, b: int, precision: int = 6):
         _check_residue_size(q_v)
         if d < 1:
             raise InvalidRamificationError(f"index d = {d} must be >= 1")
@@ -109,14 +92,12 @@ class LocalModel(Record):
             raise InvalidFieldError(
                 f"residue field of order {q_v}^{d} exceeds the {FIELD_SIZE_CAP} cap"
             )
-        return LocalModel(
-            q_v=q_v,
-            d=d,
-            b=b,
-            m_bez=1 if d == 1 else pow(b, -1, d),
-            precision=precision,
-            residue_field=FqField.of_order(q_v ** d),
-        )
+        self.q_v = q_v
+        self.d = d
+        self.b = b
+        self.m_bez = 1 if d == 1 else pow(b, -1, d)
+        self.precision = precision
+        self.residue_field = FqField.of_order(q_v ** d)
 
     # -- elements of O_L ---------------------------------------------------
 
@@ -124,13 +105,13 @@ class LocalModel(Record):
         return fq_series(self.residue_field, coeffs, self.precision)
 
     def zero(self) -> TruncatedSeriesFq:
-        return fq_series_zero(self.residue_field, self.precision)
+        return self.series(())
 
     def one(self) -> TruncatedSeriesFq:
-        return fq_series_one(self.residue_field, self.precision)
+        return self.series((1,))
 
     def pi(self) -> TruncatedSeriesFq:
-        return fq_series_pi(self.residue_field, self.precision)
+        return self.series((0, 1))
 
     def tau(self, a: TruncatedSeriesFq) -> TruncatedSeriesFq:
         """The chosen generator of Gal(L/K_v) applied coefficientwise."""
@@ -155,15 +136,6 @@ class LocalModel(Record):
 
 def _mat_from_rows(rows) -> Mat:
     return tuple(tuple(row) for row in rows)
-
-
-def mat_identity(model: LocalModel) -> Mat:
-    return _mat_from_rows(
-        [
-            [model.one() if i == j else model.zero() for j in range(model.d)]
-            for i in range(model.d)
-        ]
-    )
 
 
 def mat_scalar(model: LocalModel, a: TruncatedSeriesFq) -> Mat:
@@ -199,7 +171,7 @@ def mat_pow(a: Mat, n: int, model: LocalModel) -> Mat:
     if n < 0:
         raise ValueError("negative matrix power")
     if n == 0:
-        return mat_identity(model)
+        return mat_scalar(model, model.one())
     result = a
     for bit in bin(n)[3:]:
         result = mat_mul(result, result)
@@ -341,7 +313,7 @@ def run_model_checks(
         raise PrecisionTooHighError(
             f"precision {precision} is above the cap {MAX_MODEL_PRECISION}"
         )
-    model = LocalModel.create(q_v, d, b, precision)
+    model = LocalModel(q_v, d, b, precision)
     rng = random.Random(seed)
 
     mult_ok = True

@@ -8,7 +8,9 @@ base field is
 with lambda_v the local correction at each ramified place.  Every
 factor is a ratio of integers, so the product runs in plain ints: one
 numerator and one denominator collect h(A), q - 1, each zeta_K(-i) and
-each lambda_v, and the mass is the one Fraction made from them.  This
+each lambda_v, and the mass is the one Fraction made from them.  A
+`MassReport` carries the datum and the mass; the factor audit is read
+off the datum when the report is printed.  This
 module never touches the maximal-order zeta function: the order-zeta
 module recomputes the same number along a completely different path and
 the test suite pins the two against each other.
@@ -39,65 +41,35 @@ from .record import Record
 
 
 class MassReport(Record):
-    """Mass together with every factor it was assembled from."""
+    """A definite datum and its mass; `mass_report_to_json_dict` reads
+    the factors off the datum by the functions `mass` calls."""
 
-    __slots__ = _fields = (
-        "mass", "class_number_factor", "zeta_factors", "lambda_factors",
-        "definite", "drinfeld_type",
-    )
+    __slots__ = _fields = ("data", "mass")
 
-    def __init__(
-        self,
-        mass: Fraction,
-        class_number_factor: Fraction,                  # h(A)/(q-1)
-        zeta_factors: tuple[Fraction, ...],             # zeta_K(-1) ... zeta_K(-(r-1))
-        lambda_factors: tuple[tuple[str, int], ...],    # (place token, lambda_v)
-        definite: bool,
-        drinfeld_type: bool,
-    ):
+    def __init__(self, data: RamificationData, mass: Fraction):
+        self.data = data
         self.mass = mass
-        self.class_number_factor = class_number_factor
-        self.zeta_factors = zeta_factors
-        self.lambda_factors = lambda_factors
-        self.definite = definite
-        self.drinfeld_type = drinfeld_type
 
 
 def mass(data: RamificationData) -> MassReport:
-    """Exact mass of valid definite ramification data.
-
-    One integer numerator and one integer denominator collect h(A),
-    q - 1, each zeta_K(-i) and each lambda_v; the mass is the one
-    Fraction made from them.
-    """
+    """Exact mass of valid definite ramification data, as the integer
+    product the module docstring describes."""
     if not is_definite(data):
         raise NotDefiniteError(
             "mass is defined only for definite data (division algebra at infinity)"
         )
     field, r = data.field, data.rank
-    h = class_number_A(field)
-    zetas = tuple(zeta_special_value(field, i) for i in range(1, r))
-    lambdas = tuple(
-        (p.shorthand_token(), lambda_v(p, r, field.q)) for p in data.places
-    )
-    num, den = h, field.q - 1
-    for z in zetas:
+    num, den = class_number_A(field), field.q - 1
+    for i in range(1, r):
+        z = zeta_special_value(field, i)
         num *= z.numerator
         den *= z.denominator
-    for _, lam in lambdas:
-        num *= lam
-    total = Fraction(num, den)
+    for p in data.places:
+        num *= lambda_v(p, r, field.q)
     # den is positive: q - 1 times Fraction denominators
     if num <= 0:
-        raise InternalConsistencyError(f"mass {total} is not positive")
-    return MassReport(
-        mass=total,
-        class_number_factor=Fraction(h, field.q - 1),
-        zeta_factors=zetas,
-        lambda_factors=lambdas,
-        definite=True,
-        drinfeld_type=is_drinfeld_type(data),
-    )
+        raise InternalConsistencyError(f"mass {Fraction(num, den)} is not positive")
+    return MassReport(data, Fraction(num, den))
 
 
 def drinfeld_mass(field: FunctionFieldData, r: int, p_degree: int) -> Fraction:
@@ -129,14 +101,17 @@ def drinfeld_mass(field: FunctionFieldData, r: int, p_degree: int) -> Fraction:
 
 
 def mass_report_to_json_dict(report: MassReport) -> dict:
+    """The mass and each factor of it, read off the datum."""
+    data = report.data
+    field, r = data.field, data.rank
     return {
         "mass": rational_to_str(report.mass),
-        "class_number_factor": rational_to_str(report.class_number_factor),
-        "zeta_factors": [rational_to_str(z) for z in report.zeta_factors],
+        "class_number_factor": rational_to_str(Fraction(class_number_A(field), field.q - 1)),
+        "zeta_factors": [rational_to_str(zeta_special_value(field, i)) for i in range(1, r)],
         "lambda_factors": [
-            {"place": token, "lambda": str(lam)}
-            for token, lam in report.lambda_factors
+            {"place": p.shorthand_token(), "lambda": str(lambda_v(p, r, field.q))}
+            for p in data.places
         ],
-        "definite": report.definite,
-        "drinfeld_type": report.drinfeld_type,
+        "definite": True,
+        "drinfeld_type": is_drinfeld_type(data),
     }

@@ -318,6 +318,26 @@ def test_determinism_byte_identical(capsys):
     assert first == second
 
 
+def test_mass_output_over_the_battery_is_pinned(capsys):
+    # digest taken while the report still kept every factor it printed
+    digest = hashlib.sha256()
+    for data in verify.full_battery():
+        field = data.field
+        argv = [
+            "mass", "--q", str(field.q), "--genus", str(field.genus),
+            "--l-poly", ",".join(map(str, field.l_poly.coeffs)),
+            "--deg-inf", str(field.deg_inf), "--rank", str(data.rank),
+            "--ram", csa.shorthand(data),
+        ]
+        for fmt in ([], ["--format", "csv"]):
+            code, out, _ = invoke(capsys, *argv, *fmt)
+            assert code == 0, argv
+            digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "45d7f7ef520b2c40d7af68ba4a46a4f7a49dd3f4c237b48cb00047750340a126"
+    )
+
+
 def test_json_output_reparses(capsys):
     code, out, _ = invoke(
         capsys,

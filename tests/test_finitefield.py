@@ -14,7 +14,6 @@ from massform.finitefield import (
     digits,
     enumerate_monic_irreducibles,
     fq_series,
-    fq_series_one,
     from_digits,
     log_dot,
 )
@@ -314,7 +313,7 @@ def test_series_shift_and_valuation():
 def test_series_precision_mismatch_rejected():
     f2 = FqField.of_order(2)
     with pytest.raises(OrderMismatchError):
-        fq_series_one(f2, 3) * fq_series_one(f2, 4)
+        fq_series(f2, (1,), 3) * fq_series(f2, (1,), 4)
 
 
 def test_series_value_semantics():

@@ -19,7 +19,6 @@ from massform.localmodels import (
     LocalModel,
     delta_mul,
     in_iwahori,
-    mat_identity,
     mat_mul,
     mat_pow,
     mat_scalar,
@@ -107,7 +106,7 @@ def _phi_reference(model, coeffs):
 def _models(ds=range(1, 5), q_vs=(2, 3)):
     """Every (q_v, d, b) with q_v in q_vs, 1 <= b <= d and b prime to d."""
     return [
-        LocalModel.create(q_v, d, b)
+        LocalModel(q_v, d, b)
         for q_v in q_vs
         for d in ds
         for b in range(1, d + 1)
@@ -154,7 +153,7 @@ def test_engine_domain_errors_are_typed():
         lambda_value(2, 0, 1)
     with pytest.raises(NotDivisibleError):
         lambda_value(2, 3, 2)
-    model = LocalModel.create(2, 2, 1)
+    model = LocalModel(2, 2, 1)
     with pytest.raises(InvalidArgumentError):
         in_iwahori(phi_of_pi(model), denominator_exponent=-1)
 
@@ -237,29 +236,29 @@ def test_bezout_normalization():
         for b in range(-d, d + 1):
             if gcd(b, d) != 1:
                 continue
-            model = LocalModel.create(2, d, b)
+            model = LocalModel(2, d, b)
             assert 1 <= model.m_bez <= d
             assert b * model.m_bez % d == 1 % d
 
 
 def test_model_rejects_bad_inputs():
     with pytest.raises(InvalidRamificationError):
-        LocalModel.create(2, 4, 2)
+        LocalModel(2, 4, 2)
     with pytest.raises(InvalidRamificationError):
-        LocalModel.create(2, 0, 1)
+        LocalModel(2, 0, 1)
     with pytest.raises(InvalidFieldError):
-        LocalModel.create(3, 8, 1)
+        LocalModel(3, 8, 1)
     with pytest.raises(InvalidFieldError):
-        LocalModel.create(2, 10 ** 6, 1)
-    assert LocalModel.create(2, 12, 1).residue_field.q == 4096
+        LocalModel(2, 10 ** 6, 1)
+    assert LocalModel(2, 12, 1).residue_field.q == 4096
     with pytest.raises(PrecisionExhaustedError):
-        LocalModel.create(2, 2, 1, precision=1)
+        LocalModel(2, 2, 1, precision=1)
 
 
 def test_tau_is_frobenius_power():
     # q_v = 2, d = 2, b = 1: tau is the residue Frobenius x -> x^2,
     # which on F_4 swaps the two non-prime-field elements
-    model = LocalModel.create(2, 2, 1)
+    model = LocalModel(2, 2, 1)
     f = model.residue_field
     a = model.series([2, 3, 1])
     image = model.tau(a)
@@ -271,7 +270,7 @@ def test_tau_is_frobenius_power():
 def test_phi_of_pi_power_is_uniformizer():
     for q_v in (2, 3, 4):
         for d in (1, 2, 3, 4, 5):
-            model = LocalModel.create(q_v, d, 1)
+            model = LocalModel(q_v, d, 1)
             lhs = mat_pow(phi_of_pi(model), d, model)
             assert lhs == mat_scalar(model, model.pi())
 
@@ -279,7 +278,7 @@ def test_phi_of_pi_power_is_uniformizer():
 def _repeated_power(a, n, model):
     """a**n as n - 1 products from the left; the identity at n = 0."""
     if n == 0:
-        return mat_identity(model)
+        return mat_scalar(model, model.one())
     out = a
     for _ in range(n - 1):
         out = mat_mul(out, a)
@@ -294,7 +293,7 @@ def test_mat_pow_matches_repeated_products(monkeypatch):
         return mat_mul(a, b)
 
     rng = random.Random(23)
-    for model in (LocalModel.create(2, 3, 2), LocalModel.create(3, 2, 1, precision=4)):
+    for model in (LocalModel(2, 3, 2), LocalModel(3, 2, 1, precision=4)):
         d = model.d
         random_mat = tuple(
             tuple(model.random_integral(rng) for _ in range(d)) for _ in range(d)
@@ -313,7 +312,7 @@ def test_mat_pow_matches_repeated_products(monkeypatch):
 
 
 def test_phi_of_pi_shape_d2():
-    model = LocalModel.create(2, 2, 1)
+    model = LocalModel(2, 2, 1)
     mat = phi_of_pi(model)
     assert mat[0][0] == mat[1][1] == model.zero()
     assert mat[1][0] == model.one()
@@ -323,7 +322,7 @@ def test_phi_of_pi_shape_d2():
 def test_phi_entry_pattern_d3():
     # phi(a0 + P a1 + P^2 a2) column j carries tau^j twists, with a pi
     # factor strictly above the diagonal
-    model = LocalModel.create(2, 3, 1, precision=5)
+    model = LocalModel(2, 3, 1, precision=5)
     rng = random.Random(7)
     coeffs = [model.random_integral(rng) for _ in range(3)]
     mat = phi_of_element(model, coeffs)
@@ -339,7 +338,7 @@ def test_phi_entry_pattern_d3():
 def test_phi_scalar_of_base_field_is_central():
     # elements of the base residue field are fixed by tau, so their
     # image is a true scalar matrix
-    model = LocalModel.create(3, 2, 1)
+    model = LocalModel(3, 2, 1)
     f = model.residue_field
     fixed = [c for c in range(f.q) if f.pow(c, 3) == c]
     assert len(fixed) == 3
@@ -383,7 +382,7 @@ def test_fused_sums_restart_after_cancellation():
     # a partial sum that cancels to 0 must restart from the next term;
     # the expected values come from single field elements, not series
     for q_v in (2, 3, 4):
-        model = LocalModel.create(q_v, 3, 1)
+        model = LocalModel(q_v, 3, 1)
         f = model.residue_field
         one, zero = model.one(), model.zero()
         # row 0 of a is pi^s (u, -u, w) and column 0 of b is (1, 1, 1),
@@ -445,7 +444,7 @@ def test_multiplicativity_check_can_fail():
 def test_phi_multiplicative_random_pairs():
     rng = random.Random(42)
     for q_v, d, b in ((2, 2, 1), (3, 2, 1), (2, 3, 2), (2, 4, 3)):
-        model = LocalModel.create(q_v, d, b, precision=5)
+        model = LocalModel(q_v, d, b, precision=5)
         for _ in range(10):
             xs = [model.random_integral(rng) for _ in range(d)]
             ys = [model.random_integral(rng) for _ in range(d)]
@@ -455,7 +454,7 @@ def test_phi_multiplicative_random_pairs():
 
 
 def test_delta_mul_identity_and_associativity():
-    model = LocalModel.create(2, 3, 1, precision=5)
+    model = LocalModel(2, 3, 1, precision=5)
     rng = random.Random(3)
     one = [model.one(), model.zero(), model.zero()]
     for _ in range(5):
@@ -472,14 +471,14 @@ def test_delta_mul_identity_and_associativity():
 def test_integral_elements_embed_in_order():
     rng = random.Random(11)
     for q_v, d in ((2, 2), (2, 3), (3, 2)):
-        model = LocalModel.create(q_v, d, 1)
+        model = LocalModel(q_v, d, 1)
         for _ in range(10):
             xs = [model.random_integral(rng) for _ in range(d)]
             assert in_iwahori(phi_of_element(model, xs))
 
 
 def test_negative_valuation_falls_outside_order():
-    model = LocalModel.create(2, 2, 1)
+    model = LocalModel(2, 2, 1)
     # x = pi^{-1} * (unit at slot 0): not integral, so not in the order
     ys = [model.one(), model.zero()]
     assert not in_iwahori(phi_of_element(model, ys), denominator_exponent=1)
@@ -488,7 +487,7 @@ def test_negative_valuation_falls_outside_order():
 
 
 def test_in_iwahori_needs_pi_divisibility_above_diagonal():
-    model = LocalModel.create(2, 2, 1)
+    model = LocalModel(2, 2, 1)
     ones = mat_scalar(model, model.one())
     above = tuple(
         tuple(
@@ -509,7 +508,7 @@ def test_in_iwahori_needs_pi_divisibility_above_diagonal():
 
 
 def test_in_iwahori_precision_guard():
-    model = LocalModel.create(2, 2, 1, precision=3)
+    model = LocalModel(2, 2, 1, precision=3)
     mat = mat_scalar(model, model.one())
     with pytest.raises(PrecisionExhaustedError):
         in_iwahori(mat, denominator_exponent=3)

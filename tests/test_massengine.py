@@ -24,7 +24,7 @@ from massform.massengine import (
     mass_report_to_json_dict,
 )
 from massform.orderzeta import order_zeta_at_zero, order_zeta_closed_form
-from massform.algebra import PolyQ
+from massform.algebra import PolyQ, rational_to_str
 from test_orderzeta import (
     DEG_INF2_R4,
     cyclotomic_reading_one_at_one,
@@ -44,8 +44,9 @@ def reference_zeta_value(field, i):
 
 
 def reference_mass(data):
-    """The mass report built in Fractions: Fraction Horner per zeta_K(-i),
-    then a Fraction product of every factor."""
+    """The mass and its printed audit, every factor built in Fractions:
+    Fraction Horner per zeta_K(-i), then a Fraction product of every
+    factor."""
     field = data.field
     h_factor = Fraction(field.deg_inf * field.l_poly.eval(1), field.q - 1)
     zetas = tuple(reference_zeta_value(field, i) for i in range(1, data.rank))
@@ -57,22 +58,29 @@ def reference_mass(data):
         total *= z
     for _, lam in lambdas:
         total *= lam
-    return MassReport(
-        mass=total,
-        class_number_factor=h_factor,
-        zeta_factors=zetas,
-        lambda_factors=lambdas,
-        definite=True,
-        drinfeld_type=is_drinfeld_type(data),
-    )
+    return total, {
+        "mass": rational_to_str(total),
+        "class_number_factor": rational_to_str(h_factor),
+        "zeta_factors": [rational_to_str(z) for z in zetas],
+        "lambda_factors": [{"place": token, "lambda": str(lam)} for token, lam in lambdas],
+        "definite": True,
+        "drinfeld_type": is_drinfeld_type(data),
+    }
+
+
+def audit(data):
+    """The factor audit `massform mass` prints for the datum."""
+    return mass_report_to_json_dict(mass(data))
 
 
 def test_mass_matches_fraction_reference():
     fields, count = set(), 0
     for data in reference_stream():
-        want = reference_mass(data)
-        assert mass(data) == want, (data.field, data.rank, data.places)
-        assert order_zeta_at_zero(data) == -want.mass
+        total, printed = reference_mass(data)
+        report = mass(data)
+        assert report == MassReport(data, total), (data.field, data.rank, data.places)
+        assert mass_report_to_json_dict(report) == printed
+        assert order_zeta_at_zero(data) == -total
         fields.add(data.field)
         count += 1
     assert count == 1772
@@ -93,38 +101,48 @@ def test_dropped_zeta_denominator_factor_fails_the_reference(monkeypatch):
         parse_shorthand("inf:-1/3,1:1/3", K2, rank=3),
         parse_shorthand("inf:1/2,1:1/2", K2_G1, rank=2),
     ]:
-        assert mass(data) != reference_mass(data)
+        total, printed = reference_mass(data)
+        assert mass(data).mass != total
+        assert audit(data) != printed
         assert mass(data).mass != -order_zeta_at_zero(data)
 
 
 def test_mass_frozen_rank_two():
     report = mass(parse_shorthand("inf:1/2,1:1/2", K2, rank=2))
     assert report.mass == Fraction(1, 3)
-    assert report.class_number_factor == 1
-    assert report.zeta_factors == (Fraction(1, 3),)
-    assert report.lambda_factors == (("inf:1/2", 1), ("1:1/2", 1))
-    assert report.definite and report.drinfeld_type
+    obj = mass_report_to_json_dict(report)
+    assert obj["class_number_factor"] == "1"
+    assert obj["zeta_factors"] == ["1/3"]
+    assert obj["lambda_factors"] == [
+        {"place": "inf:1/2", "lambda": "1"}, {"place": "1:1/2", "lambda": "1"},
+    ]
+    assert obj["definite"] is True and obj["drinfeld_type"] is True
 
 
 def test_mass_frozen_rank_three():
     report = mass(parse_shorthand("inf:-1/3,1:1/3", K2, rank=3))
     assert report.mass == Fraction(1, 7)
-    assert report.zeta_factors == (Fraction(1, 3), Fraction(1, 21))
-    assert report.lambda_factors == (("inf:-1/3", 3), ("1:1/3", 3))
+    obj = mass_report_to_json_dict(report)
+    assert obj["zeta_factors"] == ["1/3", "1/21"]
+    assert obj["lambda_factors"] == [
+        {"place": "inf:-1/3", "lambda": "3"}, {"place": "1:1/3", "lambda": "3"},
+    ]
 
 
 def test_mass_frozen_genus_one():
     report = mass(parse_shorthand("inf:1/2,1:1/2", K2_G1, rank=2))
     assert report.mass == Fraction(44, 3)
-    assert report.class_number_factor == 4
-    assert report.zeta_factors == (Fraction(11, 3),)
+    obj = mass_report_to_json_dict(report)
+    assert obj["class_number_factor"] == "4"
+    assert obj["zeta_factors"] == ["11/3"]
 
 
 def test_mass_rank_one_degenerate():
     report = mass(RamificationData(field=K2_G1, rank=1, places=()))
     assert report.mass == 4               # h(A)/(q-1) alone
-    assert report.zeta_factors == ()
-    assert report.lambda_factors == ()
+    obj = mass_report_to_json_dict(report)
+    assert obj["zeta_factors"] == []
+    assert obj["lambda_factors"] == []
 
 
 def test_mass_rejects_indefinite_and_invalid():
@@ -137,20 +155,28 @@ def test_mass_rejects_indefinite_and_invalid():
 
 
 def test_mass_report_recomposition():
-    for text, rank, field in [
-        ("inf:1/2,1:1/2", 2, K2),
-        ("inf:-1/3,1:1/3", 3, K2),
-        ("inf:1/4,2:1/4,1:1/2", 4, K2),
-        ("inf:1/2,1:1/2", 2, K2_G1),
-    ]:
-        report = mass(parse_shorthand(text, field, rank))
-        product = report.class_number_factor
-        for z in report.zeta_factors:
-            product *= z
-        for _, lam in report.lambda_factors:
-            product *= lam
-        assert product == report.mass
-        assert report.mass > 0
+    count = 0
+    for data in reference_stream():
+        obj = audit(data)
+        product = Fraction(obj["class_number_factor"])
+        for z in obj["zeta_factors"]:
+            product *= Fraction(z)
+        for entry in obj["lambda_factors"]:
+            product *= int(entry["lambda"])
+        assert product == Fraction(obj["mass"]) > 0, (data.field, data.rank, data.places)
+        count += 1
+    assert count == 1772
+
+
+def test_mass_builds_no_audit(monkeypatch):
+    # the place tokens and the Drinfeld shape are read only when printed
+    def boom(*_):
+        raise AssertionError("mass built the audit")
+
+    want = [reference_mass(data)[0] for data in CONTROL_DATA]
+    monkeypatch.setattr(massengine, "is_drinfeld_type", boom)
+    monkeypatch.setattr(RamifiedPlace, "shorthand_token", boom)
+    assert [mass(data).mass for data in CONTROL_DATA] == want
 
 
 def test_drinfeld_mass_frozen_examples():
@@ -214,7 +240,9 @@ def test_warm_memos_leave_the_negative_controls_biting(monkeypatch):
     monkeypatch.setattr(massengine, "zeta_special_value", dropped)
     monkeypatch.setattr(orderzeta, "_cyclotomic", cyclotomic_reading_one_at_one)
     for data in CONTROL_DATA:
-        assert mass(data) != reference_mass(data)
+        total, printed = reference_mass(data)
+        assert mass(data).mass != total
+        assert audit(data) != printed
         assert mass(data).mass != -order_zeta_at_zero(data)
     assert order_zeta_at_zero(DEG_INF2_R4) != want
 
@@ -245,7 +273,8 @@ def test_a_poisoned_closed_form_memo_moves_only_the_closed_form():
     assert poly is field.l_poly and value == 11
     field._closed_form_values[1, 0] = (poly, 2 * value)
     assert order_zeta_at_zero(data) != -want.mass
-    assert mass(data) == want == reference_mass(data)
+    assert mass(data) == want == MassReport(data, reference_mass(data)[0])
+    assert audit(data) == reference_mass(data)[1]
     # a value kept beside an equal but other polynomial is not read
     field._closed_form_values[1, 0] = (PolyQ(poly.coeffs), 2 * value)
     assert order_zeta_at_zero(data) == -want.mass
@@ -256,7 +285,9 @@ def test_a_poisoned_zeta_memo_moves_only_the_mass():
     data = parse_shorthand("inf:-1/3,1:1/3", field, rank=3)
     assert mass(data).mass == -order_zeta_at_zero(data)
     field._zeta_values[1] *= 2
-    assert mass(data) != reference_mass(data)
+    total, printed = reference_mass(data)
+    assert mass(data).mass != total
+    assert audit(data) != printed
     assert mass(data).mass != -order_zeta_at_zero(data)
     want = reference_closed_form(data)
     assert order_zeta_closed_form(data).ratfun == want

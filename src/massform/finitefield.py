@@ -392,7 +392,5 @@ class TruncatedSeriesFq(Record):
 
 
 def fq_series(field: FqField, coeffs: Iterable[int], precision: int) -> TruncatedSeriesFq:
-    cs = list(coeffs)
-    if len(cs) < precision:
-        cs += [0] * (precision - len(cs))
-    return TruncatedSeriesFq(field, precision, tuple(cs[:precision]))
+    cs = tuple(coeffs)[:precision]
+    return TruncatedSeriesFq(field, precision, cs + (0,) * (precision - len(cs)))

@@ -10,10 +10,10 @@ factor is a ratio of integers, so the product runs in plain ints: one
 numerator and one denominator collect h(A), q - 1, each zeta_K(-i) and
 each lambda_v, and the mass is the one Fraction made from them.  A
 `MassReport` carries the datum and the mass; the factor audit is read
-off the datum when the report is printed.  This
-module never touches the maximal-order zeta function: the order-zeta
-module recomputes the same number along a completely different path and
-the test suite pins the two against each other.
+off the datum when the report is printed.  This module never touches
+the maximal-order zeta function: the order-zeta module recomputes the
+same number along a completely different path and the test suite pins
+the two against each other.
 """
 
 from __future__ import annotations

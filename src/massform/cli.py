@@ -1,10 +1,15 @@
 """Command-line front end.
 
 Parses field and ramification descriptions, dispatches to the engines,
-and emits deterministic JSON (default) or CSV.  Exit codes: 0 success,
-2 invalid input data (a typed InputDataError, or an answer past
-Python's int-to-string limit), 64 usage error, 70 internal consistency
-failure or any other untyped error.
+and emits deterministic JSON (default) or CSV.  Each command is a plain
+function from its parsed options to the object it prints: a dict, or
+(header, rows) for `table`.  `run` does the rest: it resolves the field
+of the commands that take one and puts its header first, prints in the
+chosen format, and picks the exit code.  Exit codes: 0 success, 2
+invalid input data (a typed InputDataError, or an answer past Python's
+int-to-string limit), 64 usage error, 70 a printed `"ok": false`, an
+internal consistency failure or any other untyped error, 74 a stdout
+closed by its reader.
 
 The parser is a loop over one table, in the standard library only.
 Each command registers its path and its options with `@command`, and
@@ -27,6 +32,7 @@ model-check` and the verify suite local-models pay for that import.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -350,26 +356,18 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_csv(header: list[str], rows: list[dict]) -> None:
+def _emit(obj: dict | tuple[list[str], list[dict]], fmt: str) -> None:
+    """Print a dict, or the rows of (header, rows), as JSON or CSV."""
+    table = isinstance(obj, tuple)
+    if fmt == "json":
+        print(json.dumps(obj[1] if table else obj, ensure_ascii=True))
+        return
     import csv
 
+    header, rows = obj if table else (list(obj), [obj])
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_cell(row[k]) for k in header] for row in rows)
-
-
-def _emit(obj: dict, fmt: str) -> None:
-    if fmt == "csv":
-        _write_csv(list(obj), [obj])
-    else:
-        print(json.dumps(obj, ensure_ascii=True))
-
-
-def _emit_rows(header: list[str], rows: list[dict], fmt: str) -> None:
-    if fmt == "csv":
-        _write_csv(header, rows)
-    else:
-        print(json.dumps(rows, ensure_ascii=True))
 
 
 def _ratfun_json(f: RationalFunctionQ) -> dict:
@@ -386,72 +384,52 @@ def _ratfun_json(f: RationalFunctionQ) -> dict:
     }
 
 
-def _field_header(field: FunctionFieldData) -> dict:
-    return {"q": field.q, "genus": field.genus, "deg_inf": field.deg_inf}
-
-
 # ----------------------------------------------------------------------
-# Commands: each resolves its inputs, calls its engine and emits
+# Commands: each calls its engine and returns the object that run prints;
+# a command that lists FIELD_OPTIONS takes the resolved field instead
 # ----------------------------------------------------------------------
 
 @command("mass", *FIELD_OPTIONS, RANK, Option("--ram", "text", "", help='e.g. "inf:1/2,1:1/2"'))
-def cmd_mass(q, genus, l_poly, deg_inf, field_file, rank, ram, fmt):
+def cmd_mass(field, rank, ram):
     """Mass of the maximal orders for one ramification datum."""
     from .csa import parse_shorthand, shorthand
     from .massengine import mass, mass_report_to_json_dict
 
-    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
     data = parse_shorthand(ram, field, rank)
-    out = {
-        **_field_header(field),
-        "rank": rank,
-        "ramification": shorthand(data),
-        **mass_report_to_json_dict(mass(data)),
-    }
-    _emit(out, fmt)
+    return {"rank": rank, "ramification": shorthand(data), **mass_report_to_json_dict(mass(data))}
 
 
 @command("drinfeld-mass", *FIELD_OPTIONS, RANK, Option("--p-degree", required=True))
-def cmd_drinfeld_mass(q, genus, l_poly, deg_inf, field_file, rank, p_degree, fmt):
+def cmd_drinfeld_mass(field, rank, p_degree):
     """Mass in the Drinfeld shape: one finite ramified place plus infinity."""
     from .algebra import rational_to_str
     from .massengine import drinfeld_mass
 
-    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
-    out = {
-        **_field_header(field),
+    return {
         "rank": rank,
         "p_degree": p_degree,
         "mass": rational_to_str(drinfeld_mass(field, rank, p_degree)),
     }
-    _emit(out, fmt)
 
 
 @command("class-number", *FIELD_OPTIONS)
-def cmd_class_number(q, genus, l_poly, deg_inf, field_file, fmt):
+def cmd_class_number(field):
     """Class number of the ring of functions regular away from infinity."""
     from .algebra import rational_to_str
     from .funcfield import class_number_A
 
-    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
-    out = {
-        **_field_header(field),
-        "h_A": rational_to_str(class_number_A(field)),
-    }
-    _emit(out, fmt)
+    return {"h_A": rational_to_str(class_number_A(field))}
 
 
 @command("zeta", *FIELD_OPTIONS, Option("--values", default=3, help="how many special values"))
-def cmd_zeta(q, genus, l_poly, deg_inf, field_file, values, fmt):
+def cmd_zeta(field, values):
     """Field zeta function, with and without the infinity factor."""
     from .algebra import rational_to_str
     from .funcfield import zeta_A, zeta_K, zeta_special_value
 
-    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
     if values < 1:
         raise EmptySelectionError(f"values {values} must be >= 1")
-    out = {
-        **_field_header(field),
+    return {
         "l_poly": [str(c) for c in field.l_poly.coeffs],
         "zeta_K": _ratfun_json(zeta_K(field)),
         "zeta_A": _ratfun_json(zeta_A(field)),
@@ -460,25 +438,22 @@ def cmd_zeta(q, genus, l_poly, deg_inf, field_file, values, fmt):
             for i in range(1, values + 1)
         },
     }
-    _emit(out, fmt)
 
 
 @command(
     "order-zeta", *FIELD_OPTIONS, RANK, Option("--ram", "text", ""),
     Option("--series-order", default=10, help=f"0 to {MAX_SERIES_ORDER}; default 10"),
 )
-def cmd_order_zeta(q, genus, l_poly, deg_inf, field_file, rank, ram, series_order, fmt):
+def cmd_order_zeta(field, rank, ram, series_order):
     """Zeta function of a maximal order: closed form, value at zero, series."""
     from .algebra import rational_to_str
     from .csa import parse_shorthand, shorthand
     from .orderzeta import order_zeta_closed_form, order_zeta_series
 
-    field = _resolve_field(q, genus, l_poly, deg_inf, field_file)
     data = parse_shorthand(ram, field, rank)
     closed = order_zeta_closed_form(data)
     series = order_zeta_series(data, series_order)
-    out = {
-        **_field_header(field),
+    return {
         "rank": rank,
         "ramification": shorthand(data),
         "closed_form": _ratfun_json(closed.ratfun),
@@ -486,49 +461,40 @@ def cmd_order_zeta(q, genus, l_poly, deg_inf, field_file, rank, ram, series_orde
         "series_order": series_order,
         "series": [str(c) for c in series.coeffs],
     }
-    _emit(out, fmt)
 
 
 @command("local volumes", *VOLUME_OPTIONS)
-def cmd_local_volumes(q_v, r, d, fmt):
+def cmd_local_volumes(q_v, r, d):
     """Volumes of GL_r and its index-d inner form, and their ratio."""
     from .algebra import rational_to_str
-    from .localvolumes import local_volume_report
+    from .localvolumes import local_volumes
 
-    rep = local_volume_report(q_v, r, d)
-    out = {
+    vol_g, vol_gprime = local_volumes(q_v, r, d)
+    return {
         "q_v": q_v,
         "r": r,
         "d": d,
-        "vol_G": rational_to_str(rep.vol_G),
-        "vol_Gprime": rational_to_str(rep.vol_Gprime),
-        "ratio": rational_to_str(rep.ratio),
+        "vol_G": rational_to_str(vol_g),
+        "vol_Gprime": rational_to_str(vol_gprime),
+        "ratio": rational_to_str(vol_g / vol_gprime),
     }
-    _emit(out, fmt)
 
 
 @command("local lambda", *VOLUME_OPTIONS)
-def cmd_local_lambda(q_v, r, d, fmt):
+def cmd_local_lambda(q_v, r, d):
     """Local mass factor lambda_v, the ratio of the two volumes."""
     from .algebra import rational_to_str
     from .localvolumes import lambda_from_volumes
 
-    out = {
-        "q_v": q_v,
-        "r": r,
-        "d": d,
-        "lambda": rational_to_str(lambda_from_volumes(q_v, r, d)),
-    }
-    _emit(out, fmt)
+    return {"q_v": q_v, "r": r, "d": d, "lambda": rational_to_str(lambda_from_volumes(q_v, r, d))}
 
 
 @command("local iw-index", QV, Option("--d", required=True, help="local index d"))
-def cmd_local_iw_index(q_v, d, fmt):
+def cmd_local_iw_index(q_v, d):
     """Index of the hereditary order in the full matrix order."""
     from .localvolumes import iwahori_index
 
-    out = {"q_v": q_v, "d": d, "index": iwahori_index(q_v, d)}
-    _emit(out, fmt)
+    return {"q_v": q_v, "d": d, "index": iwahori_index(q_v, d)}
 
 
 @command(
@@ -540,12 +506,12 @@ def cmd_local_iw_index(q_v, d, fmt):
     Option("--pairs", default=100, help="random element pairs; default 100"),
     Option("--seed", default=0, help="seed of the random pairs; default 0"),
 )
-def cmd_local_model_check(q_v, d, b, precision, pairs, seed, fmt):
+def cmd_local_model_check(q_v, d, b, precision, pairs, seed):
     """Check the matrix model of one local division algebra."""
     from .localmodels import run_model_checks
 
     report = run_model_checks(q_v, d, b, precision=precision, pairs=pairs, seed=seed)
-    out = {
+    return {
         "q_v": report.q_v,
         "d": report.d,
         "b": report.b,
@@ -557,8 +523,6 @@ def cmd_local_model_check(q_v, d, b, precision, pairs, seed, fmt):
         "negative_valuation_excluded_ok": report.negative_valuation_excluded_ok,
         "ok": report.ok,
     }
-    _emit(out, fmt)
-    return 0 if report.ok else 70
 
 
 @command(
@@ -567,7 +531,7 @@ def cmd_local_model_check(q_v, d, b, precision, pairs, seed, fmt):
     Option("--ranks", "text", "2", help="comma-separated list"),
     Option("--p-degrees", "text", "1,2,3", help="comma-separated list"),
 )
-def cmd_table(qs, ranks, p_degrees, fmt):
+def cmd_table(qs, ranks, p_degrees):
     """Mass table over a parameter grid of Drinfeld-shape data."""
     from .csa import RamificationData, parse_shorthand, shorthand
     from .funcfield import FunctionFieldData
@@ -604,8 +568,7 @@ def cmd_table(qs, ranks, p_degrees, fmt):
                 "mass_den": value.denominator,
             }
         )
-    header = ["q", "genus", "deg_inf", "r", "ramification", "mass_num", "mass_den"]
-    _emit_rows(header, out_rows, fmt)
+    return ["q", "genus", "deg_inf", "r", "ramification", "mass_num", "mass_den"], out_rows
 
 
 def _parameter_names(fn) -> tuple[str, ...]:
@@ -623,7 +586,7 @@ def _parameter_names(fn) -> tuple[str, ...]:
     Option("--seed"),
     Option("--pairs"),
 )
-def cmd_verify(suite, fmt, **options):
+def cmd_verify(suite, **options):
     """Run the cross-check suites and report exact agreement.
 
     Each option given goes to the selected suites that take it; one that
@@ -644,12 +607,10 @@ def cmd_verify(suite, fmt, **options):
         )
         for name in names
     ]
-    out = {
+    return {
         "reports": [verify_mod.suite_report_to_json_dict(r) for r in reports],
         "ok": all(r.ok for r in reports),
     }
-    _emit(out, fmt)
-    return 0 if out["ok"] else 70
 
 
 # ----------------------------------------------------------------------
@@ -670,10 +631,24 @@ def run(argv: list[str]) -> int:
     """Execute one invocation; returns the exit code instead of exiting."""
     try:
         path, kwargs = _parse(argv)
+        code = 0
         if kwargs is None:
             sys.stdout.write(_help(path))
-            return 0
-        result = COMMANDS[path][0](**kwargs)
+        else:
+            fn, options = COMMANDS[path]
+            fmt = kwargs.pop(FORMAT.dest)
+            if FIELD_OPTIONS[0] in options:
+                field = _resolve_field(*(kwargs.pop(opt.dest) for opt in FIELD_OPTIONS))
+                header = {"q": field.q, "genus": field.genus, "deg_inf": field.deg_inf}
+                result = {**header, **fn(field=field, **kwargs)}
+            else:
+                result = fn(**kwargs)
+            _emit(result, fmt)
+            if isinstance(result, dict) and result.get("ok") is False:
+                code = 70
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed by its reader, as by `| head`
+        return 74
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
@@ -690,13 +665,16 @@ def run(argv: list[str]) -> int:
         return _internal_error(exc)
     except Exception as exc:
         return _internal_error(exc)
-    if isinstance(result, int):
-        return result
-    return 0
+    return code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    if code == 74:
+        # what stdout still buffers goes nowhere, so that the
+        # interpreter's last flush prints no "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from .errors import (
     NotDivisibleError,
 )
 from .finitefield import FqField, digits
-from .record import Record
 
 # Caps on the local index d and the local rank r of the index, volume and
 # lambda commands.  A local model needs q_v^d <= FIELD_SIZE_CAP = 2^12, so
@@ -81,16 +80,8 @@ def vol_Gprime(q_v: int, m: int, d: int) -> Fraction:
     return index_correction * gl_factor
 
 
-class LocalVolumeReport(Record):
-    __slots__ = _fields = ("vol_G", "vol_Gprime", "ratio")
-
-    def __init__(self, vol_G: Fraction, vol_Gprime: Fraction, ratio: Fraction):
-        self.vol_G = vol_G
-        self.vol_Gprime = vol_Gprime
-        self.ratio = ratio
-
-
-def local_volume_report(q_v: int, r: int, d: int) -> LocalVolumeReport:
+def local_volumes(q_v: int, r: int, d: int) -> tuple[Fraction, Fraction]:
+    """vol_G at rank r and vol_Gprime at index d, for d | r."""
     _check_residue_size(q_v)
     if not 1 <= r <= MAX_LOCAL_RANK:
         raise InvalidRamificationError(f"local rank {r} is outside 1..{MAX_LOCAL_RANK}")
@@ -98,14 +89,13 @@ def local_volume_report(q_v: int, r: int, d: int) -> LocalVolumeReport:
         raise InvalidRamificationError(f"index d = {d} is outside 1..{MAX_LOCAL_INDEX}")
     if r % d != 0:
         raise NotDivisibleError(f"index {d} does not divide rank {r}")
-    vg = vol_G(q_v, r)
-    vgp = vol_Gprime(q_v, r // d, d)
-    return LocalVolumeReport(vol_G=vg, vol_Gprime=vgp, ratio=vg / vgp)
+    return vol_G(q_v, r), vol_Gprime(q_v, r // d, d)
 
 
 def lambda_from_volumes(q_v: int, r: int, d: int) -> Fraction:
     """Local mass factor as a volume ratio; an integer for every d | r."""
-    return local_volume_report(q_v, r, d).ratio
+    vol_g, vol_gprime = local_volumes(q_v, r, d)
+    return vol_g / vol_gprime
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .algebra import PolyQ, series_from_ratfun
+from .algebra import PolyQ, ratfun, series_from_ratfun
 from .csa import (
     RamificationData,
     RamifiedPlace,
@@ -293,15 +293,19 @@ def suite_series_closed_form(series_order: int = 12) -> SuiteReport:
     """Dirichlet series built from the Euler product by Newton's
     identities against the closed-form rational function expanded by
     long division; on the q = 2 data, also the series rebuilt place by
-    place from local ideal counts, to at most PLACE_BY_PLACE_ORDER."""
+    place from local ideal counts, to at most PLACE_BY_PLACE_ORDER.  Each
+    closed form must also be its own gcd-normalized representative: the
+    expansion skips the gcd because its num and den are coprime, and
+    equal series cannot tell a common factor apart."""
     failures = []
     sample = _series_sample()
     local_order = min(series_order, PLACE_BY_PLACE_ORDER)
     for data in sample:
+        form = order_zeta_closed_form(data).ratfun
+        if ratfun(form.num, form.den) != form:
+            failures.append(f"{_config_label(data)}: the closed form is not in lowest terms")
         direct = order_zeta_series(data, series_order).coeffs
-        closed = series_from_ratfun(
-            order_zeta_closed_form(data).ratfun, series_order
-        ).coeffs
+        closed = series_from_ratfun(form, series_order).coeffs
         k = _first_difference(direct, closed)
         if k is not None:
             failures.append(

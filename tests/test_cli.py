@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import massform
 import massform.cli as cli
-from massform import csa, funcfield, localvolumes, massengine, orderzeta, verify
+from massform import csa, funcfield, localmodels, localvolumes, massengine, orderzeta, verify
 from massform.algebra import rational_to_str
 from massform.csa import MAX_PLACE_DEGREE, MAX_RAMIFIED_DEGREE, MAX_RANK
 from massform.errors import (
@@ -699,7 +700,7 @@ def test_q_cap_from_each_side(capsys, monkeypatch):
     with pytest.raises(InvalidFieldError, match="above the cap"):
         FunctionFieldData.rational(int(HUGE_PRIME))
     with pytest.raises(InvalidFieldError, match="above the cap"):
-        localvolumes.local_volume_report(int(HUGE_PRIME), 2, 1)
+        localvolumes.local_volumes(int(HUGE_PRIME), 2, 1)
 
 
 def test_ramified_degree_cap_from_each_side(capsys):
@@ -1164,6 +1165,68 @@ def test_only_the_matrix_models_load_dataclasses(argv, models):
     assert ("localmodels" in loaded) is models, loaded
     assert ("dataclasses" in imported) is models
     assert ("inspect" in imported) is models
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in WORKLOAD_COMMANDS.values()], ids=WORKLOAD_COMMANDS
+)
+def test_csv_header_is_the_json_keys(capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    obj = json.loads(out)
+    code, out, _ = invoke(capsys, *argv, "--format", "csv")
+    assert code == 0
+    # table prints a list of rows; every other command one object
+    assert next(csv.reader(io.StringIO(out))) == list(obj[0] if isinstance(obj, list) else obj)
+
+
+def test_every_command_has_a_workload_case():
+    paths = {cli._parse(list(argv))[0] for argv, _ in WORKLOAD_COMMANDS.values()}
+    assert paths == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [MODEL_ARGS.split(), ["verify", "--suite", "local-models"]],
+    ids=["model-check", "verify"],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_printed_ok_false_is_exit_70(capsys, monkeypatch, argv, fmt):
+    delta_mul = localmodels.delta_mul
+    monkeypatch.setattr(localmodels, "delta_mul", lambda model, xs, ys: delta_mul(model, ys, xs))
+    code, out, err = invoke(capsys, *argv, "--format", fmt)
+    assert (code, err) == (70, "")
+    if fmt == "json":
+        assert json.loads(out)["ok"] is False
+    else:
+        assert next(csv.DictReader(io.StringIO(out)))["ok"] == "false"
+
+
+# Each command's stdout is the write end of a pipe whose read end is
+# closed: exit 74, and nothing on stderr, not even the interpreter's
+# "Exception ignored" at its last flush
+CLOSED_STDOUT = {
+    "order-zeta": ("order-zeta", "--q", "5", "--rank", "6", "--ram", "inf:1/6,1:5/6",
+                   "--series-order", "300"),
+    "mass": tuple(MASS_ARGS.split()),
+    "verify": ("verify", "--suite", "drinfeld"),
+}
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT.values(), ids=CLOSED_STDOUT)
+def test_a_closed_stdout_is_exit_74_in_silence(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "massform.cli", *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (74, b"")
 
 
 def test_bare_import_loads_no_submodule():

@@ -90,6 +90,12 @@ KILLS = [
     ("exponents-without-the-infinity-cyclotomics", "massform.orderzeta", "_exponents",
      "lambda f: lambda data: {key: e for key, e in f(data).items() if key[0] or key[1] < 2}",
      {"zeta-at-zero", "series-closed-form"}),
+    # the series of num(1 - u)/den(1 - u) is the series of num/den, so
+    # only the lowest-terms check of series-closed-form sees this one there
+    ("expand-not-in-lowest-terms", "massform.orderzeta", "_expand",
+     "lambda f: lambda field, exponents: (lambda form, u: algebra.RationalFunctionQ("
+     "form.num * u, form.den * u))(f(field, exponents), algebra.PolyQ.one_minus(1, 1))",
+     {"zeta-at-zero", "series-closed-form"}),
     ("local-ideal-count-plus-one-at-ell2", "massform.orderzeta", "local_ideal_count",
      "lambda f: lambda q_v, m_v, d_v, ell: f(q_v, m_v, d_v, ell) + (ell == 2)",
      {"series-closed-form", "brute-force-oracles"}),

@@ -30,7 +30,7 @@ from massform.localvolumes import (
     gl_count_bruteforce,
     iwahori_index,
     lambda_from_volumes,
-    local_volume_report,
+    local_volumes,
     sublattice_count_bruteforce,
     vol_G,
     vol_Gprime,
@@ -182,10 +182,10 @@ def test_lambda_from_volumes_requires_divisibility():
 
 
 def test_volume_report_fields():
-    rep = local_volume_report(3, 2, 2)
-    assert rep.vol_G == Fraction(16, 27)
-    assert rep.vol_Gprime == Fraction(8, 27)
-    assert rep.ratio == 2
+    vol_g, vol_gprime = local_volumes(3, 2, 2)
+    assert vol_g == Fraction(16, 27)
+    assert vol_gprime == Fraction(8, 27)
+    assert vol_g / vol_gprime == lambda_from_volumes(3, 2, 2) == 2
 
 
 def test_iwahori_index_frozen():

@@ -22,7 +22,6 @@ from massform.csa import RamifiedPlace, parse_shorthand
 from massform.finitefield import FqField, TruncatedSeriesFq
 from massform.funcfield import FunctionFieldData, places_of_degree, zeta_special_value
 from massform.localmodels import LocalModel, ModelCheckReport
-from massform.localvolumes import local_volume_report
 from massform.massengine import mass
 from massform.orderzeta import order_zeta_at_zero, order_zeta_closed_form
 from massform.record import Record
@@ -81,12 +80,6 @@ RECORDS = {
         lambda: LocalModel(3, 2, 1),
         None, (),
         "LocalModel(q_v=3, d=2, b=1, m_bez=1, precision=6, residue_field=FqField(q=9))",
-    ),
-    "LocalVolumeReport": (
-        lambda: local_volume_report(3, 2, 2),
-        None, (),
-        "LocalVolumeReport(vol_G=Fraction(16, 27), vol_Gprime=Fraction(8, 27), "
-        "ratio=Fraction(2, 1))",
     ),
     "MassReport": (
         lambda: mass(parse_shorthand(DATUM, K2_G1, rank=2)),

@@ -4,8 +4,9 @@ Parses field and ramification descriptions, dispatches to the engines,
 and emits deterministic JSON (default) or CSV.  Each command is a plain
 function from its parsed options to the object it prints: a dict, or
 (header, rows) for `table`.  `run` does the rest: it resolves the field
-of the commands that take one and puts its header first, prints in the
-chosen format, and picks the exit code.  Exit codes: 0 success, 2
+of the commands that take one and puts its header first, renders the
+answer or the typed error in the chosen format, picks the exit code,
+and writes the whole text to stdout at once.  Exit codes: 0 success, 2
 invalid input data (a typed InputDataError, or an answer past Python's
 int-to-string limit), 64 usage error, 70 a printed `"ok": false`, an
 internal consistency failure or any other untyped error, 74 a stdout
@@ -356,18 +357,20 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(obj: dict | tuple[list[str], list[dict]], fmt: str) -> None:
-    """Print a dict, or the rows of (header, rows), as JSON or CSV."""
+def _emit(obj: dict | tuple[list[str], list[dict]], fmt: str) -> str:
+    """A dict, or the rows of (header, rows), as JSON or CSV text."""
     table = isinstance(obj, tuple)
     if fmt == "json":
-        print(json.dumps(obj[1] if table else obj, ensure_ascii=True))
-        return
+        return json.dumps(obj[1] if table else obj, ensure_ascii=True) + "\n"
     import csv
+    import io
 
     header, rows = obj if table else (list(obj), [obj])
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_cell(row[k]) for k in header] for row in rows)
+    return text.getvalue()
 
 
 def _ratfun_json(f: RationalFunctionQ) -> dict:
@@ -448,16 +451,16 @@ def cmd_order_zeta(field, rank, ram, series_order):
     """Zeta function of a maximal order: closed form, value at zero, series."""
     from .algebra import rational_to_str
     from .csa import parse_shorthand, shorthand
-    from .orderzeta import order_zeta_closed_form, order_zeta_series
+    from .orderzeta import order_zeta_at_zero, order_zeta_closed_form, order_zeta_series
 
     data = parse_shorthand(ram, field, rank)
-    closed = order_zeta_closed_form(data)
+    value = order_zeta_at_zero(data)
     series = order_zeta_series(data, series_order)
     return {
         "rank": rank,
         "ramification": shorthand(data),
-        "closed_form": _ratfun_json(closed.ratfun),
-        "value_at_zero": rational_to_str(closed.value_at_one),
+        "closed_form": _ratfun_json(order_zeta_closed_form(data)),
+        "value_at_zero": rational_to_str(value),
         "series_order": series_order,
         "series": [str(c) for c in series.coeffs],
     }
@@ -511,18 +514,7 @@ def cmd_local_model_check(q_v, d, b, precision, pairs, seed):
     from .localmodels import run_model_checks
 
     report = run_model_checks(q_v, d, b, precision=precision, pairs=pairs, seed=seed)
-    return {
-        "q_v": report.q_v,
-        "d": report.d,
-        "b": report.b,
-        "precision": report.precision,
-        "pairs_checked": report.pairs_checked,
-        "multiplicativity_ok": report.multiplicativity_ok,
-        "pi_power_ok": report.pi_power_ok,
-        "embedding_in_order_ok": report.embedding_in_order_ok,
-        "negative_valuation_excluded_ok": report.negative_valuation_excluded_ok,
-        "ok": report.ok,
-    }
+    return {**vars(report), "ok": report.ok}
 
 
 @command(
@@ -617,35 +609,40 @@ def cmd_verify(suite, **options):
 # Entry points
 # ----------------------------------------------------------------------
 
-def _input_error(exc: InputDataError) -> int:
-    _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, "json")
-    return 2
-
-
-def _internal_error(exc: Exception) -> int:
-    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    return 70
+def _outcome(argv: list[str]) -> tuple[int, str]:
+    """The exit code and the whole stdout text of one invocation: its
+    help, its result, or the typed error of an invalid input."""
+    try:
+        path, kwargs = _parse(argv)
+        if kwargs is None:
+            return 0, _help(path)
+        fn, options = COMMANDS[path]
+        fmt = kwargs.pop(FORMAT.dest)
+        if FIELD_OPTIONS[0] in options:
+            field = _resolve_field(*(kwargs.pop(opt.dest) for opt in FIELD_OPTIONS))
+            header = {"q": field.q, "genus": field.genus, "deg_inf": field.deg_inf}
+            result = {**header, **fn(field=field, **kwargs)}
+        else:
+            result = fn(**kwargs)
+        failed = isinstance(result, dict) and result.get("ok") is False
+        return 70 if failed else 0, _emit(result, fmt)
+    except InputDataError as exc:
+        error = exc
+    except ValueError as exc:
+        # Python's int-to-string limit is the one untyped error that
+        # reports an input: an answer too long to print
+        if "integer string conversion" not in str(exc):
+            raise
+        error = OutputTooLargeError(str(exc))
+    return 2, _emit({"error": {"type": type(error).__name__, "message": str(error)}}, "json")
 
 
 def run(argv: list[str]) -> int:
-    """Execute one invocation; returns the exit code instead of exiting."""
+    """Execute one invocation; returns the exit code instead of exiting.
+    Its stdout is written once, after the answer or the error is whole."""
     try:
-        path, kwargs = _parse(argv)
-        code = 0
-        if kwargs is None:
-            sys.stdout.write(_help(path))
-        else:
-            fn, options = COMMANDS[path]
-            fmt = kwargs.pop(FORMAT.dest)
-            if FIELD_OPTIONS[0] in options:
-                field = _resolve_field(*(kwargs.pop(opt.dest) for opt in FIELD_OPTIONS))
-                header = {"q": field.q, "genus": field.genus, "deg_inf": field.deg_inf}
-                result = {**header, **fn(field=field, **kwargs)}
-            else:
-                result = fn(**kwargs)
-            _emit(result, fmt)
-            if isinstance(result, dict) and result.get("ok") is False:
-                code = 70
+        code, text = _outcome(argv)
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:  # stdout closed by its reader, as by `| head`
         return 74
@@ -655,16 +652,9 @@ def run(argv: list[str]) -> int:
     except KeyboardInterrupt:  # Ctrl-C: the usage code, and no traceback
         print(file=sys.stderr)
         return 64
-    except InputDataError as exc:
-        return _input_error(exc)
-    except ValueError as exc:
-        # Python's int-to-string limit is the one untyped error that
-        # reports an input: an answer too long to print
-        if "integer string conversion" in str(exc):
-            return _input_error(OutputTooLargeError(str(exc)))
-        return _internal_error(exc)
     except Exception as exc:
-        return _internal_error(exc)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 70
     return code
 
 

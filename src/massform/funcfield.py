@@ -115,7 +115,7 @@ class FunctionFieldData(Record):
     _counts, the place counts b_1, b_2, ... (both paths);
     _zeta_values, zeta_K(-i) by i (the mass side only);
     _closed_form_values, each closed-form factor's value at u = 1 by its
-    key, beside the polynomial it came from (the closed form only).
+    key (the closed form only).
     """
 
     _fields = ("q", "genus", "l_poly", "deg_inf")
@@ -130,9 +130,9 @@ class FunctionFieldData(Record):
         self._counts: tuple[int, ...] = ()
         # zeta_K(-i) by i, filled by zeta_special_value (the mass side only)
         self._zeta_values: dict[int, Fraction] = {}
-        # (j, m) -> (P or Phi*_m, its value at q^j), filled by
-        # orderzeta._at_one (the closed form only)
-        self._closed_form_values: dict[tuple[int, int], tuple[PolyQ, int]] = {}
+        # (j, m) -> P or Phi*_m at q^j, filled by orderzeta._at_one
+        # (the closed form only)
+        self._closed_form_values: dict[tuple[int, int], int] = {}
 
         problems = []
         if self.q > MAX_Q:

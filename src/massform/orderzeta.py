@@ -11,10 +11,11 @@ Two independent realizations of the same object live here:
   The net map is written down by one formula in _exponents, and
   cancellation is adding exponents.  FunctionFieldData certifies P as a
   Weil polynomial, so no P-shift vanishes at u = q^-j and the pole
-  checks at u = 1 and u = q^-r read cyclotomic exponents only; the value
-  at u = 1 is read off the map in integers.  Its num/den, multiplied
-  out with no gcd, is built only when read, and refused first when its
-  leading coefficient, known from the map, is too long to print;
+  checks at u = 1 and u = q^-r read cyclotomic exponents only.
+  order_zeta_at_zero reads the value at u = 1 off the map in integers
+  and never multiplies it out; order_zeta_closed_form multiplies it out
+  to num/den with no gcd, refused first when its leading coefficient,
+  known from the map, is too long to print;
 * a truncated Dirichlet series built from an Euler product over the
   finite places, expanded in integers by Newton's identities on its
   log-derivative.  That is read off the product's own place counts:
@@ -33,18 +34,20 @@ factors whose product deletes every infinity Euler factor exactly when
 the data is definite.  No step here reuses the mass engine,
 zeta_special_value or lambda_v.
 
-The closed form keeps three memos, each behind the function a fault
-harness patches, so a patched function still replaces the computation:
+The closed form keeps three memos.  The first two sit behind the
+function a fault harness patches, so a patched function still replaces
+the computation:
 * _cyclotomic, the polynomial Phi*_m by m, inside the function itself;
 * _shape_exponents, the net exponent map by the data's shape (the rank,
   deg_inf and each place's (degree, d_v)), read only through
   _exponents, which hands out a copy: a patched _exponents never
   reaches it, and no caller can change it.  _correction_keys is read
-  when a shape is first met;
-* the field's _closed_form_values, each key's value at u = 1 kept
-  beside the polynomial it was evaluated from, and read again only
-  while field.l_poly or _cyclotomic(m) returns that very object: a
-  patched _cyclotomic is evaluated afresh.
+  when a shape is first met.
+The third, the field's _closed_form_values, keeps each key's value at
+u = 1 as a plain int.  P or Phi*_m is read only when a field first
+meets a key, so a fault in _cyclotomic must be installed before
+anything is computed on the field, as the fault harness does in a
+fresh process.
 Each factor is written once: a key (j, m) stands for P or Phi*_m at
 q^j u, and the expansion prints that one polynomial where the value at
 u = 1 evaluates it at q^j.  The mass side reads none of these memos,
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from operator import mul
 
 from .algebra import PolyQ, RationalFunctionQ, TruncatedSeriesQ, coprime_ratfun
@@ -69,7 +72,6 @@ from .errors import (
     OutputTooLargeError,
 )
 from .funcfield import FunctionFieldData, _divisors, _mobius, places_of_degree
-from .record import Record
 
 
 # ----------------------------------------------------------------------
@@ -98,34 +100,31 @@ def _cyclotomic(m: int) -> PolyQ:
     return num.exact_div(den)
 
 
-def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> tuple[int, Fraction]:
-    """Order of the product at u = 1, and its value there when that order
-    is 0 (else 0).
+def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> Fraction:
+    """Value of the product at u = 1, where _checked_exponents has ruled
+    out a pole.
 
-    Only Phi*_1(u) = 1 - u vanishes at u = 1.  The other factors take
-    the nonzero integer values P(q^j), as a Weil P has no root of
-    absolute value q^-j, Phi*_m(q^j) for j >= 1 and Phi*_m(1) for m > 1.
-    Each is the polynomial _expand prints for its key, evaluated at q^j,
-    and kept on the field beside that polynomial: a kept value is read
-    again only while field.l_poly or _cyclotomic(m) is the very object
-    it was evaluated from.
+    Only Phi*_1(u) = 1 - u vanishes at u = 1, so 1 - u in the numerator
+    makes the value 0.  The other factors take the nonzero integer
+    values P(q^j), as a Weil P has no root of absolute value q^-j,
+    Phi*_m(q^j) for j >= 1 and Phi*_m(1) for m > 1.  Each is the
+    polynomial _expand prints for its key, evaluated at q^j and kept on
+    the field by its key; P or Phi*_m is looked up and evaluated only
+    when the field meets the key first.
     """
-    order, num, den = 0, 1, 1
+    num = den = 1
     values = field._closed_form_values
     for key, e in exponents.items():
-        j, m = key
-        if j == 0 and m == 1:
-            order += e
-            continue
-        base = field.l_poly if m == 0 else _cyclotomic(m)
-        kept = values.get(key)
-        if kept is None or kept[0] is not base:
-            kept = values[key] = (base, base.eval(field.q ** j))
+        value = values.get(key)
+        if value is None:
+            j, m = key
+            base = field.l_poly if m == 0 else _cyclotomic(m)
+            value = values[key] = base.eval(field.q ** j)
         if e > 0:
-            num *= kept[1] ** e
+            num *= value ** e
         else:
-            den *= kept[1] ** -e
-    return order, (Fraction(num, den) if order == 0 else Fraction(0))
+            den *= value ** -e
+    return Fraction(num, den)
 
 
 def _expand(field: FunctionFieldData, exponents: ExponentMap) -> RationalFunctionQ:
@@ -148,28 +147,6 @@ def _expand(field: FunctionFieldData, exponents: ExponentMap) -> RationalFunctio
             else:
                 den = den * factor
     return coprime_ratfun(num, den)
-
-
-class OrderZetaClosedForm(Record):
-    """The closed form as an exponent map over irreducible factors.
-
-    exponents is the net map and value_at_one the value at u = 1
-    (s = 0), read off it.  ratfun, the map expanded to a normalized
-    rational function, is built only when read.
-    """
-
-    # no __slots__: the cached property keeps its value in __dict__
-    _fields = ("data", "exponents", "value_at_one")
-
-    def __init__(self, data: RamificationData, exponents: ExponentMap, value_at_one: Fraction):
-        self.data = data
-        self.exponents = exponents
-        self.value_at_one = value_at_one
-
-    @cached_property
-    def ratfun(self) -> RationalFunctionQ:
-        _refuse_unprintable_form(self.data.field, self.exponents)
-        return _expand(self.data.field, self.exponents)
 
 
 def _int_digit_limit() -> int:
@@ -256,29 +233,38 @@ def _shape_exponents(
     return {key: e for key, e in net.items() if e}
 
 
-def order_zeta_closed_form(data: RamificationData) -> OrderZetaClosedForm:
-    """Closed form: (1-u^{deg_inf}) * P(u)/((1-u)(1-qu))
-    * prod_{i=1..r-1} P(q^i u)/((1-q^i u)(1-q^{i+1} u))
-    * prod_{places} prod_{i in 1..r-1, d_v not | i} (1 - q^{i deg v} u^{deg v}),
-    kept as exponents of its irreducible factors.
-    """
+def _checked_exponents(data: RamificationData) -> ExponentMap:
+    """The net exponent map of definite data, its poles checked: no
+    1 - u in the denominator, and 1 - q^r u in it."""
     if not is_definite(data):
         raise NotDefiniteError("order zeta closed form needs definite data")
     exponents = _exponents(data)
-    order, value = _at_one(data.field, exponents)
-    if order < 0:
+    if exponents.get((0, 1), 0) < 0:
         raise InternalConsistencyError("closed form has a pole at u = 1")
     # 1 - q^r u is the one factor that vanishes at u = q^-r
     if exponents.get((data.rank, 1), 0) >= 0:
         raise InternalConsistencyError(
             "closed form lacks the expected pole at u = q^-r"
         )
-    return OrderZetaClosedForm(data, exponents, value)
+    return exponents
+
+
+def order_zeta_closed_form(data: RamificationData) -> RationalFunctionQ:
+    """Closed form: (1-u^{deg_inf}) * P(u)/((1-u)(1-qu))
+    * prod_{i=1..r-1} P(q^i u)/((1-q^i u)(1-q^{i+1} u))
+    * prod_{places} prod_{i in 1..r-1, d_v not | i} (1 - q^{i deg v} u^{deg v}),
+    its exponent map multiplied out, refused first when it is too long
+    to print.
+    """
+    exponents = _checked_exponents(data)
+    _refuse_unprintable_form(data.field, exponents)
+    return _expand(data.field, exponents)
 
 
 def order_zeta_at_zero(data: RamificationData) -> Fraction:
-    """Value of the closed form at u = 1 (s = 0); equals minus the mass."""
-    return order_zeta_closed_form(data).value_at_one
+    """Value of the closed form at u = 1 (s = 0), read off its exponent
+    map without multiplying it out; equals minus the mass."""
+    return _at_one(data.field, _checked_exponents(data))
 
 
 # ----------------------------------------------------------------------

@@ -252,6 +252,22 @@ def test_int_to_string_limit_is_exit_2(capsys, monkeypatch):
     assert "integer string conversion" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the degree-1 row prints, the degree-128 row's mass does not
+        ("table", "--qs", "4294967291", "--ranks", "6", "--p-degrees", "1,128"),
+        ("local", "iw-index", "--qv", "4294967291", "--d", "12"),
+    ],
+    ids=["table", "iw-index"],
+)
+def test_an_unprintable_csv_answer_prints_only_the_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"]["type"] == "OutputTooLargeError"
+    assert invoke(capsys, *argv, "--format", "csv") == (code, out, err)
+
+
 # The Euler series of inf:1/6,1:-1/6 at rank 6 and order 300 passes the
 # 4300-digit limit at the prime q = 251; at q = 241 its widest coefficient
 # has 4288 digits and prints
@@ -1043,7 +1059,7 @@ def test_ratfun_json_matches_the_fraction_reference():
         assert cli._ratfun_json(zeta_A(field)) == reference_monic_json(num, den)
     for data in random.Random(8).sample(stream, 120):
         want = reference_monic_json(*literal_closed_form(data))
-        assert cli._ratfun_json(order_zeta_closed_form(data).ratfun) == want, (
+        assert cli._ratfun_json(order_zeta_closed_form(data)) == want, (
             data.field, data.rank, data.places,
         )
 
@@ -1210,6 +1226,9 @@ CLOSED_STDOUT = {
                    "--series-order", "300"),
     "mass": tuple(MASS_ARGS.split()),
     "verify": ("verify", "--suite", "drinfeld"),
+    # an input error is printed through the same guarded write
+    "mass-q6": ("mass", "--q", "6", "--rank", "2", "--ram", "inf:1/2,1:1/2"),
+    "volumes-d0": ("local", "volumes", "--qv", "2", "--r", "2", "--d", "0"),
 }
 
 

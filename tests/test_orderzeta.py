@@ -8,7 +8,7 @@ from operator import mul
 
 import pytest
 
-from massform import algebra, cli, funcfield, orderzeta
+from massform import algebra, cli, funcfield, orderzeta, verify
 from massform.algebra import (
     PolyQ,
     ratfun,
@@ -197,8 +197,7 @@ def test_closed_form_matches_literal_reference():
     genera, deg_infs, count = set(), set(), 0
     for data in reference_stream():
         want = reference_closed_form(data)
-        form = order_zeta_closed_form(data)
-        assert form.ratfun == want, (data.field, data.rank, data.places)
+        assert order_zeta_closed_form(data) == want, (data.field, data.rank, data.places)
         assert order_zeta_at_zero(data) == value_at(want, 1)
         genera.add(data.field.genus)
         deg_infs.add(data.field.deg_inf)
@@ -219,10 +218,9 @@ def test_closed_form_never_calls_the_mass_side(monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, boom)
     for data in [STANDARD_R2, DRINFELD_R3, GENUS1_R2, DEG_INF2_R4]:
-        form = order_zeta_closed_form(data)
         want = reference_closed_form(data)
-        assert form.value_at_one == value_at(want, 1)
-        assert form.ratfun == want
+        assert order_zeta_at_zero(data) == value_at(want, 1)
+        assert order_zeta_closed_form(data) == want
 
 
 def test_the_runtime_never_calls_a_gcd(monkeypatch):
@@ -246,16 +244,30 @@ def test_the_runtime_never_calls_a_gcd(monkeypatch):
             assert cli.run(argv) == 0, argv
 
 
+def test_the_value_at_zero_never_multiplies_the_closed_form_out(monkeypatch):
+    # every identity operation reads the value at zero; it stays the
+    # product of a few integers read off the exponent map
+    def boom(*_):
+        raise AssertionError("the value at zero multiplied the closed form out")
+
+    for name in ("order_zeta_closed_form", "_expand", "_refuse_unprintable_form"):
+        monkeypatch.setattr(orderzeta, name, boom)
+    fields = dict.fromkeys([*verify._deg_inf_fields(), *DEG_INF_FIELDS])
+    deg_inf_battery = [data for field in fields for data in definite_battery(field)]
+    assert len(deg_inf_battery) > 300
+    for data in full_battery() + deg_inf_battery:
+        assert order_zeta_at_zero(data) == -mass(data).mass
+
+
 def test_mutated_exponent_maps_fail_the_reference():
     for data in [STANDARD_R2, DRINFELD_R3, GENUS1_R2, DEG_INF2_R4]:
-        form = order_zeta_closed_form(data)
         want = reference_closed_form(data)
         place = data.places[-1]
         correction = _correction_keys(place.degree, place.inv_den, data.rank)
-        dropped = Counter(form.exponents)
+        dropped = Counter(orderzeta._exponents(data))
         dropped.subtract(correction)
         assert _expand(data.field, dropped) != want
-        assert _at_one(data.field, dropped) != (0, value_at(want, 1))
+        assert _at_one(data.field, dropped) != value_at(want, 1)
 
 
 def cyclotomic_reading_one_at_one(m):
@@ -267,11 +279,19 @@ def cyclotomic_reading_one_at_one(m):
     return PolyQ((poly.coeffs[0] + 1 - poly.eval(1), *poly.coeffs[1:]))
 
 
+def on_a_fresh_field(data):
+    """data over its field built again from its four values, so that
+    the field's memos start empty, as in a fresh process."""
+    f = data.field
+    field = FunctionFieldData(f.q, f.genus, f.l_poly, f.deg_inf)
+    return RamificationData(field=field, rank=data.rank, places=data.places)
+
+
 def test_cyclotomic_value_at_one_is_p_for_prime_powers(monkeypatch):
     want = value_at(reference_closed_form(DEG_INF2_R4), 1)
     assert order_zeta_at_zero(DEG_INF2_R4) == want == -mass(DEG_INF2_R4).mass
     monkeypatch.setattr(orderzeta, "_cyclotomic", cyclotomic_reading_one_at_one)
-    assert order_zeta_at_zero(DEG_INF2_R4) != want
+    assert order_zeta_at_zero(on_a_fresh_field(DEG_INF2_R4)) != want
 
 
 def _prime_of_power(k):
@@ -308,19 +328,22 @@ def test_warm_memos_still_follow_a_patched_exponents_or_cyclotomic(monkeypatch):
     assert order_zeta_at_zero(DEG_INF2_R4) != want
     monkeypatch.undo()
     assert order_zeta_at_zero(DEG_INF2_R4) == want
+    # the field's plain memo is read before _cyclotomic: a fault in it is
+    # installed before that field computes anything
     monkeypatch.setattr(orderzeta, "_cyclotomic", cyclotomic_reading_one_at_one)
-    assert order_zeta_at_zero(DEG_INF2_R4) != want
+    assert order_zeta_at_zero(on_a_fresh_field(DEG_INF2_R4)) != want
 
 
 def test_exponents_are_a_fresh_map_on_every_call():
-    form = order_zeta_closed_form(DEG_INF2_R4)
-    want = dict(form.exponents)
-    form.exponents[DEG_INF2_R4.rank, 1] -= 1
-    del form.exponents[0, 0]
-    again = order_zeta_closed_form(DEG_INF2_R4)
-    assert again.exponents == want and again.exponents is not form.exponents
-    assert again.value_at_one == form.value_at_one
-    assert again.ratfun == reference_closed_form(DEG_INF2_R4)
+    exponents = orderzeta._exponents(DEG_INF2_R4)
+    value = order_zeta_at_zero(DEG_INF2_R4)
+    want = dict(exponents)
+    exponents[DEG_INF2_R4.rank, 1] -= 1
+    del exponents[0, 0]
+    again = orderzeta._exponents(DEG_INF2_R4)
+    assert again == want and again is not exponents
+    assert order_zeta_at_zero(DEG_INF2_R4) == value
+    assert order_zeta_closed_form(DEG_INF2_R4) == reference_closed_form(DEG_INF2_R4)
 
 
 def _widest(text):
@@ -342,14 +365,14 @@ def test_closed_form_refusal_is_exactly_the_printed_lead(monkeypatch):
         parse_shorthand("inf:1/4,2:3/4", K2_G1, rank=4),
     ]
     for data in configs:
-        printed = cli._ratfun_json(order_zeta_closed_form(data).ratfun)
+        printed = cli._ratfun_json(order_zeta_closed_form(data))
         bound = max(_widest(printed["den"][0]), _widest(printed["num"][-1]))
         widest = max(map(_widest, printed["num"] + printed["den"]))
         assert 1 < bound <= widest
         for digits in (0, *range(1, widest + 2)):
             monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits)
             try:
-                order_zeta_closed_form(data).ratfun
+                order_zeta_closed_form(data)
                 refused = False
             except OutputTooLargeError:
                 refused = True
@@ -369,13 +392,13 @@ def test_closed_form_guards_its_poles(monkeypatch):
 
 def test_closed_form_rank_two_is_geometric():
     form = order_zeta_closed_form(STANDARD_R2)
-    assert form.ratfun == ratfun(PolyQ.one(), PolyQ.one_minus(4, 1))
+    assert form == ratfun(PolyQ.one(), PolyQ.one_minus(4, 1))
 
 
 def test_closed_form_rank_one_is_zeta_A():
     form = order_zeta_closed_form(RamificationData(field=K2, rank=1, places=()))
-    assert form.ratfun == ratfun(PolyQ.one(), PolyQ.one_minus(2, 1))
-    assert value_at(form.ratfun, 1) == -1
+    assert form == ratfun(PolyQ.one(), PolyQ.one_minus(2, 1))
+    assert value_at(form, 1) == -1
 
 
 def test_closed_form_rejects_indefinite():
@@ -384,7 +407,7 @@ def test_closed_form_rejects_indefinite():
 
 
 def test_closed_form_pole_structure():
-    den = order_zeta_closed_form(DRINFELD_R3).ratfun.den
+    den = order_zeta_closed_form(DRINFELD_R3).den
     assert den.eval(1) != 0
     assert den.eval(Fraction(1, 2 ** 3)) == 0
 
@@ -497,7 +520,7 @@ def test_series_matches_closed_form_expansion():
         closed = order_zeta_closed_form(data)
         assert (
             order_zeta_series(data, order).coeffs
-            == series_from_ratfun(closed.ratfun, order).coeffs
+            == series_from_ratfun(closed, order).coeffs
         ), (data.rank, order)
 
 
@@ -508,7 +531,7 @@ def test_series_matches_closed_form_on_every_battery_cell():
     assert len(cells) == 20
     for data in cells.values():
         closed = order_zeta_closed_form(data)
-        assert order_zeta_series(data, 40) == series_from_ratfun(closed.ratfun, 40), (
+        assert order_zeta_series(data, 40) == series_from_ratfun(closed, 40), (
             data.field.q, data.field.genus, data.rank,
         )
 
@@ -586,8 +609,10 @@ def test_every_coefficient_the_package_builds_is_an_int():
     for data in list(reference_stream())[::25]:
         assert all(type(c) is int for c in data.field.l_poly.coeffs)
         assert all(type(c) is int for c in order_zeta_series(data, 8).coeffs)
-        f = order_zeta_closed_form(data).ratfun
+        f = order_zeta_closed_form(data)
         assert all(type(c) is int for c in f.num.coeffs + f.den.coeffs)
+        order_zeta_at_zero(data)
+        assert all(type(v) is int for v in data.field._closed_form_values.values())
 
 
 def test_every_engine_rejects_more_places_than_the_field_has():

@@ -300,9 +300,6 @@ class TruncatedSeriesQ(Record):
         self.order = order
         self.coeffs = coeffs
 
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k]
-
 
 def series_one(order: int) -> TruncatedSeriesQ:
     return TruncatedSeriesQ(order, (1,) + (0,) * order)

@@ -525,7 +525,7 @@ def cmd_local_model_check(q_v, d, b, precision, pairs, seed):
 )
 def cmd_table(qs, ranks, p_degrees):
     """Mass table over a parameter grid of Drinfeld-shape data."""
-    from .csa import RamificationData, parse_shorthand, shorthand
+    from .csa import RamificationData, drinfeld_datum, shorthand
     from .funcfield import FunctionFieldData
     from .massengine import mass
 
@@ -543,8 +543,7 @@ def cmd_table(qs, ranks, p_degrees):
                 rows.append((q, r, 0, data))
             else:
                 for p_degree in p_degrees:
-                    data = parse_shorthand(f"inf:-1/{r},{p_degree}:1/{r}", field, r)
-                    rows.append((q, r, p_degree, data))
+                    rows.append((q, r, p_degree, drinfeld_datum(field, r, p_degree)))
     rows.sort(key=lambda item: item[:3])
     out_rows = []
     for q, r, _, data in rows:
@@ -599,10 +598,7 @@ def cmd_verify(suite, **options):
         )
         for name in names
     ]
-    return {
-        "reports": [verify_mod.suite_report_to_json_dict(r) for r in reports],
-        "ok": all(r.ok for r in reports),
-    }
+    return {"reports": reports, "ok": all(r["ok"] for r in reports)}
 
 
 # ----------------------------------------------------------------------

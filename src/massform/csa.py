@@ -26,7 +26,7 @@ from .errors import (
     NotDivisibleError,
     parse_int,
 )
-from .funcfield import FunctionFieldData, places_of_degree
+from .funcfield import FunctionFieldData, finite_places_of_degree
 from .record import Record
 
 # The largest global rank accepted.  The order-zeta series costs most,
@@ -160,9 +160,7 @@ def validate(data: RamificationData) -> None:
         if not p.is_infinity and 1 <= p.degree <= MAX_PLACE_DEGREE:
             by_degree[p.degree] = by_degree.get(p.degree, 0) + 1
     for degree, used in sorted(by_degree.items()):
-        available = places_of_degree(data.field, degree)
-        if degree == data.field.deg_inf:
-            available -= 1
+        available = finite_places_of_degree(data.field, degree)
         if used > available:
             failures.append(
                 f"{used} finite ramified places of degree {degree} requested "
@@ -184,6 +182,19 @@ def is_definite(data: RamificationData) -> bool:
         return True
     inf = data.infinite_place()
     return inf is not None and inf.inv_den == data.rank
+
+
+def drinfeld_datum(field: FunctionFieldData, rank: int, p_degree: int) -> RamificationData:
+    """The Drinfeld-shape datum: infinity with invariant -1/r and one
+    finite place of degree p_degree with 1/r, validated as it is built."""
+    return RamificationData(
+        field=field,
+        rank=rank,
+        places=(
+            RamifiedPlace(field.deg_inf, -1, rank, is_infinity=True),
+            RamifiedPlace(p_degree, 1, rank),
+        ),
+    )
 
 
 def is_drinfeld_type(data: RamificationData) -> bool:

@@ -274,6 +274,12 @@ def places_of_degree(data: FunctionFieldData, n: int) -> int:
     return data._place_counts(n)[n - 1]
 
 
+def finite_places_of_degree(data: FunctionFieldData, n: int) -> int:
+    """Number of finite places of degree n: the places of degree n, less
+    the place at infinity when n = deg_inf."""
+    return places_of_degree(data, n) - (n == data.deg_inf)
+
+
 def zeta_A(data: FunctionFieldData) -> RationalFunctionQ:
     """Zeta with the infinity factor removed, (1 - u^{deg_inf}) P(u) /
     ((1-u)(1-qu)) = (1 + u + ... + u^{deg_inf-1}) P(u) / (1-qu): coprime

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .algebra import rational_to_str
 from .csa import (
     RamificationData,
-    RamifiedPlace,
+    drinfeld_datum,
     is_definite,
     is_drinfeld_type,
     lambda_v,
@@ -82,14 +82,7 @@ def drinfeld_mass(field: FunctionFieldData, r: int, p_degree: int) -> Fraction:
     Only the degree of the finite place enters, but the datum it stands
     for must be valid, so it is built, and building it checks it.
     """
-    RamificationData(
-        field=field,
-        rank=r,
-        places=(
-            RamifiedPlace(field.deg_inf, -1, r, is_infinity=True),
-            RamifiedPlace(p_degree, 1, r),
-        ),
-    )
+    drinfeld_datum(field, r, p_degree)
     n_inf = field.q ** field.deg_inf
     n_p = field.q ** p_degree
     num, den = class_number_A(field), field.q - 1

@@ -71,7 +71,7 @@ from .errors import (
     NotDefiniteError,
     OutputTooLargeError,
 )
-from .funcfield import FunctionFieldData, _divisors, _mobius, places_of_degree
+from .funcfield import FunctionFieldData, _divisors, _mobius, finite_places_of_degree
 
 
 # ----------------------------------------------------------------------
@@ -420,11 +420,8 @@ def place_by_place_series(data: RamificationData, order: int) -> tuple[int, ...]
 
     r = data.rank
     for degree in range(1, order + 1):
-        available = places_of_degree(data.field, degree)
         ramified_here = [p for p in data.finite_places() if p.degree == degree]
-        count = available - len(ramified_here)
-        if degree == data.field.deg_inf:
-            count -= 1
+        count = finite_places_of_degree(data.field, degree) - len(ramified_here)
         for _ in range(count):
             convolve_place(degree, r, 1)
         for place in ramified_here:

@@ -17,6 +17,7 @@ from .algebra import PolyQ, ratfun, series_from_ratfun
 from .csa import (
     RamificationData,
     RamifiedPlace,
+    drinfeld_datum,
     lambda_value,
     shorthand,
 )
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .funcfield import (
     FunctionFieldData,
-    places_of_degree,
+    finite_places_of_degree,
     zeta_A,
 )
 from .localvolumes import (
@@ -47,22 +48,6 @@ from .orderzeta import (
     order_zeta_series,
     place_by_place_series,
 )
-from .record import Record
-
-
-class SuiteReport(Record):
-    __slots__ = _fields = ("suite", "checked", "failures", "notes")
-
-    def __init__(self, suite: str, checked: int, failures: tuple[str, ...], notes: str = ""):
-        self.suite = suite
-        self.checked = checked
-        self.failures = failures
-        self.notes = notes
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and self.checked > 0
-
 
 # ----------------------------------------------------------------------
 # Reference fields and batteries
@@ -97,13 +82,6 @@ def _coprime_residues(d: int) -> list[int]:
     return [b for b in range(1, d) if gcd(b, d) == 1]
 
 
-def _finite_available(field: FunctionFieldData, degree: int) -> int:
-    n = places_of_degree(field, degree)
-    if degree == field.deg_inf:
-        n -= 1
-    return n
-
-
 def _battery_datum(
     field: FunctionFieldData, rank: int, places: tuple[RamifiedPlace, ...]
 ) -> RamificationData:
@@ -129,7 +107,7 @@ def definite_battery(
     degrees = [
         delta
         for delta in range(1, MAX_FINITE_DEGREE + 1)
-        if _finite_available(field, delta) >= 1
+        if finite_places_of_degree(field, delta) >= 1
     ]
     for r in ranks:
         for b0 in _coprime_residues(r):
@@ -152,7 +130,7 @@ def definite_battery(
             ]
             for i, (delta1, d1, b1) in enumerate(specs):
                 for delta2, d2, b2 in specs[i:]:
-                    if delta1 == delta2 and _finite_available(field, delta1) < 2:
+                    if delta1 == delta2 and finite_places_of_degree(field, delta1) < 2:
                         continue
                     total = Fraction(b0, r) + Fraction(b1, d1) + Fraction(b2, d2)
                     if total.denominator != 1:
@@ -199,7 +177,8 @@ def random_product_field(rng: random.Random) -> FunctionFieldData:
 
 
 # ----------------------------------------------------------------------
-# Suites
+# Suites: each returns (checked, failures, notes), and run_suite turns
+# that into the printed report
 # ----------------------------------------------------------------------
 
 def _deg_inf_fields() -> list[FunctionFieldData]:
@@ -224,7 +203,7 @@ def _rank_one_fields() -> list[FunctionFieldData]:
     return fields
 
 
-def suite_zeta_at_zero(max_rank: int = 6) -> SuiteReport:
+def suite_zeta_at_zero(max_rank: int = 6) -> tuple[int, list[str], str]:
     """Capstone: the order zeta value at zero against the factored mass,
     computed along disjoint code paths, over the rank-1 fields and, at
     the battery's ranks up to max_rank, over the battery fields and the
@@ -249,15 +228,11 @@ def suite_zeta_at_zero(max_rank: int = 6) -> SuiteReport:
             failures.append(f"{_config_label(data)}: zeta(0)={value} but -mass={rhs}")
         if data.rank == 1 and order_zeta_closed_form(data) != zeta_A(data.field):
             failures.append(f"{_config_label(data)}: closed form is not zeta_A")
-    return SuiteReport(
-        suite="zeta-at-zero",
-        checked=len(rank_one) + len(battery) + len(deg_inf_battery),
-        failures=tuple(failures),
-        notes=(
-            f"{len(rank_one)} rank-1 fields, {len(battery)} definite configurations "
-            f"and {len(deg_inf_battery)} more with deg_inf 2 or 3"
-        ),
+    notes = (
+        f"{len(rank_one)} rank-1 fields, {len(battery)} definite configurations "
+        f"and {len(deg_inf_battery)} more with deg_inf 2 or 3"
     )
+    return len(rank_one) + len(battery) + len(deg_inf_battery), failures, notes
 
 
 def _series_sample() -> list[RamificationData]:
@@ -288,7 +263,7 @@ def _first_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
     return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 
-def suite_series_closed_form(series_order: int = 12) -> SuiteReport:
+def suite_series_closed_form(series_order: int = 12) -> tuple[int, list[str], str]:
     """Dirichlet series built from the Euler product by Newton's
     identities against the closed-form rational function expanded by
     long division; on the q = 2 data, also the series rebuilt place by
@@ -319,15 +294,11 @@ def suite_series_closed_form(series_order: int = 12) -> SuiteReport:
                     f"{_config_label(data)}: u^{k} coefficient {local[k]} place "
                     f"by place, {closed[k]} in the closed form"
                 )
-    return SuiteReport(
-        suite="series-closed-form",
-        checked=len(sample),
-        failures=tuple(failures),
-        notes=f"order {series_order}; place by place on q = 2 to order {local_order}",
-    )
+    notes = f"order {series_order}; place by place on q = 2 to order {local_order}"
+    return len(sample), failures, notes
 
 
-def suite_drinfeld() -> SuiteReport:
+def suite_drinfeld() -> tuple[int, list[str], str]:
     """Specialized Drinfeld-type mass against the general engine."""
     failures = []
     checked = 0
@@ -338,15 +309,7 @@ def suite_drinfeld() -> SuiteReport:
             for p_degree in (1, 2, 3):
                 checked += 1
                 expected = drinfeld_mass(field, r, p_degree)
-                data = RamificationData(
-                    field=field,
-                    rank=r,
-                    places=(
-                        RamifiedPlace(1, -1, r, is_infinity=True),
-                        RamifiedPlace(p_degree, 1, r),
-                    ),
-                )
-                got = mass(data).mass
+                got = mass(drinfeld_datum(field, r, p_degree)).mass
                 if got != expected:
                     failures.append(
                         f"q={q} r={r} deg={p_degree}: engine {got} != {expected}"
@@ -356,14 +319,10 @@ def suite_drinfeld() -> SuiteReport:
                     failures.append(
                         f"q={q} r={r} deg={p_degree}: spot value {expected} != {want_spot}"
                     )
-    return SuiteReport(
-        suite="drinfeld",
-        checked=checked,
-        failures=tuple(failures),
-    )
+    return checked, failures, ""
 
 
-def suite_lambda_volumes(max_rank: int = 8) -> SuiteReport:
+def suite_lambda_volumes(max_rank: int = 8) -> tuple[int, list[str], str]:
     """Local factor closed form against the volume-ratio pipeline."""
     if max_rank < 1:
         raise EmptySelectionError(f"max rank {max_rank} must be >= 1")
@@ -384,14 +343,10 @@ def suite_lambda_volumes(max_rank: int = 8) -> SuiteReport:
                     failures.append(
                         f"q_v={q_v} r={r} d={d}: closed {closed} != ratio {ratio}"
                     )
-    return SuiteReport(
-        suite="lambda-volumes",
-        checked=checked,
-        failures=tuple(failures),
-    )
+    return checked, failures, ""
 
 
-def suite_brute_oracles() -> SuiteReport:
+def suite_brute_oracles() -> tuple[int, list[str], str]:
     """Brute-force counts against the closed formulas they oracle."""
     failures = []
     checked = 0
@@ -408,14 +363,10 @@ def suite_brute_oracles() -> SuiteReport:
         expected = local_ideal_count(2, 2, 1, ell)
         if brute != expected:
             failures.append(f"sublattice ell={ell}: {brute} != {expected}")
-    return SuiteReport(
-        suite="brute-force-oracles",
-        checked=checked,
-        failures=tuple(failures),
-    )
+    return checked, failures, ""
 
 
-def suite_local_models(pairs: int = 100, seed: int = 0) -> SuiteReport:
+def suite_local_models(pairs: int = 100, seed: int = 0) -> tuple[int, list[str], str]:
     """Defining relations of every small local model at precision 6.
 
     The matrix models are imported here, not at the top: they load
@@ -442,12 +393,7 @@ def suite_local_models(pairs: int = 100, seed: int = 0) -> SuiteReport:
                         f"embed={report.embedding_in_order_ok} "
                         f"neg={report.negative_valuation_excluded_ok}"
                     )
-    return SuiteReport(
-        suite="local-models",
-        checked=checked,
-        failures=tuple(failures),
-        notes=f"{pairs} random pairs per model",
-    )
+    return checked, failures, f"{pairs} random pairs per model"
 
 
 def _config_label(data: RamificationData) -> str:
@@ -468,17 +414,16 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **options: object) -> SuiteReport:
+def run_suite(name: str, **options: object) -> dict:
+    """The printed report of one suite.  It passes only when it checked
+    something and nothing failed."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](**options)
-
-
-def suite_report_to_json_dict(report: SuiteReport) -> dict:
+    checked, failures, notes = SUITES[name](**options)
     return {
-        "suite": report.suite,
-        "checked": report.checked,
-        "ok": report.ok,
-        "failures": list(report.failures),
-        "notes": report.notes,
+        "suite": name,
+        "checked": checked,
+        "ok": not failures and checked > 0,
+        "failures": failures,
+        "notes": notes,
     }

@@ -790,11 +790,11 @@ def test_verify_passes_options_only_to_suites_that_take_them(capsys, monkeypatch
 
     def seeded(seed=1):
         seen["seeded"] = seed
-        return verify.SuiteReport("seeded", 1, ())
+        return 1, [], ""
 
     def fixed():
         seen["fixed"] = None
-        return verify.SuiteReport("fixed", 1, ())
+        return 1, [], ""
 
     monkeypatch.setattr(verify, "SUITES", {"seeded": seeded, "fixed": fixed})
     code, out, _ = invoke(capsys, "verify", "--seed", "3")
@@ -856,6 +856,11 @@ GOLDEN_STDOUT = [
     (("order-zeta", "--q", "3", "--deg-inf", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
       "--series-order", "10"),
      "4e0cc7ba1565a3b2e056d5661d8c46e25008dd3c1452bea7a24e673da32ddac1"),
+    # every suite's report, taken while suites still returned a record
+    (("verify",),
+     "ae9a556ab6c7558abb706838e827b9b4cba0798d9e8db61e09f00cd81aefdff7"),
+    (("verify", "--format", "csv"),
+     "e60ade51a8d44781105ef1538179c7849b5a7000273cdffd16fb220ecd1f9727"),
 ]
 
 

@@ -27,13 +27,12 @@ from massform.errors import (
     NotDefiniteError,
     OutputTooLargeError,
 )
-from massform.funcfield import FunctionFieldData, places_of_degree
+from massform.funcfield import FunctionFieldData, finite_places_of_degree, places_of_degree
 from massform.massengine import mass
 from massform.verify import (
     BATTERY_RANKS,
     MAX_FINITE_DEGREE,
     _coprime_residues,
-    _finite_available,
     battery_fields,
     definite_battery,
     full_battery,
@@ -148,7 +147,7 @@ def random_definite_data(rng, fields=None):
             open_degrees = [
                 delta
                 for delta in range(1, MAX_FINITE_DEGREE + 1)
-                if _finite_available(field, delta) - taken.get(delta, 0) >= 1
+                if finite_places_of_degree(field, delta) - taken.get(delta, 0) >= 1
             ]
             if not open_degrees:
                 feasible = False
@@ -454,7 +453,7 @@ def test_local_ideal_count_matches_euler_factor_expansion():
             den = den * PolyQ.one_minus(n_v ** ((i - 1) * d_v), 1)
         expansion = series_from_ratfun(ratfun(PolyQ.one(), den), 8)
         for ell in range(9):
-            assert expansion.coefficient(ell) == local_ideal_count(
+            assert expansion.coeffs[ell] == local_ideal_count(
                 n_v, m_v, d_v, ell
             ), (n_v, m_v, d_v, ell)
 
@@ -502,8 +501,8 @@ def test_series_coefficient_of_u_one_decomposes():
     # one ramified deg-1 place contributes 1, the unramified finite
     # deg-1 place contributes 1 + q = 3; infinity contributes nothing
     s = order_zeta_series(STANDARD_R2, 1)
-    assert s.coefficient(0) == 1
-    assert s.coefficient(1) == 1 + 3
+    assert s.coeffs[0] == 1
+    assert s.coeffs[1] == 1 + 3
 
 
 def test_series_matches_closed_form_expansion():

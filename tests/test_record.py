@@ -25,7 +25,6 @@ from massform.localmodels import LocalModel, ModelCheckReport
 from massform.massengine import mass
 from massform.orderzeta import order_zeta_at_zero
 from massform.record import Record
-from massform.verify import SuiteReport
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "massform").glob("*.py"))
 
@@ -89,11 +88,6 @@ RECORDS = {
         lambda: TruncatedSeriesFq(F4, 3, (1, 2, 3)),
         None, (),
         "TruncatedSeriesFq(field=FqField(q=4), precision=3, coeffs=(1, 2, 3))",
-    ),
-    "SuiteReport": (
-        lambda: SuiteReport(suite="drinfeld", checked=27, failures=()),
-        None, (),
-        "SuiteReport(suite='drinfeld', checked=27, failures=(), notes='')",
     ),
 }
 

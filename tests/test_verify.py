@@ -8,14 +8,12 @@ from massform.csa import RamifiedPlace, is_definite
 from massform.errors import InternalConsistencyError, InvalidFieldError
 from massform.funcfield import FunctionFieldData
 from massform.verify import (
-    SuiteReport,
     _series_sample,
     battery_fields,
     definite_battery,
     full_battery,
     random_product_field,
     run_suite,
-    suite_report_to_json_dict,
 )
 
 
@@ -116,11 +114,13 @@ def test_run_suite_rejects_unknown_name():
         run_suite("no-such-suite")
 
 
-def test_suite_report_json_shape():
-    report = SuiteReport(
-        suite="demo", checked=3, failures=("x",), notes="n"
+def test_suite_report_json_shape(monkeypatch):
+    outcomes = {"demo": (3, ["x"], "n"), "empty": (0, [], ""), "clean": (2, [], "")}
+    monkeypatch.setattr(
+        verify, "SUITES", {name: lambda o=o: o for name, o in outcomes.items()}
     )
-    obj = suite_report_to_json_dict(report)
+    obj = run_suite("demo")
+    assert list(obj) == ["suite", "checked", "ok", "failures", "notes"]
     assert obj == {
         "suite": "demo",
         "checked": 3,
@@ -128,7 +128,9 @@ def test_suite_report_json_shape():
         "failures": ["x"],
         "notes": "n",
     }
-    assert not report.ok
+    # a suite that checked nothing does not pass
+    assert run_suite("empty")["ok"] is False
+    assert run_suite("clean")["ok"] is True
 
 
 def test_series_closed_form_failure_names_first_differing_coefficient(monkeypatch):
@@ -141,11 +143,11 @@ def test_series_closed_form_failure_names_first_differing_coefficient(monkeypatc
 
     monkeypatch.setattr(verify, "order_zeta_series", perturbed)
     report = run_suite("series-closed-form", series_order=8)
-    assert not report.ok
-    assert len(report.failures) == report.checked
+    assert not report["ok"]
+    assert len(report["failures"]) == report["checked"]
     first = _series_sample()[0]
-    want = real(first, 8).coefficient(5)
-    assert report.failures[0].endswith(
+    want = real(first, 8).coeffs[5]
+    assert report["failures"][0].endswith(
         f": u^5 coefficient {want + 1} in the Euler product, "
         f"{want} in the closed form"
     )
@@ -153,8 +155,8 @@ def test_series_closed_form_failure_names_first_differing_coefficient(monkeypatc
 
 def test_series_closed_form_third_path_runs_on_q2_and_can_fail(monkeypatch):
     report = run_suite("series-closed-form", series_order=12)
-    assert report.ok
-    assert report.notes == "order 12; place by place on q = 2 to order 8"
+    assert report["ok"]
+    assert report["notes"] == "order 12; place by place on q = 2 to order 8"
     q2 = [data for data in _series_sample() if data.field.q == 2]
     assert len(q2) == 32
     real = verify.place_by_place_series
@@ -166,9 +168,9 @@ def test_series_closed_form_third_path_runs_on_q2_and_can_fail(monkeypatch):
 
     monkeypatch.setattr(verify, "place_by_place_series", perturbed)
     report = run_suite("series-closed-form", series_order=12)
-    assert len(report.failures) == len(q2)
+    assert len(report["failures"]) == len(q2)
     want = real(q2[0], 8)[8]
-    assert report.failures[0].endswith(
+    assert report["failures"][0].endswith(
         f": u^8 coefficient {want + 1} place by place, {want} in the closed form"
     )
 
@@ -184,5 +186,5 @@ def test_series_closed_form_fails_on_a_mutated_closed_form(monkeypatch):
     q2 = sum(1 for data in _series_sample() if data.field.q == 2)
     # every datum fails against the Euler product, the q = 2 data also
     # against the place-by-place series
-    assert len(report.failures) == report.checked + q2
-    assert sum("place by place" in failure for failure in report.failures) == q2
+    assert len(report["failures"]) == report["checked"] + q2
+    assert sum("place by place" in failure for failure in report["failures"]) == q2

@@ -1,8 +1,7 @@
 """Exact arithmetic substrate: dense integer polynomials, normalized
-rational functions, truncated power series, and the one factorization
-of integers: the prime-power test every field size passes, the Mobius
-function of the place counts and the generator search of the finite
-fields all read :func:`prime_factors`.
+rational functions and truncated power series.  The one factorization
+of integers and `rational_to_str` live in `errors`, which the commands
+that need no polynomial load without this module.
 
 Every polynomial the package builds has integer coefficients: the
 L-polynomial, the factors of the order zeta and its Euler product.  So
@@ -26,7 +25,7 @@ share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from operator import index
 from typing import Iterable
 
@@ -36,38 +35,6 @@ from .errors import (
     OrderMismatchError,
 )
 from .record import Record
-
-
-def rational_to_str(x: Fraction | int) -> str:
-    """Render an exact rational as "num/den", or "num" when den = 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def prime_factors(n: int) -> dict[int, int]:
-    """The factorization of n as {prime: exponent}, primes ascending;
-    empty for n < 2.  The package's one trial division.
-
-    The least divisor above 1 of what is left is prime, so each search
-    stops at the square root of what is left."""
-    factors: dict[int, int] = {}
-    p = 2
-    while n > 1:
-        p = next((d for d in range(p, isqrt(n) + 1) if n % d == 0), n)
-        while n % p == 0:
-            n //= p
-            factors[p] = factors.get(p, 0) + 1
-    return factors
-
-
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """q = p**e with p prime, or ValueError."""
-    factors = prime_factors(q)
-    if len(factors) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return next(iter(factors.items()))
 
 
 # ----------------------------------------------------------------------

@@ -22,10 +22,12 @@ digits.  `--help` after the command path prints that command's help.
 Every other malformed command line is a usage error.
 
 Imports are per command.  At module level this file loads only the
-standard library and `errors`; each command imports the engines it runs
-in its body, so `massform mass` never loads the finite-field models or
-the verify suites, and `massform local volumes` loads neither the global
-engines nor the matrix models.  Only the matrix models import
+standard library and `errors`, which also holds `rational_to_str`; each
+command imports the engines it runs in its body, so `massform mass`
+never loads the finite-field models or the verify suites, `massform
+local volumes` loads `localvolumes` alone (no global engine, no
+`algebra`, no finite field), and `local model-check` loads the finite
+fields and the models but not `algebra`.  Only the matrix models import
 `dataclasses` (and with it `inspect`, `ast` and `dis`), so only `local
 model-check` and the verify suite local-models pay for that import.
 """
@@ -44,6 +46,7 @@ from .errors import (
     InvalidFieldError,
     OutputTooLargeError,
     parse_int,
+    rational_to_str,
 )
 
 if TYPE_CHECKING:
@@ -378,8 +381,6 @@ def _ratfun_json(f: RationalFunctionQ) -> dict:
     leading coefficient."""
     from fractions import Fraction
 
-    from .algebra import rational_to_str
-
     lead = f.den.leading()
     return {
         "num": [rational_to_str(Fraction(c, lead)) for c in f.num.coeffs],
@@ -405,7 +406,6 @@ def cmd_mass(field, rank, ram):
 @command("drinfeld-mass", *FIELD_OPTIONS, RANK, Option("--p-degree", required=True))
 def cmd_drinfeld_mass(field, rank, p_degree):
     """Mass in the Drinfeld shape: one finite ramified place plus infinity."""
-    from .algebra import rational_to_str
     from .massengine import drinfeld_mass
 
     return {
@@ -418,7 +418,6 @@ def cmd_drinfeld_mass(field, rank, p_degree):
 @command("class-number", *FIELD_OPTIONS)
 def cmd_class_number(field):
     """Class number of the ring of functions regular away from infinity."""
-    from .algebra import rational_to_str
     from .funcfield import class_number_A
 
     return {"h_A": rational_to_str(class_number_A(field))}
@@ -427,7 +426,6 @@ def cmd_class_number(field):
 @command("zeta", *FIELD_OPTIONS, Option("--values", default=3, help="how many special values"))
 def cmd_zeta(field, values):
     """Field zeta function, with and without the infinity factor."""
-    from .algebra import rational_to_str
     from .funcfield import zeta_A, zeta_K, zeta_special_value
 
     if values < 1:
@@ -449,7 +447,6 @@ def cmd_zeta(field, values):
 )
 def cmd_order_zeta(field, rank, ram, series_order):
     """Zeta function of a maximal order: closed form, value at zero, series."""
-    from .algebra import rational_to_str
     from .csa import parse_shorthand, shorthand
     from .orderzeta import order_zeta_at_zero, order_zeta_closed_form, order_zeta_series
 
@@ -469,7 +466,6 @@ def cmd_order_zeta(field, rank, ram, series_order):
 @command("local volumes", *VOLUME_OPTIONS)
 def cmd_local_volumes(q_v, r, d):
     """Volumes of GL_r and its index-d inner form, and their ratio."""
-    from .algebra import rational_to_str
     from .localvolumes import local_volumes
 
     vol_g, vol_gprime = local_volumes(q_v, r, d)
@@ -486,7 +482,6 @@ def cmd_local_volumes(q_v, r, d):
 @command("local lambda", *VOLUME_OPTIONS)
 def cmd_local_lambda(q_v, r, d):
     """Local mass factor lambda_v, the ratio of the two volumes."""
-    from .algebra import rational_to_str
     from .localvolumes import lambda_from_volumes
 
     return {"q_v": q_v, "r": r, "d": d, "lambda": rational_to_str(lambda_from_volumes(q_v, r, d))}

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all massform modules.
+"""Exception hierarchy, caps and integer helpers shared by all massform
+modules.
 
 ``InputDataError`` subclasses signal problems with user-supplied data
 (bad field spec, inconsistent ramification, out-of-range brute force);
@@ -12,9 +13,20 @@ The series-order cap lives here, beside its error, because the CLI's
 help text shows it and the CLI loads no engine to print help.  The
 place-degree cap lives here because both funcfield and csa, which
 imports funcfield, enforce it, and the cap on q because funcfield and
-localmodels both do.  The integer grammar lives here because the CLI
-reads its options with it and csa its ramification shorthand.
+the residue-size check both do.  The integer grammar lives here because
+the CLI reads its options with it and csa its ramification shorthand.
+
+The integer helpers live here because every command loads this module
+anyway: `prime_factors`, the package's one trial division (the
+prime-power test, the Mobius function of the place counts and the
+generator search of the finite fields read it), the residue-size check
+of `localvolumes` and `localmodels`, and `rational_to_str`, which reads
+`.numerator` and `.denominator` and so needs no `fractions`.  In
+`algebra` they would make `local volumes` and `local model-check`
+compile the whole polynomial module for a few lines.
 """
+
+from math import isqrt
 
 # The largest series order accepted.  Cost and output grow faster than
 # the square of the order: for q = 5, r = 6 a `massform order-zeta` run
@@ -52,6 +64,48 @@ def parse_int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{text!r} is not an integer")
     return int(text)
+
+
+def rational_to_str(x) -> str:
+    """Render an exact rational, a Fraction or an int, as "num/den", or
+    "num" when den = 1."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def prime_factors(n: int) -> dict[int, int]:
+    """The factorization of n as {prime: exponent}, primes ascending;
+    empty for n < 2.  The package's one trial division.
+
+    The least divisor above 1 of what is left is prime, so each search
+    stops at the square root of what is left."""
+    factors: dict[int, int] = {}
+    p = 2
+    while n > 1:
+        p = next((d for d in range(p, isqrt(n) + 1) if n % d == 0), n)
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+    return factors
+
+
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """q = p**e with p prime, or ValueError."""
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return next(iter(factors.items()))
+
+
+def _check_residue_size(q_v: int) -> None:
+    if q_v > MAX_Q:
+        # checked before factoring, which trial-divides up to sqrt(q_v)
+        raise InvalidFieldError(f"residue size q_v = {q_v} is above the cap {MAX_Q}")
+    try:
+        factor_prime_power(q_v)
+    except ValueError as exc:
+        raise InvalidFieldError(f"residue size q_v: {exc}") from None
 
 
 class MassformError(Exception):

@@ -35,8 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .algebra import factor_prime_power, prime_factors
-from .errors import InternalConsistencyError, OrderMismatchError
+from .errors import InternalConsistencyError, OrderMismatchError, factor_prime_power, prime_factors
 from .record import Record
 
 FIELD_SIZE_CAP = 2 ** 12

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .algebra import PolyQ, RationalFunctionQ, coprime_ratfun, factor_prime_power, prime_factors
+from .algebra import PolyQ, RationalFunctionQ, coprime_ratfun
 from .algebra import _int_poly_prem, _primitive
 from .errors import (
     MAX_PLACE_DEGREE,
@@ -27,6 +27,8 @@ from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
     InvalidFieldError,
+    factor_prime_power,
+    prime_factors,
 )
 from .record import Record
 

@@ -22,7 +22,10 @@ the division-algebra product.
 Only `local model-check` and the local-models suite load this module.
 The volumes, the Iwahori index and the brute-force oracles live in
 `localvolumes`, which the other local commands read without loading
-the models.  `ModelCheckReport` is the package's one dataclass (the
+the models.  This module takes nothing from `localvolumes`: the
+residue-size check both run lives in `errors`, so `local model-check`
+loads `errors`, `record`, `finitefield` and this module, and neither
+`localvolumes`, `algebra` nor `fractions`.  `ModelCheckReport` is the package's one dataclass (the
 benchmark's tests copy reports with `dataclasses.replace`), so this is
 the one module that imports `dataclasses`: at the top, never inside a
 function, where the import would land in the first model check a
@@ -44,6 +47,7 @@ from .errors import (
     PrecisionTooHighError,
     PrecisionTooLowError,
     SelectionTooLargeError,
+    _check_residue_size,
 )
 from .finitefield import (
     FIELD_SIZE_CAP,
@@ -52,7 +56,6 @@ from .finitefield import (
     fq_series,
     log_dot,
 )
-from .localvolumes import _check_residue_size
 from .record import Record
 
 Mat = tuple[tuple[TruncatedSeriesFq, ...], ...]

@@ -4,24 +4,28 @@ index, and brute-force counting oracles: everything the `local volumes`,
 brute-force-oracles suites read.
 
 All of it is closed-form integer and Fraction arithmetic on the residue
-size q_v, the local rank r and the index d; only the two brute-force
-counters build a finite field.  The matrix models of `localmodels` are
-not imported, so these commands load neither them nor `dataclasses`.
+size q_v, the local rank r and the index d.  Only the two brute-force
+counters build a finite field, so only they import `finitefield`, in
+their bodies.  The residue-size check comes from `errors`, and the
+matrix models of `localmodels` are not imported, so these commands load
+`errors` and this module alone: not `algebra`, `finitefield`, the
+models or `dataclasses`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .algebra import factor_prime_power
 from .errors import (
-    MAX_Q,
     BruteForceTooLargeError,
-    InvalidFieldError,
     InvalidRamificationError,
     NotDivisibleError,
+    _check_residue_size,
 )
-from .finitefield import FqField, digits
+
+if TYPE_CHECKING:
+    from .finitefield import FqField
 
 # Caps on the local index d and the local rank r of the index, volume and
 # lambda commands.  A local model needs q_v^d <= FIELD_SIZE_CAP = 2^12, so
@@ -30,16 +34,6 @@ from .finitefield import FqField, digits
 # int-to-string conversion.
 MAX_LOCAL_INDEX = 12
 MAX_LOCAL_RANK = 48
-
-
-def _check_residue_size(q_v: int) -> None:
-    if q_v > MAX_Q:
-        # checked before factoring, which trial-divides up to sqrt(q_v)
-        raise InvalidFieldError(f"residue size q_v = {q_v} is above the cap {MAX_Q}")
-    try:
-        factor_prime_power(q_v)
-    except ValueError as exc:
-        raise InvalidFieldError(f"residue size q_v: {exc}") from None
 
 
 def iwahori_index(q_v: int, d: int) -> int:
@@ -107,6 +101,8 @@ def gl_count_bruteforce(q: int, r: int) -> int:
     them."""
     if q ** (r * r) > 2 ** 20:
         raise BruteForceTooLargeError(f"{q}^{r * r} matrices exceed the 2^20 bound")
+    from .finitefield import FqField, digits
+
     field = FqField.of_order(q)
     count = 0
     for code in range(q ** (r * r)):
@@ -156,6 +152,8 @@ def sublattice_count_bruteforce(q_v: int, r: int, ell: int) -> int:
         raise BruteForceTooLargeError(
             f"{q_v}^{r * ell * r} generator tuples exceed the 2^22 bound"
         )
+    from .finitefield import FqField, digits
+
     field = FqField.of_order(q_v)
 
     ring_size = q_v ** ell      # elements of O_v/pi^ell as digit tuples

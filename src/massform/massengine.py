@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import rational_to_str
 from .csa import (
     RamificationData,
     drinfeld_datum,
@@ -31,6 +30,7 @@ from .csa import (
 from .errors import (
     InternalConsistencyError,
     NotDefiniteError,
+    rational_to_str,
 )
 from .funcfield import (
     FunctionFieldData,

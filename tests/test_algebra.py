@@ -12,11 +12,8 @@ from massform.algebra import (
     RationalFunctionQ,
     TruncatedSeriesQ,
     coprime_ratfun,
-    factor_prime_power,
     poly_gcd,
-    prime_factors,
     ratfun,
-    rational_to_str,
     series_from_ratfun,
     series_mul,
     series_one,
@@ -26,6 +23,9 @@ from massform.errors import (
     InternalConsistencyError,
     NotExpandableError,
     OrderMismatchError,
+    factor_prime_power,
+    prime_factors,
+    rational_to_str,
 )
 from massform.funcfield import _mobius
 

@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 
 import massform
 import massform.cli as cli
-from massform import csa, funcfield, localmodels, localvolumes, massengine, orderzeta, verify
-from massform.algebra import rational_to_str
+from massform import csa, errors, funcfield, localmodels, localvolumes, massengine, orderzeta, verify
 from massform.csa import MAX_PLACE_DEGREE, MAX_RAMIFIED_DEGREE, MAX_RANK
 from massform.errors import (
     MAX_Q,
     InternalConsistencyError,
     InvalidFieldError,
     InvalidRamificationError,
+    rational_to_str,
 )
 from massform.finitefield import FIELD_SIZE_CAP
 from massform.funcfield import MAX_GENUS, FunctionFieldData, zeta_A, zeta_K
@@ -707,12 +707,13 @@ def test_q_cap_from_each_side(capsys, monkeypatch):
         error = json.loads(out)["error"]
         assert error["type"] == "InvalidFieldError"
         assert "above the cap" in error["message"]
-    # the cap is checked before the trial division that made huge q hang
+    # the cap is checked before the trial division that made huge q hang;
+    # funcfield calls its own binding, the residue-size check the one in errors
     def no_factoring(q):
         raise AssertionError("factored a q above the cap")
 
     monkeypatch.setattr(funcfield, "factor_prime_power", no_factoring)
-    monkeypatch.setattr(localvolumes, "factor_prime_power", no_factoring)
+    monkeypatch.setattr(errors, "factor_prime_power", no_factoring)
     with pytest.raises(InvalidFieldError, match="above the cap"):
         FunctionFieldData.rational(int(HUGE_PRIME))
     with pytest.raises(InvalidFieldError, match="above the cap"):
@@ -1150,40 +1151,42 @@ def test_help_loads_no_engine_and_no_inspect():
     assert "inspect" not in imported
 
 
-def test_local_volumes_loads_no_global_engine():
-    loaded = _loaded_submodules(
-        "-m", "massform.cli", "local", "volumes", "--qv", "2", "--r", "2", "--d", "1",
-    )
-    assert "localvolumes" in loaded
-    assert loaded.isdisjoint({"csa", "funcfield", "massengine", "orderzeta", "verify"}), loaded
-
-
 # One invocation of each command of the benchmark's cli workload, and
-# whether it runs the matrix models.  Only they import `dataclasses`, and
-# `inspect` with it; every other command, verify's drinfeld suite and the
-# other local commands included, loads none of the three.
+# exactly the massform submodules it loads (cli itself runs as __main__).
+# The local commands load no global engine, `algebra` or the models,
+# and `verify --suite drinfeld` no finite field.  Only the matrix models
+# import `dataclasses`, and `inspect` with it; every other command loads
+# neither.  No other standard-library module is pinned: their import
+# graphs differ between Python versions.
+GLOBAL = {"algebra", "csa", "errors", "funcfield", "record"}
+LOCAL = {"errors", "localvolumes"}
 WORKLOAD_COMMANDS = {
-    "mass": (("mass", "--q", "3", "--rank", "2", "--ram", "inf:1/2,1:1/2"), False),
+    "mass": (("mass", "--q", "3", "--rank", "2", "--ram", "inf:1/2,1:1/2"),
+             GLOBAL | {"massengine"}),
     "drinfeld-mass": (("drinfeld-mass", "--q", "2", "--genus", "1", "--l-poly", "1,1,2",
-                       "--rank", "3", "--p-degree", "2"), False),
-    "class-number": (("class-number", "--q", "4"), False),
-    "zeta": (("zeta", "--q", "5", "--values", "3"), False),
+                       "--rank", "3", "--p-degree", "2"), GLOBAL | {"massengine"}),
+    "class-number": (("class-number", "--q", "4"), {"algebra", "errors", "funcfield", "record"}),
+    "zeta": (("zeta", "--q", "5", "--values", "3"), {"algebra", "errors", "funcfield", "record"}),
     "order-zeta": (("order-zeta", "--q", "2", "--rank", "4", "--ram", "inf:1/4,2:3/4",
-                    "--series-order", "8"), False),
-    "local volumes": (("local", "volumes", "--qv", "3", "--r", "4", "--d", "2"), False),
-    "local lambda": (("local", "lambda", "--qv", "4", "--r", "6", "--d", "3"), False),
-    "local iw-index": (("local", "iw-index", "--qv", "3", "--d", "3"), False),
-    "local model-check": (("local", "model-check", "--qv", "2", "--d", "2", "--pairs", "3"), True),
-    "table": (("table", "--qs", "3", "--ranks", "2,3", "--p-degrees", "1,2"), False),
-    "verify drinfeld": (("verify", "--suite", "drinfeld"), False),
+                    "--series-order", "8"), GLOBAL | {"orderzeta"}),
+    "local volumes": (("local", "volumes", "--qv", "3", "--r", "4", "--d", "2"), LOCAL),
+    "local lambda": (("local", "lambda", "--qv", "4", "--r", "6", "--d", "3"), LOCAL),
+    "local iw-index": (("local", "iw-index", "--qv", "3", "--d", "3"), LOCAL),
+    "local model-check": (("local", "model-check", "--qv", "2", "--d", "2", "--pairs", "3"),
+                          {"errors", "finitefield", "localmodels", "record"}),
+    "table": (("table", "--qs", "3", "--ranks", "2,3", "--p-degrees", "1,2"),
+              GLOBAL | {"massengine"}),
+    "verify drinfeld": (("verify", "--suite", "drinfeld"),
+                        GLOBAL | {"localvolumes", "massengine", "orderzeta", "verify"}),
 }
 
 
-@pytest.mark.parametrize("argv, models", WORKLOAD_COMMANDS.values(), ids=WORKLOAD_COMMANDS)
-def test_only_the_matrix_models_load_dataclasses(argv, models):
+@pytest.mark.parametrize("argv, modules", WORKLOAD_COMMANDS.values(), ids=WORKLOAD_COMMANDS)
+def test_only_the_matrix_models_load_dataclasses(argv, modules):
     imported = _imported("-m", "massform.cli", *argv)
     loaded = {name.split(".", 1)[1] for name in imported if name.startswith("massform.")}
-    assert ("localmodels" in loaded) is models, loaded
+    assert loaded == modules
+    models = "localmodels" in modules
     assert ("dataclasses" in imported) is models
     assert ("inspect" in imported) is models
 

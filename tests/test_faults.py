@@ -132,7 +132,7 @@ KILLS = [
      {"zeta-at-zero"}),
     # _mobius reads the exponents, so mu(4) = -1: "degree-4 place count
     # is not integral"
-    ("prime-factors-without-exponents", "massform.algebra", "prime_factors",
+    ("prime-factors-without-exponents", "massform.errors", "prime_factors",
      "lambda f: lambda n: {p: 1 for p in f(n)}",
      {"zeta-at-zero", "series-closed-form", "drinfeld"}),
     ("digits-most-significant-first", "massform.finitefield", "digits",

@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from massform.algebra import factor_prime_power
-from massform.errors import OrderMismatchError
+from massform.errors import OrderMismatchError, factor_prime_power
 from massform.finitefield import (
     FqField,
     TruncatedSeriesFq,

@@ -24,7 +24,8 @@ from massform.massengine import (
     mass_report_to_json_dict,
 )
 from massform.orderzeta import order_zeta_at_zero, order_zeta_closed_form
-from massform.algebra import PolyQ, rational_to_str
+from massform.algebra import PolyQ
+from massform.errors import rational_to_str
 from test_orderzeta import (
     DEG_INF2_R4,
     cyclotomic_reading_one_at_one,

@@ -25,11 +25,12 @@ The volumes, the Iwahori index and the brute-force oracles live in
 the models.  This module takes nothing from `localvolumes`: the
 residue-size check both run lives in `errors`, so `local model-check`
 loads `errors`, `record`, `finitefield` and this module, and neither
-`localvolumes`, `algebra` nor `fractions`.  `ModelCheckReport` is the package's one dataclass (the
-benchmark's tests copy reports with `dataclasses.replace`), so this is
-the one module that imports `dataclasses`: at the top, never inside a
-function, where the import would land in the first model check a
-caller times.  Every other value class is a `record.Record`.
+`localvolumes`, `algebra` nor `fractions`.  `ModelCheckReport` is the
+package's one dataclass (the benchmark's tests copy reports with
+`dataclasses.replace`), so this is the one module that imports
+`dataclasses`: at the top, never inside a function, where the import
+would land in the first model check a caller times.  Every other value
+class is a `record.Record`.
 """
 
 from __future__ import annotations

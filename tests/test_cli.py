@@ -1151,6 +1151,14 @@ def test_help_loads_no_engine_and_no_inspect():
     assert "inspect" not in imported
 
 
+def test_local_volumes_loads_no_global_engine():
+    loaded = _loaded_submodules(
+        "-m", "massform.cli", "local", "volumes", "--qv", "2", "--r", "2", "--d", "1",
+    )
+    assert "localvolumes" in loaded
+    assert loaded.isdisjoint({"csa", "funcfield", "massengine", "orderzeta", "verify"}), loaded
+
+
 # One invocation of each command of the benchmark's cli workload, and
 # exactly the massform submodules it loads (cli itself runs as __main__).
 # The local commands load no global engine, `algebra` or the models,

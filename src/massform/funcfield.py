@@ -112,24 +112,28 @@ class FunctionFieldData(Record):
     infinity, at most MAX_PLACE_DEGREE.  Place counts up to degree
     CHECKED_DEGREES are checked non-negative at construction.
 
-    Three memos ride along, outside equality, the hash and the repr, and
-    a field built again from its four values starts with all three empty:
+    Four memos ride along, outside equality, the hash and the repr, and
+    a field built again from its four values starts with all four empty:
     _counts, the place counts b_1, b_2, ... (both paths);
+    _points, the point counts N_1, N_2, ... they were summed from, at
+    least as far as _counts (the Euler-product series only);
     _zeta_values, zeta_K(-i) by i (the mass side only);
     _closed_form_values, each closed-form factor's value at u = 1 by its
     key (the closed form only).
     """
 
     _fields = ("q", "genus", "l_poly", "deg_inf")
-    __slots__ = (*_fields, "_counts", "_zeta_values", "_closed_form_values")
+    __slots__ = (*_fields, "_counts", "_points", "_zeta_values", "_closed_form_values")
 
     def __init__(self, q: int, genus: int, l_poly: PolyQ, deg_inf: int):
         self.q = q
         self.genus = genus
         self.l_poly = l_poly
         self.deg_inf = deg_inf
-        # b_1, b_2, ... as far as computed; grown by _place_counts
+        # b_1, b_2, ... and N_1, N_2, ... as far as computed; grown
+        # together by _place_counts
         self._counts: tuple[int, ...] = ()
+        self._points: tuple[int, ...] = ()
         # zeta_K(-i) by i, filled by zeta_special_value (the mass side only)
         self._zeta_values: dict[int, Fraction] = {}
         # (j, m) -> P or Phi*_m at q^j, filled by orderzeta._at_one
@@ -212,14 +216,17 @@ class FunctionFieldData(Record):
 
     def _place_counts(self, upto: int) -> tuple[int, ...]:
         """b_1 .. b_upto with validation (non-negative integers), computed
-        once per field and extended when a higher degree is asked for."""
+        once per field and extended when a higher degree is asked for;
+        the point counts N_1 .. N_upto they are summed from are kept
+        beside them in _points."""
         if len(self._counts) < upto:
-            self._counts = self._compute_place_counts(upto)
+            self._counts, self._points = self._compute_place_counts(upto)
         return self._counts[:upto]
 
-    def _compute_place_counts(self, upto: int) -> tuple[int, ...]:
-        """The stored counts extended to b_1 .. b_upto: only the degrees
-        not yet counted are summed, and a failure stores nothing."""
+    def _compute_place_counts(self, upto: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The stored counts extended to b_1 .. b_upto, and N_1 .. N_upto
+        from one point_counts call: only the degrees not yet counted are
+        summed, and a failure stores nothing."""
         n_counts = self.point_counts(upto)
         out = list(self._counts)
         for n in range(len(out) + 1, upto + 1):
@@ -231,7 +238,7 @@ class FunctionFieldData(Record):
             if b < 0:
                 raise InvalidFieldError(f"degree-{n} place count is negative")
             out.append(b)
-        return tuple(out)
+        return tuple(out), tuple(n_counts)
 
 
 def zeta_K(data: FunctionFieldData) -> RationalFunctionQ:

@@ -18,9 +18,10 @@ Two independent realizations of the same object live here:
   known from the map, is too long to print;
 * a truncated Dirichlet series built from an Euler product over the
   finite places, expanded in integers by Newton's identities on its
-  log-derivative.  That is read off the product's own place counts:
-  its u^k coefficient is a divisor sum over the unramified places times
-  the geometric sum (q^{rk} - 1)/(q^k - 1), plus one geometric sum per
+  log-derivative.  That is read off the field's point counts: its u^k
+  coefficient is N_k, less the degrees of the places left out of the
+  product (infinity and the ramified places) that divide k, times the
+  geometric sum (q^{rk} - 1)/(q^k - 1), plus one geometric sum per
   ramified place (the log Z(u) = sum N_k u^k / k bookkeeping of Rosen,
   Number Theory in Function Fields, ch. 5).  The series is rebuilt
   place by place from an explicit composition sum (local_ideal_count)
@@ -323,6 +324,12 @@ def _refuse_unprintable(log_derivative: list[int]) -> None:
             )
 
 
+def _excluded_degrees(data: RamificationData) -> list[int]:
+    """The degrees of the places the Euler product skips, one entry per
+    place: infinity, then each ramified finite place."""
+    return [data.field.deg_inf, *(place.degree for place in data.finite_places())]
+
+
 def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
     """Dirichlet series of the order zeta to the given order in u.
 
@@ -335,12 +342,16 @@ def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
     n (q^{rk} - 1)/(q^{d_v k} - 1) from every ramified one.  So
     c_k = w_k (q^{rk} - 1)/(q^k - 1) plus the ramified terms, where
     w_k = sum_{n | k} n M_n and M_n is the number of unramified finite
-    places of degree n, read off the place counts (infinity and the
-    ramified places subtracted, the subtraction checked to stay
-    non-negative).  Newton's identities k s_k = sum_{j=1..k} c_j s_{k-j}
-    give the coefficients s_k, each by an exact division.  Infinity is
-    skipped; the closed form compensates, and the tests compare the two
-    expansions coefficient by coefficient.
+    places of degree n.  As sum_{n | k} n b_n over all places is the
+    point count N_k, w_k is N_k less deg v for each excluded place v
+    (infinity and the ramified places) with deg v | k: N_1 .. N_order
+    are copied once, and each excluded place is subtracted along the
+    multiples of its degree.  The place counts b_n are checked to hold
+    the excluded places at each excluded degree.  Newton's identities
+    k s_k = sum_{j=1..k} c_j s_{k-j} give the coefficients s_k, each by
+    an exact division.  Infinity is skipped; the closed form
+    compensates, and the tests compare the two expansions coefficient
+    by coefficient.
     """
     if not is_definite(data):
         raise NotDefiniteError("order zeta series needs definite data")
@@ -353,36 +364,42 @@ def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
     ramified: dict[int, list[int]] = {}
     for place in data.finite_places():
         ramified.setdefault(place.degree, []).append(place.inv_den)
-    # w_k = sum_{n | k} n M_n over the unramified place counts M_n
-    weights = [0] * (order + 1)
-    for degree, available in enumerate(field._place_counts(order), start=1):
+    # the place counts b_n, with the point counts N_k kept beside them
+    counts = field._place_counts(order)
+    for degree in sorted({field.deg_inf, *ramified}):
+        if degree > order:
+            break
+        finite = counts[degree - 1] - (degree == field.deg_inf)
         ramified_here = len(ramified.get(degree, ()))
-        multiplicity = available - ramified_here - (degree == field.deg_inf)
-        if multiplicity < 0:
+        if finite < ramified_here:
             # the constructor's availability check, made again from the
-            # place counts the product runs over
+            # field's place counts
             raise InternalConsistencyError(
                 f"{ramified_here} finite ramified places of degree {degree} "
-                f"but the field has {multiplicity + ramified_here} finite places "
-                "of that degree"
+                f"but the field has {finite} finite places of that degree"
             )
-        if multiplicity:
-            for k in range(degree, order + 1, degree):
-                weights[k] += degree * multiplicity
-    log_derivative = [0] * (order + 1)
+    # w_k = N_k - sum of deg v over the excluded places with deg v | k,
+    # then c_k = w_k (q^{rk} - 1)/(q^k - 1) in the same list
+    log_derivative = [0, *field._points[:order]]
+    for degree in _excluded_degrees(data):
+        for k in range(degree, order + 1, degree):
+            log_derivative[k] -= degree
     q_k = 1
     for k in range(1, order + 1):
         q_k *= q
-        log_derivative[k] = weights[k] * _geometric(q_k, r)
+        log_derivative[k] *= _geometric(q_k, r)
     for degree, inv_dens in ramified.items():
         for d_v in inv_dens:
+            step, q_dvk = q ** (d_v * degree), 1
             for k in range(degree, order + 1, degree):
-                log_derivative[k] += degree * _geometric(q ** (d_v * k), r // d_v)
+                q_dvk *= step
+                log_derivative[k] += degree * _geometric(q_dvk, r // d_v)
     _refuse_unprintable(log_derivative)
+    # c_1 .. c_order, copied once: map stops at the shorter operand
+    c = log_derivative[1:]
     coeffs = [1]
     for k in range(1, order + 1):
-        total = sum(map(mul, log_derivative[1:k + 1], reversed(coeffs)))
-        value, rem = divmod(total, k)
+        value, rem = divmod(sum(map(mul, c, reversed(coeffs))), k)
         if rem:
             raise InternalConsistencyError(f"u^{k} series coefficient is not an integer")
         coeffs.append(value)

@@ -21,6 +21,7 @@ from massform import csa, errors, funcfield, localmodels, localvolumes, massengi
 from massform.csa import MAX_PLACE_DEGREE, MAX_RAMIFIED_DEGREE, MAX_RANK
 from massform.errors import (
     MAX_Q,
+    MAX_SERIES_ORDER,
     InternalConsistencyError,
     InvalidFieldError,
     InvalidRamificationError,
@@ -857,6 +858,18 @@ GOLDEN_STDOUT = [
     (("order-zeta", "--q", "3", "--deg-inf", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
       "--series-order", "10"),
      "4e0cc7ba1565a3b2e056d5661d8c46e25008dd3c1452bea7a24e673da32ddac1"),
+    # the series at the order cap, taken while w_k was still summed from
+    # the place counts: over the genus-1 field; with infinity and two
+    # ramified places at degree 2; with two ramified places of degree 1
+    (("order-zeta", *G1, "--rank", "6", "--ram", "inf:1/6,1:1/3,2:1/2",
+      "--series-order", "300"),
+     "2d13a0cd044cda8927a517d62795fab1ccc2638561a4b7ad2c3bda1e05e42e1e"),
+    (("order-zeta", "--q", "3", "--deg-inf", "2", "--rank", "4", "--ram", "inf:1/4,2:1/4,2:1/2",
+      "--series-order", "300"),
+     "ff9c3f27e4e6384bcb95438bb40dd3af38ce49e8a80ef3f0b13d4c0b7dd0a963"),
+    (("order-zeta", "--q", "2", "--rank", "3", "--ram", "inf:1/3,1:1/3,1:1/3",
+      "--series-order", "300"),
+     "d4ee6a15c34ae50920d7921ffdb770af78bd8f21aad6214b97396aa6bf5abf1b"),
     # every suite's report, taken while suites still returned a record
     (("verify",),
      "ae9a556ab6c7558abb706838e827b9b4cba0798d9e8db61e09f00cd81aefdff7"),
@@ -981,9 +994,7 @@ def command_lines(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None)
-@given(command_lines())
-def test_every_command_line_ends_in_a_documented_exit_code(argv):
+def _ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.run(argv)
@@ -991,6 +1002,57 @@ def test_every_command_line_ends_in_a_documented_exit_code(argv):
     assert "Traceback" not in err.getvalue(), argv
     if code == 64:
         assert out.getvalue() == "", argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_every_command_line_ends_in_a_documented_exit_code(argv):
+    _ends_in_a_documented_exit_code(argv)
+
+
+# order-zeta near every cap at once: the largest prime q below MAX_Q, the
+# top rank, places of degree up to MAX_PLACE_DEGREE and the top series
+# order, each drawn beside small values; every example ends in time
+def _small_or_up_to(top):
+    return st.one_of(st.integers(1, 3), st.integers(1, top))
+
+
+def _invariant(a, rank):
+    f = Fraction(a, rank)
+    return f"{f.numerator}/{f.denominator}"
+
+
+@st.composite
+def order_zeta_lines(draw):
+    q = draw(st.one_of(
+        st.sampled_from((2, 3, 4, 5, 9, 251, 65537, 4294967291, MAX_Q)), st.integers(2, MAX_Q)
+    ))
+    rank = draw(st.integers(1, MAX_RANK))
+    ram = []
+    if rank > 1:
+        # invariants a/r in lowest terms; infinity's makes the sum integral,
+        # unless it is drawn apart
+        finite = draw(st.lists(
+            st.tuples(_small_or_up_to(MAX_PLACE_DEGREE), st.integers(1, rank - 1)), max_size=3
+        ))
+        a_inf = draw(st.one_of(
+            st.just(-sum(a for _, a in finite) % rank), st.integers(1, rank - 1)
+        ))
+        places = ",".join(
+            f"{where}:{_invariant(a, rank)}" for where, a in [("inf", a_inf), *finite]
+        )
+        ram = ["--ram", places]
+    return [
+        "order-zeta", "--q", str(q), "--deg-inf", str(draw(_small_or_up_to(MAX_PLACE_DEGREE))),
+        "--rank", str(rank), *ram, "--series-order",
+        str(draw(st.one_of(st.integers(0, 40), st.integers(0, MAX_SERIES_ORDER)))),
+    ]
+
+
+@settings(max_examples=30, deadline=5000)
+@given(order_zeta_lines())
+def test_order_zeta_near_the_caps_ends_in_time_in_a_documented_exit_code(argv):
+    _ends_in_a_documented_exit_code(argv)
 
 
 # -- the printer against a Fraction reference ----------------------------------

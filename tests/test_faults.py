@@ -105,6 +105,10 @@ KILLS = [
     ("geometric-plus-one-at-n2", "massform.orderzeta", "_geometric",
      "lambda f: lambda x, n: f(x, n) + (n == 2)",
      {"series-closed-form"}),
+    # the Euler product then runs over infinity too
+    ("excluded-degrees-without-infinity", "massform.orderzeta", "_excluded_degrees",
+     "lambda f: lambda data: f(data)[1:]",
+     {"series-closed-form"}),
     ("vol-g-times-qv", "massform.localvolumes", "vol_G",
      "lambda f: lambda q_v, r: q_v * f(q_v, r)",
      {"lambda-volumes", "brute-force-oracles"}),

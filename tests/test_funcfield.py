@@ -306,9 +306,10 @@ def test_mobius_inversion_consistency():
 
 
 def _emptied(field):
-    # a copy of the field with no place count stored
+    # a copy of the field with no place or point count stored
     copy = FunctionFieldData(field.q, field.genus, field.l_poly, field.deg_inf)
     object.__setattr__(copy, "_counts", ())
+    object.__setattr__(copy, "_points", ())
     return copy
 
 
@@ -320,6 +321,8 @@ def test_place_counts_extended_in_steps_equal_one_shot():
         for upto in (3, 10, 40, 128):
             counts = stepwise._place_counts(upto)
             assert len(stepwise._counts) == upto
+            # the point counts they were summed from are kept beside them
+            assert stepwise._points == tuple(field.point_counts(upto))
         one_shot = _emptied(field)._place_counts(128)
         assert counts == one_shot, field
         # and they invert the point counts: sum_{d | n} d b_d = N_n
@@ -349,6 +352,7 @@ def test_failed_extension_stores_nothing(monkeypatch):
     with pytest.raises(InvalidFieldError, match="degree-5 place count is negative"):
         field._place_counts(10)
     assert field._counts == (4, 2)
+    assert field._points == (4, 8)
     assert field._place_counts(4) == (4, 2, 0, 2)
     with pytest.raises(InvalidFieldError, match="degree-5"):
         places_of_degree(field, 5)

@@ -585,16 +585,32 @@ def test_series_matches_binomial_reference_at_the_order_cap():
 
 
 def test_series_recurrence_guard_fires_on_a_non_integral_product():
-    # half a place of degree 1 makes the factor (1 - u)^(-3/2), whose
-    # u^1 coefficient is 3/2: Newton's k s_k = sum c_j s_(k-j) cannot
-    # divide exactly, and the guard must say so
+    # half a point of degree 1 makes w_1 = 3/2 and c_1 = 3/2 (1 + q) = 9/2:
+    # Newton's k s_k = sum c_j s_(k-j) cannot divide exactly, and the
+    # guard must say so
     field = FunctionFieldData.rational(2)
     data = parse_shorthand("inf:1/2,1:1/2", field, rank=2)
     assert order_zeta_series(data, 4).coeffs == (1, 4, 16, 64, 256)
-    counts = field._place_counts(4)
-    object.__setattr__(field, "_counts", (counts[0] + Fraction(1, 2), *counts[1:]))
+    points = field._points
+    object.__setattr__(field, "_points", (points[0] + Fraction(1, 2), *points[1:]))
     with pytest.raises(InternalConsistencyError, match=r"u\^1 series coefficient"):
         order_zeta_series(data, 4)
+
+
+def test_series_availability_guard_reads_the_place_counts():
+    # F_2 has one place of degree 2; counted as none, the datum ramifies
+    # at a place the field lacks, from the first order that reaches it
+    field = FunctionFieldData.rational(2)
+    data = parse_shorthand("inf:1/2,2:1/2", field, rank=2)
+    counts = field._counts
+    object.__setattr__(field, "_counts", (counts[0], 0, *counts[2:]))
+    assert order_zeta_series(data, 1).coeffs == (1, 6)
+    with pytest.raises(
+        InternalConsistencyError,
+        match="^1 finite ramified places of degree 2 but the field has 0 finite places "
+        "of that degree$",
+    ):
+        order_zeta_series(data, 2)
 
 
 def test_series_coefficients_count_ideals():

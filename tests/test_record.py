@@ -68,7 +68,7 @@ RECORDS = {
     ),
     "FunctionFieldData": (
         lambda: FunctionFieldData(q=2, genus=1, l_poly=PolyQ((1, 1, 2)), deg_inf=1),
-        _fill_field_memos, ("_counts", "_zeta_values", "_closed_form_values"),
+        _fill_field_memos, ("_counts", "_points", "_zeta_values", "_closed_form_values"),
         "FunctionFieldData(q=2, genus=1, l_poly=PolyQ(1 + u + 2*u^2), deg_inf=1)",
     ),
     "LocalModel": (

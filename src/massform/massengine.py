@@ -8,9 +8,11 @@ base field is
 with lambda_v the local correction at each ramified place.  Every
 factor is a ratio of integers, so the product runs in plain ints: one
 numerator and one denominator collect h(A), q - 1, each zeta_K(-i) and
-each lambda_v, and the mass is the one Fraction made from them.  A
+each lambda_v, and the mass is the one Fraction made from them.  Each
+zeta_K(-i) is read off the field's memo as one integer pair, and each
+lambda_v straight from lambda_value's memo on (q^deg v, r, d_v).  A
 `MassReport` carries the datum and the mass; the factor audit is read
-off the datum when the report is printed.  This module never touches
+off the datum, from the same memos, when the report is printed.  This module never touches
 the maximal-order zeta function: the order-zeta module recomputes the
 same number along a completely different path and the test suite pins
 the two against each other.
@@ -26,6 +28,7 @@ from .csa import (
     is_definite,
     is_drinfeld_type,
     lambda_v,
+    lambda_value,
 )
 from .errors import (
     InternalConsistencyError,
@@ -42,7 +45,7 @@ from .record import Record
 
 class MassReport(Record):
     """A definite datum and its mass; `mass_report_to_json_dict` reads
-    the factors off the datum by the functions `mass` calls."""
+    the factors off the datum from the memos `mass` reads."""
 
     __slots__ = _fields = ("data", "mass")
 
@@ -59,13 +62,14 @@ def mass(data: RamificationData) -> MassReport:
             "mass is defined only for definite data (division algebra at infinity)"
         )
     field, r = data.field, data.rank
-    num, den = class_number_A(field), field.q - 1
+    q = field.q
+    num, den = class_number_A(field), q - 1
     for i in range(1, r):
-        z = zeta_special_value(field, i)
-        num *= z.numerator
-        den *= z.denominator
+        n, d = zeta_special_value(field, i).as_integer_ratio()
+        num *= n
+        den *= d
     for p in data.places:
-        num *= lambda_v(p, r, field.q)
+        num *= lambda_value(q ** p.degree, r, p.inv_den)
     # den is positive: q - 1 times Fraction denominators
     if num <= 0:
         raise InternalConsistencyError(f"mass {Fraction(num, den)} is not positive")
@@ -87,9 +91,9 @@ def drinfeld_mass(field: FunctionFieldData, r: int, p_degree: int) -> Fraction:
     n_p = field.q ** p_degree
     num, den = class_number_A(field), field.q - 1
     for i in range(1, r):
-        z = zeta_special_value(field, i)
-        num *= z.numerator * (1 - n_inf ** i) * (1 - n_p ** i)
-        den *= z.denominator
+        n, d = zeta_special_value(field, i).as_integer_ratio()
+        num *= n * (1 - n_inf ** i) * (1 - n_p ** i)
+        den *= d
     return Fraction(num, den)
 
 

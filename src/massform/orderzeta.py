@@ -61,7 +61,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cache
-from operator import mul
+from operator import attrgetter, mul
 
 from .algebra import PolyQ, RationalFunctionQ, TruncatedSeriesQ, coprime_ratfun
 from .csa import RamificationData, is_definite
@@ -111,7 +111,8 @@ def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> Fraction:
     Phi*_m(q^j) for j >= 1 and Phi*_m(1) for m > 1.  Each is the
     polynomial _expand prints for its key, evaluated at q^j and kept on
     the field by its key; P or Phi*_m is looked up and evaluated only
-    when the field meets the key first.
+    when the field meets the key first.  Most exponents are +1 or -1,
+    and those values are multiplied into num or den without a power.
     """
     num = den = 1
     values = field._closed_form_values
@@ -121,7 +122,11 @@ def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> Fraction:
             j, m = key
             base = field.l_poly if m == 0 else _cyclotomic(m)
             value = values[key] = base.eval(field.q ** j)
-        if e > 0:
+        if e == 1:
+            num *= value
+        elif e == -1:
+            den *= value
+        elif e > 0:
             num *= value ** e
         else:
             den *= value ** -e
@@ -198,10 +203,14 @@ def _correction_keys(degree: int, inv_den: int, r: int) -> tuple[tuple[int, int]
     return tuple((i, m) for i in range(1, r) if i % inv_den for m in divisors)
 
 
+# a place's part of the shape key _exponents hands to _shape_exponents
+_place_shape = attrgetter("degree", "inv_den")
+
+
 def _exponents(data: RamificationData) -> ExponentMap:
     """The net exponent map of the closed form, a fresh dict: it depends
     only on the shape of the data, whose map _shape_exponents keeps."""
-    shape = tuple((place.degree, place.inv_den) for place in data.places)
+    shape = tuple(map(_place_shape, data.places))
     return dict(_shape_exponents(data.rank, data.field.deg_inf, shape))
 
 

@@ -1022,28 +1022,37 @@ def _invariant(a, rank):
     return f"{f.numerator}/{f.denominator}"
 
 
+QS_UP_TO_THE_CAP = st.one_of(
+    st.sampled_from((2, 3, 4, 5, 9, 251, 65537, 4294967291, MAX_Q)), st.integers(2, MAX_Q)
+)
+DEGREES_UP_TO_THE_CAP = _small_or_up_to(MAX_PLACE_DEGREE)
+
+
+def _ramification(draw, rank):
+    """--ram with infinity and up to three finite places, none at rank 1"""
+    if rank == 1:
+        return []
+    # invariants a/r in lowest terms; infinity's makes the sum integral,
+    # unless it is drawn apart
+    finite = draw(st.lists(
+        st.tuples(DEGREES_UP_TO_THE_CAP, st.integers(1, rank - 1)), max_size=3
+    ))
+    a_inf = draw(st.one_of(
+        st.just(-sum(a for _, a in finite) % rank), st.integers(1, rank - 1)
+    ))
+    places = ",".join(
+        f"{where}:{_invariant(a, rank)}" for where, a in [("inf", a_inf), *finite]
+    )
+    return ["--ram", places]
+
+
 @st.composite
 def order_zeta_lines(draw):
-    q = draw(st.one_of(
-        st.sampled_from((2, 3, 4, 5, 9, 251, 65537, 4294967291, MAX_Q)), st.integers(2, MAX_Q)
-    ))
+    q = draw(QS_UP_TO_THE_CAP)
     rank = draw(st.integers(1, MAX_RANK))
-    ram = []
-    if rank > 1:
-        # invariants a/r in lowest terms; infinity's makes the sum integral,
-        # unless it is drawn apart
-        finite = draw(st.lists(
-            st.tuples(_small_or_up_to(MAX_PLACE_DEGREE), st.integers(1, rank - 1)), max_size=3
-        ))
-        a_inf = draw(st.one_of(
-            st.just(-sum(a for _, a in finite) % rank), st.integers(1, rank - 1)
-        ))
-        places = ",".join(
-            f"{where}:{_invariant(a, rank)}" for where, a in [("inf", a_inf), *finite]
-        )
-        ram = ["--ram", places]
+    ram = _ramification(draw, rank)
     return [
-        "order-zeta", "--q", str(q), "--deg-inf", str(draw(_small_or_up_to(MAX_PLACE_DEGREE))),
+        "order-zeta", "--q", str(q), "--deg-inf", str(draw(DEGREES_UP_TO_THE_CAP)),
         "--rank", str(rank), *ram, "--series-order",
         str(draw(st.one_of(st.integers(0, 40), st.integers(0, MAX_SERIES_ORDER)))),
     ]
@@ -1052,6 +1061,38 @@ def order_zeta_lines(draw):
 @settings(max_examples=30, deadline=5000)
 @given(order_zeta_lines())
 def test_order_zeta_near_the_caps_ends_in_time_in_a_documented_exit_code(argv):
+    _ends_in_a_documented_exit_code(argv)
+
+
+# the mass side near the same caps: mass and drinfeld-mass on one datum,
+# table on a grid of up to three values along each axis
+def _int_list(draw, strategy):
+    return ",".join(map(str, draw(st.lists(strategy, min_size=1, max_size=3))))
+
+
+@st.composite
+def mass_side_lines(draw):
+    command = draw(st.sampled_from(("mass", "drinfeld-mass", "table")))
+    ranks = st.integers(1, MAX_RANK)
+    if command == "table":
+        return [
+            "table", "--qs", _int_list(draw, QS_UP_TO_THE_CAP),
+            "--ranks", _int_list(draw, ranks),
+            "--p-degrees", _int_list(draw, DEGREES_UP_TO_THE_CAP),
+        ]
+    q, rank = draw(QS_UP_TO_THE_CAP), draw(ranks)
+    argv = [
+        command, "--q", str(q), "--deg-inf", str(draw(DEGREES_UP_TO_THE_CAP)),
+        "--rank", str(rank),
+    ]
+    if command == "mass":
+        return [*argv, *_ramification(draw, rank)]
+    return [*argv, "--p-degree", str(draw(DEGREES_UP_TO_THE_CAP))]
+
+
+@settings(max_examples=30, deadline=5000)
+@given(mass_side_lines())
+def test_mass_side_near_the_caps_ends_in_time_in_a_documented_exit_code(argv):
     _ends_in_a_documented_exit_code(argv)
 
 

@@ -269,6 +269,32 @@ def test_mutated_exponent_maps_fail_the_reference():
         assert _at_one(data.field, dropped) != value_at(want, 1)
 
 
+def test_at_one_raises_each_factor_to_its_exponent():
+    # P-shift and cyclotomic keys over the genus-1 battery field, each
+    # alone and all together, at every exponent in -3..3 but 0; (0, 1)
+    # is left out, as Phi*_1 vanishes at 1
+    field = battery_fields()[-1]
+    assert field.genus == 1
+    keys = [(0, 0), (1, 0), (3, 0), (1, 1), (2, 1), (0, 2), (1, 3), (2, 4), (0, 6)]
+    exponents = (-3, -2, -1, 1, 2, 3)
+
+    def reference(exponent_map):
+        out = Fraction(1)
+        for (j, m), e in exponent_map.items():
+            base = field.l_poly if m == 0 else _cyclotomic(m)
+            out *= Fraction(base.eval(field.q ** j)) ** e
+        return out
+
+    maps = [{key: e} for key in keys for e in exponents]
+    maps += [{key: exponents[(i + shift) % 6] for i, key in enumerate(keys)} for shift in range(6)]
+    fresh = FunctionFieldData(field.q, field.genus, field.l_poly, field.deg_inf)
+    for exponent_map in maps:
+        # a fresh field meets each key first here; the battery field's
+        # memo may already hold it
+        for on in (fresh, field):
+            assert _at_one(on, exponent_map) == reference(exponent_map), exponent_map
+
+
 def cyclotomic_reading_one_at_one(m):
     """Phi*_m with its constant term moved so that it reads 1 at x = 1
     for m > 1, where the true value is p when m is a power of p."""

@@ -12,10 +12,10 @@ each lambda_v, and the mass is the one Fraction made from them.  Each
 zeta_K(-i) is read off the field's memo as one integer pair, and each
 lambda_v straight from lambda_value's memo on (q^deg v, r, d_v).  A
 `MassReport` carries the datum and the mass; the factor audit is read
-off the datum, from the same memos, when the report is printed.  This module never touches
-the maximal-order zeta function: the order-zeta module recomputes the
-same number along a completely different path and the test suite pins
-the two against each other.
+off the datum, from the same memos, when the report is printed.  This
+module never touches the maximal-order zeta function: the order-zeta
+module recomputes the same number along a completely different path and
+the test suite pins the two against each other.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from .record import Record
 
 class MassReport(Record):
     """A definite datum and its mass; `mass_report_to_json_dict` reads
-    the factors off the datum from the memos `mass` reads."""
+    the factors off the datum again, each lambda_v through `lambda_v`,
+    which reads the `lambda_value` memo that `mass` reads."""
 
     __slots__ = _fields = ("data", "mass")
 

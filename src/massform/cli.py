@@ -45,6 +45,7 @@ from .errors import (
     InputDataError,
     InvalidFieldError,
     OutputTooLargeError,
+    SelectionTooLargeError,
     parse_int,
     rational_to_str,
 )
@@ -423,13 +424,25 @@ def cmd_class_number(field):
     return {"h_A": rational_to_str(class_number_A(field))}
 
 
-@command("zeta", *FIELD_OPTIONS, Option("--values", default=3, help="how many special values"))
+# The most special values `zeta --values` prints, checked before any is
+# computed: the output grows with the square of the count and with the
+# genus.  With no int-to-string limit, the cap at q = 4294967291 takes
+# about 0.2 s and prints 1.7 MB at genus 1, 36 s and 22 MB at genus 24.
+MAX_SPECIAL_VALUES = 300
+
+
+@command(
+    "zeta", *FIELD_OPTIONS,
+    Option("--values", default=3, help=f"how many special values, 1 to {MAX_SPECIAL_VALUES}"),
+)
 def cmd_zeta(field, values):
     """Field zeta function, with and without the infinity factor."""
     from .funcfield import zeta_A, zeta_K, zeta_special_value
 
     if values < 1:
         raise EmptySelectionError(f"values {values} must be >= 1")
+    if values > MAX_SPECIAL_VALUES:
+        raise SelectionTooLargeError(f"values {values} is above the cap {MAX_SPECIAL_VALUES}")
     return {
         "l_poly": [str(c) for c in field.l_poly.coeffs],
         "zeta_K": _ratfun_json(zeta_K(field)),

@@ -54,10 +54,6 @@ class RamifiedPlace(Record):
         self.inv_den = inv_den
         self.is_infinity = is_infinity
 
-    def norm(self, q: int) -> int:
-        """Size of the residue field at this place."""
-        return q ** self.degree
-
     def reduced_num(self) -> int:
         """Invariant numerator reduced to {0, ..., d-1}."""
         return self.inv_num % self.inv_den
@@ -224,11 +220,6 @@ def lambda_value(norm: int, r: int, d: int) -> int:
         if i % d != 0:
             out *= norm ** i - 1
     return out
-
-
-def lambda_v(place: RamifiedPlace, r: int, q: int) -> int:
-    """The local mass correction factor at a ramified place."""
-    return lambda_value(place.norm(q), r, place.inv_den)
 
 
 # -- parsing -------------------------------------------------------------------

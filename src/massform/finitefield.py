@@ -26,8 +26,10 @@ doubled exp table and XORed into its output coefficient; in odd
 characteristic it is Zech-added straight into one log-domain
 accumulator per output coefficient (-1 standing for the log of 0), and
 each accumulator is mapped back through the exp table once.  The
-series product is its one-term case; the matrix products and
-division-algebra products of `localmodels` are its many-term cases.
+series product and the sieve's product of two monics are its one-term
+cases; the matrix products and division-algebra products of
+`localmodels` are its many-term cases.  Only `_mul_raw`, which builds
+a field's tables, multiplies without it.
 """
 
 from __future__ import annotations
@@ -242,9 +244,12 @@ def enumerate_monic_irreducibles(q: int, degree: int) -> list[tuple[int, ...]]:
     degree first, coefficients integer-encoded field elements; ordering
     is lexicographic reading the highest coefficient first.  A product
     sieve marks every reducible polynomial (each has an irreducible
-    factor of degree <= degree/2), so cost is about q**degree times a
-    small log factor; callers keep q**degree modest.  Over a prime
-    field the first entry is the modulus of `FqField`.
+    factor of degree <= degree/2): the product of a monic of degree m
+    and one of degree degree - m is monic, so `log_dot` at precision
+    degree gives its lower coefficients, whose code marks it.  Cost is
+    about q**degree times a small log factor; callers keep q**degree
+    modest.  Over a prime field the first entry is the modulus of
+    `FqField`.
     """
     FqField.of_order(q)     # refuses a q that is not a field order
     return list(_enumerate_irreducibles_cached(q, degree))
@@ -257,23 +262,16 @@ def _enumerate_irreducibles_cached(q: int, degree: int) -> tuple[tuple[int, ...]
     if degree == 1:
         return tuple((c, 1) for c in range(q))
     field = FqField.of_order(q)
-
-    def mul_monic(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = field.add(out[i + j], field.mul(x, y))
-        return tuple(out)
-
+    log = field._log
     composite = bytearray(q ** degree)
     for m in range(1, degree // 2 + 1):
         rest = degree - m
         for g in _enumerate_irreducibles_cached(q, m):
+            g_log = [(i, log[c]) for i, c in enumerate(g) if c]
             for idx in range(q ** rest):
-                product = mul_monic(g, (*digits(idx, q, rest), 1))
-                composite[from_digits(product[:-1], q)] = 1
+                h = (*digits(idx, q, rest), 1)
+                h_log = [(j, log[c]) for j, c in enumerate(h) if c]
+                composite[from_digits(log_dot(field, [(g_log, h_log, 0)], degree), q)] = 1
     return tuple(
         (*digits(idx, q, degree), 1) for idx in range(q ** degree) if not composite[idx]
     )

@@ -117,10 +117,6 @@ class LocalModel(Record):
     def pi(self) -> TruncatedSeriesFq:
         return self.series((0, 1))
 
-    def tau(self, a: TruncatedSeriesFq) -> TruncatedSeriesFq:
-        """The chosen generator of Gal(L/K_v) applied coefficientwise."""
-        return self.tau_power(a, 1)
-
     def tau_power(self, a: TruncatedSeriesFq, j: int) -> TruncatedSeriesFq:
         e = (self.m_bez * j) % self.d
         if e == 0:

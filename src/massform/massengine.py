@@ -10,12 +10,13 @@ factor is a ratio of integers, so the product runs in plain ints: one
 numerator and one denominator collect h(A), q - 1, each zeta_K(-i) and
 each lambda_v, and the mass is the one Fraction made from them.  Each
 zeta_K(-i) is read off the field's memo as one integer pair, and each
-lambda_v straight from lambda_value's memo on (q^deg v, r, d_v).  A
-`MassReport` carries the datum and the mass; the factor audit is read
-off the datum, from the same memos, when the report is printed.  This
-module never touches the maximal-order zeta function: the order-zeta
-module recomputes the same number along a completely different path and
-the test suite pins the two against each other.
+lambda_v, here and in the factor audit, straight from lambda_value's
+memo on (q^deg v, r, d_v).  A `MassReport` carries the datum and the
+mass; the factor audit is read off the datum, from the same memos, when
+the report is printed.  This module never touches the maximal-order
+zeta function: the order-zeta module recomputes the same number along a
+completely different path and the test suite pins the two against each
+other.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .csa import (
     drinfeld_datum,
     is_definite,
     is_drinfeld_type,
-    lambda_v,
     lambda_value,
 )
 from .errors import (
@@ -45,8 +45,8 @@ from .record import Record
 
 class MassReport(Record):
     """A definite datum and its mass; `mass_report_to_json_dict` reads
-    the factors off the datum again, each lambda_v through `lambda_v`,
-    which reads the `lambda_value` memo that `mass` reads."""
+    the factors off the datum again, each lambda_v as
+    `lambda_value(q^deg v, r, d_v)`, the memo that `mass` reads."""
 
     __slots__ = _fields = ("data", "mass")
 
@@ -107,7 +107,8 @@ def mass_report_to_json_dict(report: MassReport) -> dict:
         "class_number_factor": rational_to_str(Fraction(class_number_A(field), field.q - 1)),
         "zeta_factors": [rational_to_str(zeta_special_value(field, i)) for i in range(1, r)],
         "lambda_factors": [
-            {"place": p.shorthand_token(), "lambda": str(lambda_v(p, r, field.q))}
+            {"place": p.shorthand_token(),
+             "lambda": str(lambda_value(field.q ** p.degree, r, p.inv_den))}
             for p in data.places
         ],
         "definite": True,

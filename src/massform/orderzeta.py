@@ -25,7 +25,7 @@ Two independent realizations of the same object live here:
   ramified place (the log Z(u) = sum N_k u^k / k bookkeeping of Rosen,
   Number Theory in Function Fields, ch. 5).  The series is rebuilt
   place by place from an explicit composition sum (local_ideal_count)
-  by place_by_place_series.
+  by place_by_place_series, multiplied out by series_pow and series_mul.
 
 Their coefficientwise agreement, and the equality of the value at u = 1
 with minus the factored mass, are the package's central cross-checks.
@@ -33,7 +33,7 @@ The infinity place contributes nothing to the Euler product; the closed
 form instead carries a (1 - u^{deg_inf}) prefactor and correction
 factors whose product deletes every infinity Euler factor exactly when
 the data is definite.  No step here reuses the mass engine,
-zeta_special_value or lambda_v.
+zeta_special_value or lambda_value.
 
 The closed form keeps three memos.  The first two sit behind the
 function a fault harness patches, so a patched function still replaces
@@ -63,7 +63,15 @@ from fractions import Fraction
 from functools import cache
 from operator import attrgetter, mul
 
-from .algebra import PolyQ, RationalFunctionQ, TruncatedSeriesQ, coprime_ratfun
+from .algebra import (
+    PolyQ,
+    RationalFunctionQ,
+    TruncatedSeriesQ,
+    coprime_ratfun,
+    series_mul,
+    series_one,
+    series_pow,
+)
 from .csa import RamificationData, is_definite
 from .errors import (
     MAX_SERIES_ORDER,
@@ -418,39 +426,28 @@ def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
 def place_by_place_series(data: RamificationData, order: int) -> tuple[int, ...]:
     """The Euler-product series rebuilt place by place.
 
-    Every finite place of every degree up to the order contributes its
-    own coefficient stream built from local_ideal_count (one stream per
-    place, never aggregated), and the streams are convolved in place
-    order.  Nothing is shared with order_zeta_series, so agreement of
-    the two is a real multiplicativity statement.  The cost grows with
-    the number of places, exponentially in the order.
+    Each kind of finite place of degree n up to the order, unramified or
+    one ramified place, has its local stream built from
+    local_ideal_count, with the count of colength ell at u^(n ell).  The
+    product starts at 1; each degree multiplies in the unramified stream
+    to the power of the number of unramified places of that degree, then
+    each ramified place's stream, by series_pow and series_mul.  Nothing
+    is shared with order_zeta_series, so agreement of the two is a real
+    multiplicativity statement.
     """
-    coeffs = [1] + [0] * order
+    q, r = data.field.q, data.rank
 
-    def convolve_place(degree: int, m_v: int, d_v: int) -> None:
-        nonlocal coeffs
-        stream = [
-            local_ideal_count(data.field.q ** degree, m_v, d_v, ell)
-            for ell in range(order // degree + 1)
-        ]
-        nxt = [0] * (order + 1)
-        for k, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            for ell, s in enumerate(stream):
-                pos = k + ell * degree
-                if pos > order:
-                    break
-                nxt[pos] += c * s
-        coeffs = nxt
+    def stream(degree: int, m_v: int, d_v: int) -> TruncatedSeriesQ:
+        coeffs = [0] * (order + 1)
+        for ell in range(order // degree + 1):
+            coeffs[ell * degree] = local_ideal_count(q ** degree, m_v, d_v, ell)
+        return TruncatedSeriesQ(order, tuple(coeffs))
 
-    r = data.rank
+    product = series_one(order)
     for degree in range(1, order + 1):
         ramified_here = [p for p in data.finite_places() if p.degree == degree]
         count = finite_places_of_degree(data.field, degree) - len(ramified_here)
-        for _ in range(count):
-            convolve_place(degree, r, 1)
+        product = series_mul(product, series_pow(stream(degree, r, 1), count))
         for place in ramified_here:
-            convolve_place(degree, r // place.inv_den, place.inv_den)
-
-    return tuple(coeffs)
+            product = series_mul(product, stream(degree, r // place.inv_den, place.inv_den))
+    return product.coeffs

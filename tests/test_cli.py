@@ -100,6 +100,20 @@ def test_zeta_special_values(capsys):
     assert obj["special_values"]["-1"] == "11/3"
 
 
+def test_zeta_values_cap_from_each_side(capsys, monkeypatch):
+    code, out, _ = invoke(capsys, "zeta", "--q", "2", "--values", str(cli.MAX_SPECIAL_VALUES))
+    assert code == 0
+    assert len(json.loads(out)["special_values"]) == cli.MAX_SPECIAL_VALUES
+    # above the cap, refused before any value is computed
+    def no_value(field, i):
+        raise AssertionError(f"zeta_K(-{i}) computed")
+
+    monkeypatch.setattr(funcfield, "zeta_special_value", no_value)
+    code, out, _ = invoke(capsys, "zeta", "--q", "2", "--values", str(cli.MAX_SPECIAL_VALUES + 1))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "SelectionTooLargeError"
+
+
 def test_validation_error_is_exit_2_with_error_object(capsys):
     code, out, _ = invoke(
         capsys,
@@ -507,6 +521,7 @@ def test_local_subcommands(capsys):
          "InvalidRamificationError"),
         (("zeta", "--q", "2", "--values", "-1"), "EmptySelectionError"),
         (("zeta", "--q", "2", "--values", "0"), "EmptySelectionError"),
+        (("zeta", "--q", "2", "--values", "1000000"), "SelectionTooLargeError"),
         (("order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
           "--series-order", "301"), "InvalidSeriesOrderError"),
         (("order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
@@ -565,7 +580,8 @@ def test_local_subcommands(capsys):
         "verify-max-rank-above-cap", "verify-lambda-max-rank-huge",
         "model-check-pairs-negative", "mass-invariant-den0", "mass-ram-degree-1_0",
         "mass-ram-non-ascii-digit",
-        "zeta-values-negative", "zeta-values0", "order-zeta-series-order-above-cap",
+        "zeta-values-negative", "zeta-values0", "zeta-values-1000000",
+        "order-zeta-series-order-above-cap",
         "order-zeta-series-order-negative", "verify-series-order-above-cap",
         "model-check-d0", "model-check-b-not-coprime", "model-check-field-above-cap",
         "iw-index-d0", "iw-index-d-above-cap", "volumes-rank-above-cap",
@@ -1096,6 +1112,31 @@ def test_mass_side_near_the_caps_ends_in_time_in_a_documented_exit_code(argv):
     _ends_in_a_documented_exit_code(argv)
 
 
+# zeta with --values up to 10^6, and the local commands with q_v from the
+# same picks, the local rank up to MAX_LOCAL_RANK (often a multiple of
+# the index) and the index up to MAX_LOCAL_INDEX and past it
+@st.composite
+def zeta_and_local_lines(draw):
+    command = draw(st.sampled_from(("zeta", "local volumes", "local lambda", "local iw-index")))
+    q = str(draw(QS_UP_TO_THE_CAP))
+    if command == "zeta":
+        return ["zeta", "--q", q, "--values", str(draw(_small_or_up_to(10 ** 6)))]
+    d = draw(_small_or_up_to(MAX_LOCAL_INDEX + 4))
+    argv = [*command.split(), "--qv", q, "--d", str(d)]
+    if command == "local iw-index":
+        return argv
+    r = draw(st.one_of(
+        st.integers(1, MAX_LOCAL_RANK), st.integers(1, max(MAX_LOCAL_RANK // d, 1)).map(d.__mul__)
+    ))
+    return [*argv, "--r", str(r)]
+
+
+@settings(max_examples=30, deadline=5000)
+@given(zeta_and_local_lines())
+def test_zeta_and_local_near_the_caps_end_in_time_in_a_documented_exit_code(argv):
+    _ends_in_a_documented_exit_code(argv)
+
+
 # -- the printer against a Fraction reference ----------------------------------
 # The package stores num/den in integers and normalizes only in the printer.
 # The reference below is the earlier normalization, kept in Fractions: it
@@ -1183,14 +1224,15 @@ def test_suite_choice_names_every_verify_suite():
 # its imports into the commands (verify's and local iw-index's retaken when
 # the random-properties suite and the --brute flag went, verify's again
 # when the zeta-class-number suite and --count went, order-zeta's when
-# MASSFORM_SERIES_ORDER went); the help text reads MAX_SERIES_ORDER and
-# the suite names without loading an engine
+# MASSFORM_SERIES_ORDER went, zeta's when --values got its cap); the help
+# text reads MAX_SERIES_ORDER, MAX_SPECIAL_VALUES and the suite names
+# without loading an engine
 HELP_DIGESTS = {
     (): "e4076c817a9d05a0c6ca1b2d60ff0d865b477f410eb9bc5fdd24335cc99af37b",
     ("mass",): "4ed3c74d5a759b45059935a1f3f7884862ca2256ddd3d006d684c54dc381a7ab",
     ("drinfeld-mass",): "93143e9bec48fba299acd4b4bf0098ba3b1967d04c22dd65ca1169d581be172d",
     ("class-number",): "5d8fcc598a6a9db8654168a826c8da7bf8f0f36f0df9fa9cdc382a000d95860b",
-    ("zeta",): "bdbf37c5379675e5bff1a532673ffbc11651bf897c005795a75de51e0df35739",
+    ("zeta",): "e0fed8ddc3dff05d431eb0e549e989f51a5826ffca3f962a88ad194af17a2b9e",
     ("order-zeta",): "56aa19192841a10ee600abe24b0fa9ca62635ce45ca49259263db906251d9013",
     ("local",): "dc1709d5d813f14966e06f2911558cf2064444e8fdf5d08c3ecce9a3b1f0a28b",
     ("local", "volumes"): "9881c773aef6352c82345e1e4174454f9120be89ca0d8c6c77f315682fcf9df0",

@@ -12,7 +12,6 @@ from massform.csa import (
     RamifiedPlace,
     is_definite,
     is_drinfeld_type,
-    lambda_v,
     lambda_value,
     parse_shorthand,
     shorthand,
@@ -186,8 +185,8 @@ def test_lambda_frozen_examples():
     assert lambda_value(2, 2, 2) == 1
     assert lambda_value(2, 3, 3) == 3
     assert lambda_value(3, 4, 2) == 52          # (3-1)(27-1), i in {1,3}
-    assert lambda_v(RamifiedPlace(1, 1, 2), 2, 2) == 1
-    assert lambda_v(RamifiedPlace(2, 1, 2), 4, 3) == (9 - 1) * (9 ** 3 - 1)
+    assert lambda_value(2 ** 1, 2, 2) == 1
+    assert lambda_value(3 ** 2, 4, 2) == (9 - 1) * (9 ** 3 - 1)
 
 
 def test_lambda_unramified_is_empty_product():

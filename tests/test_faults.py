@@ -109,6 +109,13 @@ KILLS = [
     ("excluded-degrees-without-infinity", "massform.orderzeta", "_excluded_degrees",
      "lambda f: lambda data: f(data)[1:]",
      {"series-closed-form"}),
+    # the place-by-place product then leaves out one place of each degree
+    ("series-pow-one-factor-short", "massform.algebra", "series_pow",
+     "lambda f: lambda a, n: f(a, max(n - 1, 0))",
+     {"series-closed-form"}),
+    ("series-mul-drops-the-top-coefficient", "massform.algebra", "series_mul",
+     "lambda f: lambda a, b: algebra.TruncatedSeriesQ(a.order, (*f(a, b).coeffs[:-1], 0))",
+     {"series-closed-form"}),
     ("vol-g-times-qv", "massform.localvolumes", "vol_G",
      "lambda f: lambda q_v, r: q_v * f(q_v, r)",
      {"lambda-volumes", "brute-force-oracles"}),

@@ -9,7 +9,7 @@ from massform.csa import (
     RamificationData,
     RamifiedPlace,
     is_drinfeld_type,
-    lambda_v,
+    lambda_value,
     parse_shorthand,
 )
 from massform.errors import (
@@ -53,7 +53,8 @@ def reference_mass(data):
     h_factor = Fraction(field.deg_inf * field.l_poly.eval(1), field.q - 1)
     zetas = tuple(reference_zeta_value(field, i) for i in range(1, data.rank))
     lambdas = tuple(
-        (p.shorthand_token(), lambda_v(p, data.rank, field.q)) for p in data.places
+        (p.shorthand_token(), lambda_value(field.q ** p.degree, data.rank, p.inv_den))
+        for p in data.places
     )
     total = h_factor
     for z in zetas:

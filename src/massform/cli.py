@@ -6,11 +6,13 @@ function from its parsed options to the object it prints: a dict, or
 (header, rows) for `table`.  `run` does the rest: it resolves the field
 of the commands that take one and puts its header first, renders the
 answer or the typed error in the chosen format, picks the exit code,
-and writes the whole text to stdout at once.  Exit codes: 0 success, 2
-invalid input data (a typed InputDataError, or an answer past Python's
-int-to-string limit), 64 usage error, 70 a printed `"ok": false`, an
-internal consistency failure or any other untyped error, 74 a stdout
-closed by its reader.
+and writes the whole text to stdout at once.  For the length of the call
+it sets the interpreter's int-to-string limit to MAX_PRINTED_DIGITS, so
+every command reads and prints integers up to the same size on every
+Python.  Exit codes: 0 success, 2 invalid input data (a typed
+InputDataError, or an answer with an integer past MAX_PRINTED_DIGITS),
+64 usage error, 70 a printed `"ok": false`, an internal consistency
+failure or any other untyped error, 74 a stdout closed by its reader.
 
 The parser is a loop over one table, in the standard library only.
 Each command registers its path and its options with `@command`, and
@@ -40,6 +42,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .errors import (
+    MAX_PRINTED_DIGITS,
     MAX_SERIES_ORDER,
     EmptySelectionError,
     InputDataError,
@@ -313,8 +316,8 @@ def _resolve_field(q, genus, l_poly, deg_inf, field_file) -> FunctionFieldData:
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise UsageError(f"field file is not valid JSON: {exc}")
         except ValueError:
-            # the one other error of json.loads: an integer past Python's
-            # int-to-string limit, which run() would take for an answer
+            # the one other error of json.loads: an integer past
+            # MAX_PRINTED_DIGITS, which run() would take for an answer
             raise InvalidFieldError(f"field file {field_file} holds an integer too long to read")
         if not isinstance(base, dict):
             raise InvalidFieldError(f"field file holds {base!r}, not a JSON object")
@@ -426,8 +429,10 @@ def cmd_class_number(field):
 
 # The most special values `zeta --values` prints, checked before any is
 # computed: the output grows with the square of the count and with the
-# genus.  With no int-to-string limit, the cap at q = 4294967291 takes
-# about 0.2 s and prints 1.7 MB at genus 1, 36 s and 22 MB at genus 24.
+# genus.  The largest output found at the cap is 1.2 MB, at q = 4000037
+# and genus 1, in about 0.15 s as a whole process (2-CPU machine).  At
+# q = 4294967291 a value passes MAX_PRINTED_DIGITS at every genus up to
+# MAX_GENUS, and the command exits 2 in about 0.1 s.
 MAX_SPECIAL_VALUES = 300
 
 
@@ -633,17 +638,22 @@ def _outcome(argv: list[str]) -> tuple[int, str]:
     except InputDataError as exc:
         error = exc
     except ValueError as exc:
-        # Python's int-to-string limit is the one untyped error that
-        # reports an input: an answer too long to print
+        # an integer past the int-to-string limit run() sets is the one
+        # untyped error that reports an input: an answer too long to print
         if "integer string conversion" not in str(exc):
             raise
-        error = OutputTooLargeError(str(exc))
+        error = OutputTooLargeError(
+            f"an integer has more than {MAX_PRINTED_DIGITS} digits, the most massform prints"
+        )
     return 2, _emit({"error": {"type": type(error).__name__, "message": str(error)}}, "json")
 
 
 def run(argv: list[str]) -> int:
     """Execute one invocation; returns the exit code instead of exiting.
-    Its stdout is written once, after the answer or the error is whole."""
+    Its stdout is written once, after the answer or the error is whole.
+    The caller's int-to-string limit is put back on the way out."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_PRINTED_DIGITS)
     try:
         code, text = _outcome(argv)
         sys.stdout.write(text)
@@ -659,6 +669,8 @@ def run(argv: list[str]) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 70
+    finally:
+        sys.set_int_max_str_digits(limit)
     return code
 
 

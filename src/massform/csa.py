@@ -32,7 +32,10 @@ from .record import Record
 # The largest global rank accepted.  The order-zeta series costs most,
 # and grows with the rank: at q = 5 and series order 300, `massform
 # order-zeta` spends about 0.17 s in the engines at this rank, 0.27 s at
-# rank 8 and 0.58 s at rank 12 (2-CPU machine, Python 3.11).
+# rank 8 and 0.58 s at rank 12 (2-CPU machine, Python 3.11).  At
+# q = 4294967291 the order-300 series passes MAX_PRINTED_DIGITS and is
+# refused in 0.16 s at this rank, 0.28 s at rank 8 and 0.37 s at rank
+# 12; at this rank it prints up to order 74, in 0.11 s as a whole process.
 MAX_RANK = 6
 
 # The largest summed degree of the ramified places, infinity included.
@@ -41,7 +44,9 @@ MAX_RANK = 6
 # with the sum.  At q = 5, rank 6 and series order 300, `massform
 # order-zeta` at this cap takes 0.2-0.6 s and prints up to 1.5 MB (2-CPU
 # machine); a sum of 256 takes 0.5-1.9 s, and at 501 both it and
-# `massform mass` overflow the 4300-digit limit.
+# `massform mass` pass MAX_PRINTED_DIGITS.  At q = 4294967291 and rank 6
+# one place of degree 32 with d_v = 6 takes both past it, and `massform
+# order-zeta` at this cap exits 2 in about 0.2 s as a whole process.
 MAX_RAMIFIED_DEGREE = 200
 
 

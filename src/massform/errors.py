@@ -6,11 +6,14 @@ modules.
 the CLI maps them to exit code 2.  ``InternalConsistencyError`` marks
 identities that are theorems for valid input and must never fail; the
 CLI maps it, any other untyped error and failed verification suites to
-exit code 70.  ``OutputTooLargeError`` is the CLI's name for Python's
-int-to-string limit, the one untyped error that reports an input.
+exit code 70.  ``OutputTooLargeError`` reports an answer with an
+integer of more than MAX_PRINTED_DIGITS digits, the one size rule of
+what massform prints.
 
 The series-order cap lives here, beside its error, because the CLI's
 help text shows it and the CLI loads no engine to print help.  The
+printed-digit cap lives here because the CLI sets it as the
+interpreter's int-to-string limit and orderzeta refuses by it.  The
 place-degree cap lives here because both funcfield and csa, which
 imports funcfield, enforce it, and the cap on q because funcfield and
 the residue-size check both do.  The integer grammar lives here because
@@ -48,16 +51,23 @@ MAX_PLACE_DEGREE = 128
 # this cap, 1.7 ms for 2 * (2^31 - 1), 40 ms for a prime near 10^12,
 # and a prime near 10^18 ran on past 15 s.  Below the cap the other
 # costs grow only with log q: at this cap and rank 6, `massform
-# order-zeta` refuses an order-300 series as too long to print in 0.25 s,
-# and a closed form with a degree-128 place in 0.6 s (2-CPU machine).
+# order-zeta` refuses an order-300 series as too long to print in 0.22 s,
+# and a closed form with a degree-128 place in 0.07 s, as whole
+# processes (2-CPU machine).
 MAX_Q = 2 ** 32
+
+# The most digits of one integer massform reads or prints.  cli.run sets
+# it as the interpreter's int-to-string limit for the length of a call,
+# so every command refuses at the same size whatever the interpreter's
+# own limit is, and orderzeta's refusals read it before any work.
+MAX_PRINTED_DIGITS = 4300
 
 
 def parse_int(text: str) -> int:
     """An optional sign and ASCII digits, surrounding whitespace
     stripped; int() alone also takes `1_1` and non-ASCII digits.
-    Raises ValueError otherwise, and past Python's int-to-string digit
-    limit."""
+    Raises ValueError otherwise, and past the interpreter's int-to-string
+    limit, MAX_PRINTED_DIGITS inside cli.run."""
     digits = text.strip()
     if digits[:1] in ("+", "-"):
         digits = digits[1:]
@@ -155,8 +165,7 @@ class InvalidArgumentError(InputDataError):
 
 
 class OutputTooLargeError(InputDataError):
-    """An answer has more digits than Python converts to a string (its
-    int-to-string limit, 4300 digits by default)."""
+    """An answer has an integer of more than MAX_PRINTED_DIGITS digits."""
 
 
 class NotExpandableError(MassformError):

@@ -30,8 +30,7 @@ if TYPE_CHECKING:
 # Caps on the local index d and the local rank r of the index, volume and
 # lambda commands.  A local model needs q_v^d <= FIELD_SIZE_CAP = 2^12, so
 # no model has d above 12.  At r = 48 and q_v = FIELD_SIZE_CAP the volumes
-# print in about 4250 digits, just under Python's 4300-digit limit on
-# int-to-string conversion.
+# print in about 4250 digits, just under errors.MAX_PRINTED_DIGITS = 4300.
 MAX_LOCAL_INDEX = 12
 MAX_LOCAL_RANK = 48
 

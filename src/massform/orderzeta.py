@@ -58,7 +58,6 @@ on the field.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter, mul
@@ -74,6 +73,7 @@ from .algebra import (
 )
 from .csa import RamificationData, is_definite
 from .errors import (
+    MAX_PRINTED_DIGITS,
     MAX_SERIES_ORDER,
     InternalConsistencyError,
     InvalidSeriesOrderError,
@@ -163,16 +163,10 @@ def _expand(field: FunctionFieldData, exponents: ExponentMap) -> RationalFunctio
     return coprime_ratfun(num, den)
 
 
-def _int_digit_limit() -> int:
-    """Python's int-to-string limit in digits; 0 means no limit, as in
-    Pythons before 3.10.7, which have none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def _refuse_unprintable_form(field: FunctionFieldData, exponents: ExponentMap) -> None:
     """Raise OutputTooLargeError, before anything is multiplied out, when
     the den-monic form num/lead(den), den/lead(den) is sure to print an
-    integer past Python's int-to-string limit.
+    integer of more than MAX_PRINTED_DIGITS digits.
 
     num and den lead with +-q^N_num and q^N_den, the products of their
     factors' leading coefficients: q^(g + 2gj) for P(q^j u), as P leads
@@ -182,9 +176,7 @@ def _refuse_unprintable_form(field: FunctionFieldData, exponents: ExponentMap) -
     q^(N_num - N_den) in num's leading coefficient; q^n has more digits
     than the limit exactly when q^n >= 10^digits.
     """
-    digits = _int_digit_limit()
-    if not digits:
-        return
+    digits = MAX_PRINTED_DIGITS
     q, g = field.q, field.genus
     n_num = n_den = 0
     for (j, m), e in exponents.items():
@@ -200,7 +192,7 @@ def _refuse_unprintable_form(field: FunctionFieldData, exponents: ExponentMap) -
     if n * (q.bit_length() - 1) >= limit.bit_length() or q ** n >= limit:
         raise OutputTooLargeError(
             f"the closed form prints q^{n}, which has more than {digits} digits, "
-            "Python's int-to-string limit"
+            "the most massform prints"
         )
 
 
@@ -322,22 +314,22 @@ def _geometric(x: int, n: int) -> int:
 
 def _refuse_unprintable(log_derivative: list[int]) -> None:
     """Raise OutputTooLargeError when some series coefficient s_k is sure
-    to pass Python's int-to-string limit.
+    to have more than MAX_PRINTED_DIGITS digits.
 
     Every c_k and s_k is non-negative, so k s_k = sum_j c_j s_{k-j}
     gives s_k >= c_k // k; the bound costs O(N) before the O(N^2)
-    Newton step.  A limit of 0 means no limit.
+    Newton step.
     """
-    digits = _int_digit_limit()
+    digits = MAX_PRINTED_DIGITS
     # every c_k below 2^(3 digits) < 10^digits needs no closer look
-    if not digits or max(log_derivative) < 1 << 3 * digits:
+    if max(log_derivative) < 1 << 3 * digits:
         return
     limit = 10 ** digits
     for k in range(1, len(log_derivative)):
         if log_derivative[k] // k >= limit:
             raise OutputTooLargeError(
                 f"the u^{k} series coefficient has more than {digits} digits, "
-                "Python's int-to-string limit"
+                "the most massform prints"
             )
 
 

@@ -9,6 +9,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib.util import find_spec
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ import massform.cli as cli
 from massform import csa, errors, funcfield, localmodels, localvolumes, massengine, orderzeta, verify
 from massform.csa import MAX_PLACE_DEGREE, MAX_RAMIFIED_DEGREE, MAX_RANK
 from massform.errors import (
+    MAX_PRINTED_DIGITS,
     MAX_Q,
     MAX_SERIES_ORDER,
     InternalConsistencyError,
@@ -264,7 +266,7 @@ def test_int_to_string_limit_is_exit_2(capsys, monkeypatch):
     assert code == 2
     error = json.loads(out)["error"]
     assert error["type"] == "OutputTooLargeError"
-    assert "integer string conversion" in error["message"]
+    assert error["message"] == "an integer has more than 4300 digits, the most massform prints"
 
 
 @pytest.mark.parametrize(
@@ -338,6 +340,55 @@ def test_closed_form_just_below_the_limit_prints_as_before(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fde34fd63bca9bc0aa9ca510ed1d0242c76dd439d1fd2648d18576d18d68663d"
     )
+
+
+def weil_l_poly(q, genus):
+    """The coefficients of (1 + q u^2)^genus, an L-polynomial of any genus."""
+    return ",".join(
+        str(comb(genus, k // 2) * q ** (k // 2)) if k % 2 == 0 else "0"
+        for k in range(2 * genus + 1)
+    )
+
+
+# Answers past MAX_PRINTED_DIGITS: a local index, local volumes, a table
+# row, the closed form, the series, and special values at genus 2 and at
+# MAX_GENUS; with no limit each printed 7.6 KB to 22 MB, in up to 40 s
+TOO_LONG_TO_PRINT = {
+    "iw-index": ("local", "iw-index", "--qv", "4294967291", "--d", "12"),
+    "volumes": ("local", "volumes", "--qv", "65537", "--r", "48", "--d", "1"),
+    "table": ("table", "--qs", "4294967291", "--ranks", "6", "--p-degrees", "1,128"),
+    "closed-form": ("order-zeta", "--q", "191", *TOP_CLOSED_FORM),
+    "series": ("order-zeta", "--q", "251", *TOP_SERIES),
+    "order-zeta-at-the-caps": (
+        "order-zeta", "--q", "4294967291", "--rank", "6",
+        "--ram", "inf:1/6,128:1/6,71:2/3", "--series-order", "300",
+    ),
+    **{
+        f"zeta-genus-{genus}": (
+            "zeta", "--q", "4294967291", "--genus", str(genus),
+            "--l-poly", weil_l_poly(4294967291, genus), "--values", "300",
+        )
+        for genus in (2, MAX_GENUS)
+    },
+}
+
+
+@pytest.mark.parametrize("argv", TOO_LONG_TO_PRINT.values(), ids=TOO_LONG_TO_PRINT)
+def test_the_digit_rule_is_the_same_under_any_interpreter_limit(capsys, argv):
+    caller = sys.get_int_max_str_digits()
+    try:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (2, "")
+        assert f"more than {MAX_PRINTED_DIGITS} digits" in out
+        assert sys.get_int_max_str_digits() == caller
+        for limit in (0, 640):
+            sys.set_int_max_str_digits(limit)
+            assert invoke(capsys, *argv) == (2, out, ""), limit
+            assert sys.get_int_max_str_digits() == limit
+            assert invoke(capsys, *argv, "--bogus")[0] == 64
+            assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(caller)
 
 
 def test_determinism_byte_identical(capsys):
@@ -1112,17 +1163,22 @@ def test_mass_side_near_the_caps_ends_in_time_in_a_documented_exit_code(argv):
     _ends_in_a_documented_exit_code(argv)
 
 
-# zeta with --values up to 10^6, and the local commands with q_v from the
-# same picks, the local rank up to MAX_LOCAL_RANK (often a multiple of
-# the index) and the index up to MAX_LOCAL_INDEX and past it
+# zeta with a genus up to MAX_GENUS and --values up to 10^6, and the local
+# commands with q_v from the same picks, the local rank up to
+# MAX_LOCAL_RANK (often a multiple of the index) and the index up to
+# MAX_LOCAL_INDEX and past it
 @st.composite
 def zeta_and_local_lines(draw):
     command = draw(st.sampled_from(("zeta", "local volumes", "local lambda", "local iw-index")))
-    q = str(draw(QS_UP_TO_THE_CAP))
+    q = draw(QS_UP_TO_THE_CAP)
     if command == "zeta":
-        return ["zeta", "--q", q, "--values", str(draw(_small_or_up_to(10 ** 6)))]
+        genus = draw(st.integers(0, MAX_GENUS))
+        return [
+            "zeta", "--q", str(q), "--genus", str(genus), "--l-poly", weil_l_poly(q, genus),
+            "--values", str(draw(_small_or_up_to(10 ** 6))),
+        ]
     d = draw(_small_or_up_to(MAX_LOCAL_INDEX + 4))
-    argv = [*command.split(), "--qv", q, "--d", str(d)]
+    argv = [*command.split(), "--qv", str(q), "--d", str(d)]
     if command == "local iw-index":
         return argv
     r = draw(st.one_of(

@@ -379,8 +379,7 @@ def _widest(text):
 def test_closed_form_refusal_is_exactly_the_printed_lead(monkeypatch):
     # the den-monic form prints q^N_den under both constant terms and
     # q^(N_num - N_den) in num's leading term; a digit limit D refuses the
-    # closed form exactly when one of those has more than D digits, and a
-    # limit of 0 refuses nothing
+    # closed form exactly when one of those has more than D digits
     configs = [
         DEG_INF2_R4,
         # N_num = 0: q^N_den alone decides
@@ -394,14 +393,14 @@ def test_closed_form_refusal_is_exactly_the_printed_lead(monkeypatch):
         bound = max(_widest(printed["den"][0]), _widest(printed["num"][-1]))
         widest = max(map(_widest, printed["num"] + printed["den"]))
         assert 1 < bound <= widest
-        for digits in (0, *range(1, widest + 2)):
-            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits)
+        for digits in range(1, widest + 2):
+            monkeypatch.setattr(orderzeta, "MAX_PRINTED_DIGITS", digits)
             try:
                 order_zeta_closed_form(data)
                 refused = False
             except OutputTooLargeError:
                 refused = True
-            assert refused == (0 < digits < bound), (data, digits)
+            assert refused == (digits < bound), (data, digits)
         monkeypatch.undo()
 
 
@@ -503,8 +502,7 @@ def test_series_order_cap():
 def test_series_refusal_is_exactly_the_newton_lower_bound(monkeypatch):
     # the log-derivative c_k, read back from the series by Newton's
     # identities k s_k = sum_j c_j s_{k-j}, bounds s_k >= c_k // k; a digit
-    # limit D refuses exactly when some c_k // k has more than D digits,
-    # and a limit of 0 refuses nothing
+    # limit D refuses exactly when some c_k // k has more than D digits
     data = parse_shorthand("inf:1/6,1:-1/6", FunctionFieldData.rational(5), rank=6)
     coeffs = order_zeta_series(data, 40).coeffs
     c = [0]
@@ -513,14 +511,14 @@ def test_series_refusal_is_exactly_the_newton_lower_bound(monkeypatch):
     bound = len(str(max(c[k] // k for k in range(1, len(c)))))
     widest = len(str(max(coeffs)))
     assert 1 < bound <= widest
-    for digits in (0, *range(1, widest + 2)):
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits)
+    for digits in range(1, widest + 2):
+        monkeypatch.setattr(orderzeta, "MAX_PRINTED_DIGITS", digits)
         try:
             assert order_zeta_series(data, 40).coeffs == coeffs
             refused = False
         except OutputTooLargeError:
             refused = True
-        assert refused == (0 < digits < bound), digits
+        assert refused == (digits < bound), digits
 
 
 def test_series_coefficient_of_u_one_decomposes():

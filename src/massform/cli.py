@@ -470,11 +470,14 @@ def cmd_order_zeta(field, rank, ram, series_order):
 
     data = parse_shorthand(ram, field, rank)
     value = order_zeta_at_zero(data)
+    # the closed form's refusal sums over its exponent map, far cheaper
+    # than the series' bound, so a datum both refuse is refused here
+    closed_form = _ratfun_json(order_zeta_closed_form(data))
     series = order_zeta_series(data, series_order)
     return {
         "rank": rank,
         "ramification": shorthand(data),
-        "closed_form": _ratfun_json(order_zeta_closed_form(data)),
+        "closed_form": closed_form,
         "value_at_zero": rational_to_str(value),
         "series_order": series_order,
         "series": [str(c) for c in series.coeffs],

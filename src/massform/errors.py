@@ -64,15 +64,20 @@ MAX_PRINTED_DIGITS = 4300
 
 
 def parse_int(text: str) -> int:
-    """An optional sign and ASCII digits, surrounding whitespace
-    stripped; int() alone also takes `1_1` and non-ASCII digits.
-    Raises ValueError otherwise, and past the interpreter's int-to-string
-    limit, MAX_PRINTED_DIGITS inside cli.run."""
+    """An optional sign and at most MAX_PRINTED_DIGITS ASCII digits,
+    surrounding whitespace stripped; int() alone also takes `1_1` and
+    non-ASCII digits.  Raises ValueError otherwise; the length is checked
+    before int(), whatever the interpreter's int-to-string limit."""
     digits = text.strip()
     if digits[:1] in ("+", "-"):
         digits = digits[1:]
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{text!r} is not an integer")
+    if len(digits) > MAX_PRINTED_DIGITS:
+        raise ValueError(
+            f"the integer has {len(digits)} digits, more than {MAX_PRINTED_DIGITS}, "
+            "the most massform reads"
+        )
     return int(text)
 
 

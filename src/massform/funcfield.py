@@ -112,18 +112,22 @@ class FunctionFieldData(Record):
     infinity, at most MAX_PLACE_DEGREE.  Place counts up to degree
     CHECKED_DEGREES are checked non-negative at construction.
 
-    Four memos ride along, outside equality, the hash and the repr, and
-    a field built again from its four values starts with all four empty:
+    Five memos ride along, outside equality, the hash and the repr, and
+    a field built again from its four values starts with all five empty:
     _counts, the place counts b_1, b_2, ... (both paths);
     _points, the point counts N_1, N_2, ... they were summed from, at
     least as far as _counts (the Euler-product series only);
     _zeta_values, zeta_K(-i) by i (the mass side only);
     _closed_form_values, each closed-form factor's value at u = 1 by its
-    key (the closed form only).
+    key (the closed form only);
+    _class_number, deg_inf * P(1) once class_number_A has checked it (the
+    mass side only).
     """
 
     _fields = ("q", "genus", "l_poly", "deg_inf")
-    __slots__ = (*_fields, "_counts", "_points", "_zeta_values", "_closed_form_values")
+    __slots__ = (
+        *_fields, "_counts", "_points", "_zeta_values", "_closed_form_values", "_class_number"
+    )
 
     def __init__(self, q: int, genus: int, l_poly: PolyQ, deg_inf: int):
         self.q = q
@@ -139,6 +143,8 @@ class FunctionFieldData(Record):
         # (j, m) -> P or Phi*_m at q^j, filled by orderzeta._at_one
         # (the closed form only)
         self._closed_form_values: dict[tuple[int, int], int] = {}
+        # deg_inf * P(1), filled by class_number_A (the mass side only)
+        self._class_number: int | None = None
 
         problems = []
         if self.q > MAX_Q:
@@ -269,11 +275,16 @@ def zeta_special_value(data: FunctionFieldData, i: int) -> Fraction:
 def class_number_A(data: FunctionFieldData) -> int:
     """Class number of the ring of functions regular away from infinity:
     deg_inf * P(1), positive as P's inverse roots are non-real in
-    conjugate pairs or +-sqrt(q), each with even multiplicity."""
-    p1 = data.l_poly.eval(1)
-    if p1 <= 0:
-        raise InternalConsistencyError(f"P(1) = {p1} is not a positive integer")
-    return data.deg_inf * p1
+    conjugate pairs or +-sqrt(q), each with even multiplicity.  P(1) is
+    evaluated and checked on the first call only; the class number is kept
+    on the field, outside equality."""
+    h = data._class_number
+    if h is None:
+        p1 = data.l_poly.eval(1)
+        if p1 <= 0:
+            raise InternalConsistencyError(f"P(1) = {p1} is not a positive integer")
+        h = data._class_number = data.deg_inf * p1
+    return h
 
 
 def places_of_degree(data: FunctionFieldData, n: int) -> int:

@@ -35,16 +35,19 @@ factors whose product deletes every infinity Euler factor exactly when
 the data is definite.  No step here reuses the mass engine,
 zeta_special_value or lambda_value.
 
-The closed form keeps three memos.  The first two sit behind the
+The closed form keeps five memos.  The first four sit behind the
 function a fault harness patches, so a patched function still replaces
 the computation:
 * _cyclotomic, the polynomial Phi*_m by m, inside the function itself;
 * _shape_exponents, the net exponent map by the data's shape (the rank,
   deg_inf and each place's (degree, d_v)), read only through
   _exponents, which hands out a copy: a patched _exponents never
-  reaches it, and no caller can change it.  _correction_keys is read
-  when a shape is first met.
-The third, the field's _closed_form_values, keeps each key's value at
+  reaches it, and no caller can change it;
+* two pure memos read only when a shape is first met, so a fault in
+  either is installed before any shape is: _base_exponents, the map
+  before any correction by (rank, deg_inf), an immutable tuple of
+  pairs, and _correction_keys, a place's keys by (degree, d_v, rank).
+The fifth, the field's _closed_form_values, keeps each key's value at
 u = 1 as a plain int.  P or Phi*_m is read only when a field first
 meets a key, so a fault in _cyclotomic must be installed before
 anything is computed on the field, as the fault harness does in a
@@ -196,11 +199,26 @@ def _refuse_unprintable_form(field: FunctionFieldData, exponents: ExponentMap) -
         )
 
 
+@cache
 def _correction_keys(degree: int, inv_den: int, r: int) -> tuple[tuple[int, int], ...]:
     """Keys of a place's correction, the factors 1 - (q^i u)^deg v for
-    i < r with d_v not dividing i."""
+    i < r with d_v not dividing i: a memo on the three ints."""
     divisors = _divisors(degree)
     return tuple((i, m) for i in range(1, r) if i % inv_den for m in divisors)
+
+
+@cache
+def _base_exponents(r: int, deg_inf: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The exponent map before any place's correction, as (key, exponent)
+    pairs: P(q^j u) for j < r, Phi*_m(u) for m | deg_inf, m > 1,
+    (1 - q^j u)^-2 for 0 < j < r and (1 - q^r u)^-1.  A memo on (r,
+    deg_inf), immutable, so no caller can change it."""
+    return (
+        *(((j, 0), 1) for j in range(r)),
+        *(((0, m), 1) for m in _divisors(deg_inf)[1:]),
+        *(((j, 1), -2) for j in range(1, r)),
+        ((r, 1), -1),
+    )
 
 
 # a place's part of the shape key _exponents hands to _shape_exponents
@@ -228,15 +246,10 @@ def _shape_exponents(
     P(q^j u) / ((1 - q^j u)(1 - q^(j+1) u)) for 0 < j < r, is
         prod_{j < r} P(q^j u) * prod_{m | deg_inf, m > 1} Phi*_m(u)
         * prod_{0 < j < r} (1 - q^j u)^-2 * (1 - q^r u)^-1,
-    and each place adds one to the exponent of each of its correction
-    keys.
+    which _base_exponents keeps, and each place adds one to the exponent
+    of each of its correction keys.
     """
-    net = {(j, 0): 1 for j in range(r)}
-    for m in _divisors(deg_inf)[1:]:
-        net[0, m] = 1
-    for j in range(1, r):
-        net[j, 1] = -2
-    net[r, 1] = -1
+    net = dict(_base_exponents(r, deg_inf))
     for degree, inv_den in places:
         for key in _correction_keys(degree, inv_den, r):
             net[key] = net.get(key, 0) + 1

@@ -132,8 +132,8 @@ def definite_battery(
                 for delta2, d2, b2 in specs[i:]:
                     if delta1 == delta2 and finite_places_of_degree(field, delta1) < 2:
                         continue
-                    total = Fraction(b0, r) + Fraction(b1, d1) + Fraction(b2, d2)
-                    if total.denominator != 1:
+                    # b0/r + b1/d1 + b2/d2 is an integer
+                    if (b0 * d1 * d2 + b1 * r * d2 + b2 * r * d1) % (r * d1 * d2):
                         continue
                     out.append(
                         _battery_datum(

@@ -391,6 +391,25 @@ def test_the_digit_rule_is_the_same_under_any_interpreter_limit(capsys, argv):
         sys.set_int_max_str_digits(caller)
 
 
+def test_an_option_integer_too_long_to_read_is_a_usage_error(capsys):
+    caller = sys.get_int_max_str_digits()
+    longest = "1" * MAX_PRINTED_DIGITS
+    try:
+        for limit in (caller, 0, 640):
+            sys.set_int_max_str_digits(limit)
+            for q in ("1" + longest, "-" + longest + "1", " +" + longest + "0 "):
+                code, out, err = invoke(capsys, "mass", "--q", q, "--rank", "2", "--ram", "")
+                assert (code, out) == (64, ""), limit
+                assert f"digits, more than {MAX_PRINTED_DIGITS}, the most massform reads" in err
+                assert "set_int_max_str_digits" not in err
+                assert sys.get_int_max_str_digits() == limit
+            # MAX_PRINTED_DIGITS digits are read, and refused as a field
+            code, out, _ = invoke(capsys, "mass", "--q", longest, "--rank", "2", "--ram", "")
+            assert code == 2 and "InvalidFieldError" in out
+    finally:
+        sys.set_int_max_str_digits(caller)
+
+
 def test_determinism_byte_identical(capsys):
     argv = [
         "order-zeta", "--q", "3", "--rank", "2",

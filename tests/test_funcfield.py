@@ -265,9 +265,21 @@ def test_zeta_special_value_rejects_nonpositive_i():
 # -- class number -----------------------------------------------------------
 
 def test_class_number_guard_is_internal(monkeypatch):
-    # P(1) = 0 is out of reach past the Weil test
-    with pytest.raises(InternalConsistencyError, match="P\\(1\\) = 0"):
-        class_number_A(non_weil_field(monkeypatch))
+    # P(1) = 0 is out of reach past the Weil test; a refusal stores
+    # nothing, so it is raised again
+    field = non_weil_field(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="P\\(1\\) = 0"):
+            class_number_A(field)
+
+
+def test_class_number_evaluates_p_at_one_once(monkeypatch):
+    field = FunctionFieldData(q=2, genus=1, l_poly=GENUS1_P, deg_inf=2)
+    calls = []
+    real = PolyQ.eval
+    monkeypatch.setattr(PolyQ, "eval", lambda poly, x: calls.append(x) or real(poly, x))
+    assert [class_number_A(field) for _ in range(3)] == [8, 8, 8]
+    assert calls == [1]
 
 
 def test_class_number_frozen_examples():

@@ -33,6 +33,8 @@ from massform.verify import (
     BATTERY_RANKS,
     MAX_FINITE_DEGREE,
     _coprime_residues,
+    _deg_inf_fields,
+    _rank_one_fields,
     battery_fields,
     definite_battery,
     full_battery,
@@ -369,6 +371,68 @@ def test_exponents_are_a_fresh_map_on_every_call():
     assert again == want and again is not exponents
     assert order_zeta_at_zero(DEG_INF2_R4) == value
     assert order_zeta_closed_form(DEG_INF2_R4) == reference_closed_form(DEG_INF2_R4)
+
+
+def reference_shape_exponents(r, deg_inf, places):
+    """The net exponent map of a shape as ordered (key, exponent) pairs,
+    summed in one loop over every factor in the closed form's order:
+    P(q^j u) for j < r, Phi*_m(u) for m | deg_inf with m > 1, (1 - q^j u)
+    twice in the denominator for 0 < j < r, 1 - q^r u once, then each
+    place's Phi*_m(q^i u) for i < r with d_v not dividing i and m | deg v."""
+    factors = [((j, 0), 1) for j in range(r)]
+    factors += [((0, m), 1) for m in range(2, deg_inf + 1) if deg_inf % m == 0]
+    factors += [((j, 1), -2) for j in range(1, r)]
+    factors.append(((r, 1), -1))
+    factors += [
+        ((i, m), 1)
+        for degree, d_v in places
+        for i in range(1, r) if i % d_v
+        for m in range(1, degree + 1) if degree % m == 0
+    ]
+    net = {}
+    for key, e in factors:
+        net[key] = net.get(key, 0) + e
+    return [(key, e) for key, e in net.items() if e]
+
+
+def _shape(data):
+    return data.rank, data.field.deg_inf, tuple((p.degree, p.inv_den) for p in data.places)
+
+
+# every shape the identity suites meet
+SHAPES = sorted({
+    *map(_shape, full_battery()),
+    *(_shape(data) for field in _deg_inf_fields() for data in definite_battery(field)),
+    *(_shape(RamificationData(field, 1, ())) for field in _rank_one_fields()),
+})
+
+
+def test_shape_exponents_equal_a_single_loop_reference():
+    assert len(SHAPES) > 100
+    for shape in SHAPES:
+        got = list(orderzeta._shape_exponents(*shape).items())
+        assert got == reference_shape_exponents(*shape), shape
+    base = orderzeta._base_exponents(4, 6)
+    assert type(base) is tuple and hash(base) == hash(orderzeta._base_exponents(4, 6))
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("_correction_keys", lambda f: lambda degree, inv_den, r: f(degree, inv_den, r)[1:]),
+    ("_base_exponents", lambda f: lambda r, deg_inf: f(r, deg_inf)[::-1]),
+], ids=["a-dropped-correction-key", "the-base-reversed"])
+def test_the_shape_reference_catches(monkeypatch, name, fault):
+    monkeypatch.setattr(orderzeta, name, fault(getattr(orderzeta, name)))
+    orderzeta._shape_exponents.cache_clear()
+    try:
+        wrong = [
+            shape for shape in SHAPES
+            if list(orderzeta._shape_exponents(*shape).items())
+            != reference_shape_exponents(*shape)
+        ]
+    finally:
+        monkeypatch.undo()
+        orderzeta._shape_exponents.cache_clear()
+    assert len(wrong) > len(SHAPES) // 2
 
 
 def _widest(text):

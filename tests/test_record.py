@@ -20,7 +20,12 @@ import pytest
 from massform.algebra import PolyQ, TruncatedSeriesQ, ratfun
 from massform.csa import RamifiedPlace, parse_shorthand
 from massform.finitefield import FqField, TruncatedSeriesFq
-from massform.funcfield import FunctionFieldData, places_of_degree, zeta_special_value
+from massform.funcfield import (
+    FunctionFieldData,
+    class_number_A,
+    places_of_degree,
+    zeta_special_value,
+)
 from massform.localmodels import LocalModel, ModelCheckReport
 from massform.massengine import mass
 from massform.orderzeta import order_zeta_at_zero
@@ -37,6 +42,7 @@ DATUM = "inf:1/2,1:1/2"
 def _fill_field_memos(field):
     places_of_degree(field, 12)
     zeta_special_value(field, 2)
+    class_number_A(field)
     order_zeta_at_zero(parse_shorthand(DATUM, field, rank=2))
 
 
@@ -68,7 +74,8 @@ RECORDS = {
     ),
     "FunctionFieldData": (
         lambda: FunctionFieldData(q=2, genus=1, l_poly=PolyQ((1, 1, 2)), deg_inf=1),
-        _fill_field_memos, ("_counts", "_points", "_zeta_values", "_closed_form_values"),
+        _fill_field_memos,
+        ("_counts", "_points", "_zeta_values", "_closed_form_values", "_class_number"),
         "FunctionFieldData(q=2, genus=1, l_poly=PolyQ(1 + u + 2*u^2), deg_inf=1)",
     ),
     "LocalModel": (

@@ -1,13 +1,17 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from massform import csa, orderzeta, verify
 from massform.algebra import PolyQ, TruncatedSeriesQ
-from massform.csa import RamifiedPlace, is_definite
+from massform.csa import RamificationData, RamifiedPlace, is_definite
 from massform.errors import InternalConsistencyError, InvalidFieldError
-from massform.funcfield import FunctionFieldData
+from massform.funcfield import FunctionFieldData, finite_places_of_degree
 from massform.verify import (
+    BATTERY_RANKS,
+    _deg_inf_fields,
     _series_sample,
     battery_fields,
     definite_battery,
@@ -38,6 +42,40 @@ def test_definite_battery_respects_missing_degree_three():
         all(p.degree != 3 for p in data.places if not p.is_infinity)
         for data in definite_battery(genus_one)
     )
+
+
+def reference_battery(field, ranks):
+    """definite_battery written out with the invariant sum in Fractions."""
+    degrees = [delta for delta in (1, 2, 3) if finite_places_of_degree(field, delta)]
+    out = []
+    for r in ranks:
+        for b0 in (b for b in range(1, r) if gcd(b, r) == 1):
+            inf = RamifiedPlace(field.deg_inf, b0, r, is_infinity=True)
+            out += [
+                RamificationData(field, r, (inf, RamifiedPlace(delta, (r - b0) % r, r)))
+                for delta in degrees
+            ]
+            specs = [
+                (delta, d, b)
+                for delta in degrees
+                for d in range(2, r + 1) if r % d == 0
+                for b in range(1, d) if gcd(b, d) == 1
+            ]
+            for i, (delta1, d1, b1) in enumerate(specs):
+                for delta2, d2, b2 in specs[i:]:
+                    if delta1 == delta2 and finite_places_of_degree(field, delta1) < 2:
+                        continue
+                    if (Fraction(b0, r) + Fraction(b1, d1) + Fraction(b2, d2)).denominator == 1:
+                        places = (inf, RamifiedPlace(delta1, b1, d1), RamifiedPlace(delta2, b2, d2))
+                        out.append(RamificationData(field, r, places))
+    return out
+
+
+def test_battery_equals_the_fraction_reference():
+    for field in [*battery_fields(), *_deg_inf_fields()]:
+        battery = definite_battery(field, BATTERY_RANKS)
+        assert battery == reference_battery(field, BATTERY_RANKS), field
+    assert len(full_battery()) == 384
 
 
 def test_full_battery_is_large_and_deterministic():

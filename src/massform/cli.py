@@ -49,6 +49,7 @@ from .errors import (
     InvalidFieldError,
     OutputTooLargeError,
     SelectionTooLargeError,
+    check_series_order,
     parse_int,
     rational_to_str,
 )
@@ -465,6 +466,7 @@ def cmd_zeta(field, values):
 )
 def cmd_order_zeta(field, rank, ram, series_order):
     """Zeta function of a maximal order: closed form, value at zero, series."""
+    check_series_order(series_order)
     from .csa import parse_shorthand, shorthand
     from .orderzeta import order_zeta_at_zero, order_zeta_closed_form, order_zeta_series
 

@@ -24,6 +24,8 @@ from .errors import (
     MAX_PLACE_DEGREE,
     InvalidRamificationError,
     NotDivisibleError,
+    TooManyDigitsError,
+    excerpt,
     parse_int,
 )
 from .funcfield import FunctionFieldData, finite_places_of_degree
@@ -229,15 +231,22 @@ def lambda_value(norm: int, r: int, d: int) -> int:
 
 # -- parsing -------------------------------------------------------------------
 
+def _read_int(text: str, subject: str, grammar: str) -> int:
+    """parse_int, its refusals worded as InvalidRamificationErrors on subject."""
+    try:
+        return parse_int(text)
+    except TooManyDigitsError as exc:
+        raise InvalidRamificationError(f"{subject}: {exc}") from None
+    except ValueError:
+        raise InvalidRamificationError(f"{subject} {grammar}") from None
+
+
 def parse_invariant(text: str) -> tuple[int, int]:
+    subject, grammar = f"invariant {excerpt(text)}", "is not of the form b/d"
     frac = text.strip().split("/")
     if len(frac) != 2:
-        raise InvalidRamificationError(f"invariant {text!r} is not of the form b/d")
-    try:
-        num, den = parse_int(frac[0]), parse_int(frac[1])
-    except ValueError:
-        raise InvalidRamificationError(f"invariant {text!r} is not of the form b/d") from None
-    return num, den
+        raise InvalidRamificationError(f"{subject} {grammar}")
+    return _read_int(frac[0], subject, grammar), _read_int(frac[1], subject, grammar)
 
 
 def parse_shorthand(text: str, field: FunctionFieldData, rank: int) -> RamificationData:
@@ -248,7 +257,7 @@ def parse_shorthand(text: str, field: FunctionFieldData, rank: int) -> Ramificat
     if body:
         for token in body.split(","):
             if ":" not in token:
-                raise InvalidRamificationError(f"token {token!r} lacks ':'")
+                raise InvalidRamificationError(f"token {excerpt(token)} lacks ':'")
             head, inv = token.split(":", 1)
             head = head.strip()
             num, den = parse_invariant(inv)
@@ -257,12 +266,9 @@ def parse_shorthand(text: str, field: FunctionFieldData, rank: int) -> Ramificat
                     RamifiedPlace(field.deg_inf, num, den, is_infinity=True)
                 )
             else:
-                try:
-                    degree = parse_int(head)
-                except ValueError:
-                    raise InvalidRamificationError(
-                        f"place {head!r} is neither 'inf' nor a degree"
-                    ) from None
+                degree = _read_int(
+                    head, f"place {excerpt(head)}", "is neither 'inf' nor a degree"
+                )
                 places.append(RamifiedPlace(degree, num, den))
     return RamificationData(field=field, rank=rank, places=tuple(places))
 

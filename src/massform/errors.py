@@ -10,8 +10,9 @@ exit code 70.  ``OutputTooLargeError`` reports an answer with an
 integer of more than MAX_PRINTED_DIGITS digits, the one size rule of
 what massform prints.
 
-The series-order cap lives here, beside its error, because the CLI's
-help text shows it and the CLI loads no engine to print help.  The
+The series-order cap and its check live here, beside its error, because
+the CLI's help text shows the cap and `massform order-zeta` checks an
+order before it loads any engine; `order_zeta_series` checks again.  The
 printed-digit cap lives here because the CLI sets it as the
 interpreter's int-to-string limit and orderzeta refuses by it.  The
 place-degree cap lives here because both funcfield and csa, which
@@ -63,18 +64,27 @@ MAX_Q = 2 ** 32
 MAX_PRINTED_DIGITS = 4300
 
 
+def excerpt(text: str, width: int = 32) -> str:
+    """repr(text), or of its first `width` characters and '...' if longer."""
+    return repr(text) if len(text) <= width else f"{text[:width]!r}..."
+
+
+class TooManyDigitsError(ValueError):
+    """parse_int's refusal of more than MAX_PRINTED_DIGITS digits."""
+
+
 def parse_int(text: str) -> int:
     """An optional sign and at most MAX_PRINTED_DIGITS ASCII digits,
     surrounding whitespace stripped; int() alone also takes `1_1` and
-    non-ASCII digits.  Raises ValueError otherwise; the length is checked
-    before int(), whatever the interpreter's int-to-string limit."""
+    non-ASCII digits.  Raises ValueError otherwise, TooManyDigitsError if
+    too long, checked before int() whatever the interpreter's limit."""
     digits = text.strip()
     if digits[:1] in ("+", "-"):
         digits = digits[1:]
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{text!r} is not an integer")
+        raise ValueError(f"{excerpt(text)} is not an integer")
     if len(digits) > MAX_PRINTED_DIGITS:
-        raise ValueError(
+        raise TooManyDigitsError(
             f"the integer has {len(digits)} digits, more than {MAX_PRINTED_DIGITS}, "
             "the most massform reads"
         )
@@ -121,6 +131,12 @@ def _check_residue_size(q_v: int) -> None:
         factor_prime_power(q_v)
     except ValueError as exc:
         raise InvalidFieldError(f"residue size q_v: {exc}") from None
+
+
+def check_series_order(order: int) -> None:
+    """Refuse a series order outside 0..MAX_SERIES_ORDER."""
+    if not 0 <= order <= MAX_SERIES_ORDER:
+        raise InvalidSeriesOrderError(f"series order {order} is outside 0..{MAX_SERIES_ORDER}")
 
 
 class MassformError(Exception):

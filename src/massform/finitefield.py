@@ -28,8 +28,11 @@ accumulator per output coefficient (-1 standing for the log of 0), and
 each accumulator is mapped back through the exp table once.  The
 series product and the sieve's product of two monics are its one-term
 cases; the matrix products and division-algebra products of
-`localmodels` are its many-term cases.  Only `_mul_raw`, which builds
-a field's tables, multiplies without it.
+`localmodels` and the combinations of `localvolumes`'s sublattice
+oracle are its many-term cases.  Only `_mul_raw`, which builds a
+field's tables, multiplies polynomials without it; scalars alone, as in
+the row reduction of `gl_count_bruteforce`, go through `FqField.add`,
+`mul`, `sub` and `inv`.
 """
 
 from __future__ import annotations

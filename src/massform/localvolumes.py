@@ -142,7 +142,9 @@ def sublattice_count_bruteforce(q_v: int, r: int, ell: int) -> int:
     deduplicating the modules they span.
 
     A sublattice of index q_v^ell corresponds to a submodule of the
-    quotient of size q_v^{ell(r-1)}."""
+    quotient of size q_v^{ell(r-1)}.  Elements of O_v/pi^ell are F_q
+    series of precision ell, and each entry sum_s c_s g_s[j] of a
+    combination is one `finitefield.log_dot` call."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     if ell == 0 or r == 1:
@@ -151,49 +153,22 @@ def sublattice_count_bruteforce(q_v: int, r: int, ell: int) -> int:
         raise BruteForceTooLargeError(
             f"{q_v}^{r * ell * r} generator tuples exceed the 2^22 bound"
         )
-    from .finitefield import FqField, digits
+    from itertools import product
+
+    from .finitefield import FqField, fq_series, log_dot
 
     field = FqField.of_order(q_v)
-
-    ring_size = q_v ** ell      # elements of O_v/pi^ell as digit tuples
-    ring = [tuple(digits(c, q_v, ell)) for c in range(ring_size)]
-
-    def ring_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * ell
-        for i, x in enumerate(a):
-            if x:
-                for j in range(ell - i):
-                    if b[j]:
-                        out[i + j] = field.add(out[i + j], field.mul(x, b[j]))
-        return tuple(out)
-
-    def ring_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(field.add(x, y) for x, y in zip(a, b))
-
-    zero_vec = tuple(ring[0] for _ in range(r))
-    vector_count = ring_size ** r
-    vectors = [
-        tuple(ring[k] for k in digits(c, ring_size, r)) for c in range(vector_count)
-    ]
-    target_size = q_v ** (ell * (r - 1))
-
-    seen_spans = set()
-    count = 0
-    for code in range(vector_count ** r):
-        gens = [vectors[k] for k in digits(code, vector_count, r)]
-        span = {zero_vec}
-        for scalar_code in range(ring_size ** r):
-            acc = zero_vec
-            for g, k in zip(gens, digits(scalar_code, ring_size, r)):
-                coeff = ring[k]
-                if coeff != ring[0]:
-                    term = tuple(ring_mul(coeff, comp) for comp in g)
-                    acc = tuple(ring_add(a, t) for a, t in zip(acc, term))
-            span.add(acc)
-        if len(span) != target_size:
-            continue
-        key = frozenset(span)
-        if key not in seen_spans:
-            seen_spans.add(key)
-            count += 1
-    return count
+    # each element of O_v/pi^ell once, as the log terms of its series
+    ring = [fq_series(field, cs, ell).log_terms() for cs in product(range(q_v), repeat=ell)]
+    vectors = list(product(ring, repeat=r))
+    spans = {
+        frozenset(
+            tuple(
+                log_dot(field, [(c, g[j], 0) for c, g in zip(scalars, gens)], ell)
+                for j in range(r)
+            )
+            for scalars in vectors
+        )
+        for gens in product(vectors, repeat=r)
+    }
+    return sum(len(span) == q_v ** (ell * (r - 1)) for span in spans)

@@ -77,11 +77,10 @@ from .algebra import (
 from .csa import RamificationData, is_definite
 from .errors import (
     MAX_PRINTED_DIGITS,
-    MAX_SERIES_ORDER,
     InternalConsistencyError,
-    InvalidSeriesOrderError,
     NotDefiniteError,
     OutputTooLargeError,
+    check_series_order,
 )
 from .funcfield import FunctionFieldData, _divisors, _mobius, finite_places_of_degree
 
@@ -377,10 +376,7 @@ def order_zeta_series(data: RamificationData, order: int) -> TruncatedSeriesQ:
     """
     if not is_definite(data):
         raise NotDefiniteError("order zeta series needs definite data")
-    if not 0 <= order <= MAX_SERIES_ORDER:
-        raise InvalidSeriesOrderError(
-            f"series order {order} is outside 0..{MAX_SERIES_ORDER}"
-        )
+    check_series_order(order)
     field = data.field
     q, r = field.q, data.rank
     ramified: dict[int, list[int]] = {}

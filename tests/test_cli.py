@@ -410,6 +410,25 @@ def test_an_option_integer_too_long_to_read_is_a_usage_error(capsys):
         sys.set_int_max_str_digits(caller)
 
 
+@pytest.mark.parametrize(
+    "ram, named",
+    [
+        ("inf:1/2,1:1/" + "2" * 5000, ("5000", str(MAX_PRINTED_DIGITS))),
+        ("inf:1/2," + "1" * 5000 + ":1/2", ("5000", str(MAX_PRINTED_DIGITS))),
+        ("inf:1/2," + "x" * 5000, ("lacks ':'",)),
+    ],
+    ids=["5000-digit-denominator", "5000-digit-place-degree", "5000-characters-without-colon"],
+)
+def test_an_over_long_ramification_token_is_not_echoed(capsys, ram, named):
+    code, out, err = invoke(capsys, "mass", "--q", "2", "--rank", "2", "--ram", ram)
+    assert (code, err) == (2, "")
+    assert len(out.encode()) < 300
+    error = json.loads(out)["error"]
+    assert error["type"] == "InvalidRamificationError"
+    for text in named:
+        assert text in error["message"]
+
+
 def test_determinism_byte_identical(capsys):
     argv = [
         "order-zeta", "--q", "3", "--rank", "2",
@@ -596,6 +615,8 @@ def test_local_subcommands(capsys):
           "--series-order", "301"), "InvalidSeriesOrderError"),
         (("order-zeta", "--q", "2", "--rank", "2", "--ram", "inf:1/2,1:1/2",
           "--series-order", "-1"), "InvalidSeriesOrderError"),
+        (("order-zeta", "--q", "4294967291", "--rank", "6", "--ram", "inf:1/6,128:5/6",
+          "--series-order", "301"), "InvalidSeriesOrderError"),
         (("verify", "--suite", "series-closed-form", "--series-order", "301"),
          "InvalidSeriesOrderError"),
         (("local", "model-check", "--qv", "2", "--d", "0"), "InvalidRamificationError"),
@@ -652,7 +673,8 @@ def test_local_subcommands(capsys):
         "mass-ram-non-ascii-digit",
         "zeta-values-negative", "zeta-values0", "zeta-values-1000000",
         "order-zeta-series-order-above-cap",
-        "order-zeta-series-order-negative", "verify-series-order-above-cap",
+        "order-zeta-series-order-negative", "order-zeta-series-order-above-cap-unprintable",
+        "verify-series-order-above-cap",
         "model-check-d0", "model-check-b-not-coprime", "model-check-field-above-cap",
         "iw-index-d0", "iw-index-d-above-cap", "volumes-rank-above-cap",
         "mass-rank-above-cap", "order-zeta-rank-above-cap", "drinfeld-mass-rank1",

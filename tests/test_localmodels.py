@@ -214,6 +214,8 @@ def test_gl_count_matches_order_formula():
 def test_gl_count_bound():
     with pytest.raises(BruteForceTooLargeError):
         gl_count_bruteforce(2, 5)
+    with pytest.raises(BruteForceTooLargeError):
+        sublattice_count_bruteforce(2, 2, 6)
 
 
 def test_sublattice_count_frozen():
@@ -221,11 +223,14 @@ def test_sublattice_count_frozen():
     assert sublattice_count_bruteforce(2, 2, 2) == 7
     assert sublattice_count_bruteforce(2, 1, 3) == 1
     assert sublattice_count_bruteforce(3, 2, 1) == 4
+    assert sublattice_count_bruteforce(4, 2, 1) == 5
+    assert sublattice_count_bruteforce(2, 3, 1) == 7
+    assert sublattice_count_bruteforce(2, 2, 0) == 1
 
 
 def test_sublattice_count_matches_ideal_count():
     # unramified full matrix case: m_v = r, d_v = 1
-    for q_v, r, ell in ((2, 2, 1), (2, 2, 2), (3, 2, 1)):
+    for q_v, r, ell in ((2, 2, 1), (2, 2, 2), (3, 2, 1), (4, 2, 1), (2, 3, 1)):
         assert sublattice_count_bruteforce(q_v, r, ell) == local_ideal_count(
             q_v, r, 1, ell
         )

@@ -21,6 +21,7 @@ from massform.csa import (
     parse_shorthand,
 )
 from massform.errors import (
+    MAX_SERIES_ORDER,
     InternalConsistencyError,
     InvalidRamificationError,
     InvalidSeriesOrderError,
@@ -41,7 +42,6 @@ from massform.verify import (
     random_product_field,
 )
 from massform.orderzeta import (
-    MAX_SERIES_ORDER,
     _at_one,
     _correction_keys,
     _cyclotomic,

@@ -50,6 +50,7 @@ from .errors import (
     OutputTooLargeError,
     SelectionTooLargeError,
     check_series_order,
+    excerpt,
     parse_int,
     rational_to_str,
 )
@@ -160,7 +161,8 @@ def _value(opt: Option, given: dict):
         return _parse_int(value, opt.flag)
     if isinstance(opt.kind, tuple) and value not in opt.kind:
         raise UsageError(
-            f"invalid value for {opt.flag}: {value!r} is not one of {', '.join(opt.kind)}"
+            f"invalid value for {opt.flag}: {excerpt(value)} "
+            f"is not one of {', '.join(opt.kind)}"
         )
     return value
 
@@ -178,7 +180,7 @@ def _parse_options(options: tuple[Option, ...], args: list[str]) -> dict | None:
         flag, has_value, value = token.partition("=")
         opt = by_flag.get(flag)
         if opt is None:
-            raise UsageError(f"no such option {flag!r}")
+            raise UsageError(f"no such option {excerpt(flag)}")
         if opt.kind == "flag":
             if has_value:
                 raise UsageError(f"option {flag} takes no value")
@@ -191,7 +193,7 @@ def _parse_options(options: tuple[Option, ...], args: list[str]) -> dict | None:
     if HELP.dest in given:
         return None
     if extra:
-        raise UsageError(f"unexpected argument {extra[0]!r}")
+        raise UsageError(f"unexpected argument {excerpt(extra[0])}")
     return {opt.dest: _value(opt, given) for opt in options}
 
 
@@ -206,9 +208,9 @@ def _parse(argv: list[str]) -> tuple[tuple[str, ...], dict | None]:
         if token == HELP.flag:
             return path, None
         if token.startswith("-"):
-            raise UsageError(f"no such option {token!r}")
+            raise UsageError(f"no such option {excerpt(token)}")
         if path + (token,) not in COMMANDS and path + (token,) not in GROUPS:
-            raise UsageError(f"no such command {token!r}")
+            raise UsageError(f"no such command {excerpt(token)}")
         path += (token,)
     return path, _parse_options(COMMANDS[path][1], args)
 

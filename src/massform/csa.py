@@ -16,7 +16,6 @@ never reads it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
@@ -26,6 +25,7 @@ from .errors import (
     NotDivisibleError,
     TooManyDigitsError,
     excerpt,
+    int_excerpt,
     parse_int,
 )
 from .funcfield import FunctionFieldData, finite_places_of_degree
@@ -65,9 +65,10 @@ class RamifiedPlace(Record):
         """Invariant numerator reduced to {0, ..., d-1}."""
         return self.inv_num % self.inv_den
 
-    def shorthand_token(self) -> str:
-        head = "inf" if self.is_infinity else str(self.degree)
-        return f"{head}:{self.inv_num}/{self.inv_den}"
+    def shorthand_token(self, number=str) -> str:
+        """place:b/d, each integer written by `number`."""
+        head = "inf" if self.is_infinity else number(self.degree)
+        return f"{head}:{number(self.inv_num)}/{number(self.inv_den)}"
 
 
 class RamificationData(Record):
@@ -100,19 +101,20 @@ def validate(data: RamificationData) -> None:
     rejected and takes no part in that check, so no place count above
     the cap is computed.  A datum whose ramified degrees sum above
     MAX_RAMIFIED_DEGREE is rejected too.  RamificationData's
-    constructor is the one caller.
+    constructor is the one caller.  A message writes at most the first
+    digits of a long integer.
     """
     failures: list[str] = []
     r = data.rank
     if r < 1:
-        failures.append(f"rank {r} must be >= 1")
+        failures.append(f"rank {int_excerpt(r)} must be >= 1")
     elif r > MAX_RANK:
-        failures.append(f"rank {r} is above the cap {MAX_RANK}")
+        failures.append(f"rank {int_excerpt(r)} is above the cap {MAX_RANK}")
 
     total_degree = sum(p.degree for p in data.places)
     if total_degree > MAX_RAMIFIED_DEGREE:
         failures.append(
-            f"ramified places have total degree {total_degree}, "
+            f"ramified places have total degree {int_excerpt(total_degree)}, "
             f"above the cap {MAX_RAMIFIED_DEGREE}"
         )
 
@@ -121,7 +123,9 @@ def validate(data: RamificationData) -> None:
         if p.degree < 1:
             problems.append("degree must be >= 1")
         elif p.degree > MAX_PLACE_DEGREE:
-            problems.append(f"degree {p.degree} is above the cap {MAX_PLACE_DEGREE}")
+            problems.append(
+                f"degree {int_excerpt(p.degree)} is above the cap {MAX_PLACE_DEGREE}"
+            )
         if p.inv_den < 2:
             problems.append("invariant denominator must be >= 2")
         elif not 0 < abs(p.inv_num) < p.inv_den:
@@ -129,9 +133,12 @@ def validate(data: RamificationData) -> None:
         elif gcd(p.inv_num, p.inv_den) != 1:
             problems.append("invariant must be in lowest terms")
         if r >= 1 and p.inv_den >= 2 and r % p.inv_den != 0:
-            problems.append(f"denominator {p.inv_den} does not divide rank {r}")
+            problems.append(
+                f"denominator {int_excerpt(p.inv_den)} "
+                f"does not divide rank {int_excerpt(r)}"
+            )
         if problems:
-            tag = f"place[{idx}] {p.shorthand_token()}"
+            tag = f"place[{idx}] {p.shorthand_token(int_excerpt)}"
             failures.extend(f"{tag}: {problem}" for problem in problems)
 
     infinity_entries = [p for p in data.places if p.is_infinity]
@@ -147,15 +154,18 @@ def validate(data: RamificationData) -> None:
     common = lcm(*(p.inv_den for p in data.places if p.inv_den))
     numerator = sum(p.inv_num * (common // p.inv_den) for p in data.places if p.inv_den)
     if numerator % common:
+        g = gcd(numerator, common)
         failures.append(
-            f"invariants sum to {Fraction(numerator, common)}, not an integer"
+            f"invariants sum to {int_excerpt(numerator // g)}/"
+            f"{int_excerpt(common // g)}, not an integer"
         )
 
     dens = [p.inv_den for p in data.places]
     combined = lcm(*dens) if dens else 1
     if r >= 1 and combined != r:
         failures.append(
-            f"lcm of invariant denominators is {combined}, must equal rank {r}"
+            f"lcm of invariant denominators is {int_excerpt(combined)}, "
+            f"must equal rank {int_excerpt(r)}"
         )
 
     by_degree: dict[int, int] = {}

@@ -69,6 +69,17 @@ def excerpt(text: str, width: int = 32) -> str:
     return repr(text) if len(text) <= width else f"{text[:width]!r}..."
 
 
+def int_excerpt(n: int, width: int = 32) -> str:
+    """str(n), or its sign and first `width` digits and '...' if longer.
+    A longer n, which may be past the int-to-string limit, is cut before
+    it is converted: b bits hold more than 0.30102 b - 1 digits."""
+    if -10 ** width < n < 10 ** width:
+        return str(n)
+    sign, n = "-" * (n < 0), abs(n)
+    head = n // 10 ** (n.bit_length() * 30102 // 100000 - width)
+    return f"{sign}{str(head)[:width]}..."
+
+
 class TooManyDigitsError(ValueError):
     """parse_int's refusal of more than MAX_PRINTED_DIGITS digits."""
 

@@ -2,20 +2,20 @@
 
 Two independent realizations of the same object live here:
 
-* a closed form in u = q**(-s): the base-field zeta with its infinity
-  factor removed, its multiplicative shifts, and per-place correction
-  polynomials at the ramified places.  Every factor is a binomial
-  1 - (q^j u)^k or a shift P(q^i u) of the L-polynomial, so the product
-  is kept as a map from irreducible factors (the reciprocal cyclotomic
-  polynomials Phi*_m(q^j u), m | k, and the P-shifts) to exponents.
-  The net map is written down by one formula in _exponents, and
-  cancellation is adding exponents.  FunctionFieldData certifies P as a
-  Weil polynomial, so no P-shift vanishes at u = q^-j and the pole
-  checks at u = 1 and u = q^-r read cyclotomic exponents only.
-  order_zeta_at_zero reads the value at u = 1 off the map in integers
-  and never multiplies it out; order_zeta_closed_form multiplies it out
-  to num/den with no gcd, refused first when its leading coefficient,
-  known from the map, is too long to print;
+* a closed form in u = q**(-s): the Denert-Van Geel product of the
+  shifts zeta_A(q^j u), j < r, times one correction polynomial per
+  finite ramified place.  Every factor is a binomial 1 - (q^j u)^k or a
+  shift P(q^i u) of the L-polynomial, so the product is kept as a map
+  from irreducible factors (the reciprocal cyclotomic polynomials
+  Phi*_m(q^j u), m | k, and the P-shifts) to exponents.  The net map is
+  written down by one formula in _exponents, and cancellation is adding
+  exponents.  FunctionFieldData certifies P as a Weil polynomial, so no
+  P-shift vanishes at u = q^-j and the pole checks at u = 1 and
+  u = q^-r read cyclotomic exponents only.  order_zeta_at_zero reads
+  the value at u = 1 off the map in integers and never multiplies it
+  out; order_zeta_closed_form multiplies it out to num/den with no gcd,
+  refused first when its leading coefficient, known from the map, is
+  too long to print;
 * a truncated Dirichlet series built from an Euler product over the
   finite places, expanded in integers by Newton's identities on its
   log-derivative.  That is read off the field's point counts: its u^k
@@ -29,34 +29,33 @@ Two independent realizations of the same object live here:
 
 Their coefficientwise agreement, and the equality of the value at u = 1
 with minus the factored mass, are the package's central cross-checks.
-The infinity place contributes nothing to the Euler product; the closed
-form instead carries a (1 - u^{deg_inf}) prefactor and correction
-factors whose product deletes every infinity Euler factor exactly when
-the data is definite.  No step here reuses the mass engine,
-zeta_special_value or lambda_value.
+Both leave out infinity's Euler factors.  The closed form never reads
+the infinity place: zeta_A(u) = (1 - u^deg_inf) Z_K(u), and the product
+of those 1 - (q^j u)^deg_inf over j < r is infinity's correction times
+its Euler factors, whatever its local index.  No step here reuses the
+mass engine, zeta_special_value or lambda_value.
 
 The closed form keeps five memos.  The first four sit behind the
 function a fault harness patches, so a patched function still replaces
 the computation:
 * _cyclotomic, the polynomial Phi*_m by m, inside the function itself;
 * _shape_exponents, the net exponent map by the data's shape (the rank,
-  deg_inf and each place's (degree, d_v)), read only through
-  _exponents, which hands out a copy: a patched _exponents never
-  reaches it, and no caller can change it;
+  deg_inf and each place's (degree, d_v, is_infinity)), read only
+  through _exponents, which hands out a copy: a patched _exponents
+  never reaches it, and no caller can change it;
 * two pure memos read only when a shape is first met, so a fault in
-  either is installed before any shape is: _base_exponents, the map
-  before any correction by (rank, deg_inf), an immutable tuple of
+  either is installed before any shape is: _base_exponents, the map of
+  prod_{j < r} zeta_A(q^j u) by (rank, deg_inf), an immutable tuple of
   pairs, and _correction_keys, a place's keys by (degree, d_v, rank).
 The fifth, the field's _closed_form_values, keeps each key's value at
 u = 1 as a plain int.  P or Phi*_m is read only when a field first
 meets a key, so a fault in _cyclotomic must be installed before
 anything is computed on the field, as the fault harness does in a
 fresh process.
-Each factor is written once: a key (j, m) stands for P or Phi*_m at
-q^j u, and the expansion prints that one polynomial where the value at
-u = 1 evaluates it at q^j.  The mass side reads none of these memos,
-and the closed form never reads the zeta_K(-i) memo the mass side keeps
-on the field.
+Each factor is written once: _polynomial names a key's polynomial,
+which the expansion prints at q^j u and the value at u = 1 evaluates at
+q^j.  The mass side reads none of these memos, and the closed form
+never reads the zeta_K(-i) memo the mass side keeps on the field.
 """
 
 from __future__ import annotations
@@ -111,6 +110,14 @@ def _cyclotomic(m: int) -> PolyQ:
     return num.exact_div(den)
 
 
+def _polynomial(field: FunctionFieldData, m: int) -> tuple[PolyQ, int]:
+    """A key (j, m)'s polynomial, taken at q^j u, and the power of q it
+    leads with: P and g for m = 0, else Phi*_m, leading with +-1, and 0."""
+    if m == 0:
+        return field.l_poly, field.genus
+    return _cyclotomic(m), 0
+
+
 def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> Fraction:
     """Value of the product at u = 1, where _checked_exponents has ruled
     out a pole.
@@ -118,9 +125,8 @@ def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> Fraction:
     Only Phi*_1(u) = 1 - u vanishes at u = 1, so 1 - u in the numerator
     makes the value 0.  The other factors take the nonzero integer
     values P(q^j), as a Weil P has no root of absolute value q^-j,
-    Phi*_m(q^j) for j >= 1 and Phi*_m(1) for m > 1.  Each is the
-    polynomial _expand prints for its key, evaluated at q^j and kept on
-    the field by its key; P or Phi*_m is looked up and evaluated only
+    Phi*_m(q^j) for j >= 1 and Phi*_m(1) for m > 1.  Each is its key's
+    _polynomial at q^j, kept on the field by its key and computed only
     when the field meets the key first.  Most exponents are +1 or -1,
     and those values are multiplied into num or den without a power.
     """
@@ -129,9 +135,7 @@ def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> Fraction:
     for key, e in exponents.items():
         value = values.get(key)
         if value is None:
-            j, m = key
-            base = field.l_poly if m == 0 else _cyclotomic(m)
-            value = values[key] = base.eval(field.q ** j)
+            value = values[key] = _polynomial(field, key[1])[0].eval(field.q ** key[0])
         if e == 1:
             num *= value
         elif e == -1:
@@ -154,7 +158,7 @@ def _expand(field: FunctionFieldData, exponents: ExponentMap) -> RationalFunctio
     """
     num = den = PolyQ.one()
     for (j, m), e in exponents.items():
-        base = field.l_poly if m == 0 else _cyclotomic(m)
+        base = _polynomial(field, m)[0]
         scale = field.q ** j
         factor = PolyQ(c * scale ** n for n, c in enumerate(base.coeffs))
         for _ in range(abs(e)):
@@ -171,18 +175,18 @@ def _refuse_unprintable_form(field: FunctionFieldData, exponents: ExponentMap) -
     integer of more than MAX_PRINTED_DIGITS digits.
 
     num and den lead with +-q^N_num and q^N_den, the products of their
-    factors' leading coefficients: q^(g + 2gj) for P(q^j u), as P leads
-    with q^g, and +-q^(j phi(m)) for Phi*_m(q^j u), each to the power
-    |e|.  Both constant terms are +-1, so the den-monic form prints
+    factors' leading coefficients, each to the power |e|: a polynomial
+    of degree n leading with +-q^l, as _polynomial gives, leads with
+    +-q^(l + jn) at q^j u.  Both constant terms are +-1, so the den-monic form prints
     q^N_den in the denominator of its constant terms and
     q^(N_num - N_den) in num's leading coefficient; q^n has more digits
     than the limit exactly when q^n >= 10^digits.
     """
-    digits = MAX_PRINTED_DIGITS
-    q, g = field.q, field.genus
+    digits, q = MAX_PRINTED_DIGITS, field.q
     n_num = n_den = 0
     for (j, m), e in exponents.items():
-        n = g + 2 * g * j if m == 0 else j * _cyclotomic(m).degree
+        base, lead = _polynomial(field, m)
+        n = lead + j * base.degree
         if e > 0:
             n_num += e * n
         else:
@@ -208,20 +212,23 @@ def _correction_keys(degree: int, inv_den: int, r: int) -> tuple[tuple[int, int]
 
 @cache
 def _base_exponents(r: int, deg_inf: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    """The exponent map before any place's correction, as (key, exponent)
-    pairs: P(q^j u) for j < r, Phi*_m(u) for m | deg_inf, m > 1,
-    (1 - q^j u)^-2 for 0 < j < r and (1 - q^r u)^-1.  A memo on (r,
-    deg_inf), immutable, so no caller can change it."""
+    """The exponent map of prod_{j < r} zeta_A(q^j u) as (key, exponent)
+    pairs, zeta_A(u) being P(u) prod_{m | deg_inf} Phi*_m(u) / ((1 - u)(1 - qu)):
+    P(q^j u) for j < r, Phi*_m(u) for m | deg_inf, m > 1, (1 - q^j u)^-1
+    for 0 < j < r, (1 - q^r u)^-1, then Phi*_m(q^j u) for 0 < j < r,
+    m | deg_inf, m > 1.  A memo on (r, deg_inf), immutable."""
+    divisors = _divisors(deg_inf)[1:]
     return (
         *(((j, 0), 1) for j in range(r)),
-        *(((0, m), 1) for m in _divisors(deg_inf)[1:]),
-        *(((j, 1), -2) for j in range(1, r)),
+        *(((0, m), 1) for m in divisors),
+        *(((j, 1), -1) for j in range(1, r)),
         ((r, 1), -1),
+        *(((j, m), 1) for j in range(1, r) for m in divisors),
     )
 
 
 # a place's part of the shape key _exponents hands to _shape_exponents
-_place_shape = attrgetter("degree", "inv_den")
+_place_shape = attrgetter("degree", "inv_den", "is_infinity")
 
 
 def _exponents(data: RamificationData) -> ExponentMap:
@@ -233,25 +240,19 @@ def _exponents(data: RamificationData) -> ExponentMap:
 
 @cache
 def _shape_exponents(
-    r: int, deg_inf: int, places: tuple[tuple[int, int], ...]
+    r: int, deg_inf: int, places: tuple[tuple[int, int, bool], ...]
 ) -> ExponentMap:
     """The net exponent map for rank r, the infinity degree and the
-    (degree, d_v) of each ramified place: a closed-form memo on that
-    shape, read only through _exponents, which copies it.
-
-    zeta_A = (1 - u^deg_inf) P(u) / ((1 - u)(1 - qu)), where
-    1 - u^deg_inf is the product of the Phi*_m(u) over m | deg_inf and
-    its m = 1 factor cancels 1 - u, times the shifts
-    P(q^j u) / ((1 - q^j u)(1 - q^(j+1) u)) for 0 < j < r, is
-        prod_{j < r} P(q^j u) * prod_{m | deg_inf, m > 1} Phi*_m(u)
-        * prod_{0 < j < r} (1 - q^j u)^-2 * (1 - q^r u)^-1,
-    which _base_exponents keeps, and each place adds one to the exponent
-    of each of its correction keys.
+    (degree, d_v, is_infinity) of each ramified place: a closed-form
+    memo on that shape, read only through _exponents, which copies it.
+    It is prod_{j < r} zeta_A(q^j u), which _base_exponents keeps, and
+    each finite place adds one to the exponent of each correction key.
     """
     net = dict(_base_exponents(r, deg_inf))
-    for degree, inv_den in places:
-        for key in _correction_keys(degree, inv_den, r):
-            net[key] = net.get(key, 0) + 1
+    for degree, inv_den, is_infinity in places:
+        if not is_infinity:
+            for key in _correction_keys(degree, inv_den, r):
+                net[key] = net.get(key, 0) + 1
     return {key: e for key, e in net.items() if e}
 
 
@@ -272,9 +273,8 @@ def _checked_exponents(data: RamificationData) -> ExponentMap:
 
 
 def order_zeta_closed_form(data: RamificationData) -> RationalFunctionQ:
-    """Closed form: (1-u^{deg_inf}) * P(u)/((1-u)(1-qu))
-    * prod_{i=1..r-1} P(q^i u)/((1-q^i u)(1-q^{i+1} u))
-    * prod_{places} prod_{i in 1..r-1, d_v not | i} (1 - q^{i deg v} u^{deg v}),
+    """Closed form: prod_{j < r} zeta_A(q^j u)
+    * prod_{finite places} prod_{i in 1..r-1, d_v not | i} (1 - q^{i deg v} u^{deg v}),
     its exponent map multiplied out, refused first when it is too long
     to print.
     """

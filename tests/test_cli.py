@@ -410,23 +410,68 @@ def test_an_option_integer_too_long_to_read_is_a_usage_error(capsys):
         sys.set_int_max_str_digits(caller)
 
 
+# a token past MAX_PRINTED_DIGITS is refused as it is read; one that is
+# read is refused by validate, which writes the first digits of each
+# long integer
 @pytest.mark.parametrize(
-    "ram, named",
+    "ram, named, most",
     [
-        ("inf:1/2,1:1/" + "2" * 5000, ("5000", str(MAX_PRINTED_DIGITS))),
-        ("inf:1/2," + "1" * 5000 + ":1/2", ("5000", str(MAX_PRINTED_DIGITS))),
-        ("inf:1/2," + "x" * 5000, ("lacks ':'",)),
+        ("inf:1/2,1:1/" + "2" * 5000, ("5000", str(MAX_PRINTED_DIGITS)), 300),
+        ("inf:1/2," + "1" * 5000 + ":1/2", ("5000", str(MAX_PRINTED_DIGITS)), 300),
+        ("inf:1/2," + "x" * 5000, ("lacks ':'",), 300),
+        ("inf:1/2,1:1/" + "2" * MAX_PRINTED_DIGITS,
+         ("place[1] 1:1/" + "2" * 32 + "...: denominator", "must equal rank 2"), 1024),
+        ("inf:1/2," + "2" * MAX_PRINTED_DIGITS + ":1/2",
+         ("total degree " + "2" * 32 + "..., above the cap", "is above the cap 128"), 1024),
     ],
-    ids=["5000-digit-denominator", "5000-digit-place-degree", "5000-characters-without-colon"],
+    ids=[
+        "5000-digit-denominator", "5000-digit-place-degree", "5000-characters-without-colon",
+        "4300-digit-denominator", "4300-digit-place-degree",
+    ],
 )
-def test_an_over_long_ramification_token_is_not_echoed(capsys, ram, named):
+def test_an_over_long_ramification_token_is_not_echoed(capsys, ram, named, most):
     code, out, err = invoke(capsys, "mass", "--q", "2", "--rank", "2", "--ram", ram)
     assert (code, err) == (2, "")
-    assert len(out.encode()) < 300
+    assert len(out.encode()) < most
     error = json.loads(out)["error"]
     assert error["type"] == "InvalidRamificationError"
     for text in named:
         assert text in error["message"]
+
+
+def test_a_short_invalid_datum_is_named_whole(capsys):
+    code, out, _ = invoke(capsys, "mass", "--q", "2", "--rank", "7", "--ram", "inf:1/2,3:-1/9")
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        "rank 7 is above the cap 6; place[0] inf:1/2: denominator 2 does not divide rank 7; "
+        "place[1] 3:-1/9: denominator 9 does not divide rank 7; "
+        "invariants sum to 7/18, not an integer; "
+        "lcm of invariant denominators is 18, must equal rank 7"
+    )
+
+
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*MASS_ARGS.split(), "--format", LONG], f"invalid value for --format: {LONG[:32]!r}... is not one of"),
+    (["mass", "--" + LONG], f"no such option {('--' + LONG)[:32]!r}..."),
+    ([LONG], f"no such command {LONG[:32]!r}..."),
+    ([*MASS_ARGS.split(), LONG], f"unexpected argument {LONG[:32]!r}..."),
+    ([*MASS_ARGS.split(), "--format", "xml"], "invalid value for --format: 'xml' is not one of json, csv"),
+    (["mass", "--bogus"], "no such option '--bogus'"),
+    (["no-such-command"], "no such command 'no-such-command'"),
+    ([*MASS_ARGS.split(), "extra"], "unexpected argument 'extra'"),
+], ids=[
+    "5000-character-format", "5000-character-option", "5000-character-command",
+    "5000-character-argument", "short-format", "short-option", "short-command",
+    "short-argument",
+])
+def test_a_usage_error_echoes_at_most_an_excerpt(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert len(err.encode()) < 300
+    assert err.startswith(f"usage error: {message}")
 
 
 def test_determinism_byte_identical(capsys):

@@ -90,6 +90,12 @@ KILLS = [
     ("exponents-without-the-infinity-cyclotomics", "massform.orderzeta", "_exponents",
      "lambda f: lambda data: {key: e for key, e in f(data).items() if key[0] or key[1] < 2}",
      {"zeta-at-zero", "series-closed-form"}),
+    # the shifts zeta_A(q^j u), 0 < j < r, each without their Phi*_m, m > 1
+    ("base-exponents-without-the-shifted-infinity-factors", "massform.orderzeta",
+     "_base_exponents",
+     "lambda f: lambda r, deg_inf: tuple((k, e) for k, e in f(r, deg_inf)"
+     " if not (k[0] and k[1] > 1))",
+     {"zeta-at-zero", "series-closed-form"}),
     # the series of num(1 - u)/den(1 - u) is the series of num/den, so
     # only the lowest-terms check of series-closed-form sees this one there
     ("expand-not-in-lowest-terms", "massform.orderzeta", "_expand",

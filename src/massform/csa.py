@@ -65,10 +65,10 @@ class RamifiedPlace(Record):
         """Invariant numerator reduced to {0, ..., d-1}."""
         return self.inv_num % self.inv_den
 
-    def shorthand_token(self, number=str) -> str:
-        """place:b/d, each integer written by `number`."""
-        head = "inf" if self.is_infinity else number(self.degree)
-        return f"{head}:{number(self.inv_num)}/{number(self.inv_den)}"
+    def shorthand_token(self) -> str:
+        """place:b/d, each integer at most an excerpt (errors.int_excerpt)."""
+        head = "inf" if self.is_infinity else int_excerpt(self.degree)
+        return f"{head}:{int_excerpt(self.inv_num)}/{int_excerpt(self.inv_den)}"
 
 
 class RamificationData(Record):
@@ -138,7 +138,7 @@ def validate(data: RamificationData) -> None:
                 f"does not divide rank {int_excerpt(r)}"
             )
         if problems:
-            tag = f"place[{idx}] {p.shorthand_token(int_excerpt)}"
+            tag = f"place[{idx}] {p.shorthand_token()}"
             failures.extend(f"{tag}: {problem}" for problem in problems)
 
     infinity_entries = [p for p in data.places if p.is_infinity]

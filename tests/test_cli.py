@@ -439,17 +439,6 @@ def test_an_over_long_ramification_token_is_not_echoed(capsys, ram, named, most)
         assert text in error["message"]
 
 
-def test_a_short_invalid_datum_is_named_whole(capsys):
-    code, out, _ = invoke(capsys, "mass", "--q", "2", "--rank", "7", "--ram", "inf:1/2,3:-1/9")
-    assert code == 2
-    assert json.loads(out)["error"]["message"] == (
-        "rank 7 is above the cap 6; place[0] inf:1/2: denominator 2 does not divide rank 7; "
-        "place[1] 3:-1/9: denominator 9 does not divide rank 7; "
-        "invariants sum to 7/18, not an integer; "
-        "lcm of invariant denominators is 18, must equal rank 7"
-    )
-
-
 LONG = "x" * 5000
 
 

@@ -111,6 +111,15 @@ def test_construction_raises_with_all_failures():
         "invariants sum to 7/12, not an integer",
         "lcm of invariant denominators is 12, must equal rank 4",
     ]
+    # the rank cap too, and a negative numerator written as given
+    message = refusal(7, [inf_place(1, 2), RamifiedPlace(3, -1, 9)])
+    assert message.split("; ") == [
+        "rank 7 is above the cap 6",
+        "place[0] inf:1/2: denominator 2 does not divide rank 7",
+        "place[1] 3:-1/9: denominator 9 does not divide rank 7",
+        "invariants sum to 7/18, not an integer",
+        "lcm of invariant denominators is 18, must equal rank 7",
+    ]
 
 
 def test_each_construction_runs_validate_once(monkeypatch):

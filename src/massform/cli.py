@@ -51,6 +51,7 @@ from .errors import (
     SelectionTooLargeError,
     check_series_order,
     excerpt,
+    int_excerpt,
     parse_int,
     rational_to_str,
 )
@@ -448,9 +449,11 @@ def cmd_zeta(field, values):
     from .funcfield import zeta_A, zeta_K, zeta_special_value
 
     if values < 1:
-        raise EmptySelectionError(f"values {values} must be >= 1")
+        raise EmptySelectionError(f"values {int_excerpt(values)} must be >= 1")
     if values > MAX_SPECIAL_VALUES:
-        raise SelectionTooLargeError(f"values {values} is above the cap {MAX_SPECIAL_VALUES}")
+        raise SelectionTooLargeError(
+            f"values {int_excerpt(values)} is above the cap {MAX_SPECIAL_VALUES}"
+        )
     return {
         "l_poly": [str(c) for c in field.l_poly.coeffs],
         "zeta_K": _ratfun_json(zeta_K(field)),

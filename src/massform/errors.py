@@ -137,7 +137,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 def _check_residue_size(q_v: int) -> None:
     if q_v > MAX_Q:
         # checked before factoring, which trial-divides up to sqrt(q_v)
-        raise InvalidFieldError(f"residue size q_v = {q_v} is above the cap {MAX_Q}")
+        raise InvalidFieldError(f"residue size q_v = {int_excerpt(q_v)} is above the cap {MAX_Q}")
     try:
         factor_prime_power(q_v)
     except ValueError as exc:
@@ -147,7 +147,9 @@ def _check_residue_size(q_v: int) -> None:
 def check_series_order(order: int) -> None:
     """Refuse a series order outside 0..MAX_SERIES_ORDER."""
     if not 0 <= order <= MAX_SERIES_ORDER:
-        raise InvalidSeriesOrderError(f"series order {order} is outside 0..{MAX_SERIES_ORDER}")
+        raise InvalidSeriesOrderError(
+            f"series order {int_excerpt(order)} is outside 0..{MAX_SERIES_ORDER}"
+        )
 
 
 class MassformError(Exception):

@@ -28,6 +28,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidFieldError,
     factor_prime_power,
+    int_excerpt,
     prime_factors,
 )
 from .record import Record
@@ -112,21 +113,25 @@ class FunctionFieldData(Record):
     infinity, at most MAX_PLACE_DEGREE.  Place counts up to degree
     CHECKED_DEGREES are checked non-negative at construction.
 
-    Five memos ride along, outside equality, the hash and the repr, and
-    a field built again from its four values starts with all five empty:
+    Six memos ride along, outside equality, the hash and the repr, and
+    a field built again from its four values starts with all six empty:
     _counts, the place counts b_1, b_2, ... (both paths);
     _points, the point counts N_1, N_2, ... they were summed from, at
     least as far as _counts (the Euler-product series only);
     _zeta_values, zeta_K(-i) by i (the mass side only);
     _closed_form_values, each closed-form factor's value at u = 1 by its
     key (the closed form only);
+    _closed_form_parts, the parts of the closed form's value at u = 1:
+    by r the (num, den) of prod_{j < r} zeta_A(q^j u), by (deg v, d_v, r)
+    a place's correction, an int (the closed form only);
     _class_number, deg_inf * P(1) once class_number_A has checked it (the
     mass side only).
     """
 
     _fields = ("q", "genus", "l_poly", "deg_inf")
     __slots__ = (
-        *_fields, "_counts", "_points", "_zeta_values", "_closed_form_values", "_class_number"
+        *_fields, "_counts", "_points", "_zeta_values", "_closed_form_values",
+        "_closed_form_parts", "_class_number",
     )
 
     def __init__(self, q: int, genus: int, l_poly: PolyQ, deg_inf: int):
@@ -143,27 +148,32 @@ class FunctionFieldData(Record):
         # (j, m) -> P or Phi*_m at q^j, filled by orderzeta._at_one
         # (the closed form only)
         self._closed_form_values: dict[tuple[int, int], int] = {}
+        # r -> (num, den) of the base, (deg v, d_v, r) -> a place's int,
+        # filled by orderzeta.order_zeta_at_zero (the closed form only)
+        self._closed_form_parts: dict[int | tuple[int, int, int], tuple[int, int] | int] = {}
         # deg_inf * P(1), filled by class_number_A (the mass side only)
         self._class_number: int | None = None
 
         problems = []
         if self.q > MAX_Q:
             # checked before factoring, which trial-divides up to sqrt(q)
-            problems.append(f"q={self.q} is above the cap {MAX_Q}")
+            problems.append(f"q={int_excerpt(self.q)} is above the cap {MAX_Q}")
         else:
             try:
                 factor_prime_power(self.q)
             except ValueError:
-                problems.append(f"q={self.q} is not a prime power")
+                problems.append(f"q={int_excerpt(self.q)} is not a prime power")
         if self.genus < 0:
             problems.append("genus must be >= 0")
         elif self.genus > MAX_GENUS:
-            problems.append(f"genus {self.genus} is above the cap {MAX_GENUS}")
+            problems.append(f"genus {int_excerpt(self.genus)} is above the cap {MAX_GENUS}")
         if self.deg_inf < 1:
             problems.append("deg_inf must be >= 1")
         elif self.deg_inf > MAX_PLACE_DEGREE:
             # checked before any place is counted
-            problems.append(f"deg_inf {self.deg_inf} is above the cap {MAX_PLACE_DEGREE}")
+            problems.append(
+                f"deg_inf {int_excerpt(self.deg_inf)} is above the cap {MAX_PLACE_DEGREE}"
+            )
         if problems:
             raise InvalidFieldError("; ".join(problems))
 

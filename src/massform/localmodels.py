@@ -49,6 +49,7 @@ from .errors import (
     PrecisionTooLowError,
     SelectionTooLargeError,
     _check_residue_size,
+    int_excerpt,
 )
 from .finitefield import (
     FIELD_SIZE_CAP,
@@ -83,9 +84,11 @@ class LocalModel(Record):
     def __init__(self, q_v: int, d: int, b: int, precision: int = 6):
         _check_residue_size(q_v)
         if d < 1:
-            raise InvalidRamificationError(f"index d = {d} must be >= 1")
+            raise InvalidRamificationError(f"index d = {int_excerpt(d)} must be >= 1")
         if gcd(b, d) != 1:
-            raise InvalidRamificationError(f"invariant numerator {b} not coprime to {d}")
+            raise InvalidRamificationError(
+                f"invariant numerator {int_excerpt(b)} not coprime to {int_excerpt(d)}"
+            )
         if precision < 2:
             raise PrecisionTooLowError(
                 "precision below 2 cannot even hold the uniformizer relation"
@@ -94,7 +97,7 @@ class LocalModel(Record):
         # without computing q_v**d
         if d >= FIELD_SIZE_CAP.bit_length() or q_v ** d > FIELD_SIZE_CAP:
             raise InvalidFieldError(
-                f"residue field of order {q_v}^{d} exceeds the {FIELD_SIZE_CAP} cap"
+                f"residue field of order {q_v}^{int_excerpt(d)} exceeds the {FIELD_SIZE_CAP} cap"
             )
         self.q_v = q_v
         self.d = d
@@ -306,12 +309,14 @@ def run_model_checks(
     order; elements with a negative-valuation coefficient land outside.
     """
     if pairs < 1:
-        raise EmptySelectionError(f"pairs {pairs} must be >= 1")
+        raise EmptySelectionError(f"pairs {int_excerpt(pairs)} must be >= 1")
     if pairs > MAX_MODEL_PAIRS:
-        raise SelectionTooLargeError(f"pairs {pairs} is above the cap {MAX_MODEL_PAIRS}")
+        raise SelectionTooLargeError(
+            f"pairs {int_excerpt(pairs)} is above the cap {MAX_MODEL_PAIRS}"
+        )
     if precision > MAX_MODEL_PRECISION:
         raise PrecisionTooHighError(
-            f"precision {precision} is above the cap {MAX_MODEL_PRECISION}"
+            f"precision {int_excerpt(precision)} is above the cap {MAX_MODEL_PRECISION}"
         )
     model = LocalModel(q_v, d, b, precision)
     rng = random.Random(seed)

@@ -22,6 +22,7 @@ from .errors import (
     InvalidRamificationError,
     NotDivisibleError,
     _check_residue_size,
+    int_excerpt,
 )
 
 if TYPE_CHECKING:
@@ -40,7 +41,9 @@ def iwahori_index(q_v: int, d: int) -> int:
     q_v^{d^2 (d-1)/2}."""
     _check_residue_size(q_v)
     if not 1 <= d <= MAX_LOCAL_INDEX:
-        raise InvalidRamificationError(f"index d = {d} is outside 1..{MAX_LOCAL_INDEX}")
+        raise InvalidRamificationError(
+            f"index d = {int_excerpt(d)} is outside 1..{MAX_LOCAL_INDEX}"
+        )
     return q_v ** (d * d * (d - 1) // 2)
 
 
@@ -77,9 +80,13 @@ def local_volumes(q_v: int, r: int, d: int) -> tuple[Fraction, Fraction]:
     """vol_G at rank r and vol_Gprime at index d, for d | r."""
     _check_residue_size(q_v)
     if not 1 <= r <= MAX_LOCAL_RANK:
-        raise InvalidRamificationError(f"local rank {r} is outside 1..{MAX_LOCAL_RANK}")
+        raise InvalidRamificationError(
+            f"local rank {int_excerpt(r)} is outside 1..{MAX_LOCAL_RANK}"
+        )
     if not 1 <= d <= MAX_LOCAL_INDEX:
-        raise InvalidRamificationError(f"index d = {d} is outside 1..{MAX_LOCAL_INDEX}")
+        raise InvalidRamificationError(
+            f"index d = {int_excerpt(d)} is outside 1..{MAX_LOCAL_INDEX}"
+        )
     if r % d != 0:
         raise NotDivisibleError(f"index {d} does not divide rank {r}")
     return vol_G(q_v, r), vol_Gprime(q_v, r // d, d)

@@ -12,10 +12,10 @@ Two independent realizations of the same object live here:
   exponents.  FunctionFieldData certifies P as a Weil polynomial, so no
   P-shift vanishes at u = q^-j and the pole checks at u = 1 and
   u = q^-r read cyclotomic exponents only.  order_zeta_at_zero reads
-  the value at u = 1 off the map in integers and never multiplies it
-  out; order_zeta_closed_form multiplies it out to num/den with no gcd,
-  refused first when its leading coefficient, known from the map, is
-  too long to print;
+  the value at u = 1 as the product of memoised parts, in integers,
+  and never builds the map; order_zeta_closed_form multiplies the map
+  out to num/den with no gcd, refused first when its leading
+  coefficient, known from the map, is too long to print;
 * a truncated Dirichlet series built from an Euler product over the
   finite places, expanded in integers by Newton's identities on its
   log-derivative.  That is read off the field's point counts: its u^k
@@ -35,23 +35,28 @@ of those 1 - (q^j u)^deg_inf over j < r is infinity's correction times
 its Euler factors, whatever its local index.  No step here reuses the
 mass engine, zeta_special_value or lambda_value.
 
-The closed form keeps five memos.  The first four sit behind the
+The closed form keeps six memos.  The first four sit behind the
 function a fault harness patches, so a patched function still replaces
 the computation:
 * _cyclotomic, the polynomial Phi*_m by m, inside the function itself;
 * _shape_exponents, the net exponent map by the data's shape (the rank,
   deg_inf and each place's (degree, d_v, is_infinity)), read only
   through _exponents, which hands out a copy: a patched _exponents
-  never reaches it, and no caller can change it;
-* two pure memos read only when a shape is first met, so a fault in
-  either is installed before any shape is: _base_exponents, the map of
-  prod_{j < r} zeta_A(q^j u) by (rank, deg_inf), an immutable tuple of
-  pairs, and _correction_keys, a place's keys by (degree, d_v, rank).
-The fifth, the field's _closed_form_values, keeps each key's value at
-u = 1 as a plain int.  P or Phi*_m is read only when a field first
-meets a key, so a fault in _cyclotomic must be installed before
-anything is computed on the field, as the fault harness does in a
-fresh process.
+  never reaches it, and no caller can change it.  Only
+  order_zeta_closed_form reads it;
+* two pure memos, _base_exponents, the map of prod_{j < r} zeta_A(q^j u)
+  by (rank, deg_inf), an immutable tuple of pairs, and
+  _correction_keys, a place's keys by (degree, d_v, rank).
+The last two live on the field.  _closed_form_values keeps each key's
+value at u = 1 as a plain int.  _closed_form_parts keeps the parts of
+the value at u = 1: by r the (num, den) of prod_{j < r} zeta_A(q^j u),
+and by (degree, d_v, r) a finite place's correction, an int.  A part is
+filled, its poles checked, the first time a field meets it, from
+_base_exponents or _correction_keys, and P or Phi*_m is read only when
+a field first meets a key.  So a fault in _base_exponents,
+_correction_keys or _cyclotomic must be installed before anything is
+computed on the field, as the fault harness does in a fresh process;
+a new shape's map reads the first two again.
 Each factor is written once: _polynomial names a key's polynomial,
 which the expansion prints at q^j u and the value at u = 1 evaluates at
 q^j.  The mass side reads none of these memos, and the closed form
@@ -119,8 +124,9 @@ def _polynomial(field: FunctionFieldData, m: int) -> tuple[PolyQ, int]:
 
 
 def _at_one(field: FunctionFieldData, exponents: ExponentMap) -> Fraction:
-    """Value of the product at u = 1, where _checked_exponents has ruled
-    out a pole.
+    """Value of the product at u = 1, where no exponent of 1 - u is
+    negative: the one evaluator of factors at u = 1, which fills each of
+    order_zeta_at_zero's parts once per field.
 
     Only Phi*_1(u) = 1 - u vanishes at u = 1, so 1 - u in the numerator
     makes the value 0.  The other factors take the nonzero integer
@@ -256,19 +262,25 @@ def _shape_exponents(
     return {key: e for key, e in net.items() if e}
 
 
-def _checked_exponents(data: RamificationData) -> ExponentMap:
-    """The net exponent map of definite data, its poles checked: no
-    1 - u in the denominator, and 1 - q^r u in it."""
-    if not is_definite(data):
-        raise NotDefiniteError("order zeta closed form needs definite data")
-    exponents = _exponents(data)
+def _check_poles(exponents: ExponentMap, r: int) -> None:
+    """No 1 - u in the denominator, and 1 - q^r u in it."""
     if exponents.get((0, 1), 0) < 0:
         raise InternalConsistencyError("closed form has a pole at u = 1")
     # 1 - q^r u is the one factor that vanishes at u = q^-r
-    if exponents.get((data.rank, 1), 0) >= 0:
+    if exponents.get((r, 1), 0) >= 0:
         raise InternalConsistencyError(
             "closed form lacks the expected pole at u = q^-r"
         )
+
+
+def _checked_exponents(data: RamificationData) -> ExponentMap:
+    """The net exponent map of definite data, its poles checked: no
+    1 - u in the denominator, and 1 - q^r u in it.  Only the closed form
+    reads it; the value at u = 1 makes the same checks part by part."""
+    if not is_definite(data):
+        raise NotDefiniteError("order zeta closed form needs definite data")
+    exponents = _exponents(data)
+    _check_poles(exponents, data.rank)
     return exponents
 
 
@@ -283,10 +295,54 @@ def order_zeta_closed_form(data: RamificationData) -> RationalFunctionQ:
     return _expand(data.field, exponents)
 
 
+def _base_part(field: FunctionFieldData, r: int) -> tuple[int, int]:
+    """The value at u = 1 of prod_{j < r} zeta_A(q^j u) as (num, den),
+    its poles checked first."""
+    exponents = dict(_base_exponents(r, field.deg_inf))
+    _check_poles(exponents, r)
+    return _at_one(field, exponents).as_integer_ratio()
+
+
+def _place_part(field: FunctionFieldData, degree: int, inv_den: int, r: int) -> int:
+    """The value at u = 1 of a finite place's correction, an integer, its
+    keys checked first: each (i, m) has 0 < i < r, so the correction
+    neither cancels the pole at u = q^-r nor brings 1 - u in."""
+    keys = _correction_keys(degree, inv_den, r)
+    for i, m in keys:
+        if not 0 < i < r:
+            raise InternalConsistencyError(
+                f"correction key {(i, m)} lies outside 0 < i < {r}"
+            )
+    return _at_one(field, dict.fromkeys(keys, 1)).numerator
+
+
 def order_zeta_at_zero(data: RamificationData) -> Fraction:
-    """Value of the closed form at u = 1 (s = 0), read off its exponent
-    map without multiplying it out; equals minus the mass."""
-    return _at_one(data.field, _checked_exponents(data))
+    """Value of the closed form at u = 1 (s = 0); equals minus the mass.
+
+    It is the base part, the value of prod_{j < r} zeta_A(q^j u), which
+    depends only on the field and r, times one integer part per finite
+    ramified place, its correction's value, which depends only on the
+    field, (deg v, d_v) and r.  Each part is filled once per field, its
+    poles checked, in the field's _closed_form_parts; the exponent map
+    is never built.  Together the part checks imply the merged map's:
+    the corrections add only keys with 0 < i < r to the base.
+    """
+    if not is_definite(data):
+        raise NotDefiniteError("order zeta closed form needs definite data")
+    field, r = data.field, data.rank
+    parts = field._closed_form_parts
+    base = parts.get(r)
+    if base is None:
+        base = parts[r] = _base_part(field, r)
+    num, den = base
+    for place in data.places:
+        if not place.is_infinity:
+            key = place.degree, place.inv_den, r
+            value = parts.get(key)
+            if value is None:
+                value = parts[key] = _place_part(field, *key)
+            num *= value
+    return Fraction(num, den)
 
 
 # ----------------------------------------------------------------------

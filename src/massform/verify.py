@@ -27,6 +27,7 @@ from .errors import (
     InvalidFieldError,
     InvalidRamificationError,
     SelectionTooLargeError,
+    int_excerpt,
 )
 from .funcfield import (
     FunctionFieldData,
@@ -213,7 +214,7 @@ def suite_zeta_at_zero(max_rank: int = 6) -> tuple[int, list[str], str]:
     number formula zeta_A(0) = -h(A)/(q - 1).  There the closed form's
     rational function must also equal zeta_A, built directly from P."""
     if max_rank < 1:
-        raise EmptySelectionError(f"max rank {max_rank} must be >= 1")
+        raise EmptySelectionError(f"max rank {int_excerpt(max_rank)} must be >= 1")
     failures = []
     rank_one = [RamificationData(field, 1, ()) for field in _rank_one_fields()]
     ranks = tuple(r for r in BATTERY_RANKS if r <= max_rank)
@@ -325,10 +326,12 @@ def suite_drinfeld() -> tuple[int, list[str], str]:
 def suite_lambda_volumes(max_rank: int = 8) -> tuple[int, list[str], str]:
     """Local factor closed form against the volume-ratio pipeline."""
     if max_rank < 1:
-        raise EmptySelectionError(f"max rank {max_rank} must be >= 1")
+        raise EmptySelectionError(f"max rank {int_excerpt(max_rank)} must be >= 1")
     # every d | r up to r is a local index, and the volumes cap the index
     if max_rank > MAX_LOCAL_INDEX:
-        raise SelectionTooLargeError(f"max rank {max_rank} is above the cap {MAX_LOCAL_INDEX}")
+        raise SelectionTooLargeError(
+            f"max rank {int_excerpt(max_rank)} is above the cap {MAX_LOCAL_INDEX}"
+        )
     failures = []
     checked = 0
     for q_v in (2, 3, 4, 5, 8, 9):

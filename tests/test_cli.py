@@ -463,6 +463,46 @@ def test_a_usage_error_echoes_at_most_an_excerpt(capsys, argv, message):
     assert err.startswith(f"usage error: {message}")
 
 
+# A refusal that names an option's integer writes at most its first 32
+# digits (errors.int_excerpt); one of up to 32 digits reads as before.
+# The first six rows once wrote the whole 4300 digits.
+@pytest.mark.parametrize("argv, message", [
+    ("local lambda --qv 2 --r {} --d 1", f"local rank {{}} is outside 1..{MAX_LOCAL_RANK}"),
+    ("local iw-index --qv 2 --d {}", f"index d = {{}} is outside 1..{MAX_LOCAL_INDEX}"),
+    ("local model-check --qv 2 --d {}",
+     f"residue field of order 2^{{}} exceeds the {FIELD_SIZE_CAP} cap"),
+    ("zeta --q 2 --values {}", f"values {{}} is above the cap {cli.MAX_SPECIAL_VALUES}"),
+    ("order-zeta --q 2 --rank 2 --ram inf:1/2,1:1/2 --series-order {}",
+     f"series order {{}} is outside 0..{MAX_SERIES_ORDER}"),
+    ("class-number --q {}", f"q={{}} is above the cap {MAX_Q}"),
+    ("local volumes --qv 2 --r 2 --d {}", f"index d = {{}} is outside 1..{MAX_LOCAL_INDEX}"),
+    ("local volumes --qv {} --r 2 --d 1", f"residue size q_v = {{}} is above the cap {MAX_Q}"),
+    ("local model-check --qv 2 --d 2 --b {}", "invariant numerator {} not coprime to 2"),
+    ("local model-check --qv 2 --d 2 --pairs {}",
+     f"pairs {{}} is above the cap {MAX_MODEL_PAIRS}"),
+    ("local model-check --qv 2 --d 2 --prec {}",
+     f"precision {{}} is above the cap {MAX_MODEL_PRECISION}"),
+    ("class-number --q 2 --deg-inf {}", f"deg_inf {{}} is above the cap {MAX_PLACE_DEGREE}"),
+    ("class-number --q 2 --genus {} --l-poly 1", f"genus {{}} is above the cap {MAX_GENUS}"),
+    ("verify --suite lambda-volumes --max-rank {}",
+     f"max rank {{}} is above the cap {MAX_LOCAL_INDEX}"),
+    ("verify --suite zeta-at-zero --max-rank -{}", "max rank -{} must be >= 1"),
+], ids=[
+    "local-lambda-r", "local-iw-index-d", "local-model-check-d", "zeta-values",
+    "order-zeta-series-order", "class-number-q", "local-volumes-d", "local-volumes-qv",
+    "local-model-check-b", "local-model-check-pairs", "local-model-check-prec",
+    "class-number-deg-inf", "class-number-genus", "verify-max-rank", "verify-negative-max-rank",
+])
+@pytest.mark.parametrize("digits", [32, MAX_PRINTED_DIGITS])
+def test_a_refusal_echoes_at_most_an_excerpt_of_an_option_integer(capsys, argv, message, digits):
+    value = "2" * digits
+    code, out, err = invoke(capsys, *argv.format(value).split())
+    assert (code, err) == (2, "")
+    assert len(out.encode()) < 1024
+    shown = value if digits <= 32 else value[:32] + "..."
+    assert json.loads(out)["error"]["message"] == message.format(shown)
+
+
 def test_determinism_byte_identical(capsys):
     argv = [
         "order-zeta", "--q", "3", "--rank", "2",

@@ -96,6 +96,18 @@ KILLS = [
      "lambda f: lambda r, deg_inf: tuple((k, e) for k, e in f(r, deg_inf)"
      " if not (k[0] and k[1] > 1))",
      {"zeta-at-zero", "series-closed-form"}),
+    # the pole checks, made on the value's parts and on the merged map
+    ("base-exponents-with-a-pole-at-one", "massform.orderzeta", "_base_exponents",
+     "lambda f: lambda r, deg_inf: (*f(r, deg_inf), ((0, 1), -1))",
+     {"zeta-at-zero", "series-closed-form"}),
+    ("base-exponents-without-the-pole-at-q-to-minus-r", "massform.orderzeta",
+     "_base_exponents",
+     "lambda f: lambda r, deg_inf: tuple(pair for pair in f(r, deg_inf) if pair[0] != (r, 1))",
+     {"zeta-at-zero", "series-closed-form"}),
+    ("correction-keys-cancel-the-pole-at-q-to-minus-r", "massform.orderzeta",
+     "_correction_keys",
+     "lambda f: lambda degree, inv_den, r: (*f(degree, inv_den, r), (r, 1))",
+     {"zeta-at-zero", "series-closed-form"}),
     # the series of num(1 - u)/den(1 - u) is the series of num/den, so
     # only the lowest-terms check of series-closed-form sees this one there
     ("expand-not-in-lowest-terms", "massform.orderzeta", "_expand",

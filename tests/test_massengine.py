@@ -261,9 +261,10 @@ def test_zeta_memo_stays_off_equality_and_out_of_copies():
 def test_closed_form_memo_stays_off_equality_and_out_of_copies():
     order_zeta_at_zero(CONTROL_DATA[2])
     copy = FunctionFieldData(K2_G1.q, K2_G1.genus, K2_G1.l_poly, K2_G1.deg_inf)
-    assert K2_G1._closed_form_values and copy._closed_form_values == {}
+    for name in ("_closed_form_values", "_closed_form_parts"):
+        assert getattr(K2_G1, name) and getattr(copy, name) == {}, name
+        assert name not in repr(K2_G1)
     assert copy == K2_G1 and hash(copy) == hash(K2_G1)
-    assert "_closed_form_values" not in repr(K2_G1)
 
 
 def test_a_poisoned_closed_form_memo_moves_only_the_closed_form():
@@ -273,7 +274,10 @@ def test_a_poisoned_closed_form_memo_moves_only_the_closed_form():
     assert want.mass == -order_zeta_at_zero(data)
     # P(q u) at u = 1: P(2) = 1 + 2 + 8
     assert field._closed_form_values[1, 0] == 11
-    field._closed_form_values[1, 0] *= 2
+    # the value reads its parts: prod_{j < 2} zeta_A(q^j u) at u = 1 is
+    # P(1) P(2) / ((1 - 2)(1 - 4)), the place's correction 1 - qu is -1
+    assert field._closed_form_parts == {2: (44, 3), (1, 2, 2): -1}
+    field._closed_form_parts[2] = (88, 3)
     assert order_zeta_at_zero(data) != -want.mass
     assert mass(data) == want == MassReport(data, reference_mass(data)[0])
     assert audit(data) == reference_mass(data)[1]

@@ -247,11 +247,12 @@ def test_the_runtime_never_calls_a_gcd(monkeypatch):
 
 def test_the_value_at_zero_never_multiplies_the_closed_form_out(monkeypatch):
     # every identity operation reads the value at zero; it stays the
-    # product of a few integers read off the exponent map
+    # product of a few integers kept on the field, and builds no map
     def boom(*_):
-        raise AssertionError("the value at zero multiplied the closed form out")
+        raise AssertionError("the value at zero built or multiplied the closed form out")
 
-    for name in ("order_zeta_closed_form", "_expand", "_refuse_unprintable_form"):
+    for name in ("order_zeta_closed_form", "_expand", "_refuse_unprintable_form",
+                 "_checked_exponents", "_exponents", "_shape_exponents"):
         monkeypatch.setattr(orderzeta, name, boom)
     fields = dict.fromkeys([*verify._deg_inf_fields(), *DEG_INF_FIELDS])
     deg_inf_battery = [data for field in fields for data in definite_battery(field)]
@@ -343,22 +344,85 @@ def test_cyclotomic_factors():
             assert _cyclotomic(k).eval(1) == (_prime_of_power(k) or 1), k
 
 
+# faults in the functions the value at zero fills its parts from: each
+# moves the value on a fresh field
+PART_FAULTS = [
+    # the shifts zeta_A(q^j u), 0 < j < r, each without their Phi*_m, m > 1
+    ("_base_exponents", lambda f: lambda r, deg_inf: tuple(
+        (k, e) for k, e in f(r, deg_inf) if not (k[0] and k[1] > 1))),
+    # the last key of each place: dropping the first flips two signs on
+    # DEG_INF2_R4 and leaves its value
+    ("_correction_keys", lambda f: lambda degree, inv_den, r: f(degree, inv_den, r)[:-1]),
+    ("_cyclotomic", lambda f: cyclotomic_reading_one_at_one),
+]
+
+
 def test_warm_memos_still_follow_a_patched_exponents_or_cyclotomic(monkeypatch):
     want = order_zeta_at_zero(DEG_INF2_R4)
+    form = order_zeta_closed_form(DEG_INF2_R4)
     assert order_zeta_at_zero(DEG_INF2_R4) == want
     assert orderzeta._shape_exponents.cache_info().currsize > 0
-    assert DEG_INF2_R4.field._closed_form_values
+    assert DEG_INF2_R4.field._closed_form_values and DEG_INF2_R4.field._closed_form_parts
+    # the closed form reads its map through _exponents on every call
     exponents = orderzeta._exponents
     monkeypatch.setattr(
         orderzeta, "_exponents", lambda data: {**exponents(data), (data.rank, 1): -2}
     )
-    assert order_zeta_at_zero(DEG_INF2_R4) != want
-    monkeypatch.undo()
+    assert order_zeta_closed_form(DEG_INF2_R4) != form
     assert order_zeta_at_zero(DEG_INF2_R4) == want
-    # the field's plain memo is read before _cyclotomic: a fault in it is
-    # installed before that field computes anything
-    monkeypatch.setattr(orderzeta, "_cyclotomic", cyclotomic_reading_one_at_one)
-    assert order_zeta_at_zero(on_a_fresh_field(DEG_INF2_R4)) != want
+    monkeypatch.undo()
+    assert order_zeta_closed_form(DEG_INF2_R4) == form
+    # the field's parts are read before the functions that fill them: a
+    # fault in one is installed before that field computes anything
+    for name, fault in PART_FAULTS:
+        monkeypatch.setattr(orderzeta, name, fault(getattr(orderzeta, name)))
+        assert order_zeta_at_zero(on_a_fresh_field(DEG_INF2_R4)) != want, name
+        assert order_zeta_at_zero(DEG_INF2_R4) == want, name
+        monkeypatch.undo()
+
+
+def test_the_value_at_zero_is_the_value_of_the_merged_map():
+    battery = full_battery()
+    data_list = [
+        *battery,
+        *(data for field in _deg_inf_fields() for data in definite_battery(field)),
+        *(RamificationData(field, 1, ()) for field in _rank_one_fields()),
+        *(RamificationData(data.field, data.rank, data.places[::-1]) for data in battery),
+    ]
+    assert len(data_list) == 1116
+    for data in data_list:
+        want = _at_one(data.field, orderzeta._exponents(data))
+        assert order_zeta_at_zero(data) == want == order_zeta_at_zero(on_a_fresh_field(data)), data
+
+
+def test_the_parts_are_kept_on_the_field():
+    data = on_a_fresh_field(GENUS1_R2)
+    field = data.field
+    assert field._closed_form_parts == {}
+    assert order_zeta_at_zero(data) == Fraction(-44, 3)
+    # prod_{j < 2} zeta_A(q^j u) at u = 1 is P(1) P(2) / ((1 - 2)(1 - 4)),
+    # and the place's correction 1 - qu is 1 - 2 there
+    assert field._closed_form_parts == {2: (44, 3), (1, 2, 2): -1}
+    # zeta_A(u) = P(u) / (1 - qu) at rank 1
+    assert order_zeta_at_zero(RamificationData(field, 1, ())) == -4
+    assert field._closed_form_parts[1] == (-4, 1)
+
+
+@pytest.mark.parametrize("name, fault, match", [
+    ("_base_exponents", lambda f: lambda r, deg_inf: (*f(r, deg_inf), ((0, 1), -1)),
+     "^closed form has a pole at u = 1$"),
+    ("_base_exponents",
+     lambda f: lambda r, deg_inf: tuple(pair for pair in f(r, deg_inf) if pair[0] != (r, 1)),
+     "^closed form lacks the expected pole at u = q\\^-r$"),
+    ("_correction_keys", lambda f: lambda degree, inv_den, r: ((0, 1), *f(degree, inv_den, r)),
+     "^correction key \\(0, 1\\) lies outside 0 < i < 2$"),
+    ("_correction_keys", lambda f: lambda degree, inv_den, r: (*f(degree, inv_den, r), (r, 1)),
+     "^correction key \\(2, 1\\) lies outside 0 < i < 2$"),
+], ids=["base-pole-at-one", "base-without-pole-at-q-to-minus-r", "key-at-i-0", "key-at-i-r"])
+def test_the_value_at_zero_checks_its_poles_part_by_part(monkeypatch, name, fault, match):
+    monkeypatch.setattr(orderzeta, name, fault(getattr(orderzeta, name)))
+    with pytest.raises(InternalConsistencyError, match=match):
+        order_zeta_at_zero(on_a_fresh_field(STANDARD_R2))
 
 
 def test_exponents_are_a_fresh_map_on_every_call():

@@ -113,12 +113,15 @@ class FunctionFieldData(Record):
     infinity, at most MAX_PLACE_DEGREE.  Place counts up to degree
     CHECKED_DEGREES are checked non-negative at construction.
 
-    Six memos ride along, outside equality, the hash and the repr, and
-    a field built again from its four values starts with all six empty:
+    Seven memos ride along, outside equality, the hash and the repr, and
+    a field built again from its four values starts with all seven empty:
     _counts, the place counts b_1, b_2, ... (both paths);
     _points, the point counts N_1, N_2, ... they were summed from, at
     least as far as _counts (the Euler-product series only);
     _zeta_values, zeta_K(-i) by i (the mass side only);
+    _mass_parts, by r the (num, den) of h(A)/(q - 1) * prod_{i < r}
+    zeta_K(-i), the mass less its lambda_v (massengine.mass only: the
+    factor audit and drinfeld_mass read zeta_K(-i) afresh);
     _closed_form_values, each closed-form factor's value at u = 1 by its
     key (the closed form only);
     _closed_form_parts, the parts of the closed form's value at u = 1:
@@ -130,8 +133,8 @@ class FunctionFieldData(Record):
 
     _fields = ("q", "genus", "l_poly", "deg_inf")
     __slots__ = (
-        *_fields, "_counts", "_points", "_zeta_values", "_closed_form_values",
-        "_closed_form_parts", "_class_number",
+        *_fields, "_counts", "_points", "_zeta_values", "_mass_parts",
+        "_closed_form_values", "_closed_form_parts", "_class_number",
     )
 
     def __init__(self, q: int, genus: int, l_poly: PolyQ, deg_inf: int):
@@ -145,6 +148,9 @@ class FunctionFieldData(Record):
         self._points: tuple[int, ...] = ()
         # zeta_K(-i) by i, filled by zeta_special_value (the mass side only)
         self._zeta_values: dict[int, Fraction] = {}
+        # r -> (num, den) of the mass less its lambda_v, filled and read
+        # by massengine.mass only
+        self._mass_parts: dict[int, tuple[int, int]] = {}
         # (j, m) -> P or Phi*_m at q^j, filled by orderzeta._at_one
         # (the closed form only)
         self._closed_form_values: dict[tuple[int, int], int] = {}

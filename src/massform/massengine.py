@@ -6,14 +6,20 @@ base field is
     (h(A)/(q-1)) * prod_{i=1..r-1} zeta_K(-i) * prod_{v in S} lambda_v,
 
 with lambda_v the local correction at each ramified place.  Every
-factor is a ratio of integers, so the product runs in plain ints: one
-numerator and one denominator collect h(A), q - 1, each zeta_K(-i) and
-each lambda_v, and the mass is the one Fraction made from them.  Each
-zeta_K(-i) is read off the field's memo as one integer pair, and each
-lambda_v, here and in the factor audit, straight from lambda_value's
-memo on (q^deg v, r, d_v).  A `MassReport` carries the datum and the
-mass; the factor audit is read off the datum, from the same memos, when
-the report is printed.  This module never touches the maximal-order
+factor is a ratio of integers, so the product runs in plain ints.
+Everything before the lambda_v depends only on the field and r: h(A)
+times the numerators of the zeta_K(-i), over q - 1 times their
+denominators, is one integer pair per r, kept on the field in its
+_mass_parts memo and filled from class_number_A and zeta_special_value
+the first time the field meets r.  Each call multiplies that numerator
+by lambda_value(q^deg v, r, d_v) per ramified place, from lambda_value's
+own memo, and the mass is the one Fraction made from the pair.  So a
+fault in class_number_A or zeta_special_value must be installed before
+the field computes a mass at that rank.  A `MassReport` carries the
+datum and the mass; the factor audit is read off the datum when the
+report is printed, through class_number_A, zeta_special_value and
+lambda_value afresh, never through _mass_parts, and so is
+drinfeld_mass.  This module never touches the maximal-order
 zeta function: the order-zeta module recomputes the same number along a
 completely different path and the test suite pins the two against each
 other.
@@ -56,19 +62,24 @@ class MassReport(Record):
 
 
 def mass(data: RamificationData) -> MassReport:
-    """Exact mass of valid definite ramification data, as the integer
-    product the module docstring describes."""
+    """Exact mass of valid definite ramification data: the field's base
+    pair for the rank, filled on the first call at that rank, times
+    lambda_v per ramified place, as the module docstring describes."""
     if not is_definite(data):
         raise NotDefiniteError(
             "mass is defined only for definite data (division algebra at infinity)"
         )
     field, r = data.field, data.rank
     q = field.q
-    num, den = class_number_A(field), q - 1
-    for i in range(1, r):
-        n, d = zeta_special_value(field, i).as_integer_ratio()
-        num *= n
-        den *= d
+    base = field._mass_parts.get(r)
+    if base is None:
+        num, den = class_number_A(field), q - 1
+        for i in range(1, r):
+            n, d = zeta_special_value(field, i).as_integer_ratio()
+            num *= n
+            den *= d
+        base = field._mass_parts[r] = num, den
+    num, den = base
     for p in data.places:
         num *= lambda_value(q ** p.degree, r, p.inv_den)
     # den is positive: q - 1 times Fraction denominators

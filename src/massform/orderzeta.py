@@ -349,12 +349,16 @@ def order_zeta_at_zero(data: RamificationData) -> Fraction:
 # Local coefficient counts and the Dirichlet series
 # ----------------------------------------------------------------------
 
+@cache
 def local_ideal_count(q_v: int, m_v: int, d_v: int, ell: int) -> int:
     """Number of local right ideals of colength ell: the sum over all
     compositions ell = l_1 + ... + l_{m_v} of prod_i q_v^{d_v l_i (i-1)}.
 
     Enumerated literally so it stays independent of the Euler-factor
-    expansion it is checked against.
+    expansion it is checked against.  Each count is memoised on its
+    four arguments inside the function, so a patched local_ideal_count
+    still replaces the computation; every datum of one (q, rank) reads
+    the same unramified streams.
     """
     if m_v < 1 or d_v < 1:
         raise ValueError("m_v and d_v must be >= 1")

@@ -65,9 +65,11 @@ def test_rejects_bad_constant_term():
 
 
 def test_rejects_broken_coefficient_symmetry():
-    # a_2 must equal q * a_0 = 2
-    with pytest.raises(InvalidFieldError):
-        FunctionFieldData(q=2, genus=1, l_poly=PolyQ((1, 1, 3)), deg_inf=1)
+    # a_2 must equal q * a_0; 1 + u + 3u^2 at q = 2 is also refused for
+    # a negative degree-3 place count, 1 + 4u^2 at q = 5 by this check only
+    for q, coeffs in ((2, (1, 1, 3)), (5, (1, 0, 4))):
+        with pytest.raises(InvalidFieldError, match="^coefficient symmetry fails at index 0$"):
+            FunctionFieldData(q=q, genus=1, l_poly=PolyQ(coeffs), deg_inf=1)
 
 
 def test_rejects_negative_place_counts():

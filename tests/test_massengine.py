@@ -92,22 +92,30 @@ def test_mass_matches_fraction_reference():
             assert zeta_special_value(field, i) == reference_zeta_value(field, i), (field, i)
 
 
-def test_dropped_zeta_denominator_factor_fails_the_reference(monkeypatch):
-    # zeta_K(-i) with |1 - q^(i+1)| dropped from its denominator; the sign
-    # is kept, or the positivity check would fire first
-    def dropped(field, i):
-        return reference_zeta_value(field, i) * (field.q ** (i + 1) - 1)
+def dropped(field, i):
+    """zeta_K(-i) with |1 - q^(i+1)| dropped from its denominator; the
+    sign is kept, or the positivity check would fire first."""
+    return reference_zeta_value(field, i) * (field.q ** (i + 1) - 1)
 
-    monkeypatch.setattr(massengine, "zeta_special_value", dropped)
-    for data in [
+
+def test_dropped_zeta_denominator_factor_fails_the_reference(monkeypatch):
+    # mass reads zeta_K(-i) only when a field first meets the rank, so the
+    # fault runs on fresh fields; a field that has met it keeps its mass
+    warm = [
         parse_shorthand("inf:1/2,1:1/2", K2, rank=2),
         parse_shorthand("inf:-1/3,1:1/3", K2, rank=3),
         parse_shorthand("inf:1/2,1:1/2", K2_G1, rank=2),
-    ]:
+    ]
+    for data in warm:
+        mass(data)
+    monkeypatch.setattr(massengine, "zeta_special_value", dropped)
+    for data in warm:
         total, printed = reference_mass(data)
-        assert mass(data).mass != total
-        assert audit(data) != printed
-        assert mass(data).mass != -order_zeta_at_zero(data)
+        fresh = on_a_fresh_field(data)
+        assert mass(fresh).mass != total
+        assert audit(fresh) != printed
+        assert mass(fresh).mass != -order_zeta_at_zero(fresh)
+        assert mass(data).mass == total
 
 
 def test_mass_frozen_rank_two():
@@ -235,27 +243,30 @@ def test_warm_memos_leave_the_negative_controls_biting(monkeypatch):
     for data in (*CONTROL_DATA, DEG_INF2_R4):
         assert mass(data).mass == -order_zeta_at_zero(data)
     assert K2._zeta_values and K2_G1._zeta_values
+    assert K2._mass_parts and K2_G1._mass_parts
     assert orderzeta._cyclotomic.cache_info().currsize > 0
-
-    def dropped(field, i):
-        return reference_zeta_value(field, i) * (field.q ** (i + 1) - 1)
 
     monkeypatch.setattr(massengine, "zeta_special_value", dropped)
     monkeypatch.setattr(orderzeta, "_cyclotomic", cyclotomic_reading_one_at_one)
     for data in CONTROL_DATA:
         total, printed = reference_mass(data)
-        assert mass(data).mass != total
+        # the audit reads zeta_K(-i) afresh, warm field or not
         assert audit(data) != printed
-        assert mass(data).mass != -order_zeta_at_zero(data)
+        fresh = on_a_fresh_field(data)
+        assert mass(fresh).mass != total
+        assert audit(fresh) != printed
+        assert mass(fresh).mass != -order_zeta_at_zero(fresh)
+        assert mass(data).mass == total
     assert order_zeta_at_zero(on_a_fresh_field(DEG_INF2_R4)) != want
 
 
 def test_zeta_memo_stays_off_equality_and_out_of_copies():
     mass(CONTROL_DATA[1])
     copy = FunctionFieldData(K2.q, K2.genus, K2.l_poly, K2.deg_inf)
-    assert K2._zeta_values and copy._zeta_values == {}
+    for name in ("_zeta_values", "_mass_parts"):
+        assert getattr(K2, name) and getattr(copy, name) == {}, name
+        assert name not in repr(K2)
     assert copy == K2 and hash(copy) == hash(K2)
-    assert "_zeta_values" not in repr(K2)
 
 
 def test_closed_form_memo_stays_off_equality_and_out_of_copies():
@@ -283,11 +294,60 @@ def test_a_poisoned_closed_form_memo_moves_only_the_closed_form():
     assert audit(data) == reference_mass(data)[1]
 
 
+def test_a_poisoned_mass_memo_moves_only_the_mass():
+    field = FunctionFieldData(K2_G1.q, K2_G1.genus, K2_G1.l_poly, K2_G1.deg_inf)
+    data = parse_shorthand("inf:1/2,1:1/2", field, rank=2)
+    total, printed = reference_mass(data)
+    want = reference_closed_form(data)
+    assert mass(data).mass == total == -order_zeta_at_zero(data)
+    # h(A) zeta_K(-1) / (q - 1) = 4 (11/3) / 1
+    assert field._mass_parts == {2: (44, 3)}
+    field._mass_parts[2] = (88, 3)
+    assert mass(data).mass == 2 * total
+    assert mass(data).mass != -order_zeta_at_zero(data)
+    assert order_zeta_at_zero(data) == value_at(want, 1)
+    assert order_zeta_closed_form(data) == want
+    assert drinfeld_mass(field, 2, 1) == total
+    # the audit reads its factors afresh, so they no longer recompose
+    # the printed mass
+    moved = audit(data)
+    assert moved["mass"] != printed["mass"]
+    assert {**moved, "mass": printed["mass"]} == printed
+
+
+def test_mass_reads_the_base_once_per_field_and_rank(monkeypatch):
+    data = on_a_fresh_field(DEG_INF2_R4)
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    for name in ("class_number_A", "zeta_special_value"):
+        monkeypatch.setattr(massengine, name, counted(name, getattr(massengine, name)))
+    total = reference_mass(data)[0]
+    for _ in range(5):
+        assert mass(data).mass == total
+    assert calls.count("class_number_A") == 1
+    assert calls.count("zeta_special_value") == data.rank - 1
+    # the audit and drinfeld_mass read the factors afresh on every call
+    calls.clear()
+    for _ in range(2):
+        audit(data)
+        drinfeld_mass(data.field, data.rank, 1)
+    assert calls.count("class_number_A") == 4
+    assert calls.count("zeta_special_value") == 4 * (data.rank - 1)
+
+
 def test_a_poisoned_zeta_memo_moves_only_the_mass():
+    # mass reads the zeta_K(-i) memo only when the field first meets the
+    # rank, so the memo is poisoned before then
     field = FunctionFieldData(K2.q, K2.genus, K2.l_poly, K2.deg_inf)
     data = parse_shorthand("inf:-1/3,1:1/3", field, rank=3)
-    assert mass(data).mass == -order_zeta_at_zero(data)
-    field._zeta_values[1] *= 2
+    assert mass(on_a_fresh_field(data)).mass == -order_zeta_at_zero(data)
+    field._zeta_values[1] = zeta_special_value(field, 1) * 2
     total, printed = reference_mass(data)
     assert mass(data).mass != total
     assert audit(data) != printed
@@ -296,3 +356,9 @@ def test_a_poisoned_zeta_memo_moves_only_the_mass():
     assert order_zeta_closed_form(data) == want
     assert order_zeta_at_zero(data) == value_at(want, 1)
     assert mass(CONTROL_DATA[1]).mass == -order_zeta_at_zero(CONTROL_DATA[1])
+    # poisoned after the field has met the rank, it moves the audit only
+    warm = on_a_fresh_field(data)
+    assert mass(warm).mass == total
+    warm.field._zeta_values[1] *= 2
+    assert mass(warm).mass == total
+    assert audit(warm) != printed

@@ -43,6 +43,7 @@ def _fill_field_memos(field):
     places_of_degree(field, 12)
     zeta_special_value(field, 2)
     class_number_A(field)
+    mass(parse_shorthand(DATUM, field, rank=2))
     order_zeta_at_zero(parse_shorthand(DATUM, field, rank=2))
 
 
@@ -75,8 +76,8 @@ RECORDS = {
     "FunctionFieldData": (
         lambda: FunctionFieldData(q=2, genus=1, l_poly=PolyQ((1, 1, 2)), deg_inf=1),
         _fill_field_memos,
-        ("_counts", "_points", "_zeta_values", "_closed_form_values", "_closed_form_parts",
-         "_class_number"),
+        ("_counts", "_points", "_zeta_values", "_mass_parts", "_closed_form_values",
+         "_closed_form_parts", "_class_number"),
         "FunctionFieldData(q=2, genus=1, l_poly=PolyQ(1 + u + 2*u^2), deg_inf=1)",
     ),
     "LocalModel": (

@@ -18,26 +18,35 @@ capped at 2**12 elements; everything this package needs lives far
 below that.
 
 Truncated series model the complete local rings at a place: a series of
-precision N is a residue mod pi^N with N stored coefficients.  Every
-sum of products of series, sum_t pi^(s_t) x_t y_t, is built by one
-kernel, `log_dot`: the operands enter as (position, log) lists of their
-nonzero coefficients.  In characteristic 2 each product is read off a
-doubled exp table and XORed into its output coefficient; in odd
-characteristic it is Zech-added straight into one log-domain
-accumulator per output coefficient (-1 standing for the log of 0), and
-each accumulator is mapped back through the exp table once.  The
-series product and the sieve's product of two monics are its one-term
-cases; the matrix products and division-algebra products of
-`localmodels` and the combinations of `localvolumes`'s sublattice
-oracle are its many-term cases.  Only `_mul_raw`, which builds a
-field's tables, multiplies polynomials without it; scalars alone, as in
-the row reduction of `gl_count_bruteforce`, go through `FqField.add`,
-`mul`, `sub` and `inv`.
+precision N is a residue mod pi^N with N stored coefficients.  Sums of
+products of series are built by two kernels.
+
+- `log_dot` builds sum_t pi^(s_t) x_t y_t from the operands as
+  (position, log) lists of their nonzero coefficients.  In
+  characteristic 2 each product is read off a doubled exp table and
+  XORed into its output coefficient; in odd characteristic it is
+  Zech-added straight into one log-domain accumulator per output
+  coefficient (-1 standing for the log of 0), and each accumulator is
+  mapped back through the exp table once.  The series product and the
+  sieve's product of two monics are its one-term cases; the
+  division-algebra products of `localmodels` and the combinations of
+  `localvolumes`'s sublattice oracle are its many-term cases.
+- `packed_mat_mul` builds the matrix products of `localmodels` by
+  Kronecker substitution: each series becomes one integer holding the
+  base-p digits of its coefficients in lanes, an entry of the product
+  is a sum of big-int products, and a few passes over the bytes and
+  big ints of the whole product reduce its lanes to codes (`_Packing`).
+
+Only `_mul_raw`, which builds a field's tables, multiplies polynomials
+without them; scalars alone, as in the row reduction of
+`gl_count_bruteforce`, go through `FqField.add`, `mul`, `sub` and `inv`.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError, OrderMismatchError, factor_prime_power, prime_factors
@@ -123,6 +132,9 @@ class FqField:
         self.modulus = _least_irreducible(p, e)
         self._build_tables()
         self._power_tables: dict[int, tuple[int, ...]] = {}
+        self._lane_tables: dict[int, tuple[bytes, ...]] = {}
+        # the lane layouts of `packed_mat_mul`, by precision and shape
+        self._packings: dict[tuple[int, int, int, int], _Packing] = {}
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -230,6 +242,22 @@ class FqField:
         table = self._power_tables.get(n)
         if table is None:
             table = self._power_tables[n] = tuple(self.pow(c, n) for c in range(self.q))
+        return table
+
+    def lane_table(self, width: int) -> tuple[bytes, ...]:
+        """The map code -> one pi-block of `packed_mat_mul`: the code's e
+        base-p digits, least significant first, each in a lane of `width`
+        little-endian bytes, then e - 1 empty lanes; built on first use
+        and kept."""
+        table = self._lane_tables.get(width)
+        if table is None:
+            # the codes of k + 1 digits from those of k: code = c + p * rest
+            lanes = [c.to_bytes(width, "little") for c in range(self.p)]
+            codes = [b""]
+            for _ in range(self.e):
+                codes = [lane + rest for rest in codes for lane in lanes]
+            pad = bytes(width * (self.e - 1))
+            table = self._lane_tables[width] = tuple(code + pad for code in codes)
         return table
 
     def __repr__(self) -> str:
@@ -394,3 +422,166 @@ class TruncatedSeriesFq(Record):
 def fq_series(field: FqField, coeffs: Iterable[int], precision: int) -> TruncatedSeriesFq:
     cs = tuple(coeffs)[:precision]
     return TruncatedSeriesFq(field, precision, cs + (0,) * (precision - len(cs)))
+
+
+# ----------------------------------------------------------------------
+# Matrices of series as packed integers (Kronecker substitution)
+# ----------------------------------------------------------------------
+
+def _widen(digits: bytes) -> bytearray:
+    """digits with each byte in a 2-byte little-endian lane."""
+    out = bytearray(2 * len(digits))
+    out[::2] = digits
+    return out
+
+
+def _lanes(raw: bytes, width: int) -> memoryview:
+    """The values of raw's little-endian lanes of `width` (2, 4 or 8)
+    bytes, read through a memoryview cast; on a big-endian machine the
+    bytes are reversed before the cast and the lanes after it."""
+    fmt = {2: "H", 4: "I", 8: "Q"}[width]
+    if sys.byteorder == "little":
+        return memoryview(raw).cast(fmt)
+    return memoryview(raw[::-1]).cast(fmt)[::-1]
+
+
+class _Packing:
+    """The lane layout of `packed_mat_mul` for one field, one precision
+    and one shape, with every constant of its packing and decoding;
+    built on first use and kept on the field.
+
+    A series of precision n becomes one integer of n pi-blocks of 2e - 1
+    lanes, `width` bytes each: block k holds the base-p digits of the
+    coefficient at pi^k in its first e lanes.  The product of two such
+    integers holds in block k the residue polynomial of coefficient k of
+    the series product, unreduced: degree at most 2e - 2, so blocks never
+    overlap, and each lane at most bound = (p - 1)**2 * n * e, a sum over
+    at most n pi-positions and e residue positions."""
+
+    __slots__ = (
+        "p", "e", "lanes", "terms", "width", "chunk", "table", "size", "mask",
+        "mod_p", "reduce_width", "low", "first", "residues", "code_width", "horner",
+    )
+
+    def __init__(self, field: FqField, precision: int, terms: int, entries: int):
+        p, e = field.p, field.e
+        lanes = 2 * e - 1
+        bound = (p - 1) ** 2 * precision * e
+        if bound + p - 1 < 256:
+            # byte lanes, reduced mod p by bytes.translate; the terms are
+            # summed in chunks, each added to the reduced sum of the ones
+            # before it, so no lane passes 255
+            width = 1
+            chunk = terms if terms * bound < 256 else (256 - p) // bound
+        else:
+            # all the terms summed at once, in lanes of 2, 4 or 8 bytes
+            width = next(w for w in (2, 4, 8) if terms * bound < 1 << 8 * w)
+            chunk = terms
+        self.p, self.e, self.lanes, self.terms = p, e, lanes, terms
+        self.width, self.chunk = width, chunk
+        self.table = field.lane_table(width)
+        self.size = width * lanes * precision
+        self.mask = (1 << 8 * self.size) - 1
+        self.mod_p = bytes(i % p for i in range(256))
+        if e == 1:
+            return
+        blocks = entries * precision
+        # x^(e+s) = r_s(x) mod the modulus moves the digit in lane e + s,
+        # times the digits of r_s, onto lanes 0 .. e - 1, each of which
+        # then holds at most (p - 1) + (e - 1) * (p - 1)**2
+        rw = self.reduce_width = 1 if (p - 1) + (e - 1) * (p - 1) ** 2 < 256 else 2
+        self.low = int.from_bytes((b"\xff" * rw * e + bytes(rw * (e - 1))) * blocks, "little")
+        self.first = int.from_bytes((b"\xff" * rw + bytes(rw * (lanes - 1))) * blocks, "little")
+        self.residues = [
+            (8 * rw * (e + s), int.from_bytes(
+                b"".join([c.to_bytes(rw, "little") for c in digits(field.pow(p, e + s), p, e)]),
+                "little",
+            ))
+            for s in range(e - 1)
+        ]
+        # digits c_t times sum_j p^(e-1-j) x^j put sum_t c_t p^t, the
+        # code, in lane e - 1 of each block; no lane reaches q
+        cw = self.code_width = 1 if field.q <= 256 else 2
+        self.horner = sum(p ** (e - 1 - j) << 8 * cw * j for j in range(e))
+
+    def pack(self, matrix: Sequence[Sequence[TruncatedSeriesFq]]) -> list[int]:
+        """Every entry of matrix as one integer, row-major: a table lookup
+        per code, one join for the whole matrix and one int.from_bytes
+        per entry."""
+        table, size = self.table, self.size
+        raw = b"".join([table[c] for row in matrix for x in row for c in x.coeffs])
+        return [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
+
+    def lane_digits(self, rows: list[list[int]], cols: list[list[int]]):
+        """The lanes of every entry sum_k row_k col_k mod p, entries
+        row-major, each masked to its first n pi-blocks.  Byte lanes take
+        the terms a chunk at a time, each chunk's sums added to the
+        reduced lanes of the chunks before it."""
+        mask, size, chunk, width = self.mask, self.size, self.chunk, self.width
+        parts = [(rows, cols)] if chunk >= self.terms else [
+            ([r[k:k + chunk] for r in rows], [c[k:k + chunk] for c in cols])
+            for k in range(0, self.terms, chunk)
+        ]
+        digits = None
+        for part_rows, part_cols in parts:
+            raw = b"".join([(sum(map(mul, r, c)) & mask).to_bytes(size, "little")
+                            for r in part_rows for c in part_cols])
+            if digits is not None:
+                raw = (int.from_bytes(raw, "little") + int.from_bytes(digits, "little")
+                       ).to_bytes(len(raw), "little")
+            if width == 1:
+                digits = raw.translate(self.mod_p)
+            else:
+                digits = list(map(self.p.__rmod__, _lanes(raw, width)))
+        return digits
+
+    def codes(self, digits) -> Sequence[int]:
+        """The code of each pi-coefficient from the 2e - 1 digits of its
+        block: the high e - 1 reduced onto the low e on the packed
+        lanes, which go mod p again and are read base p."""
+        e = self.e
+        if e == 1:
+            return digits
+        digits, rw, lanes = bytes(digits), self.reduce_width, self.lanes
+        whole = int.from_bytes(digits if rw == 1 else _widen(digits), "little")
+        low, first = whole & self.low, self.first
+        for shift, residue in self.residues:
+            low += (whole >> shift & first) * residue
+        raw = low.to_bytes(rw * len(digits), "little")
+        if rw == 1:
+            digits = raw.translate(self.mod_p)
+        else:
+            digits = bytes(map(self.p.__rmod__, _lanes(raw, 2)))
+        cw = self.code_width
+        raw = (int.from_bytes(digits if cw == 1 else _widen(digits), "little") * self.horner
+               ).to_bytes(cw * len(digits), "little")
+        return raw[e - 1::lanes] if cw == 1 else _lanes(raw, 2)[e - 1::lanes]
+
+
+def packed_mat_mul(
+    a: Sequence[Sequence[TruncatedSeriesFq]], b: Sequence[Sequence[TruncatedSeriesFq]]
+) -> list[list[TruncatedSeriesFq]]:
+    """The product of two matrices of series over one field at one
+    precision: entry (i, j) is sum_k a_ik b_kj, by Kronecker substitution.
+
+    Each entry is packed once into one integer (see `_Packing`), and an
+    entry of the product is sum(map(mul, row, col)): one big-int
+    product per term.  The lanes of the whole product are then reduced
+    mod p, in one pass per chunk of terms, and each pi-coefficient's
+    2e - 1 digits are reduced modulo the field's modulus to a code."""
+    field, n = a[0][0].field, a[0][0].precision
+    terms, width = len(b), len(b[0])
+    key = (n, len(a), terms, width)
+    packing = field._packings.get(key)
+    if packing is None:
+        packing = field._packings[key] = _Packing(field, n, terms, len(a) * width)
+    packed = packing.pack(a)
+    rows = [packed[k:k + terms] for k in range(0, len(packed), terms)]
+    packed = packing.pack(b)
+    cols = [packed[k::width] for k in range(width)]
+    codes = packing.codes(packing.lane_digits(rows, cols))
+    step = width * n
+    return [
+        [TruncatedSeriesFq(field, n, tuple(codes[k:k + n])) for k in range(i, i + step, n)]
+        for i in range(0, len(codes), step)
+    ]

@@ -12,12 +12,15 @@ is checked by explicit computation here rather than assumed.
 
 Everything in this module is desk-scale: the residue field of L has
 q_v^d <= 4096 elements (the cap on every finite field here), so the
-matrices are d x d with d at most 12.  Matrix entries and division-algebra
-coefficients are sums of products, each built in one pass by the
-log-domain dot kernel `finitefield.log_dot`.  The Frobenius tau^j acts
-on codes through a per-field power table when the matrix of an element
-is built, and on logs, as multiplication by q_v^e mod q_v^d - 1, inside
-the division-algebra product.
+matrices are d x d with d at most 12.  A matrix product is one call of
+the packed kernel `finitefield.packed_mat_mul`, which multiplies series
+as big integers (Kronecker substitution); each division-algebra
+coefficient is a sum of products built in one pass by the log-domain
+kernel `finitefield.log_dot`.  So the multiplicativity check
+phi(x) phi(y) = phi(x y) compares two independent product kernels.  The
+Frobenius tau^j acts on codes through a per-field power table when the
+matrix of an element is built, and on logs, as multiplication by
+q_v^e mod q_v^d - 1, inside the division-algebra product.
 
 Only `local model-check` and the local-models suite load this module.
 The volumes, the Iwahori index and the brute-force oracles live in
@@ -57,6 +60,7 @@ from .finitefield import (
     TruncatedSeriesFq,
     fq_series,
     log_dot,
+    packed_mat_mul,
 )
 from .record import Record
 
@@ -65,8 +69,11 @@ Mat = tuple[tuple[TruncatedSeriesFq, ...], ...]
 # Caps on the pi-adic precision and the random pair count of the model
 # checks.  A pair costs about d^3 products of series, each quadratic in
 # the precision.  The worst case is q_v = 2, d = 12 (residue field
-# F_4096): at both caps `run_model_checks` takes 8-9 s, at the defaults
-# (precision 6, 100 pairs) about 0.5 s (2-CPU machine).
+# F_4096): at both caps `local model-check` takes 4.5-6.4 s as a whole
+# process (median 5.4 s), so it does not fit 5 s; q_v = 3, d = 7
+# (F_2187) takes 1.4-2.3 s, and d = 12 at the defaults (precision 6,
+# 100 pairs) 0.56 s (2-CPU machine, Python 3.11.7, six runs each; the
+# host's speed moved by up to 2x between sets of runs).
 MAX_MODEL_PRECISION = 16
 MAX_MODEL_PAIRS = 250
 
@@ -151,21 +158,9 @@ def mat_scalar(model: LocalModel, a: TruncatedSeriesFq) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Entry (i, j) is sum_k a_ik b_kj, one `log_dot` per entry."""
-    field, n = a[0][0].field, a[0][0].precision
-    # each entry in log form once per matrix; an empty list is a zero
-    # entry, and the sparse companion-matrix powers have many to skip
-    a_logs = [[e.log_terms() for e in row] for row in a]
-    b_cols = list(zip(*([e.log_terms() for e in row] for row in b)))
-    return _mat_from_rows(
-        [
-            TruncatedSeriesFq(
-                field, n, log_dot(field, [(x, y, 0) for x, y in zip(row, col) if x and y], n)
-            )
-            for col in b_cols
-        ]
-        for row in a_logs
-    )
+    """Entry (i, j) is sum_k a_ik b_kj, the whole product by the packed
+    kernel `finitefield.packed_mat_mul`."""
+    return _mat_from_rows(packed_mat_mul(a, b))
 
 
 def mat_pow(a: Mat, n: int, model: LocalModel) -> Mat:

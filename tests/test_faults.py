@@ -167,7 +167,13 @@ KILLS = [
     ("digits-most-significant-first", "massform.finitefield", "digits",
      "lambda f: lambda code, base, count: f(code, base, count)[::-1]",
      {"local-models"}),
-    # the sublattice oracle builds every entry of a combination with it
+    # the packed kernel of mat_mul with its lanes never reduced mod p:
+    # the identity for a translate table
+    ("packed-lanes-not-reduced-mod-p", "massform.finitefield", "_Packing",
+     "lambda f: lambda *args: (lambda k: setattr(k, 'mod_p', bytes(range(256))) or k)(f(*args))",
+     {"local-models"}),
+    # the sublattice oracle builds every entry of a combination with it,
+    # and the division-algebra product of the multiplicativity check
     ("log-dot-drops-the-last-term", "massform.finitefield", "log_dot",
      "lambda f: lambda field, terms, precision: f(field, list(terms)[:-1], precision)",
      {"local-models", "brute-force-oracles"}),

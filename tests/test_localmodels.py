@@ -370,6 +370,53 @@ def test_mat_mul_matches_literal_sum():
         assert mat_mul(pi_mat, phi_x) == _literal_mat_mul(model, pi_mat, phi_x)
 
 
+def _literal_pi_powers(model):
+    """phi(pi)**k for k = 0 .. d, each the literal product of the one
+    before and phi(pi)."""
+    powers = [mat_scalar(model, model.one())]
+    for _ in range(model.d):
+        powers.append(_literal_mat_mul(model, powers[-1], phi_of_pi(model)))
+    return powers
+
+
+# (q_v, d, precision, lane bytes, terms per chunk) of the packed kernel:
+# byte lanes in one chunk or in several (the last one shorter at
+# (2, 4, 16)), 2- and 4-byte lanes, and the two cap fields F_4096 and
+# F_2187, whose codes pass a byte.  At (61, 2, 5) the sum needs 17 bits,
+# so 2-byte lanes would be one bit short.
+LANE_CASES = [
+    (2, 4, 2, 1, 4), (2, 4, 6, 1, 4), (2, 4, 16, 1, 3),
+    (3, 4, 2, 1, 4), (3, 4, 6, 1, 2), (3, 4, 16, 2, 4),
+    (17, 2, 2, 2, 2), (17, 2, 6, 2, 2), (17, 2, 16, 2, 2),
+    (4093, 1, 2, 4, 1), (4093, 1, 6, 4, 1), (4093, 1, 16, 4, 1),
+    (61, 2, 5, 4, 2),
+    (2, 12, 2, 1, 10), (2, 12, 6, 1, 3), (2, 12, 16, 1, 1),
+    (3, 7, 2, 1, 4), (3, 7, 6, 1, 1), (3, 7, 16, 2, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "q_v, d, precision, width, chunk", LANE_CASES,
+    ids=[f"qv{q_v}-d{d}-prec{n}" for q_v, d, n, _, _ in LANE_CASES],
+)
+def test_packed_mat_mul_at_the_lane_bounds(q_v, d, precision, width, chunk):
+    # every coefficient q - 1 has every base-p digit p - 1, so each lane
+    # of a full product reaches its bound; the powers of phi(pi) are the
+    # sparse case, most entries 0
+    model = LocalModel(q_v, d, 1, precision)
+    q = model.residue_field.q
+    full = tuple(tuple(model.series([q - 1] * precision) for _ in range(d)) for _ in range(d))
+    powers = _literal_pi_powers(model)
+    products = [(full, full), (powers[1], powers[d - 1])]
+    for k in sorted({1, d - 1}):
+        products += [(full, powers[k]), (powers[k], full)]
+    for a, b in products:
+        assert mat_mul(a, b) == _literal_mat_mul(model, a, b)
+    assert powers[d] == mat_scalar(model, model.pi())
+    packing = model.residue_field._packings[(precision, d, d, d)]
+    assert (packing.width, packing.chunk) == (width, chunk)
+
+
 def test_delta_mul_matches_literal_sum():
     rng = random.Random(19)
     for model in _models() + _models(q_vs=(4,)):
